@@ -2,8 +2,8 @@
 symmetry transforms, a finite-difference residual oracle, and a split-step
 spectral cross-check."""
 
-from .ansatz import CubicMatch, LinePhaseFrame, QuadPhase, \
-    TransportAmplitude, frame, match_cubic, v_profile_coefficient
+from .ansatz import CubicMatch, LinePhaseFrame, frame, match_cubic, \
+    v_profile_coefficient
 from .catalog import Periodicity, Solution, Variant, eval_solution, \
     family_a, family_b, family_c
 from .elliptic import PROFILE_KINDS, Profile, ellipk, jacobi_sn_cn_dn, \
@@ -16,6 +16,6 @@ from .evolve import Field, crosscheck, make_field, mass, poisson_v, step
 from .gridio import GridSpec, write_field_csv, write_json_report
 from .residual import ResidualReport, residual_at, verify
 from .symmetry import TransformSpec, apply_t1, apply_t2, compose
-from .timefn import Jet, TimeFunction, constant, eval_jet, parse_timefn
+from .timefn import Jet, TimeFunction, constant, parse_timefn
 
 __version__ = "0.1.0"

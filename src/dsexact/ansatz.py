@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .elliptic import Profile
 from .errors import DegenerateMatch, NoRealAmplitude
-from .timefn import TimeFunction
 
 __all__ = ["LinePhaseFrame", "frame", "CubicMatch", "match_cubic",
-           "v_profile_coefficient", "QuadPhase", "TransportAmplitude"]
+           "v_profile_coefficient"]
 
 _DEGENERATE_TOL = 1e-14
 
@@ -80,7 +78,6 @@ class CubicMatch:
 
     amplitude: float   # A in nu = A*f
     c_ode: float       # constant multiplying nu
-    kappa: float       # nu^2 coefficient carried into the mean-flow field
 
 
 def match_cubic(profile: Profile, E: float, kappa: float,
@@ -101,7 +98,7 @@ def match_cubic(profile: Profile, E: float, kappa: float,
         raise NoRealAmplitude(
             f"amplitude^2 = {a2:g} < 0 for kind '{profile.kind}' "
             f"(E={E:g}, kappa={kappa:g}, eps2={eps2})")
-    return CubicMatch(math.sqrt(a2), E * profile.q / 2.0, kappa)
+    return CubicMatch(math.sqrt(a2), E * profile.q / 2.0)
 
 
 def v_profile_coefficient(zeta: float) -> float:
@@ -111,56 +108,3 @@ def v_profile_coefficient(zeta: float) -> float:
     -e1*(kappa + 2*zeta^2)*(nu^2)'', so kappa = -2*zeta^2.
     """
     return -2.0 * zeta * zeta
-
-
-@dataclass(frozen=True)
-class QuadPhase:
-    """Phase a'(t) x^2 + b'(t) y^2; needs jets of a, b to order 2 only."""
-
-    alpha: TimeFunction
-    beta: TimeFunction
-
-    def value(self, t: float, x: float, y: float) -> float:
-        return self.alpha.jet(t).d1 * x * x + self.beta.jet(t).d1 * y * y
-
-    def dt(self, t: float, x: float, y: float) -> float:
-        return self.alpha.jet(t).d2 * x * x + self.beta.jet(t).d2 * y * y
-
-    def dx(self, t: float, x: float, y: float) -> float:
-        return 2.0 * self.alpha.jet(t).d1 * x
-
-    def dy(self, t: float, x: float, y: float) -> float:
-        return 2.0 * self.beta.jet(t).d1 * y
-
-    def dxx(self, t: float) -> float:
-        return 2.0 * self.alpha.jet(t).d1
-
-    def dyy(self, t: float) -> float:
-        return 2.0 * self.beta.jet(t).d1
-
-
-@dataclass(frozen=True)
-class TransportAmplitude:
-    """Exact solution of the transport equation for the modulus field.
-
-    xi(t,x,y) = exp(-e1*a - b) * theta(exp(-2*e1*a) x, exp(-2*b) y)
-    satisfies  xi_t + 2*(e1*a' x xi_x + b' y xi_y) + (e1*a' + b') xi = 0
-    identically for any smooth theta.
-    """
-
-    eps1: int
-    alpha: TimeFunction
-    beta: TimeFunction
-    theta: Callable[[float, float], float]
-
-    def coords(self, t: float, x: float, y: float) -> tuple:
-        a = self.alpha.jet(t).f
-        b = self.beta.jet(t).f
-        return math.exp(-2.0 * self.eps1 * a) * x, math.exp(-2.0 * b) * y
-
-    def value(self, t: float, x: float, y: float) -> float:
-        a = self.alpha.jet(t).f
-        b = self.beta.jet(t).f
-        w1 = math.exp(-2.0 * self.eps1 * a) * x
-        w2 = math.exp(-2.0 * b) * y
-        return math.exp(-self.eps1 * a - b) * self.theta(w1, w2)

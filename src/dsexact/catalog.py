@@ -26,17 +26,17 @@ family_c   travelling-line profiles nu(w) over the eight profile kinds,
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .ansatz import QuadPhase, TransportAmplitude, frame, match_cubic, \
-    v_profile_coefficient
+import numpy as np
+
+from .ansatz import frame, match_cubic, v_profile_coefficient
 from .elliptic import SINGULARITY_GUARD, make_profile
-from .errors import ConfigError, DSError, MixedCaseUnsupported, \
-    NoRealSolution, UnsupportedVariant, ValidityError
-from .timefn import TimeFunction, constant
+from .errors import ConfigError, MixedCaseUnsupported, NoRealSolution, \
+    UnsupportedVariant, ValidityError
+from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["Variant", "Periodicity", "Solution", "family_a", "family_b",
            "family_c", "eval_solution", "IM_SLOPE_CUTOFF"]
@@ -77,24 +77,39 @@ class Periodicity:
 class Solution:
     """An evaluable exact solution pair (u complex, v real).
 
-    ``valid`` is False inside the guard radius of any profile pole and
-    wherever a family constraint fails; verification must skip those points.
-    ``provenance`` records family, parameters, and the transform chain.
+    ``u``, ``v`` and ``valid`` take floats or numpy arrays ``t, x, y`` that
+    broadcast together, and return values that broadcast against them.
+    ``valid`` is a bool mask, False inside the guard radius of any profile
+    pole and wherever a family constraint fails; ``u`` and ``v`` are only
+    meaningful where it is True.  ``provenance`` records family, parameters,
+    and the transform chain.
     """
 
     variant: Variant
-    u: Callable[[float, float, float], complex]
-    v: Callable[[float, float, float], float]
-    valid: Callable[[float, float, float], bool]
+    u: Callable
+    v: Callable
+    valid: Callable
     periodicity: Optional[Periodicity] = None
     provenance: dict = field(default_factory=dict)
 
 
-def eval_solution(sol: Solution, t: float, x: float, y: float):
-    """Evaluate (u, v, valid); invalid points return NaN fields, not raise."""
-    if not sol.valid(t, x, y):
-        return complex("nan"), float("nan"), False
-    return sol.u(t, x, y), sol.v(t, x, y), True
+def eval_solution(sol: Solution, t, x, y):
+    """Evaluate (u, v, valid) at broadcastable points t, x, y.
+
+    ``valid`` is computed first and ``u``, ``v`` only at the valid points;
+    the others get NaN.  Returns arrays of the broadcast shape (numpy
+    scalars for scalar input).
+    """
+    t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                    for a in (t, x, y)))
+    ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), dtype=bool), t.shape)
+    u = np.full(t.shape, complex("nan"))
+    v = np.full(t.shape, math.nan)
+    if ok.any():
+        tv, xv, yv = t[ok], x[ok], y[ok]
+        u[ok] = sol.u(tv, xv, yv)
+        v[ok] = sol.v(tv, xv, yv)
+    return u[()], v[()], ok[()]
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +126,19 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
     c = float(c)
 
     def slope_jet(t):
-        j = im.jet(t)
-        if not j.d1 > IM_SLOPE_CUTOFF:
+        j, _ = jet_arrays(im, t)
+        bad = ~(j.d1 > IM_SLOPE_CUTOFF)
+        if bad.any():
+            t_bad = np.asarray(t, dtype=float)[bad][0]
             raise ValidityError(
-                f"Im'({t}) = {j.d1:g} is not positive; family A undefined")
+                f"Im'({t_bad}) is not positive; family A undefined")
         return j
 
     def u(t, x, y):
         j = slope_jet(t)
         alpha_p = 0.5 * j.d1 - eps1 * j.d2 / (4.0 * j.d1)
         beta_p = -j.d2 / (4.0 * j.d1) - eps1 * j.d1 / 2.0
-        return c * math.sqrt(j.d1) * cmath.exp(
+        return c * np.sqrt(j.d1) * np.exp(
             1j * (alpha_p * x * x + beta_p * y * y))
 
     def v(t, x, y):
@@ -132,12 +149,9 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
         return quad * (eps1 * x * x + y * y) - eps2 * c * c * j.d1
 
     def valid(t, x, y):
-        try:
-            j = im.jet(t)
-        except DSError:
-            return False
-        return j.d1 > IM_SLOPE_CUTOFF and math.isfinite(j.d1) \
-            and math.isfinite(j.d2) and math.isfinite(j.d3)
+        j, ok = jet_arrays(im, t)
+        return ok & (j.d1 > IM_SLOPE_CUTOFF) & np.isfinite(j.d1) \
+            & np.isfinite(j.d2) & np.isfinite(j.d3)
 
     return Solution(
         variant, u, v, valid, periodicity=None,
@@ -175,18 +189,22 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         im_value = float(im)
     eps2 = variant.eps2
 
-    alpha = beta + constant(im_value)
-    amp = TransportAmplitude(1, alpha, beta,
-                             lambda w1, w2: a * w1 + b * w2 + c)
-    phase = QuadPhase(alpha, beta)
-
     def u(t, x, y):
-        return amp.value(t, x, y) * cmath.exp(1j * phase.value(t, x, y))
+        # Transport amplitude exp(-alpha - beta) * theta(w1, w2) with
+        # alpha = beta + Im and theta = a*w1 + b*w2 + c in the stretched
+        # coordinates w1 = exp(-2 alpha) x, w2 = exp(-2 beta) y, times the
+        # quadratic phase beta' (x^2 + y^2).
+        j, _ = jet_arrays(beta, t)
+        alpha = j.f + im_value
+        w1 = np.exp(-2.0 * alpha) * x
+        w2 = np.exp(-2.0 * j.f) * y
+        amp = np.exp(-alpha - j.f) * (a * w1 + b * w2 + c)
+        return amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
 
     def v(t, x, y):
-        j = beta.jet(t)
+        j, _ = jet_arrays(beta, t)
         quad = j.d2 + 2.0 * j.d1 * j.d1
-        e2b = math.exp(-2.0 * j.f)
+        e2b = np.exp(-2.0 * j.f)
         e8b = e2b ** 4
         e2i = math.exp(-2.0 * im_value)
         vxx = quad + eps2 * a * a * e2i ** 3 * e8b
@@ -197,11 +215,8 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         return -vxx * x * x - vyy * y * y - cross * x * y - linear
 
     def valid(t, x, y):
-        try:
-            j = beta.jet(t)
-        except DSError:
-            return False
-        return math.isfinite(j.f) and math.isfinite(j.d2)
+        j, ok = jet_arrays(beta, t)
+        return ok & np.isfinite(j.f) & np.isfinite(j.d2)
 
     return Solution(
         variant, u, v, valid, periodicity=None,
@@ -241,19 +256,16 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         c_v = float(v_constant)
     zeta, eta, ell1 = fr.zeta, fr.eta, fr.ell1
 
-    def w_of(j, x, y):
-        return math.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
-
     def u(t, x, y):
-        j = beta.jet(t)
-        stretch = math.exp(-2.0 * j.f)
+        j, _ = jet_arrays(beta, t)
+        stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
-        return amp * stretch * profile.value(w) * cmath.exp(
+        return amp * stretch * profile.value(w) * np.exp(
             1j * j.d1 * (eps1 * x * x + y * y))
 
     def v(t, x, y):
-        j = beta.jet(t)
-        stretch = math.exp(-2.0 * j.f)
+        j, _ = jet_arrays(beta, t)
+        stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
         nu = amp * profile.value(w)
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
@@ -261,13 +273,10 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
             + stretch * stretch * (c_v + kappa * nu * nu)
 
     def valid(t, x, y):
-        try:
-            j = beta.jet(t)
-        except DSError:
-            return False
-        if not (math.isfinite(j.f) and math.isfinite(j.d2)):
-            return False
-        return profile.pole_distance(w_of(j, x, y)) > SINGULARITY_GUARD
+        j, ok = jet_arrays(beta, t)
+        w = np.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
+        return ok & np.isfinite(j.f) & np.isfinite(j.d2) \
+            & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
     period = profile.period()
     periodicity = None

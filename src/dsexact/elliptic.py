@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError, DomainError
 
 __all__ = ["ellipk", "jacobi_sn_cn_dn", "Profile", "make_profile",
@@ -57,20 +59,23 @@ def ellipk(m: float) -> float:
     return math.pi / (2.0 * a)
 
 
-def jacobi_sn_cn_dn(s: float, m: float) -> tuple:
-    """The triple (sn, cn, dn)(s | m) by the descending Landen recursion.
+def jacobi_sn_cn_dn(s, m: float) -> tuple:
+    """The triple (sn, cn, dn)(s | m) by the descending Landen recursion
+    (DLMF 22.20); s is a float or an array, m a float.
 
-    At m=0 this reduces to (sin s, cos s, 1); at m=1 to
-    (tanh s, sech s, sech s).  Total for finite s and m in [0, 1].
+    The scale chain depends only on m, so it is built once per call and
+    unwound over every s together.  At m=0 this reduces to
+    (sin s, cos s, 1); at m=1 to (tanh s, sech s, sech s).  Total for finite
+    s and m in [0, 1].
     """
-    s = float(s)
+    s = np.asarray(s, dtype=float)
     m = float(m)
     if not 0.0 <= m <= 1.0:
         raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
     mc = (1.0 - m) * (1.0 + m)  # complementary parameter 1 - m^2
     if mc == 0.0:
-        cn = 1.0 / math.cosh(s)
-        return math.tanh(s), cn, cn
+        cn = 1.0 / np.cosh(s)
+        return np.tanh(s)[()], cn[()], cn[()]
 
     # Descend: replace the modulus by its Landen image until the scale
     # chain has converged, then unwind with the backward recurrences.
@@ -91,21 +96,24 @@ def jacobi_sn_cn_dn(s: float, m: float) -> tuple:
         raise DomainError(f"Landen recursion failed to converge for m={m}")
 
     u = c * s
-    sn = math.sin(u)
-    cn = math.cos(u)
+    sn = np.sin(u)
+    cn = np.cos(u)
+    # sin(u) is exactly 0 only at u = 0, where (sin, cos, 1) is already the
+    # answer; a stand-in divisor keeps the unwinding finite there.
+    moving = sn != 0.0
+    ratio = cn / np.where(moving, sn, 1.0)
+    c = ratio * c
     dn = 1.0
-    if sn != 0.0:
-        ratio = cn / sn
-        c = ratio * c
-        for scale, root in zip(reversed(scales), reversed(roots)):
-            ratio = c * ratio
-            c = dn * c
-            dn = (root + ratio) / (scale + ratio)
-            ratio = c / scale
-        mag = 1.0 / math.sqrt(c * c + 1.0)
-        sn = mag if sn >= 0.0 else -mag
-        cn = c * sn
-    return sn, cn, dn
+    for scale, root in zip(reversed(scales), reversed(roots)):
+        ratio = c * ratio
+        c = dn * c
+        dn = (root + ratio) / (scale + ratio)
+        ratio = c / scale
+    mag = 1.0 / np.sqrt(c * c + 1.0)
+    unwound = np.where(sn >= 0.0, mag, -mag)
+    return (np.where(moving, unwound, sn)[()],
+            np.where(moving, c * unwound, cn)[()],
+            np.where(moving, dn, 1.0)[()])
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +142,7 @@ def _signature(kind: str, m: float) -> tuple:
 
 @dataclass(frozen=True)
 class Profile:
-    """A shape function with derivatives and its cubic signature (p, q).
+    """A shape function and its cubic signature (p, q).
 
     ``singularities`` lists the real poles as (offset, spacing) pairs:
     spacing None marks a single pole, otherwise the pole set is
@@ -147,59 +155,36 @@ class Profile:
     q: float
     singularities: tuple
 
-    def value(self, s: float) -> float:
+    def value(self, s):
+        """f(s) for a float or an array of arguments."""
         k = self.kind
         if k == "rational":
             return 1.0 / s
         if k == "tan":
-            return math.tan(s)
+            return np.tan(s)
         if k == "sec":
-            return 1.0 / math.cos(s)
+            return 1.0 / np.cos(s)
         if k == "coth":
-            return math.cosh(s) / math.sinh(s)
+            return np.cosh(s) / np.sinh(s)
         if k == "csch":
-            return 1.0 / math.sinh(s)
-        sn, cn, dn = jacobi_sn_cn_dn(s, self.m)
-        return {"sn": sn, "cn": cn, "dn": dn}[k]
+            return 1.0 / np.sinh(s)
+        return jacobi_sn_cn_dn(s, self.m)[_ELLIPTIC_KINDS.index(k)]
 
-    def deriv(self, s: float) -> float:
-        k = self.kind
-        if k == "rational":
-            return -1.0 / (s * s)
-        if k == "tan":
-            c = math.cos(s)
-            return 1.0 / (c * c)
-        if k == "sec":
-            c = math.cos(s)
-            return math.sin(s) / (c * c)
-        if k == "coth":
-            sh = math.sinh(s)
-            return -1.0 / (sh * sh)
-        if k == "csch":
-            sh = math.sinh(s)
-            return -math.cosh(s) / (sh * sh)
-        sn, cn, dn = jacobi_sn_cn_dn(s, self.m)
-        if k == "sn":
-            return cn * dn
-        if k == "cn":
-            return -sn * dn
-        return -self.m * self.m * sn * cn  # dn
+    def pole_distance(self, s):
+        """Distance from s (a float or an array) to the nearest real pole,
+        inf if there is none.
 
-    def second(self, s: float) -> float:
-        # The cubic identity is exact for every kind, so reuse it.
-        f = self.value(s)
-        return self.p * f ** 3 + self.q * f
-
-    def pole_distance(self, s: float) -> float:
-        """Distance from s to the nearest real pole (inf if none)."""
-        best = math.inf
+        For a pole lattice this is |remainder(s - offset, spacing)| with the
+        IEEE nearest-multiple remainder, taken exactly from fmod.
+        """
+        best = np.full(np.shape(s), np.inf)
         for offset, spacing in self.singularities:
             if spacing is None:
-                best = min(best, abs(s - offset))
+                best = np.minimum(best, np.abs(s - offset))
             else:
-                r = math.remainder(s - offset, spacing)
-                best = min(best, abs(r))
-        return best
+                r = np.abs(np.fmod(s - offset, spacing))
+                best = np.minimum(best, np.minimum(r, spacing - r))
+        return best[()]
 
     def period(self):
         """Real period of the profile, or None if aperiodic."""

@@ -2,15 +2,19 @@
 
 Field files are CSV with the fixed header ``t,x,y,re_u,im_u,abs_u,v,valid``,
 x fastest-varying, floats printed with 17 significant digits so repeated
-runs are byte-identical.  Reports are JSON with sorted keys.  Invalid points
-are emitted with ``valid=false`` and empty numeric cells.
+runs are byte-identical.  Reports are strict JSON with sorted keys and
+non-finite numbers written as ``null``.  Invalid points are emitted with
+``valid=false`` and empty numeric cells.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .catalog import Solution, eval_solution
 from .errors import ConfigError
@@ -19,6 +23,10 @@ __all__ = ["GridSpec", "fmt_float", "write_field_csv", "write_json_report",
            "FIELD_HEADER"]
 
 FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
+
+# Points evaluated per batch when writing a field: bounds the working memory
+# of large grids.
+_CHUNK = 4096
 
 
 def fmt_float(x: float) -> str:
@@ -58,23 +66,22 @@ class GridSpec:
             ys = [y + 0.3 * dy * (2.0 * rng.random() - 1.0) for y in ys]
         return [(t, x, y) for t in self.t_values for y in ys for x in xs]
 
-    def cardinality(self) -> int:
-        return len(self.t_values) * self.x_range[2] * self.y_range[2]
-
 
 def field_rows(sol: Solution, points):
     """CSV rows for a solution sampled at the given points."""
+    points = np.asarray(list(points), dtype=float).reshape(-1, 3)
     rows = []
-    for t, x, y in points:
+    for start in range(0, len(points), _CHUNK):
+        t, x, y = points[start:start + _CHUNK].T
         u, v, ok = eval_solution(sol, t, x, y)
-        if ok:
-            rows.append(",".join([
-                fmt_float(t), fmt_float(x), fmt_float(y),
-                fmt_float(u.real), fmt_float(u.imag), fmt_float(abs(u)),
-                fmt_float(v), "true"]))
-        else:
-            rows.append(",".join([fmt_float(t), fmt_float(x), fmt_float(y),
-                                  "", "", "", "", "false"]))
+        for cells in zip(t.tolist(), x.tolist(), y.tolist(), u.real.tolist(),
+                         u.imag.tolist(), np.abs(u).tolist(), v.tolist(),
+                         ok.tolist()):
+            if cells[-1]:
+                rows.append(",".join(map(fmt_float, cells[:-1])) + ",true")
+            else:
+                rows.append(",".join(map(fmt_float, cells[:3]))
+                            + ",,,,,false")
     return rows
 
 
@@ -85,7 +92,19 @@ def write_field_csv(path, sol: Solution, points):
             fh.write(row + "\n")
 
 
+def _finite_or_null(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json_report(path, report: dict):
+    """Strict JSON (sorted keys); non-finite floats are written as null."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
+                  allow_nan=False)
         fh.write("\n")

@@ -20,8 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .catalog import Solution
-from .errors import EmptySampleError, StencilError
+import numpy as np
+
+from .catalog import Solution, eval_solution
+from .errors import ConfigError, EmptySampleError, StencilError
 
 __all__ = ["ResidualReport", "residual_at", "verify",
            "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
@@ -80,44 +82,66 @@ def _check_order(order: int):
                            f"got {order}")
 
 
-def _stencil_valid(sol: Solution, t, x, y, h, order) -> bool:
-    r = order // 2
-    if not sol.valid(t, x, y):
-        return False
-    for k in range(1, r + 1):
-        d = k * h
-        if not (sol.valid(t + d, x, y) and sol.valid(t - d, x, y)
-                and sol.valid(t, x + d, y) and sol.valid(t, x - d, y)
-                and sol.valid(t, x, y + d) and sol.valid(t, x, y - d)):
-            return False
-    return True
+def _check_step(h: float):
+    if not 0.0 < h < math.inf:
+        raise ConfigError(f"finite-difference step h must be positive and "
+                          f"finite, got {h}")
+
+
+def _stencil(order: int):
+    """Node offsets (in steps) along t, x, y, and a map (axis, k) -> node.
+
+    Node 0 is the centre; the others lie on one axis each.
+    """
+    reach = [k for k in range(-(order // 2), order // 2 + 1) if k != 0]
+    offsets = [(0, 0, 0)]
+    index = {(axis, 0): 0 for axis in range(3)}
+    for axis in range(3):
+        for k in reach:
+            index[axis, k] = len(offsets)
+            offsets.append(tuple(k if a == axis else 0 for a in range(3)))
+    return np.array(offsets, dtype=float).T, index
 
 
 def _residual_terms(sol: Solution, t, x, y, h, order):
-    """R1, R2 plus the summed magnitudes of their individual terms."""
-    eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    u0 = sol.u(t, x, y)
-    v0 = sol.v(t, x, y)
+    """R1, R2, their summed term magnitudes, and stencil validity.
 
-    def diff(eval_pt, table):
-        return sum(c * eval_pt(k * h) for k, c in table)
+    ``t, x, y`` are arrays of one shape (or floats) and ``h`` a step or an
+    array of steps; every result has shape ``shape(t) + shape(h)``.  All
+    stencil nodes of all points and steps are evaluated in one call; ``ok``
+    is False where any node is invalid, and the other results are NaN there.
+    """
+    eps1, eps2 = sol.variant.eps1, sol.variant.eps2
+    offsets, index = _stencil(order)
+    h = np.asarray(h, dtype=float)
+    u, v, ok = eval_solution(
+        sol, *(np.add.outer(c, np.multiply.outer(h, k))
+               for c, k in zip((t, x, y), offsets)))
+    ok = ok.all(axis=-1)
+
+    def diff(f, axis, table):
+        return sum(c * f[..., index[axis, k]] for k, c in table)
 
     h2 = h * h
-    du_dt = diff(lambda d: sol.u(t + d, x, y), _D1[order]) / h
-    du_xx = diff(lambda d: sol.u(t, x + d, y), _D2[order]) / h2
-    du_yy = diff(lambda d: sol.u(t, x, y + d), _D2[order]) / h2
-    dv_xx = diff(lambda d: sol.v(t, x + d, y), _D2[order]) / h2
-    dv_yy = diff(lambda d: sol.v(t, x, y + d), _D2[order]) / h2
-    dg_xx = diff(lambda d: abs(sol.u(t, x + d, y)) ** 2, _D2[order]) / h2
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.abs(u) ** 2
+        u0 = u[..., 0]
+        v0 = v[..., 0]
+        du_dt = diff(u, 0, _D1[order]) / h
+        du_xx = diff(u, 1, _D2[order]) / h2
+        du_yy = diff(u, 2, _D2[order]) / h2
+        dv_xx = diff(v, 1, _D2[order]) / h2
+        dv_yy = diff(v, 2, _D2[order]) / h2
+        dg_xx = diff(g, 1, _D2[order]) / h2
 
-    cubic = 2.0 * eps2 * (u0.real ** 2 + u0.imag ** 2) * u0
-    coupling = 2.0 * u0 * v0
-    r1 = 2j * du_dt + eps1 * du_xx + du_yy - cubic - coupling
-    r2 = dv_xx - eps1 * (dv_yy + 2.0 * dg_xx)
-    scale1 = (2.0 * abs(du_dt) + abs(du_xx) + abs(du_yy)
-              + abs(cubic) + abs(coupling))
-    scale2 = abs(dv_xx) + abs(dv_yy) + 2.0 * abs(dg_xx)
-    return r1, r2, scale1, scale2
+        cubic = 2.0 * eps2 * (u0.real ** 2 + u0.imag ** 2) * u0
+        coupling = 2.0 * u0 * v0
+        r1 = 2j * du_dt + eps1 * du_xx + du_yy - cubic - coupling
+        r2 = dv_xx - eps1 * (dv_yy + 2.0 * dg_xx)
+        scale1 = (2.0 * np.abs(du_dt) + np.abs(du_xx) + np.abs(du_yy)
+                  + np.abs(cubic) + np.abs(coupling))
+        scale2 = np.abs(dv_xx) + np.abs(dv_yy) + 2.0 * np.abs(dg_xx)
+    return r1, r2, scale1, scale2, ok
 
 
 def residual_at(sol: Solution, t: float, x: float, y: float,
@@ -127,21 +151,26 @@ def residual_at(sol: Solution, t: float, x: float, y: float,
     Raises StencilError when the stencil footprint leaves the valid region;
     callers sampling a grid skip such points.
     """
+    _check_step(h)
     _check_order(order)
-    if not _stencil_valid(sol, t, x, y, h, order):
+    r1, r2, _, _, ok = _residual_terms(sol, t, x, y, h, order)
+    if not ok:
         raise StencilError(
             f"stencil at (t={t}, x={x}, y={y}, h={h}) touches invalid region")
-    r1, r2, _, _ = _residual_terms(sol, t, x, y, h, order)
-    return r1, r2
+    return complex(r1), float(r2)
 
 
 def _rms(values) -> float:
-    if not values:
-        return 0.0
-    return math.sqrt(math.fsum(v * v for v in values) / len(values))
+    try:
+        total = math.fsum(v * v for v in values.tolist())
+    except OverflowError:  # finite squares whose exact sum overflows
+        return math.inf
+    return math.sqrt(total / len(values))
 
 
 def _order_of(coarse: float, fine: float) -> float:
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        return math.nan
     tiny = 1e-300
     order = math.log2(max(coarse, tiny) / max(fine, tiny))
     return max(-20.0, min(20.0, order))
@@ -154,46 +183,37 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
 
     ``sample`` is an iterable of (t, x, y) points; points whose stencil
     footprint (at either step) leaves the valid region are skipped
-    deterministically.  Passing requires, for each equation, rms at h/2
-    within tol_rel of the term scale and either the nominal convergence
-    order (within 0.5) or a residual already on the roundoff floor.  The
+    deterministically.  Passing requires, for each equation, a finite rms
+    at h/2 within tol_rel of a finite term scale and either the nominal
+    convergence order (within 0.5) or a residual already on the roundoff
+    floor; a non-finite rms gives a NaN order.  The
     effective floor is max(floor_rel, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.
     """
+    _check_step(h)
     _check_order(order)
-    points = [p for p in sample
-              if _stencil_valid(sol, *p, h, order)
-              and _stencil_valid(sol, *p, h / 2.0, order)]
-    if not points:
+    points = np.asarray(list(sample), dtype=float).reshape(-1, 3)
+    r1, r2, s1, s2, ok = _residual_terms(sol, *points.T,
+                                         np.array([h, h / 2.0]), order)
+    keep = ok.all(axis=1)
+    if not keep.any():
         raise EmptySampleError("no valid sample points for verification")
 
-    r1_coarse, r2_coarse = [], []
-    r1_fine, r2_fine = [], []
-    s1_fine, s2_fine = [], []
-    max1 = max2 = 0.0
-    for t, x, y in points:
-        a1, a2, _, _ = _residual_terms(sol, t, x, y, h, order)
-        b1, b2, s1, s2 = _residual_terms(sol, t, x, y, h / 2.0, order)
-        r1_coarse.append(abs(a1))
-        r2_coarse.append(abs(a2))
-        r1_fine.append(abs(b1))
-        r2_fine.append(abs(b2))
-        s1_fine.append(s1)
-        s2_fine.append(s2)
-        max1 = max(max1, abs(b1))
-        max2 = max(max2, abs(b2))
-
+    r1_coarse, r1_fine = np.abs(r1[keep]).T
+    r2_coarse, r2_fine = np.abs(r2[keep]).T
     rms1 = _rms(r1_fine)
     rms2 = _rms(r2_fine)
     order1 = _order_of(_rms(r1_coarse), rms1)
     order2 = _order_of(_rms(r2_coarse), rms2)
-    scale1 = 1.0 + _rms(s1_fine)
-    scale2 = 1.0 + _rms(s2_fine)
+    scale1 = 1.0 + _rms(s1[keep, 1])
+    scale2 = 1.0 + _rms(s2[keep, 1])
     floor = max(floor_rel, 0.1 * tol_rel)
     order_ok1 = order1 >= order - 0.5 or rms1 <= floor * scale1
     order_ok2 = order2 >= order - 0.5 or rms2 <= floor * scale2
-    passed = (rms1 <= tol_rel * scale1 and rms2 <= tol_rel * scale2
-              and order_ok1 and order_ok2)
-    return ResidualReport(max1, rms1, max2, rms2, order1, order2,
-                          len(points), passed)
+    finite = all(map(math.isfinite, (rms1, rms2, scale1, scale2)))
+    passed = (finite and rms1 <= tol_rel * scale1
+              and rms2 <= tol_rel * scale2 and order_ok1 and order_ok2)
+    return ResidualReport(float(np.max(r1_fine)), rms1,
+                          float(np.max(r2_fine)), rms2, order1, order2,
+                          int(keep.sum()), passed)

@@ -20,13 +20,14 @@ b and b^{-3} and the map only preserves solutions for b^4 = 1.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .catalog import Periodicity, Solution
-from .errors import ConfigError, DSError
-from .timefn import TimeFunction
+import numpy as np
+
+from .catalog import Solution
+from .errors import ConfigError
+from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["TransformSpec", "apply_t1", "apply_t2", "compose"]
 
@@ -57,30 +58,24 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
     """Shift space by (alpha, beta)(t) with the compensating linear phase."""
     eps1 = sol.variant.eps1
 
+    def jets(t):
+        return [jet_arrays(f, t) for f in (alpha, beta, gamma)]
+
     def u(t, x, y):
-        aj = alpha.jet(t)
-        bj = beta.jet(t)
-        gj = gamma.jet(t)
+        (aj, _), (bj, _), (gj, _) = jets(t)
         phase = -(eps1 * aj.d1 * x + bj.d1 * y + gj.f)
-        return cmath.exp(1j * phase) * sol.u(t, x + aj.f, y + bj.f)
+        return np.exp(1j * phase) * sol.u(t, x + aj.f, y + bj.f)
 
     def v(t, x, y):
-        aj = alpha.jet(t)
-        bj = beta.jet(t)
-        gj = gamma.jet(t)
+        (aj, _), (bj, _), (gj, _) = jets(t)
         return (sol.v(t, x + aj.f, y + bj.f)
                 + eps1 * aj.d2 * x + bj.d2 * y
                 - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0
                 + gj.d1)
 
     def valid(t, x, y):
-        try:
-            a0 = alpha.jet(t).f
-            b0 = beta.jet(t).f
-            gamma.jet(t)
-        except DSError:
-            return False
-        return sol.valid(t, x + a0, y + b0)
+        (aj, ok_a), (bj, ok_b), (_, ok_g) = jets(t)
+        return ok_a & ok_b & ok_g & sol.valid(t, x + aj.f, y + bj.f)
 
     periodicity = sol.periodicity
     if periodicity is not None and periodicity.time_independent:

@@ -20,9 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ParseError
+import numpy as np
 
-__all__ = ["Jet", "TimeFunction", "parse_timefn", "eval_jet", "constant"]
+from .errors import DomainError, DSError, ParseError
+
+__all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays", "constant"]
 
 
 # ---------------------------------------------------------------------------
@@ -31,7 +33,8 @@ __all__ = ["Jet", "TimeFunction", "parse_timefn", "eval_jet", "constant"]
 
 @dataclass(frozen=True)
 class Jet:
-    """f(t) and its first three t-derivatives at a single point."""
+    """f(t) and its first three t-derivatives: floats at one point, or
+    arrays over many points (see ``jet_arrays``)."""
 
     f: float
     d1: float
@@ -325,9 +328,28 @@ def constant(c: float) -> TimeFunction:
     return TimeFunction(_Const(c), f"{float(c):g}")
 
 
-def eval_jet(f: TimeFunction, t: float) -> Jet:
-    """Jet of f at t; exact to roundoff by construction."""
-    return f.jet(t)
+def jet_arrays(f: TimeFunction, t):
+    """Jets of f at every entry of t, each distinct t evaluated once.
+
+    Returns ``(jet, ok)``: a Jet whose four fields are float arrays shaped
+    like t, and a bool mask that is False where ``f.jet`` raised a DSError
+    (those entries of the jet are NaN).
+    """
+    t = np.asarray(t, dtype=float)
+    distinct, inverse = np.unique(t, return_inverse=True)
+    table = np.full((len(distinct), 4), np.nan)
+    ok = np.ones(len(distinct), dtype=bool)
+    for i, ti in enumerate(distinct.tolist()):
+        try:
+            j = f.jet(ti)
+        except DSError:
+            ok[i] = False
+            continue
+        table[i] = (j.f, j.d1, j.d2, j.d3)
+    inverse = inverse.reshape(t.shape)
+    cols = table[inverse]
+    return Jet(cols[..., 0], cols[..., 1], cols[..., 2], cols[..., 3]), \
+        ok[inverse]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +359,6 @@ def eval_jet(f: TimeFunction, t: float) -> Jet:
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
         self.tokens = []
         self._scan()
         self.index = 0

@@ -5,16 +5,9 @@ import random
 
 from dsexact import parse_timefn
 
-# 6th-order central stencils, independent of the ones inside the package.
-_D1_6 = ((-3, -1.0 / 60.0), (-2, 3.0 / 20.0), (-1, -3.0 / 4.0),
-         (1, 3.0 / 4.0), (2, -3.0 / 20.0), (3, 1.0 / 60.0))
+# 6th-order central stencil, independent of the ones inside the package.
 _D2_6 = ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
          (0, -49.0 / 18.0), (1, 3.0 / 2.0), (2, -3.0 / 20.0), (3, 1.0 / 90.0))
-
-
-def fd1(f, x, h):
-    """First derivative of f at x, 6th-order central differences."""
-    return sum(c * f(x + k * h) for k, c in _D1_6) / h
 
 
 def fd2(f, x, h):

@@ -104,7 +104,7 @@ def test_criterion_3_errata_detection():
         # magnitude at least 1e-2 of the PDE term scale
         scales1, scales2 = [], []
         for p in pts:
-            _, _, s1, s2 = _residual_terms(sol, *p, H / 2.0, ORDER)
+            _, _, s1, s2, _ = _residual_terms(sol, *p, H / 2.0, ORDER)
             scales1.append(s1)
             scales2.append(s2)
         s1 = 1.0 + math.sqrt(sum(v * v for v in scales1) / len(scales1))

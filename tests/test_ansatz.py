@@ -1,12 +1,10 @@
 import math
-import random
 
 import pytest
 
-from conftest import fd1_o2, fd2, random_timefn
-from dsexact import DegenerateMatch, NoRealAmplitude, QuadPhase, \
-    TransportAmplitude, frame, make_profile, match_cubic, parse_timefn, \
-    v_profile_coefficient
+from conftest import fd2
+from dsexact import DegenerateMatch, NoRealAmplitude, frame, make_profile, \
+    match_cubic, v_profile_coefficient
 
 
 def test_frame_trivial():
@@ -90,42 +88,3 @@ def test_matched_ode_with_independent_second_derivative():
             resid = -fr.E * nu2 + 2.0 * match.c_ode * nu \
                 + 2.0 * (eps2 + kappa) * nu ** 3
             assert abs(resid) <= 1e-9 * (1.0 + abs(nu) ** 3), (kind, s)
-
-
-def test_quad_phase_derivatives():
-    qp = QuadPhase(parse_timefn("0.3*sin(t)"), parse_timefn("0.1*t^2"))
-    t, x, y = 0.8, 1.2, -0.5
-    h = 1e-5
-    assert qp.dt(t, x, y) == pytest.approx(
-        fd1_o2(lambda s: qp.value(s, x, y), t, h), rel=1e-6)
-    assert qp.dx(t, x, y) == pytest.approx(
-        fd1_o2(lambda s: qp.value(t, s, y), x, h), rel=1e-6)
-    assert qp.dy(t, x, y) == pytest.approx(
-        fd1_o2(lambda s: qp.value(t, x, s), y, h), rel=1e-6)
-
-
-def test_transport_amplitude_satisfies_transport_equation():
-    # xi_t + 2 (e1 a' x xi_x + b' y xi_y) + (e1 a' + b') xi = 0, checked by
-    # finite differences for random coefficient trees and a smooth theta.
-    rng = random.Random(77)
-    h = 1e-4
-
-    def theta(w1, w2):
-        return math.exp(-w1 * w1 - w2 * w2) * (w1 + 0.3 * w2 + 0.7)
-
-    for eps1 in (1, -1):
-        for _ in range(6):
-            alpha = random_timefn(rng)
-            beta = random_timefn(rng)
-            xi = TransportAmplitude(eps1, alpha, beta, theta)
-            for (t, x, y) in ((0.2, 0.4, -0.3), (0.9, -0.8, 0.6)):
-                aj = alpha.jet(t)
-                bj = beta.jet(t)
-                xi_t = fd1_o2(lambda s: xi.value(s, x, y), t, h)
-                xi_x = fd1_o2(lambda s: xi.value(t, s, y), x, h)
-                xi_y = fd1_o2(lambda s: xi.value(t, x, s), y, h)
-                resid = xi_t + 2.0 * (eps1 * aj.d1 * x * xi_x
-                                      + bj.d1 * y * xi_y) \
-                    + (eps1 * aj.d1 + bj.d1) * xi.value(t, x, y)
-                scale = 1.0 + abs(xi_t) + abs(xi_x) + abs(xi_y)
-                assert abs(resid) <= 1e-7 * scale

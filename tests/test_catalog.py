@@ -2,12 +2,13 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dsexact import ConfigError, MixedCaseUnsupported, NoRealAmplitude, \
-    NoRealSolution, UnsupportedVariant, ValidityError, Variant, ellipk, \
-    eval_solution, family_a, family_b, family_c, jacobi_sn_cn_dn, \
-    parse_timefn
+    NoRealSolution, TransformSpec, UnsupportedVariant, ValidityError, \
+    Variant, compose, ellipk, eval_solution, family_a, family_b, family_c, \
+    jacobi_sn_cn_dn, parse_timefn
 
 
 def test_variant_validation():
@@ -221,3 +222,69 @@ def test_provenance_records_parameters():
     assert sol.provenance["family"] == "C"
     assert sol.provenance["kind"] == "csch"
     assert sol.provenance["beta"] == "0"
+
+
+# ---------------------------------------------------------------------------
+# Array contract of eval_solution.
+# ---------------------------------------------------------------------------
+
+def _contract_cases():
+    """(name, solution, x of a pole on y=0 as a function of t or None,
+    a time outside a declared validity interval)."""
+    beta = parse_timefn("0.1*t", domain=(0.0, 1.0))
+    yield ("A", family_a(Variant(1, 1),
+                         parse_timefn("t+0.1*t^2", domain=(0.0, 1.0)), 1.0),
+           None, 1.5)
+    yield "B", family_b(Variant(1, 1), 1.0, 1.0, 0.5, beta), None, 1.5
+    yield "C-sn", family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, beta), \
+        None, 1.5
+    yield ("C-tan",
+           family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0, beta),
+           lambda t: math.pi / 2.0 * math.exp(0.2 * t), 1.5)
+    yield ("C-rational",
+           family_c(Variant(1, 1), "rational", None, 0.3, 0.0, beta),
+           lambda t: 0.0, 1.5)
+    # T1 then T2 (b=1.5) over a tan line: the T1 shift has a validity
+    # interval, reached at t = 2.25 after the scaling.
+    chain = compose(
+        [TransformSpec("T1",
+                       alpha=parse_timefn("0.3*sin(t)", domain=(0.0, 1.0)),
+                       beta=parse_timefn("0.1*t"), gamma=parse_timefn("t^2")),
+         TransformSpec("T2", b=1.5)],
+        family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
+                 parse_timefn("0")))
+    yield ("T1-T2-chain", chain,
+           lambda t: 1.5 * (math.pi / 2.0 - 0.3 * math.sin(t / 2.25)), 3.0)
+
+
+@pytest.mark.parametrize("name, sol, pole_x, t_out",
+                         [pytest.param(*case, id=case[0])
+                          for case in _contract_cases()])
+def test_eval_solution_broadcasts_like_pointwise_calls(name, sol, pole_x,
+                                                       t_out):
+    ts = np.array([0.2, 0.7, t_out])
+    xy = [(x, y) for x in (-0.9, -0.3, 0.4) for y in (-0.5, 0.0, 0.6)]
+    # One extra column per time: a point 2e-4 from a pole (inside the
+    # guard), or a plain point for pole-free solutions.
+    x = np.array([[p[0] for p in xy]
+                  + [pole_x(t) + 2e-4 if pole_x else 0.9] for t in ts])
+    y = np.array([[p[1] for p in xy] + [0.0 if pole_x else 0.2]
+                  for _ in ts])
+    u, v, ok = eval_solution(sol, ts[:, None], x, y)
+    assert u.shape == v.shape == ok.shape == x.shape
+
+    expect_ok = np.ones(x.shape, dtype=bool)
+    expect_ok[2, :] = False  # t outside the validity interval
+    if pole_x:
+        expect_ok[:, -1] = False
+    assert np.array_equal(ok, expect_ok), name
+    assert np.array_equal(np.isnan(u), ~ok)
+    assert np.array_equal(np.isnan(v), ~ok)
+
+    for i, t in enumerate(ts):
+        for j in range(x.shape[1]):
+            up, vp, okp = eval_solution(sol, t, x[i, j], y[i, j])
+            assert bool(okp) == ok[i, j]
+            if okp:
+                assert abs(u[i, j] - up) <= 1e-14 * abs(up), (name, i, j)
+                assert abs(v[i, j] - vp) <= 1e-14 * abs(vp), (name, i, j)

@@ -176,3 +176,54 @@ def test_selftest_runs_clean(capsys):
     out = capsys.readouterr().out
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("h", ["0", "-0.001", "nan", "inf"])
+def test_verify_rejects_bad_step(tmp_path, capsys, h):
+    cfg = sn_verify_config(tmp_path)
+    assert main(["verify", "--config", cfg, "--h", h]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"],
+                                   ["--T", "-1"]])
+def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
+    # These would run zero steps and report a vacuous pass.
+    L = 4.0 * ellipk(0.5)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                   "ell1": 0.0, "beta": "0"},
+        "evolve": {"box": [L, L], "n": 16, "T": 0.01, "dt": 1e-3,
+                   "tol": 1e-5},
+        "out": str(tmp_path / "evolve.json"),
+    })
+    assert main(["evolve", "--config", cfg, *flags]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.json").exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_non_finite_report_is_strict_json(tmp_path):
+    # At this amplitude the residuals overflow: the certificate fails and
+    # the non-finite fields are written as null, not as NaN/Infinity.
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                   "ell1": 0.0, "beta": "0", "amplitude": 1e120},
+        "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
+        "out": str(tmp_path / "report.json"),
+    })
+    assert main(["verify", "--config", cfg]) == 1
+    doc = json.loads((tmp_path / "report.json").read_text(),
+                     parse_constant=_reject_constant)
+    assert sorted(doc) == ["max1", "max2", "n_points", "order1", "order2",
+                           "pass", "rms1", "rms2"]
+    assert doc["pass"] is False
+    assert doc["order1"] is None and doc["order2"] is None

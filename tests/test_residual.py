@@ -3,8 +3,8 @@ import math
 
 import pytest
 
-from dsexact import EmptySampleError, Solution, StencilError, Variant, \
-    family_a, family_c, parse_timefn, residual_at, verify
+from dsexact import ConfigError, EmptySampleError, Solution, StencilError, \
+    Variant, family_a, family_c, parse_timefn, residual_at, verify
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
 
@@ -123,3 +123,25 @@ def test_report_json_shape_and_determinism():
 def test_invalid_order_rejected():
     with pytest.raises(StencilError):
         residual_at(exact_a(), 0.0, 0.0, 0.0, order=3)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_bad_step_is_config_error(h):
+    with pytest.raises(ConfigError):
+        verify(exact_a(), GRID, h=h)
+    with pytest.raises(ConfigError):
+        residual_at(exact_a(), 0.5, 0.4, -0.7, h=h)
+
+
+@pytest.mark.parametrize("amplitude", [1e80, 1e120])
+def test_overflowing_fields_fail_with_non_finite_order(amplitude):
+    # |u|^2 u or the squares summed into the rms overflow at these
+    # amplitudes.  The certificate must fail, and the orders must not be
+    # clamped to +-20; at 1e80 an infinite rms once compared below an
+    # infinite term scale and passed.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
+                   parse_timefn("0"), amplitude=amplitude)
+    report = verify(sol, GRID)
+    assert not report.passed
+    assert not math.isfinite(report.rms1)
+    assert math.isnan(report.order1)

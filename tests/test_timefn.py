@@ -4,8 +4,7 @@ import random
 import pytest
 
 from conftest import fd1_o2, random_timefn
-from dsexact import DomainError, Jet, ParseError, constant, eval_jet, \
-    parse_timefn
+from dsexact import DomainError, Jet, ParseError, constant, parse_timefn
 
 
 def jet_tuple(j):
@@ -130,7 +129,7 @@ def test_random_trees_against_finite_differences():
     for _ in range(40):
         f = random_timefn(rng)
         for t in (-1.3, 0.2, 1.1):
-            j = eval_jet(f, t)
+            j = f.jet(t)
             levels = ((lambda s: f.jet(s).f, j.d1),
                       (lambda s: f.jet(s).d1, j.d2),
                       (lambda s: f.jet(s).d2, j.d3))
