@@ -12,7 +12,8 @@ from .errors import BlowupError, ConfigError, DegenerateMatch, DomainError, \
     DSError, EmptySampleError, MixedCaseUnsupported, NoRealAmplitude, \
     NoRealSolution, ParseError, PeriodicityError, StencilError, \
     UnsupportedVariant, ValidityError
-from .evolve import Field, crosscheck, make_field, mass, poisson_v, step
+from .evolve import Field, advance, crosscheck, make_field, mass, \
+    poisson_v, step
 from .gridio import GridSpec, write_field_csv, write_json_report
 from .residual import ResidualReport, residual_at, verify
 from .symmetry import TransformSpec, apply_t1, apply_t2, compose

@@ -21,8 +21,9 @@ import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
 from .errors import BlowupError, ConfigError, DSError
+# make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import crosscheck, make_field, step
-from .gridio import FIELD_HEADER, GridSpec, fmt_float, write_field_csv, \
+from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
 from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, verify
 from .selftest import run_selftest
@@ -258,16 +259,15 @@ def _cmd_evolve(args) -> int:
         v_mean = None
     elif isinstance(v_mean, bool) or not isinstance(v_mean, (int, float)):
         raise ConfigError("/evolve/v_mean: expected 'exact' or a number")
-    report = crosscheck(sol, float(box[0]), float(box[1]), n, t_final, dt,
-                        v_mean=v_mean)
+    report, field = crosscheck(sol, float(box[0]), float(box[1]), n,
+                               t_final, dt, v_mean=v_mean)
     tol = _number(cfg, "/evolve/tol", required=False)
     if tol is not None:
         report["tol"] = tol
         report["pass"] = report["max_dev"] <= tol
     snapshot = _get(cfg, "/evolve/snapshot_out", required=False)
     if snapshot:
-        _write_final_snapshot(sol, report, float(box[0]), float(box[1]), n,
-                              snapshot)
+        write_box_csv(snapshot, field)
         report["snapshot"] = snapshot
     out = _out_path(cfg, args, "evolve.json")
     write_json_report(out, report)
@@ -276,25 +276,6 @@ def _cmd_evolve(args) -> int:
     if tol is not None and not report["pass"]:
         return 1
     return 0
-
-
-def _write_final_snapshot(sol, report, lx, ly, n, path):
-    # Re-run the evolution to materialize the final field for the snapshot;
-    # crosscheck itself stays side-effect free.
-    field = make_field(sol, lx, ly, n, t=0.0, v_mean=report["v_mean"])
-    for _ in range(report["n_steps"]):
-        field = step(field, sol.variant, report["dt"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(FIELD_HEADER + "\n")
-        for j in range(field.ny):
-            y = j * ly / n
-            for i in range(field.nx):
-                x = i * lx / n
-                u = field.u[i, j]
-                fh.write(",".join([
-                    fmt_float(field.t), fmt_float(x), fmt_float(y),
-                    fmt_float(u.real), fmt_float(u.imag), fmt_float(abs(u)),
-                    fmt_float(float(field.v[i, j])), "true"]) + "\n")
 
 
 def _cmd_selftest(args) -> int:

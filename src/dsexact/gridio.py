@@ -19,7 +19,7 @@ import numpy as np
 from .catalog import Solution, eval_solution
 from .errors import ConfigError
 
-__all__ = ["GridSpec", "fmt_float", "write_field_csv", "write_json_report",
+__all__ = ["GridSpec", "write_field_csv", "write_box_csv", "write_json_report",
            "FIELD_HEADER"]
 
 FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
@@ -28,9 +28,9 @@ FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
 # of large grids.
 _CHUNK = 4096
 
-
-def fmt_float(x: float) -> str:
-    return f"{x:.17g}"
+# %.17g prints exactly as format(x, ".17g"), including -0, inf and nan.
+_VALID_ROW = ",".join(["%.17g"] * 7) + ",true"
+_INVALID_ROW = "%.17g,%.17g,%.17g,,,,,false"
 
 
 def _linspace(lo: float, hi: float, count: int):
@@ -67,29 +67,45 @@ class GridSpec:
         return [(t, x, y) for t in self.t_values for y in ys for x in xs]
 
 
+def _format_rows(t, x, y, u, v, ok):
+    """CSV rows of flat sample arrays, made lazily _CHUNK points at a time
+    (bounded temporaries); an invalid point keeps only its t, x, y."""
+    for s in range(0, len(ok), _CHUNK):
+        c = slice(s, s + _CHUNK)
+        cells = zip(t[c], x[c], y[c], u[c].real, u[c].imag, np.abs(u[c]), v[c])
+        yield from (_VALID_ROW % cell if good else _INVALID_ROW % cell[:3]
+                    for cell, good in zip(cells, ok[c]))
+
+
 def field_rows(sol: Solution, points):
     """CSV rows for a solution sampled at the given points."""
     points = np.asarray(list(points), dtype=float).reshape(-1, 3)
     rows = []
     for start in range(0, len(points), _CHUNK):
         t, x, y = points[start:start + _CHUNK].T
-        u, v, ok = eval_solution(sol, t, x, y)
-        for cells in zip(t.tolist(), x.tolist(), y.tolist(), u.real.tolist(),
-                         u.imag.tolist(), np.abs(u).tolist(), v.tolist(),
-                         ok.tolist()):
-            if cells[-1]:
-                rows.append(",".join(map(fmt_float, cells[:-1])) + ",true")
-            else:
-                rows.append(",".join(map(fmt_float, cells[:3]))
-                            + ",,,,,false")
+        rows += _format_rows(t, x, y, *eval_solution(sol, t, x, y))
     return rows
 
 
-def write_field_csv(path, sol: Solution, points):
+def _write_rows(path, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(FIELD_HEADER + "\n")
-        for row in field_rows(sol, points):
-            fh.write(row + "\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
+def write_field_csv(path, sol: Solution, points):
+    _write_rows(path, field_rows(sol, points))
+
+
+def write_box_csv(path, field):
+    """Field CSV of a periodic-box ``evolve.Field``, all points valid, x
+    fastest-varying."""
+    nx, ny = field.u.shape
+    i = np.arange(nx * ny)
+    _write_rows(path, _format_rows(
+        np.full(i.size, field.t), i % nx * field.lx / nx,
+        i // nx * field.ly / ny, field.u.T.ravel(), field.v.T.ravel(),
+        np.ones(i.size, bool)))
 
 
 def _finite_or_null(value):

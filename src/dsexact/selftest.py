@@ -19,7 +19,7 @@ from .catalog import Solution, Variant, eval_solution, family_a, family_b, \
     family_c
 from .elliptic import PROFILE_KINDS, ellipk, jacobi_sn_cn_dn, make_profile
 from .errors import DSError
-from .evolve import make_field, mass, poisson_v, step
+from .evolve import advance, make_field, mass, poisson_v
 from .gridio import GridSpec
 from .residual import _D2, verify
 from .symmetry import apply_t2
@@ -197,8 +197,7 @@ def _check_mass_conservation() -> str | None:
     sol = family_c(variant, "sn", m, math.pi / 2.0, 0.0, parse_timefn("0"))
     field = make_field(sol, lx, ly, n)
     m0 = mass(field)
-    for _ in range(50):
-        field = step(field, variant, 1e-3)
+    field = advance(field, variant, 1e-3, 50)
     drift = abs(mass(field) - m0)
     if drift > 1e-10 * max(1.0, m0):
         return f"mass drift {drift:g}"

@@ -201,10 +201,10 @@ def test_criterion_5_dynamical_crosscheck():
     box = 4.0 * ellipk(m)
     sol = family_c(Variant(-1, 1), "sn", m, math.pi / 2.0, 0.0,
                    parse_timefn("0"))
-    rep = crosscheck(sol, box, box, 64, 0.5, 1e-3)
+    rep, _ = crosscheck(sol, box, box, 64, 0.5, 1e-3)
     assert rep["max_dev"] <= 1e-5
     assert rep["mass_drift"] <= 1e-10 * max(1.0, rep["mass_initial"])
-    rep_half = crosscheck(sol, box, box, 64, 0.5, 5e-4)
+    rep_half, _ = crosscheck(sol, box, box, 64, 0.5, 5e-4)
     ratio = rep["max_dev"] / rep_half["max_dev"]
     assert ratio >= 3.5
     _report(5, f"drift {rep['max_dev']:.2e}, dt-halving ratio {ratio:.2f}, "

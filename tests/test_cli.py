@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from dsexact import ellipk
+from dsexact import Variant, crosscheck, ellipk, evolve, family_c, gridio, \
+    parse_timefn
 from dsexact.cli import main
 
 
@@ -148,6 +150,51 @@ def test_evolve_report_and_snapshot(tmp_path):
     snap = (tmp_path / "snap.csv").read_text().splitlines()
     assert snap[0] == "t,x,y,re_u,im_u,abs_u,v,valid"
     assert len(snap) == 1 + 32 * 32
+
+
+def test_evolve_snapshot_is_the_checked_field(tmp_path, monkeypatch):
+    L = 4.0 * ellipk(0.5)
+    sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
+                   parse_timefn("0"))
+    _, field = crosscheck(sol, L, L, 16, 0.02, 1e-3)
+    evals = []
+    eval_solution = evolve.eval_solution
+
+    def counting(*args, **kwargs):
+        evals.append(1)
+        return eval_solution(*args, **kwargs)
+
+    monkeypatch.setattr(evolve, "eval_solution", counting)
+    monkeypatch.setattr(gridio, "eval_solution", counting)
+
+    def run(name, snapshot):
+        evals.clear()
+        doc = {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
+               "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                          "ell1": 0.0, "beta": "0"},
+               "evolve": {"box": [L, L], "n": 16, "T": 0.02, "dt": 1e-3},
+               "out": str(tmp_path / f"{name}.json")}
+        if snapshot:
+            doc["evolve"]["snapshot_out"] = str(tmp_path / f"{name}.csv")
+        assert main(["evolve", "--config",
+                     write_config(tmp_path / f"{name}-cfg.json", doc)]) == 0
+        return json.loads((tmp_path / f"{name}.json").read_text()), \
+            len(evals)
+
+    report, with_snapshot = run("a", True)
+    _, again = run("b", True)
+    _, without = run("c", False)
+    # No re-sampling and no second evolution for the snapshot.
+    assert with_snapshot == again == without
+    assert (tmp_path / "a.csv").read_bytes() == \
+        (tmp_path / "b.csv").read_bytes()
+    cells = np.loadtxt(tmp_path / "a.csv", delimiter=",", skiprows=1,
+                       usecols=range(7))
+    assert np.all(cells[:, 0] == report["t_final"])
+    u = field.u.T.ravel()  # rows run x fastest
+    scale = np.max(np.abs(u))
+    assert np.max(np.abs(cells[:, 3] - u.real)) <= 1e-12 * scale
+    assert np.max(np.abs(cells[:, 4] - u.imag)) <= 1e-12 * scale
 
 
 def test_seeded_jitter_is_deterministic(tmp_path):

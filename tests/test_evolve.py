@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
-    UnsupportedVariant, Variant, apply_t1, crosscheck, ellipk, family_a, \
-    family_c, make_field, mass, parse_timefn, poisson_v, step
+    UnsupportedVariant, Variant, advance, apply_t1, crosscheck, ellipk, \
+    evolve, family_a, family_c, make_field, mass, parse_timefn, poisson_v, \
+    step
 
 DS2 = Variant(-1, 1)
 
@@ -119,10 +120,59 @@ def test_mass_conservation():
     assert abs(mass(out) - m0) <= 1e-10 * max(1.0, m0)
 
 
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 37])
+def test_advance_matches_repeated_steps(n_steps):
+    # The fused loop must keep exactly one linear half step at each end.
+    L = 4.0 * ellipk(0.5)
+    w = 2.0 * math.pi / L
+    boosted = apply_t1(sn_line(0.5), parse_timefn(f"{w!r}*t"),
+                       parse_timefn("0"), parse_timefn("0"))
+    field = make_field(boosted, L, L, 32)
+    stepwise = field
+    for _ in range(n_steps):
+        stepwise = step(stepwise, DS2, 1e-3)
+    fused = advance(field, DS2, 1e-3, n_steps)
+    for got, want in ((fused.u, stepwise.u), (fused.v, stepwise.v)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_crosscheck_blowup_names_the_step(monkeypatch):
+    m = 0.5
+    L = 4.0 * ellipk(m)
+    sample = evolve.make_field
+
+    def poisoned(*args, **kwargs):
+        field = sample(*args, **kwargs)
+        field.u[3, 4] = complex("nan")
+        return field
+
+    monkeypatch.setattr(evolve, "make_field", poisoned)
+    with pytest.raises(BlowupError, match=r"\(step 1 of 5\)"):
+        crosscheck(sn_line(m), L, L, 16, 5e-3, 1e-3)
+
+
+def test_crosscheck_forward_fft_budget(monkeypatch):
+    # One forward complex FFT per step plus the initial one; the Poisson
+    # solve runs on real transforms.
+    m = 0.5
+    L = 4.0 * ellipk(m)
+    calls = []
+    fft2 = np.fft.fft2
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return fft2(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft2", counting)
+    rep, _ = crosscheck(sn_line(m), L, L, 16, 0.02, 1e-3)
+    assert rep["n_steps"] == 20
+    assert len(calls) <= rep["n_steps"] + 1
+
+
 def test_crosscheck_stationary_line():
     m = 0.5
     L = 4.0 * ellipk(m)
-    rep = crosscheck(sn_line(m), L, L, 64, 0.1, 1e-3)
+    rep, _ = crosscheck(sn_line(m), L, L, 64, 0.1, 1e-3)
     assert rep["max_dev"] <= 1e-5
     assert rep["mass_drift"] <= 1e-10
     assert rep["n_steps"] == 100
@@ -131,7 +181,7 @@ def test_crosscheck_stationary_line():
 def test_crosscheck_zero_horizon():
     m = 0.5
     L = 4.0 * ellipk(m)
-    rep = crosscheck(sn_line(m), L, L, 32, 0.0, 1e-3)
+    rep, _ = crosscheck(sn_line(m), L, L, 32, 0.0, 1e-3)
     assert rep["max_dev"] == 0.0 and rep["n_steps"] == 0
 
 
@@ -139,8 +189,8 @@ def test_crosscheck_second_order_in_dt():
     m = 0.5
     L = 4.0 * ellipk(m)
     sol = sn_line(m)
-    coarse = crosscheck(sol, L, L, 32, 0.2, 2e-3)["max_dev"]
-    fine = crosscheck(sol, L, L, 32, 0.2, 1e-3)["max_dev"]
+    coarse = crosscheck(sol, L, L, 32, 0.2, 2e-3)[0]["max_dev"]
+    fine = crosscheck(sol, L, L, 32, 0.2, 1e-3)[0]["max_dev"]
     assert coarse / fine >= 3.5
 
 
@@ -152,7 +202,7 @@ def test_crosscheck_tracks_boosted_profile():
     w = 2.0 * math.pi / L
     boosted = apply_t1(sn_line(m), parse_timefn(f"{w!r}*t"),
                        parse_timefn("0"), parse_timefn("0"))
-    rep = crosscheck(boosted, L, L, 64, 0.5, 1e-3)
+    rep, _ = crosscheck(boosted, L, L, 64, 0.5, 1e-3)
     assert rep["max_dev"] <= 1e-5
 
 
