@@ -17,6 +17,6 @@ from .evolve import Field, advance, crosscheck, make_field, mass, \
 from .gridio import GridSpec, write_field_csv, write_json_report
 from .residual import ResidualReport, residual_at, verify
 from .symmetry import TransformSpec, apply_t1, apply_t2, compose
-from .timefn import Jet, TimeFunction, constant, parse_timefn
+from .timefn import Jet, TimeFunction, parse_timefn
 
 __version__ = "0.1.0"

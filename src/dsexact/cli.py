@@ -20,7 +20,8 @@ import json
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
-from .errors import BlowupError, ConfigError, DSError
+from .elliptic import PROFILE_KINDS
+from .errors import ConfigError, DSError
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
@@ -55,22 +56,32 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 
 
 # ---------------------------------------------------------------------------
-# Config access with JSON-pointer style error paths.
+# Config readers.  Every config value and every flag goes through one of
+# them; each error names the full pointer (or flag) of the offending value.
 # ---------------------------------------------------------------------------
 
-def _get(cfg: dict, pointer: str, required: bool = True, default=None):
+def _get(cfg, pointer: str, default=...):
+    """The value at a pointer such as ``/grid/x/2`` (dict keys and list
+    indices).  A missing or null value is ``default``, and an error when the
+    default is ``...`` (a required field).  A flag name such as ``--h`` has
+    no ``/``, so it names ``cfg`` itself."""
     node = cfg
-    for key in [p for p in pointer.split("/") if p]:
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigError(f"{pointer}: missing required field")
-            return default
-        node = node[key]
-    return node
+    for key in pointer.split("/")[1:]:
+        if isinstance(node, dict):
+            node = node.get(key)
+        elif isinstance(node, list) and key.isdigit() and int(key) < len(node):
+            node = node[int(key)]
+        else:
+            node = None
+    if node is not None:
+        return node
+    if default is ...:
+        raise ConfigError(f"{pointer}: missing required field")
+    return default
 
 
-def _number(cfg, pointer, required=True, default=None):
-    value = _get(cfg, pointer, required, default)
+def _number(cfg, pointer, default=...):
+    value = _get(cfg, pointer, default)
     if value is None:
         return None
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -78,35 +89,59 @@ def _number(cfg, pointer, required=True, default=None):
     return float(value)
 
 
-def _sign(cfg, pointer):
-    value = _get(cfg, pointer)
-    if value not in (1, -1):
-        raise ConfigError(f"{pointer}: must be 1 or -1, got {value!r}")
+def _count(cfg, pointer, default=...):
+    value = _number(cfg, pointer, default)
+    if value % 1 or value < 1:
+        raise ConfigError(f"{pointer}: expected an integer >= 1, "
+                          f"got {value!r}")
     return int(value)
 
 
-def _timefn(cfg, pointer, required=True, default_expr=None):
-    value = _get(cfg, pointer, required, None)
+def _choice(cfg, pointer, choices, default=...):
+    value = _get(cfg, pointer, default)
+    if isinstance(value, bool) or value not in choices:
+        raise ConfigError(f"{pointer}: expected one of {choices}, "
+                          f"got {value!r}")
+    return choices[choices.index(value)]
+
+
+def _string(cfg, pointer, default=...):
+    value = _get(cfg, pointer, default)
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{pointer}: expected a string, got {value!r}")
+    return value
+
+
+def _list(cfg, pointer, read, length=None, default=...):
+    """Each entry of the nonempty list at ``pointer`` (of ``length`` entries
+    if given), read by ``read`` through its own pointer."""
+    value = _get(cfg, pointer, default)
     if value is None:
-        if default_expr is None:
-            return None
-        value = default_expr
-    if isinstance(value, str):
-        expr, domain = value, None
-    elif isinstance(value, dict):
-        expr = value.get("expr")
-        domain = value.get("domain")
-        if not isinstance(expr, str):
-            raise ConfigError(f"{pointer}/expr: expected an expression string")
-        if domain is not None and (not isinstance(domain, list)
-                                   or len(domain) != 2):
-            raise ConfigError(f"{pointer}/domain: expected [lo, hi]")
-    else:
+        return None
+    if not isinstance(value, list) or not value \
+            or length not in (None, len(value)):
+        shape = f"a list of {length} entries" if length else "a nonempty list"
+        raise ConfigError(f"{pointer}: expected {shape}, got {value!r}")
+    return [read(cfg, f"{pointer}/{i}") for i in range(len(value))]
+
+
+def _timefn(cfg, pointer, default=...):
+    value = _get(cfg, pointer, default)
+    if not isinstance(value, (str, dict)):
         raise ConfigError(f"{pointer}: expected a string or object")
+    expr = value if isinstance(value, str) else _string(cfg, f"{pointer}/expr")
+    domain = _list(cfg, f"{pointer}/domain", _number, 2, None)
     try:
         return parse_timefn(expr, domain)
     except ConfigError as err:
         raise ConfigError(f"{pointer}: {err}") from None
+
+
+def _flag_or_field(cfg, args, flag, pointer):
+    """Where a setting is read from: ``(value, "--flag")`` when the flag is
+    given, else ``(cfg, pointer)``.  Either pair goes to the same reader."""
+    value = getattr(args, flag)
+    return (cfg, pointer) if value is None else (value, f"--{flag}")
 
 
 def load_config(path: str) -> dict:
@@ -123,108 +158,75 @@ def load_config(path: str) -> dict:
 
 
 def build_solution(cfg: dict) -> Solution:
-    variant = Variant(_sign(cfg, "/variant/eps1"), _sign(cfg, "/variant/eps2"))
-    family = _get(cfg, "/family")
+    variant = Variant(_choice(cfg, "/variant/eps1", (1, -1)),
+                      _choice(cfg, "/variant/eps2", (1, -1)))
+    family = _choice(cfg, "/family", ("A", "B", "C"))
     if family == "A":
         return family_a(variant, _timefn(cfg, "/params/Im"),
                         _number(cfg, "/params/c"))
     if family == "B":
         return family_b(variant, _number(cfg, "/params/a"),
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
-                        _timefn(cfg, "/params/beta", default_expr="0"),
-                        im=_number(cfg, "/params/im", required=False))
-    if family == "C":
-        kind = _get(cfg, "/params/kind")
-        return family_c(
-            variant, kind, _number(cfg, "/params/m", required=False),
-            _number(cfg, "/params/ell"),
-            _number(cfg, "/params/ell1", required=False, default=0.0),
-            _timefn(cfg, "/params/beta", default_expr="0"),
-            amplitude=_number(cfg, "/params/amplitude", required=False),
-            v_constant=_number(cfg, "/params/v_constant", required=False),
-            v_quad_coeff=_number(cfg, "/params/v_quad_coeff", required=False))
-    raise ConfigError(f"/family: unknown family {family!r}; expected A, B or C")
+                        _timefn(cfg, "/params/beta", "0"),
+                        im=_number(cfg, "/params/im", None))
+    return family_c(
+        variant, _choice(cfg, "/params/kind", PROFILE_KINDS),
+        _number(cfg, "/params/m", None), _number(cfg, "/params/ell"),
+        _number(cfg, "/params/ell1", 0.0), _timefn(cfg, "/params/beta", "0"),
+        amplitude=_number(cfg, "/params/amplitude", None),
+        v_constant=_number(cfg, "/params/v_constant", None),
+        v_quad_coeff=_number(cfg, "/params/v_quad_coeff", None))
+
+
+def _transform(cfg, pointer) -> TransformSpec:
+    if _choice(cfg, f"{pointer}/kind", ("T1", "T2")) == "T2":
+        return TransformSpec("T2", b=_number(cfg, f"{pointer}/b"))
+    return TransformSpec("T1", alpha=_timefn(cfg, f"{pointer}/alpha"),
+                         beta=_timefn(cfg, f"{pointer}/beta"),
+                         gamma=_timefn(cfg, f"{pointer}/gamma"))
 
 
 def build_transforms(cfg: dict) -> list:
-    raw = _get(cfg, "/transforms")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError("/transforms: expected a nonempty list")
-    specs = []
-    for i, item in enumerate(raw):
-        base = f"/transforms/{i}"
-        if not isinstance(item, dict):
-            raise ConfigError(f"{base}: expected an object")
-        kind = item.get("kind")
-        if kind == "T1":
-            specs.append(TransformSpec(
-                "T1", alpha=_timefn(item, "/alpha"),
-                beta=_timefn(item, "/beta"), gamma=_timefn(item, "/gamma")))
-        elif kind == "T2":
-            specs.append(TransformSpec("T2", b=_number(item, "/b")))
-        else:
-            raise ConfigError(f"{base}/kind: expected 'T1' or 'T2'")
-    return specs
+    return _list(cfg, "/transforms", _transform)
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    ts = _get(cfg, "/grid/t")
-    if not isinstance(ts, list) or not ts:
-        raise ConfigError("/grid/t: expected a nonempty list of times")
     ranges = []
-    for axis in ("x", "y"):
-        raw = _get(cfg, f"/grid/{axis}")
-        if not isinstance(raw, list) or len(raw) != 3:
-            raise ConfigError(f"/grid/{axis}: expected [lo, hi, count]")
-        lo, hi, count = float(raw[0]), float(raw[1]), int(raw[2])
-        if count < 1:
-            raise ConfigError(f"/grid/{axis}: count must be >= 1")
-        ranges.append((lo, hi, count))
-    return GridSpec(tuple(float(t) for t in ts), ranges[0], ranges[1])
-
-
-def _out_path(cfg, args, default_name):
-    if getattr(args, "out", None):
-        return args.out
-    return _get(cfg, "/out", required=False, default=default_name)
+    for axis in ("/grid/x", "/grid/y"):
+        lo, hi, _ = _list(cfg, axis, _number, 3)
+        ranges.append((lo, hi, _count(cfg, f"{axis}/2")))
+    return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
 
 
 # ---------------------------------------------------------------------------
 # Commands.
 # ---------------------------------------------------------------------------
 
-def _cmd_families(args) -> int:
+def _cmd_families(cfg, args) -> int:
     print(_FAMILIES_TEXT, end="")
     return 0
 
 
-def _cmd_eval(args, sol=None) -> int:
-    cfg = load_config(args.config)
+def _cmd_eval(cfg, args, sol=None) -> int:
     if sol is None:
         sol = build_solution(cfg)
-    grid = build_grid(cfg)
-    out = _out_path(cfg, args, "field.csv")
-    write_field_csv(out, sol, grid.points(seed=args.seed))
+    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "field.csv")
+    write_field_csv(out, sol, build_grid(cfg).points(seed=args.seed))
     print(f"wrote {out}")
     return 0
 
 
-def _cmd_verify(args, sol=None) -> int:
-    cfg = load_config(args.config)
+def _cmd_verify(cfg, args, sol=None) -> int:
     if sol is None:
         sol = build_solution(cfg)
-    grid = build_grid(cfg)
-    h = args.h if args.h is not None else \
-        _number(cfg, "/verify/h", required=False, default=DEFAULT_H)
-    order = int(args.order if args.order is not None else
-                _number(cfg, "/verify/order", required=False,
-                        default=DEFAULT_ORDER))
-    tol = args.tol if args.tol is not None else \
-        _number(cfg, "/verify/tol_rel", required=False,
-                default=DEFAULT_TOL_REL)
-    report = verify(sol, grid.points(seed=args.seed), h=h, order=order,
-                    tol_rel=tol)
-    out = _out_path(cfg, args, "report.json")
+    points = build_grid(cfg).points(seed=args.seed)
+    h = _number(*_flag_or_field(cfg, args, "h", "/verify/h"), DEFAULT_H)
+    order = _choice(*_flag_or_field(cfg, args, "order", "/verify/order"),
+                    (2, 4, 6), DEFAULT_ORDER)
+    tol = _number(*_flag_or_field(cfg, args, "tol", "/verify/tol_rel"),
+                  DEFAULT_TOL_REL)
+    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "report.json")
+    report = verify(sol, points, h=h, order=order, tol_rel=tol)
     write_json_report(out, report.to_json_dict())
     status = "pass" if report.passed else "FAIL"
     print(f"{status}  rms1={report.rms1:.3e} rms2={report.rms2:.3e} "
@@ -232,53 +234,41 @@ def _cmd_verify(args, sol=None) -> int:
           f"n={report.n_points} -> {out}")
     return 0 if report.passed else 1
 
-def _cmd_transform(args) -> int:
-    cfg = load_config(args.config)
+
+def _cmd_transform(cfg, args) -> int:
     sol = compose(build_transforms(cfg), build_solution(cfg))
-    then = _get(cfg, "/then", required=False, default="eval")
-    if then == "eval":
-        return _cmd_eval(args, sol=sol)
-    if then == "verify":
-        return _cmd_verify(args, sol=sol)
-    raise ConfigError(f"/then: expected 'eval' or 'verify', got {then!r}")
+    then = _choice(cfg, "/then", ("eval", "verify"), "eval")
+    return (_cmd_eval if then == "eval" else _cmd_verify)(cfg, args, sol)
 
 
-def _cmd_evolve(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_evolve(cfg, args) -> int:
     sol = build_solution(cfg)
-    if _get(cfg, "/transforms", required=False) is not None:
+    if _get(cfg, "/transforms", None) is not None:
         sol = compose(build_transforms(cfg), sol)
-    box = _get(cfg, "/evolve/box")
-    if not isinstance(box, list) or len(box) != 2:
-        raise ConfigError("/evolve/box: expected [Lx, Ly]")
-    n = int(_number(cfg, "/evolve/n", required=False, default=64))
-    t_final = args.T if args.T is not None else _number(cfg, "/evolve/T")
-    dt = args.dt if args.dt is not None else _number(cfg, "/evolve/dt")
-    v_mean = _get(cfg, "/evolve/v_mean", required=False, default="exact")
-    if v_mean == "exact":
-        v_mean = None
-    elif isinstance(v_mean, bool) or not isinstance(v_mean, (int, float)):
-        raise ConfigError("/evolve/v_mean: expected 'exact' or a number")
-    report, field = crosscheck(sol, float(box[0]), float(box[1]), n,
-                               t_final, dt, v_mean=v_mean)
-    tol = _number(cfg, "/evolve/tol", required=False)
+    lx, ly = _list(cfg, "/evolve/box", _number, 2)
+    n = _count(cfg, "/evolve/n", 64)
+    t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
+    dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
+    v_mean = None
+    if _get(cfg, "/evolve/v_mean", "exact") != "exact":
+        v_mean = _number(cfg, "/evolve/v_mean")
+    tol = _number(*_flag_or_field(cfg, args, "tol", "/evolve/tol"), None)
+    snapshot = _string(cfg, "/evolve/snapshot_out", None)
+    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "evolve.json")
+    report, field = crosscheck(sol, lx, ly, n, t_final, dt, v_mean=v_mean)
     if tol is not None:
         report["tol"] = tol
         report["pass"] = report["max_dev"] <= tol
-    snapshot = _get(cfg, "/evolve/snapshot_out", required=False)
     if snapshot:
         write_box_csv(snapshot, field)
         report["snapshot"] = snapshot
-    out = _out_path(cfg, args, "evolve.json")
     write_json_report(out, report)
     print(f"max_dev={report['max_dev']:.3e} l2_dev={report['l2_dev']:.3e} "
           f"mass_drift={report['mass_drift']:.3e} -> {out}")
-    if tol is not None and not report["pass"]:
-        return 1
-    return 0
+    return 0 if report.get("pass", True) else 1
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(cfg, args) -> int:
     failures = run_selftest()
     if failures:
         print(f"{failures} check(s) failed")
@@ -287,45 +277,54 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+# Optional flags: name -> (type, help).  Each flag overrides one config
+# field, checked by that field's reader.
+_FLAGS = {
+    "out": (str, "output path (overrides /out)"),
+    "h": (float, "finite-difference step (overrides /verify/h)"),
+    "order": (int, "finite-difference order, 2, 4 or 6 "
+                   "(overrides /verify/order)"),
+    "tol": (float, "tolerance (overrides /verify/tol_rel or /evolve/tol)"),
+    "dt": (float, "time step (overrides /evolve/dt)"),
+    "T": (float, "final time (overrides /evolve/T)"),
+    "seed": (int, "sample-point jitter seed"),
+}
+
+# Command -> (handler, help, the optional flags it reads); None for the
+# commands that take no config.
+_COMMANDS = {
+    "families": (_cmd_families, "list family parameter schemas", None),
+    "eval": (_cmd_eval, "sample fields to CSV", ("out", "seed")),
+    "verify": (_cmd_verify, "residual verification, JSON report",
+               ("out", "h", "order", "tol", "seed")),
+    "transform": (_cmd_transform, "apply transform chain, then eval/verify",
+                  ("out", "h", "order", "tol", "seed")),
+    "evolve": (_cmd_evolve, "split-step cross-check, JSON report",
+               ("out", "dt", "T", "tol")),
+    "selftest": (_cmd_selftest, "run built-in invariant suites", None),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        prog="dsexact",
+        prog="dsexact", allow_abbrev=False,
         description="Exact solutions of the coupled envelope/mean-flow "
                     "system, with residual verification and a split-step "
                     "dynamical cross-check.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("families", help="list family parameter schemas")
-    sub.add_parser("selftest", help="run built-in invariant suites")
-    for name, helptext in (
-            ("eval", "sample fields to CSV"),
-            ("verify", "residual verification, JSON report"),
-            ("transform", "apply transform chain, then eval/verify"),
-            ("evolve", "split-step cross-check, JSON report")):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", help="output path override")
-        p.add_argument("--h", type=float, help="finite-difference step")
-        p.add_argument("--order", type=int, choices=(2, 4, 6),
-                       help="finite-difference order")
-        p.add_argument("--tol", type=float, help="relative residual tolerance")
-        p.add_argument("--dt", type=float, help="time step (evolve)")
-        p.add_argument("--T", type=float, help="final time (evolve)")
-        p.add_argument("--seed", type=int,
-                       help="sample-point jitter seed (verify/eval)")
+    for name, (_, helptext, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext, allow_abbrev=False)
+        if flags is not None:
+            p.add_argument("--config", required=True, help="JSON config path")
+        for flag in flags or ():
+            kind, text = _FLAGS[flag]
+            p.add_argument(f"--{flag}", type=kind, help=text)
 
     args = parser.parse_args(argv)
-    handler = {"families": _cmd_families, "eval": _cmd_eval,
-               "verify": _cmd_verify, "transform": _cmd_transform,
-               "evolve": _cmd_evolve, "selftest": _cmd_selftest}[args.command]
+    handler = _COMMANDS[args.command][0]
     try:
-        return handler(args)
-    except BlowupError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 3
-    except ConfigError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 2
+        cfg = load_config(args.config) if "config" in args else None
+        return handler(cfg, args)
     except DSError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code

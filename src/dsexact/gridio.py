@@ -37,9 +37,9 @@ def _linspace(lo: float, hi: float, count: int):
     if count < 1:
         raise ConfigError(f"grid count must be >= 1, got {count}")
     if count == 1:
-        return [lo]
+        return np.array([lo], dtype=float)
     span = hi - lo
-    return [lo + span * i / (count - 1) for i in range(count)]
+    return lo + span * np.arange(count) / (count - 1)
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,8 @@ class GridSpec:
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
 
-    def points(self, seed=None):
-        """Ordered (t, x, y) samples, x fastest-varying.
+    def points(self, seed=None) -> np.ndarray:
+        """(N, 3) float array of (t, x, y) samples, x fastest-varying.
 
         ``seed`` adds deterministic jitter of up to 30% of the spacing to
         the interior coordinates, to decorrelate samples from grid symmetry.
@@ -62,9 +62,12 @@ class GridSpec:
             rng = random.Random(seed)
             dx = (self.x_range[1] - self.x_range[0]) / max(1, self.x_range[2] - 1)
             dy = (self.y_range[1] - self.y_range[0]) / max(1, self.y_range[2] - 1)
-            xs = [x + 0.3 * dx * (2.0 * rng.random() - 1.0) for x in xs]
-            ys = [y + 0.3 * dy * (2.0 * rng.random() - 1.0) for y in ys]
-        return [(t, x, y) for t in self.t_values for y in ys for x in xs]
+            rx = np.array([rng.random() for _ in xs])  # x draws before y
+            ry = np.array([rng.random() for _ in ys])
+            xs = xs + 0.3 * dx * (2.0 * rx - 1.0)
+            ys = ys + 0.3 * dy * (2.0 * ry - 1.0)
+        t, y, x = np.meshgrid(self.t_values, ys, xs, indexing="ij")
+        return np.stack([t.ravel(), x.ravel(), y.ravel()], axis=1)
 
 
 def _format_rows(t, x, y, u, v, ok):
@@ -78,8 +81,9 @@ def _format_rows(t, x, y, u, v, ok):
 
 
 def field_rows(sol: Solution, points):
-    """CSV rows for a solution sampled at the given points."""
-    points = np.asarray(list(points), dtype=float).reshape(-1, 3)
+    """CSV rows for a solution sampled at the given points: an (N, 3) array
+    or a sequence of (t, x, y)."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
     rows = []
     for start in range(0, len(points), _CHUNK):
         t, x, y = points[start:start + _CHUNK].T
@@ -87,8 +91,17 @@ def field_rows(sol: Solution, points):
     return rows
 
 
+def _open_output(path):
+    """``path`` opened for writing; a path that cannot be opened is a
+    ConfigError naming it."""
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
+
+
 def _write_rows(path, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         fh.write(FIELD_HEADER + "\n")
         fh.writelines(row + "\n" for row in rows)
 
@@ -120,7 +133,7 @@ def _finite_or_null(value):
 
 def write_json_report(path, report: dict):
     """Strict JSON (sorted keys); non-finite floats are written as null."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_output(path) as fh:
         json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
                   allow_nan=False)
         fh.write("\n")

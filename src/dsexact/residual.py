@@ -181,19 +181,19 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
            floor_rel: float = DEFAULT_FLOOR_REL) -> ResidualReport:
     """Aggregate residuals over sample points at steps h and h/2.
 
-    ``sample`` is an iterable of (t, x, y) points; points whose stencil
-    footprint (at either step) leaves the valid region are skipped
-    deterministically.  Passing requires, for each equation, a finite rms
-    at h/2 within tol_rel of a finite term scale and either the nominal
-    convergence order (within 0.5) or a residual already on the roundoff
-    floor; a non-finite rms gives a NaN order.  The
+    ``sample`` is an (N, 3) array or a sequence of (t, x, y) points;
+    points whose stencil footprint (at either step) leaves the valid region
+    are skipped deterministically.  Passing requires, for each equation, a
+    finite rms at h/2 within tol_rel of a finite term scale and either the
+    nominal convergence order (within 0.5) or a residual already on the
+    roundoff floor; a non-finite rms gives a NaN order.  The
     effective floor is max(floor_rel, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.
     """
     _check_step(h)
     _check_order(order)
-    points = np.asarray(list(sample), dtype=float).reshape(-1, 3)
+    points = np.asarray(sample, dtype=float).reshape(-1, 3)
     r1, r2, s1, s2, ok = _residual_terms(sol, *points.T,
                                          np.array([h, h / 2.0]), order)
     keep = ok.all(axis=1)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, DSError, ParseError
 
-__all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays", "constant"]
+__all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays"]
 
 
 # ---------------------------------------------------------------------------
@@ -286,46 +286,6 @@ class TimeFunction:
 
     def is_constant(self) -> bool:
         return self.root.is_constant()
-
-    def _combine_domain(self, other: "TimeFunction"):
-        if self.domain is None:
-            return other.domain
-        if other.domain is None:
-            return self.domain
-        lo = max(self.domain[0], other.domain[0])
-        hi = min(self.domain[1], other.domain[1])
-        return (lo, hi)
-
-    def __add__(self, other):
-        other = _promote(other)
-        return TimeFunction(_Add(self.root, other.root),
-                            f"({self.source})+({other.source})",
-                            self._combine_domain(other))
-
-    def __sub__(self, other):
-        other = _promote(other)
-        return TimeFunction(_Sub(self.root, other.root),
-                            f"({self.source})-({other.source})",
-                            self._combine_domain(other))
-
-    def __mul__(self, other):
-        other = _promote(other)
-        return TimeFunction(_Mul(self.root, other.root),
-                            f"({self.source})*({other.source})",
-                            self._combine_domain(other))
-
-    __rmul__ = __mul__
-    __radd__ = __add__
-
-
-def _promote(value) -> TimeFunction:
-    if isinstance(value, TimeFunction):
-        return value
-    return constant(float(value))
-
-
-def constant(c: float) -> TimeFunction:
-    return TimeFunction(_Const(c), f"{float(c):g}")
 
 
 def jet_arrays(f: TimeFunction, t):

@@ -1,11 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from dsexact import Variant, crosscheck, ellipk, evolve, family_c, gridio, \
-    parse_timefn
+from dsexact import Variant, cli, crosscheck, ellipk, evolve, family_c, \
+    gridio, parse_timefn
 from dsexact.cli import main
 
 
@@ -274,3 +275,140 @@ def test_non_finite_report_is_strict_json(tmp_path):
                            "pass", "rms1", "rms2"]
     assert doc["pass"] is False
     assert doc["order1"] is None and doc["order2"] is None
+
+
+def full_config(tmp_path):
+    """A config every command accepts; outputs go to tmp_path."""
+    L = 4.0 * ellipk(0.5)
+    return {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                   "ell1": 0.0, "beta": "0"},
+        "transforms": [{"kind": "T2", "b": 1.0}],
+        "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
+        "verify": {"h": 1e-3, "order": 4, "tol_rel": 1e-7},
+        "evolve": {"box": [L, L], "n": 16, "T": 0.01, "dt": 1e-3,
+                   "tol": 1e-5, "snapshot_out": str(tmp_path / "snap.csv")},
+        "out": str(tmp_path / "out.json"),
+    }
+
+
+def set_pointer(doc, pointer, value):
+    *path, last = pointer.split("/")[1:]
+    for key in path:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    doc[int(last) if isinstance(doc, list) else last] = value
+
+
+# (command, pointer, bad value, flags, text stderr must name)
+MALFORMED = [
+    ("verify", "/grid/x/0", "a", [], "/grid/x/0"),
+    ("verify", "/grid/t/0", "x", [], "/grid/t/0"),
+    ("evolve", "/evolve/box/0", "a", [], "/evolve/box/0"),
+    ("verify", "/params/beta", {"expr": "0", "domain": ["a", 1]}, [],
+     "/params/beta/domain/0"),
+    ("verify", "/grid/x/2", 7.9, [], "/grid/x/2"),
+    ("evolve", "/evolve/n", 16.7, [], "/evolve/n"),
+    ("verify", "/verify/order", 4.5, [], "/verify/order"),
+    ("verify", "/verify/order", 3, [], "/verify/order"),
+    ("verify", "/verify/order", 4, ["--order", "3"], "--order"),
+    ("verify", "/variant/eps1", True, [], "/variant/eps1"),
+    ("verify", "/out", ["x"], [], "/out"),
+    ("evolve", "/evolve/snapshot_out", 3, [], "/evolve/snapshot_out"),
+    ("transform", "/transforms/0/b", "x", [], "/transforms/0/b"),
+    ("verify", "/out", "{tmp}/missing/r.json", [], "{tmp}/missing/r.json"),
+    ("evolve", "/evolve/snapshot_out", "{tmp}/missing/s.csv", [],
+     "{tmp}/missing/s.csv"),
+]
+
+
+@pytest.mark.parametrize("command, pointer, value, flags, named", MALFORMED)
+def test_malformed_input_is_config_error(tmp_path, capsys, command, pointer,
+                                         value, flags, named):
+    doc = full_config(tmp_path)
+    if isinstance(value, str):
+        value = value.format(tmp=tmp_path)
+    set_pointer(doc, pointer, value)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg, *flags]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err
+    assert named.format(tmp=tmp_path) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+FLAGS = {"--out", "--h", "--order", "--tol", "--dt", "--T", "--seed"}
+COMMAND_FLAGS = {
+    "families": set(), "selftest": set(),
+    "eval": {"--out", "--seed"},
+    "verify": {"--out", "--h", "--order", "--tol", "--seed"},
+    "transform": {"--out", "--h", "--order", "--tol", "--seed"},
+    "evolve": {"--out", "--dt", "--T", "--tol"},
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, accepted in COMMAND_FLAGS.items()
+    for flag in sorted(FLAGS - accepted)])
+def test_command_rejects_flags_it_does_not_read(tmp_path, capsys, command,
+                                                flag):
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    config = [] if command in ("families", "selftest") else ["--config", cfg]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *config, flag, "5"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # no help text: "--h" is not taken for "--help"
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_command_flags(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--\w+", capsys.readouterr().out))
+    config = set() if command in ("families", "selftest") else {"--config"}
+    assert listed == {"--help"} | config | COMMAND_FLAGS[command]
+
+
+def test_evolve_tol_flag_overrides_config(tmp_path):
+    doc = full_config(tmp_path)
+    del doc["transforms"]
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["evolve", "--config", cfg]) == 0
+    assert main(["evolve", "--config", cfg, "--tol", "1e-30"]) == 1
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report["tol"] == 1e-30
+    assert report["pass"] is False
+    assert report["max_dev"] > 1e-30
+
+
+@pytest.mark.parametrize("then", ["eval", "verify"])
+def test_transform_reads_config_once(tmp_path, monkeypatch, then):
+    doc = full_config(tmp_path)
+    doc["then"] = then
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    calls = []
+    load_config = cli.load_config
+
+    def counting(path):
+        calls.append(path)
+        return load_config(path)
+
+    monkeypatch.setattr(cli, "load_config", counting)
+    assert main(["transform", "--config", cfg]) == 0
+    assert calls == [cfg]
+
+
+def test_grid_points_array_matches_tuple_order():
+    grid = gridio.GridSpec((0.0, 0.5), (-1.0, 1.0, 3), (0.0, 2.0, 2))
+    points = grid.points()
+    assert points.shape == (12, 3) and points.dtype == float
+    expected = [(t, x, y) for t in (0.0, 0.5) for y in (0.0, 2.0)
+                for x in (-1.0, 0.0, 1.0)]
+    assert points.tolist() == [list(p) for p in expected]
+    jittered = grid.points(seed=3)
+    assert jittered.shape == (12, 3)
+    assert np.array_equal(jittered, grid.points(seed=3))

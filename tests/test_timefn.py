@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import fd1_o2, random_timefn
-from dsexact import DomainError, Jet, ParseError, constant, parse_timefn
+from dsexact import DomainError, Jet, ParseError, parse_timefn
 
 
 def jet_tuple(j):
@@ -94,16 +94,6 @@ def test_validity_interval():
         f.jet(2.0)
     with pytest.raises(DomainError):
         f.jet(-0.1)
-
-
-def test_combinators():
-    f = parse_timefn("sin(t)")
-    g = 2.0 * f + constant(1.0)
-    t = 0.7
-    assert g.jet(t).f == pytest.approx(2.0 * math.sin(t) + 1.0)
-    assert g.jet(t).d1 == pytest.approx(2.0 * math.cos(t))
-    assert constant(3.0).is_constant()
-    assert not g.is_constant()
 
 
 def test_product_rule_is_exact_at_representation_level():
