@@ -56,12 +56,8 @@ class LinePhaseFrame:
     E: float
 
 
-def frame(variant, ell: float, ell1: float = 0.0) -> LinePhaseFrame:
-    """Populate the (zeta, eta, E) triple for the given sign branch.
-
-    ``variant`` may be a Variant or the bare eps1 sign.
-    """
-    eps1 = int(getattr(variant, "eps1", variant))
+def frame(eps1: int, ell: float, ell1: float = 0.0) -> LinePhaseFrame:
+    """Populate the (zeta, eta, E) triple for the sign branch eps1 = +-1."""
     ell = float(ell)
     if eps1 == 1:
         zeta, eta, E = math.sinh(ell), math.cosh(ell), math.cosh(2.0 * ell)

@@ -6,17 +6,19 @@ Commands
     verify      run the residual oracle; JSON report; exit 0 iff it passes
     transform   apply the configured transform chain, then eval or verify
     evolve      split-step cross-check of a periodic solution; JSON report
-    selftest    run the built-in invariant suites
+    selftest    certify the matrix, a transform chain and a cross-check
 
 Configs are JSON documents (see README for the schema); all runs are
-deterministic for a fixed config.  Exit codes: 0 pass, 1 verification
-failure, 2 configuration error, 3 numerical blow-up.
+deterministic for a fixed config.  Every number, in a config or a flag,
+must be finite.  Exit codes: 0 pass, 1 verification failure, 2
+configuration error, 3 numerical blow-up.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
@@ -84,8 +86,9 @@ def _number(cfg, pointer, default=...):
     value = _get(cfg, pointer, default)
     if value is None:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{pointer}: expected a number, got {value!r}")
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"{pointer}: expected a finite number, "
+                          f"got {value!r}")
     return float(value)
 
 
@@ -301,7 +304,8 @@ _COMMANDS = {
                   ("out", "h", "order", "tol", "seed")),
     "evolve": (_cmd_evolve, "split-step cross-check, JSON report",
                ("out", "dt", "T", "tol")),
-    "selftest": (_cmd_selftest, "run built-in invariant suites", None),
+    "selftest": (_cmd_selftest, "certify the matrix, a transform chain and "
+                 "a cross-check", None),
 }
 
 

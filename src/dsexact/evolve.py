@@ -163,17 +163,17 @@ def _sample_box(sol: Solution, lx: float, ly: float, n: int, t: float):
 
 
 def make_field(sol: Solution, lx: float, ly: float, n: int,
-               t: float = 0.0, v_mean=None) -> Field:
-    """Sample a Solution on an n x n periodic box grid.
+               v_mean=None) -> Field:
+    """Sample a Solution on an n x n periodic box grid at t = 0.
 
     ``v_mean`` None takes the grid mean of the exact v (the gauge that keeps
     the reconstructed v aligned with the exact one).
     """
     _require_power_of_two(n, "N")
-    u, v = _sample_box(sol, lx, ly, n, t)
+    u, v = _sample_box(sol, lx, ly, n, 0.0)
     if v_mean is None:
         v_mean = float(np.mean(v))
-    return Field(lx, ly, u, v, float(t), float(v_mean))
+    return Field(lx, ly, u, v, 0.0, float(v_mean))
 
 
 def _check_box_periodic(sol: Solution, lx: float, ly: float, t: float):
@@ -222,7 +222,7 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     if n_steps:
         _check_box_periodic(sol, lx, ly, t_end)
 
-    field = make_field(sol, lx, ly, n, t=0.0, v_mean=v_mean)
+    field = make_field(sol, lx, ly, n, v_mean=v_mean)
     mass0 = mass(field)
     field = advance(field, sol.variant, dt, n_steps)
 

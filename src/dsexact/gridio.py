@@ -100,14 +100,15 @@ def _open_output(path):
         raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
 
 
-def _write_rows(path, rows):
-    with _open_output(path) as fh:
-        fh.write(FIELD_HEADER + "\n")
-        fh.writelines(row + "\n" for row in rows)
+def _write_rows(fh, rows):
+    fh.write(FIELD_HEADER + "\n")
+    fh.writelines(row + "\n" for row in rows)
 
 
 def write_field_csv(path, sol: Solution, points):
-    _write_rows(path, field_rows(sol, points))
+    """Field CSV of ``sol`` at ``points``, opened before any evaluation."""
+    with _open_output(path) as fh:
+        _write_rows(fh, field_rows(sol, points))
 
 
 def write_box_csv(path, field):
@@ -115,10 +116,11 @@ def write_box_csv(path, field):
     fastest-varying."""
     nx, ny = field.u.shape
     i = np.arange(nx * ny)
-    _write_rows(path, _format_rows(
-        np.full(i.size, field.t), i % nx * field.lx / nx,
-        i // nx * field.ly / ny, field.u.T.ravel(), field.v.T.ravel(),
-        np.ones(i.size, bool)))
+    with _open_output(path) as fh:
+        _write_rows(fh, _format_rows(
+            np.full(i.size, field.t), i % nx * field.lx / nx,
+            i // nx * field.ly / ny, field.u.T.ravel(), field.v.T.ravel(),
+            np.ones(i.size, bool)))
 
 
 def _finite_or_null(value):

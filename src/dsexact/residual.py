@@ -177,8 +177,8 @@ def _order_of(coarse: float, fine: float) -> float:
 
 
 def verify(sol: Solution, sample, h: float = DEFAULT_H,
-           order: int = DEFAULT_ORDER, tol_rel: float = DEFAULT_TOL_REL,
-           floor_rel: float = DEFAULT_FLOOR_REL) -> ResidualReport:
+           order: int = DEFAULT_ORDER,
+           tol_rel: float = DEFAULT_TOL_REL) -> ResidualReport:
     """Aggregate residuals over sample points at steps h and h/2.
 
     ``sample`` is an (N, 3) array or a sequence of (t, x, y) points;
@@ -186,8 +186,8 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     are skipped deterministically.  Passing requires, for each equation, a
     finite rms at h/2 within tol_rel of a finite term scale and either the
     nominal convergence order (within 0.5) or a residual already on the
-    roundoff floor; a non-finite rms gives a NaN order.  The
-    effective floor is max(floor_rel, tol_rel/10), so an infinite tolerance
+    roundoff floor; a non-finite rms gives a NaN order.  The effective
+    floor is max(DEFAULT_FLOOR_REL, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.
     """
@@ -208,7 +208,7 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     order2 = _order_of(_rms(r2_coarse), rms2)
     scale1 = 1.0 + _rms(s1[keep, 1])
     scale2 = 1.0 + _rms(s2[keep, 1])
-    floor = max(floor_rel, 0.1 * tol_rel)
+    floor = max(DEFAULT_FLOOR_REL, 0.1 * tol_rel)
     order_ok1 = order1 >= order - 0.5 or rms1 <= floor * scale1
     order_ok2 = order2 >= order - 0.5 or rms2 <= floor * scale2
     finite = all(map(math.isfinite, (rms1, rms2, scale1, scale2)))

@@ -1,12 +1,13 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dsexact import Variant, cli, crosscheck, ellipk, evolve, family_c, \
-    gridio, parse_timefn
+    gridio, parse_timefn, selftest
 from dsexact.cli import main
 
 
@@ -222,8 +223,29 @@ def test_flag_overrides_config(tmp_path):
 def test_selftest_runs_clean(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
+    assert re.findall(r"^ok   (.+)$", out, re.M) == [
+        "catalog certificates", "transform certificates",
+        "dynamical cross-check"]
     assert "all checks passed" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failed_certificate(capsys, monkeypatch):
+    # The first certificate (a catalog entry) fails; the rest are genuine.
+    reports = []
+    verify = selftest.verify
+
+    def failing_once(sol, points):
+        reports.append(verify(sol, points))
+        if len(reports) == 1:
+            return replace(reports[0], passed=False)
+        return reports[-1]
+
+    monkeypatch.setattr(selftest, "verify", failing_once)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL catalog certificates" in out
+    assert "1 check(s) failed" in out
 
 
 @pytest.mark.parametrize("h", ["0", "-0.001", "nan", "inf"])
@@ -320,6 +342,10 @@ MALFORMED = [
     ("verify", "/out", "{tmp}/missing/r.json", [], "{tmp}/missing/r.json"),
     ("evolve", "/evolve/snapshot_out", "{tmp}/missing/s.csv", [],
      "{tmp}/missing/s.csv"),
+    ("verify", "/params/ell", math.nan, [], "/params/ell"),
+    ("verify", "/grid/x/0", math.inf, [], "/grid/x/0"),
+    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "inf"], "--tol"),
+    ("evolve", "/evolve/tol", 1e-5, ["--tol", "inf"], "--tol"),
 ]
 
 
@@ -383,6 +409,23 @@ def test_evolve_tol_flag_overrides_config(tmp_path):
     assert report["tol"] == 1e-30
     assert report["pass"] is False
     assert report["max_dev"] > 1e-30
+
+
+def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = []
+    eval_solution = gridio.eval_solution
+
+    def counting(*args):
+        calls.append(args)
+        return eval_solution(*args)
+
+    monkeypatch.setattr(gridio, "eval_solution", counting)
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    out = tmp_path / "missing" / "field.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert calls == []
 
 
 @pytest.mark.parametrize("then", ["eval", "verify"])
