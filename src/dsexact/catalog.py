@@ -80,7 +80,8 @@ class Solution:
     ``u``, ``v`` and ``valid`` take floats or numpy arrays ``t, x, y`` that
     broadcast together, and return values that broadcast against them.
     ``valid`` is a bool mask, False inside the guard radius of any profile
-    pole and wherever a family constraint fails; ``u`` and ``v`` are only
+    pole, wherever a family constraint fails, and where a coefficient jet is
+    undefined or overflows (see ``jet_arrays``); ``u`` and ``v`` are only
     meaningful where it is True.  ``provenance`` records family, parameters,
     and the transform chain.
     """
@@ -150,8 +151,7 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
 
     def valid(t, x, y):
         j, ok = jet_arrays(im, t)
-        return ok & (j.d1 > IM_SLOPE_CUTOFF) & np.isfinite(j.d1) \
-            & np.isfinite(j.d2) & np.isfinite(j.d3)
+        return ok & (j.d1 > IM_SLOPE_CUTOFF)
 
     return Solution(
         variant, u, v, valid, periodicity=None,
@@ -215,8 +215,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         return -vxx * x * x - vyy * y * y - cross * x * y - linear
 
     def valid(t, x, y):
-        j, ok = jet_arrays(beta, t)
-        return ok & np.isfinite(j.f) & np.isfinite(j.d2)
+        return jet_arrays(beta, t)[1]
 
     return Solution(
         variant, u, v, valid, periodicity=None,
@@ -275,8 +274,7 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
     def valid(t, x, y):
         j, ok = jet_arrays(beta, t)
         w = np.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
-        return ok & np.isfinite(j.f) & np.isfinite(j.d2) \
-            & (profile.pole_distance(w) > SINGULARITY_GUARD)
+        return ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
     period = profile.period()
     periodicity = None

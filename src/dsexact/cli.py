@@ -17,6 +17,7 @@ configuration error, 3 numerical blow-up.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -309,7 +310,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: an argparse parser
+    holds reference cycles, so one per call would leave garbage behind."""
     parser = argparse.ArgumentParser(
         prog="dsexact", allow_abbrev=False,
         description="Exact solutions of the coupled envelope/mean-flow "
@@ -323,8 +327,11 @@ def main(argv=None) -> int:
         for flag in flags or ():
             kind, text = _FLAGS[flag]
             p.add_argument(f"--{flag}", type=kind, help=text)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config) if "config" in args else None

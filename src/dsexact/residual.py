@@ -103,6 +103,9 @@ def _stencil(order: int):
     return np.array(offsets, dtype=float).T, index
 
 
+_STENCILS = {order: _stencil(order) for order in _D1}
+
+
 def _residual_terms(sol: Solution, t, x, y, h, order):
     """R1, R2, their summed term magnitudes, and stencil validity.
 
@@ -112,7 +115,7 @@ def _residual_terms(sol: Solution, t, x, y, h, order):
     is False where any node is invalid, and the other results are NaN there.
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    offsets, index = _stencil(order)
+    offsets, index = _STENCILS[order]
     h = np.asarray(h, dtype=float)
     u, v, ok = eval_solution(
         sol, *(np.add.outer(c, np.multiply.outer(h, k))

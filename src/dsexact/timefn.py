@@ -1,4 +1,4 @@
-"""Scalar functions of t as expression trees with exact third-order jets.
+"""Functions of t as expression trees with exact third-order jets.
 
 The time-dependent coefficients of every solution family are functions of a
 single variable t.  What the solution evaluators actually consume is not the
@@ -13,6 +13,11 @@ every coefficient expression this package constructs (e.g. square roots of a
 positive slope).  Derivatives are propagated through the tree by truncated
 Taylor (jet) arithmetic, so they are exact to roundoff; no symbolic
 differentiation and no finite differencing is involved.
+
+The tree is walked once per call over a whole array of t.  A domain failure
+(ln of x <= 0, division by zero, a half-integer power of x <= 0, t outside
+the validity interval) becomes a mask, as does a jet that overflows, so such
+points are invalid; ``TimeFunction.jet`` raises DomainError at a single t.
 """
 
 from __future__ import annotations
@@ -22,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, DSError, ParseError
+from .errors import DomainError, ParseError
 
 __all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays"]
 
+_ZERO = np.float64(0.0)
+_ONE = np.float64(1.0)
+
 
 # ---------------------------------------------------------------------------
-# Jet arithmetic: value and first three derivatives at a point.
+# Jet arithmetic: value and first three derivatives.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -64,10 +72,10 @@ class Jet:
 
     @staticmethod
     def const(c: float) -> "Jet":
-        return Jet(float(c), 0.0, 0.0, 0.0)
+        return Jet(np.float64(c), _ZERO, _ZERO, _ZERO)
 
 
-def _chain(w0: float, w1: float, w2: float, w3: float, g: Jet) -> Jet:
+def _chain(w0, w1, w2, w3, g: Jet) -> Jet:
     """Faa di Bruno to order 3: outer derivatives w_k at g.f, inner jet g."""
     return Jet(
         w0,
@@ -77,19 +85,20 @@ def _chain(w0: float, w1: float, w2: float, w3: float, g: Jet) -> Jet:
     )
 
 
-def _recip(g: Jet, where: str) -> Jet:
-    if g.f == 0.0:
-        raise DomainError(f"division by zero in '{where}'")
+def _recip(g: Jet, node, fails) -> Jet:
+    fails.append((g.f == 0.0, "division by zero", node))
     r = 1.0 / g.f
     return _chain(r, -r * r, 2.0 * r ** 3, -6.0 * r ** 4, g)
 
 
 # ---------------------------------------------------------------------------
-# Expression tree nodes.
+# Expression tree nodes.  ``jet(t, fails)`` evaluates over the 1-D float
+# array t; a node that leaves its domain appends (mask, reason, node) to
+# ``fails`` and carries on, leaving inf or NaN at the masked entries.
 # ---------------------------------------------------------------------------
 
 class _Node:
-    def jet(self, t: float) -> Jet:
+    def jet(self, t, fails: list) -> Jet:
         raise NotImplementedError
 
     def is_constant(self) -> bool:
@@ -100,7 +109,7 @@ class _Const(_Node):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def jet(self, t):
+    def jet(self, t, fails):
         return Jet.const(self.value)
 
     def is_constant(self):
@@ -111,8 +120,8 @@ class _Const(_Node):
 
 
 class _Var(_Node):
-    def jet(self, t):
-        return Jet(float(t), 1.0, 0.0, 0.0)
+    def jet(self, t, fails):
+        return Jet(t, _ONE, _ZERO, _ZERO)
 
     def is_constant(self):
         return False
@@ -125,8 +134,8 @@ class _Neg(_Node):
     def __init__(self, child: _Node):
         self.child = child
 
-    def jet(self, t):
-        return -self.child.jet(t)
+    def jet(self, t, fails):
+        return -self.child.jet(t, fails)
 
     def is_constant(self):
         return self.child.is_constant()
@@ -136,9 +145,10 @@ class _Neg(_Node):
 
 
 class _Binary(_Node):
-    op = "?"
+    """lhs op rhs for op one of + - * /."""
 
-    def __init__(self, lhs: _Node, rhs: _Node):
+    def __init__(self, op: str, lhs: _Node, rhs: _Node):
+        self.op = op
         self.lhs = lhs
         self.rhs = rhs
 
@@ -148,33 +158,13 @@ class _Binary(_Node):
     def __str__(self):
         return f"({self.lhs}{self.op}{self.rhs})"
 
-
-class _Add(_Binary):
-    op = "+"
-
-    def jet(self, t):
-        return self.lhs.jet(t) + self.rhs.jet(t)
-
-
-class _Sub(_Binary):
-    op = "-"
-
-    def jet(self, t):
-        return self.lhs.jet(t) - self.rhs.jet(t)
-
-
-class _Mul(_Binary):
-    op = "*"
-
-    def jet(self, t):
-        return self.lhs.jet(t) * self.rhs.jet(t)
-
-
-class _Div(_Binary):
-    op = "/"
-
-    def jet(self, t):
-        return self.lhs.jet(t) * _recip(self.rhs.jet(t), str(self))
+    def jet(self, t, fails):
+        a, b = self.lhs.jet(t, fails), self.rhs.jet(t, fails)
+        if self.op == "+":
+            return a + b
+        if self.op == "-":
+            return a - b
+        return a * (b if self.op == "*" else _recip(b, self, fails))
 
 
 class _Pow(_Node):
@@ -190,25 +180,19 @@ class _Pow(_Node):
     def __str__(self):
         return f"({self.base}^{self.exponent:g})"
 
-    def jet(self, t):
-        g = self.base.jet(t)
+    def jet(self, t, fails):
+        g = self.base.jet(t, fails)
         r = self.exponent
         n = int(round(r))
         if r == n:
-            if n >= 0:
-                out = Jet.const(1.0)
-                for _ in range(n):
-                    out = out * g
-                return out
             out = Jet.const(1.0)
-            for _ in range(-n):
+            for _ in range(abs(n)):
                 out = out * g
-            return _recip(out, str(self))
+            return out if n >= 0 else _recip(out, self, fails)
         # Half-integer exponent: require a positive base so all derivatives
         # of the branch are real and finite.
-        if g.f <= 0.0:
-            raise DomainError(
-                f"fractional power of non-positive value in '{self}'")
+        fails.append((g.f <= 0.0, "fractional power of non-positive value",
+                      self))
         w0 = g.f ** r
         w1 = r * g.f ** (r - 1.0)
         w2 = r * (r - 1.0) * g.f ** (r - 2.0)
@@ -227,30 +211,25 @@ class _Call(_Node):
     def __str__(self):
         return f"{self.name}({self.child})"
 
-    def jet(self, t):
-        g = self.child.jet(t)
+    def jet(self, t, fails):
+        g = self.child.jet(t, fails)
         x = g.f
         if self.name == "exp":
-            e = math.exp(x)
+            e = np.exp(x)
             return _chain(e, e, e, e, g)
         if self.name == "ln":
-            if x <= 0.0:
-                raise DomainError(f"ln of non-positive value in '{self}'")
+            fails.append((x <= 0.0, "ln of non-positive value", self))
             r = 1.0 / x
-            return _chain(math.log(x), r, -r * r, 2.0 * r ** 3, g)
-        if self.name == "sin":
-            s, c = math.sin(x), math.cos(x)
-            return _chain(s, c, -s, -c, g)
-        if self.name == "cos":
-            s, c = math.sin(x), math.cos(x)
-            return _chain(c, -s, -c, s, g)
-        if self.name == "sinh":
-            s, c = math.sinh(x), math.cosh(x)
-            return _chain(s, c, s, c, g)
-        if self.name == "cosh":
-            s, c = math.sinh(x), math.cosh(x)
-            return _chain(c, s, c, s, g)
-        raise ParseError(f"unknown function '{self.name}'")
+            return _chain(np.log(x), r, -r * r, 2.0 * r ** 3, g)
+        # sin and sinh with their derivatives; cos and cosh start one later.
+        if self.name in ("sin", "cos"):
+            s, c = np.sin(x), np.cos(x)
+            w = (s, c, -s, -c, s)
+        else:
+            s, c = np.sinh(x), np.cosh(x)
+            w = (s, c, s, c, s)
+        k = self.name in ("cos", "cosh")
+        return _chain(*w[k:k + 4], g)
 
 
 _FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
@@ -265,21 +244,35 @@ class TimeFunction:
     """An evaluable function of t with exact derivatives to order 3.
 
     ``domain`` restricts where the function may be evaluated; outside of it
-    ``jet`` raises DomainError instead of extrapolating.
+    ``jet`` raises DomainError instead of extrapolating, and ``jet_arrays``
+    marks the point invalid.
     """
 
     root: _Node
     source: str
     domain: tuple | None = None
 
-    def jet(self, t: float) -> Jet:
+    def _walk(self, t):
+        """The jet over the 1-D float array t, and the domain failures as
+        (mask, reason, subexpression) in evaluation order."""
+        fails = []
         if self.domain is not None:
             lo, hi = self.domain
-            if not (lo <= t <= hi):
-                raise DomainError(
-                    f"t={t} outside validity interval [{lo}, {hi}] "
-                    f"of '{self.source}'")
-        return self.root.jet(float(t))
+            fails.append((~((lo <= t) & (t <= hi)),
+                          f"t outside validity interval [{lo}, {hi}]",
+                          self.source))
+        with np.errstate(all="ignore"):
+            return self.root.jet(t, fails), fails
+
+    def jet(self, t: float) -> Jet:
+        """The jet at one t, as floats.  Raises DomainError naming the first
+        subexpression that fails there; an overflow gives inf, not an
+        error."""
+        j, fails = self._walk(np.array([float(t)]))
+        for bad, reason, where in fails:
+            if np.any(bad):
+                raise DomainError(f"{reason} in '{where}' at t={t}")
+        return Jet(*(float(np.ravel(c)[0]) for c in (j.f, j.d1, j.d2, j.d3)))
 
     def __call__(self, t: float) -> float:
         return self.jet(t).f
@@ -289,27 +282,28 @@ class TimeFunction:
 
 
 def jet_arrays(f: TimeFunction, t):
-    """Jets of f at every entry of t, each distinct t evaluated once.
+    """Jets of f at every entry of t, in one walk of the tree over the array.
 
-    Returns ``(jet, ok)``: a Jet whose four fields are float arrays shaped
-    like t, and a bool mask that is False where ``f.jet`` raised a DSError
-    (those entries of the jet are NaN).
+    Returns read-only arrays shaped like t: ``(jet, ok)``, a Jet of four
+    float arrays and a bool mask that is False where ``f.jet`` raises
+    DomainError or where a jet entry is not finite (an overflow); those
+    entries of the jet are NaN.
     """
     t = np.asarray(t, dtype=float)
-    distinct, inverse = np.unique(t, return_inverse=True)
-    table = np.full((len(distinct), 4), np.nan)
-    ok = np.ones(len(distinct), dtype=bool)
-    for i, ti in enumerate(distinct.tolist()):
-        try:
-            j = f.jet(ti)
-        except DSError:
-            ok[i] = False
-            continue
-        table[i] = (j.f, j.d1, j.d2, j.d3)
-    inverse = inverse.reshape(t.shape)
-    cols = table[inverse]
-    return Jet(cols[..., 0], cols[..., 1], cols[..., 2], cols[..., 3]), \
-        ok[inverse]
+    flat = t.reshape(-1)
+    # A field sampled at one time repeats one t at every point: walk it once.
+    if flat.size > 1 and (flat == flat[0]).all():
+        flat = flat[:1]
+    j, fails = f._walk(flat)
+    cols = np.empty((4, flat.size))
+    cols[0], cols[1], cols[2], cols[3] = j.f, j.d1, j.d2, j.d3
+    ok = np.isfinite(cols).all(axis=0)
+    for bad, _, _ in fails:
+        ok &= ~bad
+    if not ok.all():
+        cols[:, ~ok] = np.nan
+    cols = np.broadcast_to(cols, (4, t.size)).reshape((4,) + t.shape)
+    return Jet(*cols), np.broadcast_to(ok, t.size).reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -403,17 +397,13 @@ class _Parser:
     def expr(self):
         node = self.term()
         while self.toks.peek()[0] in "+-":
-            op = self.toks.next()[0]
-            rhs = self.term()
-            node = _Add(node, rhs) if op == "+" else _Sub(node, rhs)
+            node = _Binary(self.toks.next()[0], node, self.term())
         return node
 
     def term(self):
         node = self.unary()
         while self.toks.peek()[0] in "*/":
-            op = self.toks.next()[0]
-            rhs = self.unary()
-            node = _Mul(node, rhs) if op == "*" else _Div(node, rhs)
+            node = _Binary(self.toks.next()[0], node, self.unary())
         return node
 
     def unary(self):
@@ -437,8 +427,9 @@ class _Parser:
     def _constant_exponent(self, node: _Node, pos: int) -> float:
         if not node.is_constant():
             raise ParseError("exponent must be a constant", pos)
-        value = node.jet(0.0).f
-        if abs(2.0 * value - round(2.0 * value)) > 1e-12:
+        value = TimeFunction(node, "").jet(0.0).f
+        if not math.isfinite(value) \
+                or abs(2.0 * value - round(2.0 * value)) > 1e-12:
             raise ParseError(
                 f"exponent {value:g} is not an integer or half-integer", pos)
         return round(2.0 * value) / 2.0

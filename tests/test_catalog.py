@@ -1,14 +1,17 @@
 import cmath
+import dataclasses
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from dsexact import ConfigError, MixedCaseUnsupported, NoRealAmplitude, \
     NoRealSolution, TransformSpec, UnsupportedVariant, ValidityError, \
-    Variant, compose, ellipk, eval_solution, family_a, family_b, family_c, \
-    jacobi_sn_cn_dn, parse_timefn
+    TimeFunction, Variant, compose, ellipk, eval_solution, family_a, \
+    family_b, family_c, jacobi_sn_cn_dn, parse_timefn
+from dsexact.selftest import default_verification_matrix
 
 
 def test_variant_validation():
@@ -288,3 +291,68 @@ def test_eval_solution_broadcasts_like_pointwise_calls(name, sol, pole_x,
             if okp:
                 assert abs(u[i, j] - up) <= 1e-14 * abs(up), (name, i, j)
                 assert abs(v[i, j] - vp) <= 1e-14 * abs(vp), (name, i, j)
+
+
+def test_overflowing_time_function_makes_points_invalid():
+    sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
+                   parse_timefn("0.1*exp(t)"))
+    u, v, ok = eval_solution(sol, np.array([0.2, 800.0]), 0.3, 0.1)
+    assert ok.tolist() == [True, False]
+    assert np.isfinite(u[0]) and np.isfinite(v[0])
+    assert np.isnan(u[1]) and np.isnan(v[1])
+
+
+# ---------------------------------------------------------------------------
+# Wrapping from outside the package: the benchmark's tracing hashes the
+# argument of TimeFunction.jet and wraps u, v and valid with
+# dataclasses.replace.
+# ---------------------------------------------------------------------------
+
+def _t1_t2_chain(base):
+    return compose([TransformSpec("T1", alpha=parse_timefn("0.3*sin(t)"),
+                                  beta=parse_timefn("0.2*t^2"),
+                                  gamma=parse_timefn("t^2")),
+                    TransformSpec("T2", b=2.0)], base)
+
+
+def test_evaluation_never_passes_an_array_to_timefunction_jet(monkeypatch):
+    jet = TimeFunction.jet
+    seen = []
+
+    def hashing(self, t):
+        seen.append(hash(t))  # TypeError for an ndarray
+        return jet(self, t)
+
+    monkeypatch.setattr(TimeFunction, "jet", hashing)
+    solutions = [entry.solution for entry in default_verification_matrix()]
+    solutions.append(_t1_t2_chain(family_c(Variant(-1, 1), "sn", 0.7, 0.4,
+                                           0.0, parse_timefn("0.1*t"))))
+    for sol in solutions:
+        _, _, ok = eval_solution(sol, np.array([[0.3], [0.6]]),
+                                 np.linspace(-0.5, 0.5, 5), 0.2)
+        assert ok.shape == (2, 5) and ok.any()
+
+
+def test_replaced_fields_route_evaluation_through_wrappers():
+    calls = Counter()
+
+    def wrapped(sol, layer):
+        def wrap(name, fn):
+            def counting(*args):
+                calls[f"{layer}.{name}"] += 1
+                return fn(*args)
+            return counting
+        return dataclasses.replace(sol, **{
+            name: wrap(name, getattr(sol, name))
+            for name in ("u", "v", "valid")})
+
+    base = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
+                    parse_timefn("0.1*t"))
+    chain = wrapped(_t1_t2_chain(wrapped(base, "catalog")), "symmetry")
+    t, x, y = 0.3, np.linspace(-0.5, 0.5, 5), 0.2
+    u, v, ok = eval_solution(chain, t, x, y)
+    assert calls == {f"{layer}.{name}": 1 for layer in ("catalog", "symmetry")
+                     for name in ("u", "v", "valid")}
+    u0, v0, ok0 = eval_solution(_t1_t2_chain(base), t, x, y)
+    assert np.array_equal(ok, ok0) and ok.all()
+    assert np.array_equal(u, u0) and np.array_equal(v, v0)

@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import math
 import re
@@ -455,3 +457,36 @@ def test_grid_points_array_matches_tuple_order():
     jittered = grid.points(seed=3)
     assert jittered.shape == (12, 3)
     assert np.array_equal(jittered, grid.points(seed=3))
+
+
+def test_overflowing_time_function_gives_invalid_rows(tmp_path):
+    # exp(800) overflows: the rows at t=800 are invalid, not a traceback.
+    doc = full_config(tmp_path)
+    del doc["transforms"]
+    doc["params"]["beta"] = "0.1*exp(t)"
+    doc["grid"] = {"t": [0.2, 800], "x": [-0.9, 0.9, 3], "y": [0.0, 0.0, 1]}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "field.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 6
+    assert all(r.endswith(",true") for r in rows[:3])
+    assert all(r.startswith("800,") and r.endswith(",,,,,false")
+               for r in rows[3:])
+
+
+def test_main_builds_no_parser_garbage(capsys):
+    # An argparse parser holds reference cycles; main must not leave one
+    # behind per call.
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(3):
+            assert main(["families"]) == 0
+        gc.collect()
+        leaked = [o for o in gc.garbage
+                  if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert leaked == []

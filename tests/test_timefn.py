@@ -1,10 +1,13 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from conftest import fd1_o2, random_timefn
 from dsexact import DomainError, Jet, ParseError, parse_timefn
+from dsexact.timefn import jet_arrays
 
 
 def jet_tuple(j):
@@ -128,3 +131,97 @@ def test_random_trees_against_finite_differences():
                 assert abs(approx - expect) <= 1e-6 * (1.0 + abs(expect))
                 checked += 1
     assert checked == 360
+
+
+# ---------------------------------------------------------------------------
+# Array jets against the scalar jet, point by point.
+# ---------------------------------------------------------------------------
+
+# Trees of + - * / and integer powers only: their array jets must equal the
+# scalar jets bit for bit.
+ALGEBRAIC = ["1/(t-2)", "t^-2+3*t", "(1+t^2)/(t-0.5)", "t^3-2*t*t+0.25",
+             "-(t-1)^4/(t+3)"]
+# Hand trees that fail somewhere on the test points.
+FAILING = ["ln(t-3)", "1/(t-2)", "(t-5)^(1/2)", "sin(t)/(t-0.5)",
+           "t^(3/2)+ln(t)"]
+T_POINTS = np.array([-1.3, 0.0, 0.2, 0.5, 1.1, 2.0, 3.0, 3.5, 5.0, 6.25])
+
+
+def _scalar_reference(f, t):
+    """Per-point scalar jets: (values, ok) with NaN where f.jet raises."""
+    flat = np.ravel(t)
+    values = np.full((4, flat.size), np.nan)
+    ok = np.zeros(flat.size, dtype=bool)
+    for i, ti in enumerate(flat.tolist()):
+        try:
+            values[:, i] = jet_tuple(f.jet(ti))
+        except DomainError:
+            continue
+        ok[i] = True
+    return values.reshape((4,) + np.shape(t)), ok.reshape(np.shape(t))
+
+
+def _array_cases():
+    rng = random.Random(20261018)
+    trees = [(src, parse_timefn(src)) for src in ALGEBRAIC + FAILING]
+    trees.append(("t^2 on [0, 2]", parse_timefn("t^2", domain=(0.0, 2.0))))
+    trees += [(f"random {k}", random_timefn(rng)) for k in range(12)]
+    return trees
+
+
+@pytest.mark.parametrize("name, f", _array_cases())
+@pytest.mark.parametrize("shape", [(), (10,), (2, 5)])
+def test_array_jets_match_scalar_jets(name, f, shape):
+    t = T_POINTS[:1].reshape(()) if shape == () else T_POINTS.reshape(shape)
+    if shape == () and name in FAILING:
+        t = np.array(2.0 if name == "1/(t-2)" else 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, ok = jet_arrays(f, t)
+    values, expect_ok = _scalar_reference(f, t)
+    assert ok.shape == np.shape(t) and ok.dtype == bool
+    assert np.array_equal(ok, expect_ok), name
+    got = np.stack([j.f, j.d1, j.d2, j.d3])
+    assert got.shape == (4,) + np.shape(t)
+    assert np.isnan(got[:, ~ok]).all()
+    if name in ALGEBRAIC:
+        assert np.array_equal(got, values, equal_nan=True), name
+    else:
+        scale = np.maximum(np.abs(values[:, ok]), 1e-300)
+        assert (np.abs(got[:, ok] - values[:, ok]) <= 1e-15 * scale).all()
+
+
+@pytest.mark.parametrize("name, f", _array_cases())
+def test_array_jets_at_one_repeated_time(name, f):
+    # A grid sampled at one time: every entry equals the scalar jet there.
+    for t0 in T_POINTS.tolist():
+        j, ok = jet_arrays(f, np.full((2, 3), t0))
+        values, expect_ok = _scalar_reference(f, np.array([t0]))
+        assert ok.shape == (2, 3) and (ok == expect_ok[0]).all(), (name, t0)
+        got = np.stack([j.f, j.d1, j.d2, j.d3]).reshape(4, -1)
+        assert np.array_equal(got, np.repeat(values, 6, axis=1),
+                              equal_nan=True), (name, t0)
+
+
+def test_failing_points_are_where_the_scalar_jet_raises():
+    # The fixtures above must actually fail somewhere, and pass elsewhere.
+    for src in FAILING:
+        _, ok = jet_arrays(parse_timefn(src), T_POINTS)
+        assert ok.any() and not ok.all(), src
+    _, ok = jet_arrays(parse_timefn("t^2", domain=(0.0, 2.0)), T_POINTS)
+    assert ok.tolist() == [(0.0 <= t <= 2.0) for t in T_POINTS.tolist()]
+
+
+def test_overflowing_jet_is_invalid_not_an_error():
+    f = parse_timefn("0.1*exp(t)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j, ok = jet_arrays(f, np.array([0.2, 800.0]))
+    assert ok.tolist() == [True, False]
+    assert math.isfinite(j.f[0]) and math.isnan(j.f[1])
+    assert f.jet(800.0).f == math.inf  # the scalar jet reports the overflow
+
+
+def test_overflowing_exponent_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_timefn("t^(2^2000)")
