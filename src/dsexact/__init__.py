@@ -4,14 +4,14 @@ spectral cross-check."""
 
 from .ansatz import CubicMatch, LinePhaseFrame, frame, match_cubic, \
     v_profile_coefficient
-from .catalog import Periodicity, Solution, Variant, eval_solution, \
-    family_a, family_b, family_c
+from .catalog import Solution, Variant, eval_solution, family_a, family_b, \
+    family_c
 from .elliptic import PROFILE_KINDS, Profile, ellipk, jacobi_sn_cn_dn, \
     make_profile
 from .errors import BlowupError, ConfigError, DegenerateMatch, DomainError, \
     DSError, EmptySampleError, MixedCaseUnsupported, NoRealAmplitude, \
     NoRealSolution, ParseError, PeriodicityError, StencilError, \
-    UnsupportedVariant, ValidityError
+    UnsupportedVariant
 from .evolve import Field, advance, crosscheck, make_field, mass, \
     poisson_v, step
 from .gridio import GridSpec, write_field_csv, write_json_report

@@ -28,18 +28,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .ansatz import frame, match_cubic, v_profile_coefficient
 from .elliptic import SINGULARITY_GUARD, make_profile
 from .errors import ConfigError, MixedCaseUnsupported, NoRealSolution, \
-    UnsupportedVariant, ValidityError
+    UnsupportedVariant
 from .timefn import TimeFunction, jet_arrays
 
-__all__ = ["Variant", "Periodicity", "Solution", "family_a", "family_b",
-           "family_c", "eval_solution", "IM_SLOPE_CUTOFF"]
+__all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
+           "eval_solution", "IM_SLOPE_CUTOFF"]
 
 # Below this slope the family-A construction is treated as degenerate.
 IM_SLOPE_CUTOFF = 1e-8
@@ -59,21 +59,6 @@ class Variant:
 
 
 @dataclass(frozen=True)
-class Periodicity:
-    """Descriptive record of spatial periodicity along a line direction.
-
-    The fields vary only along ``direction`` = (wx, wy) (the gradient of the
-    profile argument, up to a positive time-dependent stretch) and repeat
-    with period ``period_w`` in argument units.  ``time_independent`` is set
-    when the fields do not depend on t at all.
-    """
-
-    direction: tuple
-    period_w: float
-    time_independent: bool
-
-
-@dataclass(frozen=True)
 class Solution:
     """An evaluable exact solution pair (u complex, v real).
 
@@ -82,15 +67,15 @@ class Solution:
     ``valid`` is a bool mask, False inside the guard radius of any profile
     pole, wherever a family constraint fails, and where a coefficient jet is
     undefined or overflows (see ``jet_arrays``); ``u`` and ``v`` are only
-    meaningful where it is True.  ``provenance`` records family, parameters,
-    and the transform chain.
+    meaningful where it is True, and ``eval_solution`` calls them only
+    there.  ``provenance`` records family, parameters, and the transform
+    chain.
     """
 
     variant: Variant
     u: Callable
     v: Callable
     valid: Callable
-    periodicity: Optional[Periodicity] = None
     provenance: dict = field(default_factory=dict)
 
 
@@ -120,30 +105,21 @@ def eval_solution(sol: Solution, t, x, y):
 def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
     """Separable family driven by an increasing function Im(t).
 
-    Raises ValidityError from the evaluators when Im'(t) <= 0 at a requested
-    time; the ``valid`` predicate reports such times as False instead.
+    ``valid`` is False where Im'(t) is not above ``IM_SLOPE_CUTOFF``; ``u``
+    and ``v`` are meaningless there.
     """
     eps1, eps2 = variant.eps1, variant.eps2
     c = float(c)
 
-    def slope_jet(t):
-        j, _ = jet_arrays(im, t)
-        bad = ~(j.d1 > IM_SLOPE_CUTOFF)
-        if bad.any():
-            t_bad = np.asarray(t, dtype=float)[bad][0]
-            raise ValidityError(
-                f"Im'({t_bad}) is not positive; family A undefined")
-        return j
-
     def u(t, x, y):
-        j = slope_jet(t)
+        j, _ = jet_arrays(im, t)
         alpha_p = 0.5 * j.d1 - eps1 * j.d2 / (4.0 * j.d1)
         beta_p = -j.d2 / (4.0 * j.d1) - eps1 * j.d1 / 2.0
         return c * np.sqrt(j.d1) * np.exp(
             1j * (alpha_p * x * x + beta_p * y * y))
 
     def v(t, x, y):
-        j = slope_jet(t)
+        j, _ = jet_arrays(im, t)
         quad = (j.d3 / (4.0 * j.d1)
                 - 3.0 * j.d2 * j.d2 / (8.0 * j.d1 * j.d1)
                 - j.d1 * j.d1 / 2.0)
@@ -154,7 +130,7 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
         return ok & (j.d1 > IM_SLOPE_CUTOFF)
 
     return Solution(
-        variant, u, v, valid, periodicity=None,
+        variant, u, v, valid,
         provenance={"family": "A", "eps1": eps1, "eps2": eps2,
                     "Im": im.source, "c": c})
 
@@ -218,7 +194,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         return jet_arrays(beta, t)[1]
 
     return Solution(
-        variant, u, v, valid, periodicity=None,
+        variant, u, v, valid,
         provenance={"family": "B", "eps1": 1, "eps2": eps2, "a": a, "b": b,
                     "c": c, "Im": im_value, "beta": beta.source})
 
@@ -276,14 +252,8 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         w = np.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
         return ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
-    period = profile.period()
-    periodicity = None
-    if period is not None:
-        periodicity = Periodicity(direction=(zeta, eta), period_w=period,
-                                  time_independent=beta.is_constant())
-
     return Solution(
-        variant, u, v, valid, periodicity=periodicity,
+        variant, u, v, valid,
         provenance={"family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,
                     "m": profile.m, "ell": fr.ell, "ell1": ell1,
                     "beta": beta.source, "amplitude": amp,

@@ -23,7 +23,7 @@ import math
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
-from .elliptic import PROFILE_KINDS
+from .elliptic import ELLIPTIC_KINDS, PROFILE_KINDS
 from .errors import ConfigError, DSError
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import crosscheck, make_field, step
@@ -173,9 +173,14 @@ def build_solution(cfg: dict) -> Solution:
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
                         _timefn(cfg, "/params/beta", "0"),
                         im=_number(cfg, "/params/im", None))
+    kind = _choice(cfg, "/params/kind", PROFILE_KINDS)
+    elliptic = kind in ELLIPTIC_KINDS
+    m = _number(cfg, "/params/m", ... if elliptic else None)
+    if elliptic and not 0.0 <= m < 1.0:
+        raise ConfigError(f"/params/m: expected a modulus in [0, 1), "
+                          f"got {m!r}")
     return family_c(
-        variant, _choice(cfg, "/params/kind", PROFILE_KINDS),
-        _number(cfg, "/params/m", None), _number(cfg, "/params/ell"),
+        variant, kind, m, _number(cfg, "/params/ell"),
         _number(cfg, "/params/ell1", 0.0), _timefn(cfg, "/params/beta", "0"),
         amplitude=_number(cfg, "/params/amplitude", None),
         v_constant=_number(cfg, "/params/v_constant", None),

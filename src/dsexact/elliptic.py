@@ -28,11 +28,12 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = ["ellipk", "jacobi_sn_cn_dn", "Profile", "make_profile",
-           "PROFILE_KINDS", "SINGULARITY_GUARD"]
+           "PROFILE_KINDS", "ELLIPTIC_KINDS", "SINGULARITY_GUARD"]
 
 PROFILE_KINDS = ("rational", "tan", "sec", "coth", "csch", "sn", "cn", "dn")
 
-_ELLIPTIC_KINDS = ("sn", "cn", "dn")
+# The kinds that take a modulus m.
+ELLIPTIC_KINDS = ("sn", "cn", "dn")
 
 # Successive AGM means agree to this relative tolerance before stopping;
 # convergence is quadratic so this saturates double precision.
@@ -168,7 +169,7 @@ class Profile:
             return np.cosh(s) / np.sinh(s)
         if k == "csch":
             return 1.0 / np.sinh(s)
-        return jacobi_sn_cn_dn(s, self.m)[_ELLIPTIC_KINDS.index(k)]
+        return jacobi_sn_cn_dn(s, self.m)[ELLIPTIC_KINDS.index(k)]
 
     def pole_distance(self, s):
         """Distance from s (a float or an array) to the nearest real pole,
@@ -186,26 +187,13 @@ class Profile:
                 best = np.minimum(best, np.minimum(r, spacing - r))
         return best[()]
 
-    def period(self):
-        """Real period of the profile, or None if aperiodic."""
-        k = self.kind
-        if k == "tan":
-            return math.pi
-        if k == "sec":
-            return 2.0 * math.pi
-        if k == "sn" or k == "cn":
-            return 4.0 * ellipk(self.m)
-        if k == "dn":
-            return 2.0 * ellipk(self.m)
-        return None
-
 
 def make_profile(kind: str, m: float | None = None) -> Profile:
     """Build a Profile; elliptic kinds require a modulus m in [0, 1)."""
     if kind not in PROFILE_KINDS:
         raise ConfigError(f"unknown profile kind '{kind}'; "
                           f"expected one of {PROFILE_KINDS}")
-    if kind in _ELLIPTIC_KINDS:
+    if kind in ELLIPTIC_KINDS:
         if m is None:
             raise DomainError(f"profile '{kind}' requires a modulus m")
         m = float(m)

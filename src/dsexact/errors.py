@@ -37,10 +37,6 @@ class DomainError(DSError):
     validity interval, ...)."""
 
 
-class ValidityError(DSError):
-    """A solution was evaluated where one of its constraints fails."""
-
-
 class UnsupportedVariant(DSError):
     """The requested sign pair is outside the operation's contract."""
 

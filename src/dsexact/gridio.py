@@ -53,8 +53,8 @@ class GridSpec:
     def points(self, seed=None) -> np.ndarray:
         """(N, 3) float array of (t, x, y) samples, x fastest-varying.
 
-        ``seed`` adds deterministic jitter of up to 30% of the spacing to
-        the interior coordinates, to decorrelate samples from grid symmetry.
+        ``seed`` jitters every x and y, endpoints included, by up to 0.3 x
+        spacing (0.3 x (hi - lo) on a one-point axis) to break grid symmetry.
         """
         xs = _linspace(*self.x_range)
         ys = _linspace(*self.y_range)

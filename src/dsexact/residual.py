@@ -164,11 +164,19 @@ def residual_at(sol: Solution, t: float, x: float, y: float,
 
 
 def _rms(values) -> float:
+    """Root mean square of non-negative values.  Only where the squares of
+    finite values overflow is the sum rescaled by the largest value, so
+    every other rms is the plain one, bit for bit."""
+    values = values.tolist()
     try:
-        total = math.fsum(v * v for v in values.tolist())
+        total = math.fsum(v * v for v in values)
     except OverflowError:  # finite squares whose exact sum overflows
-        return math.inf
-    return math.sqrt(total / len(values))
+        total = math.inf
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return math.sqrt(total / len(values))
+    big = max(values)
+    return big * math.sqrt(math.fsum((v / big) ** 2 for v in values)
+                           / len(values))
 
 
 def _order_of(coarse: float, fine: float) -> float:

@@ -20,7 +20,7 @@ b and b^{-3} and the map only preserves solutions for b^4 = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -53,6 +53,15 @@ class TransformSpec:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
 
 
+def _extend(sol: Solution, u, v, valid, transform: dict) -> Solution:
+    """The transformed solution, with ``transform`` appended to the
+    provenance chain of ``sol``."""
+    provenance = dict(sol.provenance)
+    provenance["transforms"] = [*sol.provenance.get("transforms", []),
+                                transform]
+    return Solution(sol.variant, u, v, valid, provenance)
+
+
 def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
              gamma: TimeFunction) -> Solution:
     """Shift space by (alpha, beta)(t) with the compensating linear phase."""
@@ -77,20 +86,9 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
         (aj, ok_a), (bj, ok_b), (_, ok_g) = jets(t)
         return ok_a & ok_b & ok_g & sol.valid(t, x + aj.f, y + bj.f)
 
-    periodicity = sol.periodicity
-    if periodicity is not None and periodicity.time_independent:
-        # A time-dependent dressing reintroduces t into the fields.
-        still_static = alpha.is_constant() and beta.is_constant() \
-            and gamma.is_constant()
-        if not still_static:
-            periodicity = replace(periodicity, time_independent=False)
-
-    chain = list(sol.provenance.get("transforms", []))
-    chain.append({"kind": "T1", "alpha": alpha.source, "beta": beta.source,
-                  "gamma": gamma.source})
-    provenance = dict(sol.provenance)
-    provenance["transforms"] = chain
-    return Solution(sol.variant, u, v, valid, periodicity, provenance)
+    return _extend(sol, u, v, valid,
+                   {"kind": "T1", "alpha": alpha.source, "beta": beta.source,
+                    "gamma": gamma.source})
 
 
 def apply_t2(sol: Solution, b: float) -> Solution:
@@ -109,18 +107,7 @@ def apply_t2(sol: Solution, b: float) -> Solution:
     def valid(t, x, y):
         return sol.valid(t / b2, x / b, y / b)
 
-    periodicity = sol.periodicity
-    if periodicity is not None:
-        # The argument coordinates are divided by b, so the spatial
-        # direction coefficients shrink and real-space periods grow by |b|.
-        wx, wy = periodicity.direction
-        periodicity = replace(periodicity, direction=(wx / b, wy / b))
-
-    chain = list(sol.provenance.get("transforms", []))
-    chain.append({"kind": "T2", "b": b})
-    provenance = dict(sol.provenance)
-    provenance["transforms"] = chain
-    return Solution(sol.variant, u, v, valid, periodicity, provenance)
+    return _extend(sol, u, v, valid, {"kind": "T2", "b": b})
 
 
 def compose(specs, sol: Solution) -> Solution:

@@ -22,7 +22,6 @@ points are invalid; ``TimeFunction.jet`` raises DomainError at a single t.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,12 +273,6 @@ class TimeFunction:
                 raise DomainError(f"{reason} in '{where}' at t={t}")
         return Jet(*(float(np.ravel(c)[0]) for c in (j.f, j.d1, j.d2, j.d3)))
 
-    def __call__(self, t: float) -> float:
-        return self.jet(t).f
-
-    def is_constant(self) -> bool:
-        return self.root.is_constant()
-
 
 def jet_arrays(f: TimeFunction, t):
     """Jets of f at every entry of t, in one walk of the tree over the array.
@@ -427,9 +420,11 @@ class _Parser:
     def _constant_exponent(self, node: _Node, pos: int) -> float:
         if not node.is_constant():
             raise ParseError("exponent must be a constant", pos)
-        value = TimeFunction(node, "").jet(0.0).f
-        if not math.isfinite(value) \
-                or abs(2.0 * value - round(2.0 * value)) > 1e-12:
+        j, ok = jet_arrays(TimeFunction(node, ""), 0.0)
+        if not ok:
+            raise ParseError("exponent is undefined or overflows", pos)
+        value = float(j.f)
+        if abs(2.0 * value - round(2.0 * value)) > 1e-12:
             raise ParseError(
                 f"exponent {value:g} is not an integer or half-integer", pos)
         return round(2.0 * value) / 2.0

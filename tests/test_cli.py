@@ -282,8 +282,10 @@ def _reject_constant(token):
 
 
 def test_non_finite_report_is_strict_json(tmp_path):
-    # At this amplitude the residuals overflow: the certificate fails and
-    # the non-finite fields are written as null, not as NaN/Infinity.
+    # At this amplitude the first equation's residuals overflow: the
+    # certificate fails and the non-finite fields are written as null, not
+    # as NaN/Infinity.  The second equation's are finite; so are its rms
+    # and order, though their squares overflow.
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
         "family": "C",
@@ -298,7 +300,7 @@ def test_non_finite_report_is_strict_json(tmp_path):
     assert sorted(doc) == ["max1", "max2", "n_points", "order1", "order2",
                            "pass", "rms1", "rms2"]
     assert doc["pass"] is False
-    assert doc["order1"] is None and doc["order2"] is None
+    assert doc["order1"] is None and math.isfinite(doc["order2"])
 
 
 def full_config(tmp_path):
@@ -348,6 +350,11 @@ MALFORMED = [
     ("verify", "/grid/x/0", math.inf, [], "/grid/x/0"),
     ("verify", "/verify/tol_rel", 1e-7, ["--tol", "inf"], "--tol"),
     ("evolve", "/evolve/tol", 1e-5, ["--tol", "inf"], "--tol"),
+    ("verify", "/params/beta", "t^(1/0)", [], "/params/beta"),
+    ("evolve", "/params/beta", "t^ln(0-1)", [], "/params/beta"),
+    ("verify", "/params/m", None, [], "/params/m"),
+    ("verify", "/params/m", 1.0, [], "/params/m"),
+    ("evolve", "/params/m", -0.2, [], "/params/m"),
 ]
 
 

@@ -193,17 +193,6 @@ def test_pole_distance_matches_ieee_remainder():
     assert [tan.pole_distance(v) for v in s] == expect
 
 
-def test_periods():
-    assert make_profile("tan").period() == pytest.approx(math.pi)
-    assert make_profile("sec").period() == pytest.approx(2.0 * math.pi)
-    m = 0.4
-    assert make_profile("sn", m).period() == pytest.approx(4.0 * ellipk(m))
-    assert make_profile("cn", m).period() == pytest.approx(4.0 * ellipk(m))
-    assert make_profile("dn", m).period() == pytest.approx(2.0 * ellipk(m))
-    assert make_profile("rational").period() is None
-    assert make_profile("coth").period() is None
-
-
 def test_make_profile_errors():
     with pytest.raises(ConfigError):
         make_profile("gaussian")

@@ -214,6 +214,15 @@ def test_crosscheck_rejects_aperiodic_and_plus_branch():
     with pytest.raises(PeriodicityError):
         # periodic profile but an incommensurate box
         crosscheck(sn_line(m), 0.8 * L, L, 32, 0.1, 1e-3)
+    # A boost whose compensating phase exp(0.7 i x) does not wrap around
+    # the oblique line's period box.
+    ell = math.pi / 3.0
+    oblique = family_c(DS2, "sn", m, ell, 0.0, parse_timefn("0"))
+    boosted = apply_t1(oblique, parse_timefn("0.7*t"), parse_timefn("0"),
+                       parse_timefn("0"))
+    with pytest.raises(PeriodicityError, match="wraparound mismatch"):
+        crosscheck(boosted, L / math.sin(ell), L / math.cos(ell), 32, 0.1,
+                   1e-3)
     ds1 = family_c(Variant(1, 1), "sn", m, 0.3, 0.0, parse_timefn("0"))
     with pytest.raises(UnsupportedVariant):
         crosscheck(ds1, L, L, 32, 0.1, 1e-3)

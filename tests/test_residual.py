@@ -133,15 +133,28 @@ def test_bad_step_is_config_error(h):
         residual_at(exact_a(), 0.5, 0.4, -0.7, h=h)
 
 
-@pytest.mark.parametrize("amplitude", [1e80, 1e120])
+@pytest.mark.parametrize("amplitude", [1e120])
 def test_overflowing_fields_fail_with_non_finite_order(amplitude):
-    # |u|^2 u or the squares summed into the rms overflow at these
-    # amplitudes.  The certificate must fail, and the orders must not be
-    # clamped to +-20; at 1e80 an infinite rms once compared below an
-    # infinite term scale and passed.
+    # |u|^2 u overflows at this amplitude.  The certificate must fail, and
+    # the order must not be clamped to +-20.
     sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
                    parse_timefn("0"), amplitude=amplitude)
     report = verify(sol, GRID)
     assert not report.passed
     assert not math.isfinite(report.rms1)
     assert math.isnan(report.order1)
+
+
+def test_overflowing_squares_give_finite_rms_and_fail():
+    # Every residual is finite at amplitude 1e80 (max1 = 3.5e239), but
+    # their squares overflow.  The rms is still the true one, and the
+    # h-independent residual (order 0) of this wrong amplitude fails the
+    # certificate; an infinite rms once compared below an infinite term
+    # scale and passed.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
+                   parse_timefn("0"), amplitude=1e80)
+    report = verify(sol, GRID)
+    assert not report.passed
+    assert report.max1 == pytest.approx(3.470e239, rel=1e-3)
+    assert report.rms1 == pytest.approx(2.218e239, rel=1e-3)
+    assert report.order1 == pytest.approx(0.0, abs=1e-6)

@@ -71,6 +71,10 @@ def test_parse_errors():
         parse_timefn("t^t")
     with pytest.raises(ParseError):
         parse_timefn("(1+2")
+    for undefined in ("t^(1/0)", "t^ln(0-1)"):
+        with pytest.raises(ParseError) as err:
+            parse_timefn(undefined)
+        assert err.value.position == 1
 
 
 def test_whitespace_insensitive():

@@ -1,0 +1,50 @@
+"""The traced benchmark (bench/tracing.py) patches package names from outside
+the package.  A name it patches that disappears from the package breaks the
+traced runs; this test breaks with it."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+
+from dsexact import Variant, cli, elliptic, eval_solution, evolve, family_c, \
+    gridio, parse_timefn, residual, symmetry, timefn
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+# Every namespace the tracer may patch.
+NAMESPACES = (cli, elliptic, evolve, gridio, residual, symmetry, timefn,
+              timefn.TimeFunction, elliptic.Profile, np.fft)
+
+
+def test_tracer_patches_restores_and_wraps_solutions(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    before = [dict(vars(ns)) for ns in NAMESPACES]
+    with Tracer().install():
+        during = [dict(vars(ns)) for ns in NAMESPACES]
+    after = [dict(vars(ns)) for ns in NAMESPACES]
+    patched = {(ns.__name__, name)
+               for ns, old, new in zip(NAMESPACES, before, during)
+               for name in old if new[name] is not old[name]}
+    assert {("dsexact.evolve", "step"), ("dsexact.evolve", "poisson_v"),
+            ("dsexact.cli", "step"), ("dsexact.cli", "make_field"),
+            ("TimeFunction", "jet")} <= patched
+    for old, new, restored in zip(before, during, after):
+        assert new.keys() == old.keys() == restored.keys()
+        assert all(restored[name] is old[name] for name in old)
+
+    tracer = Tracer()
+    sol = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
+                   parse_timefn("0.1*t"))
+    # x = pi/2 sits on a pole at t = 0, so some points are invalid.
+    t, x, y = np.meshgrid([0.0, 0.4], [-1.0, 0.3, math.pi / 2.0],
+                          [-0.5, 0.0, 0.5], indexing="ij")
+    got = eval_solution(tracer.catalog(sol), t, x, y)
+    want = eval_solution(sol, t, x, y)
+    assert not want[2].all()
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    metrics = tracer.layer_metrics(0)
+    assert metrics["catalog.valid_calls"] == 1
+    assert metrics["catalog.u_calls"] == metrics["catalog.v_calls"] == 1
