@@ -181,11 +181,13 @@ def _check_box_periodic(sol: Solution, lx: float, ly: float, t: float):
     x = np.array([0.13 * lx, 0.61 * lx, 0.37 * lx, 0.0])
     y = np.array([0.29 * ly, 0.83 * ly, 0.52 * ly, 0.0])
     # Rows: the probes, their x-wraps, their y-wraps.
-    u, v, ok = eval_solution(sol, t, np.stack([x, x + lx, x]),
-                             np.stack([y, y, y + ly]))
+    xs, ys = np.stack([x, x + lx, x]), np.stack([y, y, y + ly])
+    u, v, ok = eval_solution(sol, t, xs, ys)
     if not ok.all():
+        i, j = np.argwhere(~ok)[0]
         raise PeriodicityError(
-            f"solution invalid near box corner at t={t:g}")
+            f"solution invalid at probe point ({xs[i, j]:g}, {ys[i, j]:g}) "
+            f"at t={t:g}")
     # Each probe is judged against the largest field seen up to it.
     scale = np.maximum.accumulate(
         np.maximum(1.0, np.maximum(np.abs(u[0]), np.abs(v[0]))))

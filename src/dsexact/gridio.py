@@ -1,10 +1,12 @@
 """Sample grids and deterministic file output.
 
 Field files are CSV with the fixed header ``t,x,y,re_u,im_u,abs_u,v,valid``,
-x fastest-varying, floats printed with 17 significant digits so repeated
-runs are byte-identical.  Reports are strict JSON with sorted keys and
-non-finite numbers written as ``null``.  Invalid points are emitted with
-``valid=false`` and empty numeric cells.
+x fastest-varying, every float printed as ``%.17g`` (the same text as
+``format(x, ".17g")``, ``-0``, ``inf`` and ``nan`` included) so repeated
+runs are byte-identical.  Invalid points are emitted with ``valid=false``
+and empty numeric cells.  Fields are evaluated, formatted and written
+_CHUNK points at a time, never as one whole-file row list.  Reports are
+strict JSON with sorted keys and non-finite numbers written as ``null``.
 """
 
 from __future__ import annotations
@@ -24,13 +26,14 @@ __all__ = ["GridSpec", "write_field_csv", "write_box_csv", "write_json_report",
 
 FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
 
-# Points evaluated per batch when writing a field: bounds the working memory
-# of large grids.
+# Points evaluated, formatted and written per batch: bounds the working
+# memory of large grids.
 _CHUNK = 4096
 
-# %.17g prints exactly as format(x, ".17g"), including -0, inf and nan.
-_VALID_ROW = ",".join(["%.17g"] * 7) + ",true"
-_INVALID_ROW = "%.17g,%.17g,%.17g,,,,,false"
+# %.17g prints exactly as format(x, ".17g"), including -0, inf and nan.  The
+# t, x, y cells arrive as text (%s): a grid repeats them across rows.
+_VALID_ROW = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,true\n"
+_INVALID_ROW = "%s,%s,%s,,,,,false\n"
 
 
 def _linspace(lo: float, hi: float, count: int):
@@ -71,24 +74,28 @@ class GridSpec:
 
 
 def _format_rows(t, x, y, u, v, ok):
-    """CSV rows of flat sample arrays, made lazily _CHUNK points at a time
-    (bounded temporaries); an invalid point keeps only its t, x, y."""
-    for s in range(0, len(ok), _CHUNK):
-        c = slice(s, s + _CHUNK)
-        cells = zip(t[c], x[c], y[c], u[c].real, u[c].imag, np.abs(u[c]), v[c])
-        yield from (_VALID_ROW % cell if good else _INVALID_ROW % cell[:3]
-                    for cell, good in zip(cells, ok[c]))
+    """Newline-terminated CSV rows of flat sample arrays, one list entry per
+    row; an invalid point keeps only its t, x, y.  Each distinct coordinate
+    is formatted once, keyed by its bits so that -0 and 0 stay apart."""
+    bits, where = np.unique(np.stack([t, x, y]).view(np.int64),
+                            return_inverse=True)
+    text = np.array(["%.17g" % c for c in bits.view(np.float64).tolist()],
+                    dtype=object)
+    tt, xx, yy = text[where.reshape(3, -1)].tolist()
+    # Python floats (tolist): numpy scalars are slower to %-format.
+    cells = zip(tt, xx, yy, u.real.tolist(), u.imag.tolist(),
+                np.abs(u).tolist(), v.tolist())
+    return [_VALID_ROW % c if good else _INVALID_ROW % c[:3]
+            for c, good in zip(cells, ok.tolist())]
 
 
 def field_rows(sol: Solution, points):
-    """CSV rows for a solution sampled at the given points: an (N, 3) array
-    or a sequence of (t, x, y)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    rows = []
-    for start in range(0, len(points), _CHUNK):
-        t, x, y = points[start:start + _CHUNK].T
-        rows += _format_rows(t, x, y, *eval_solution(sol, t, x, y))
-    return rows
+    """Newline-terminated CSV rows, one list entry per row, of a solution
+    sampled at the given points: an (N, 3) array or a sequence of (t, x, y).
+    The points are evaluated and formatted in one batch; the writers pass
+    _CHUNK at a time."""
+    t, x, y = np.asarray(points, dtype=float).reshape(-1, 3).T
+    return _format_rows(t, x, y, *eval_solution(sol, t, x, y))
 
 
 def _open_output(path):
@@ -100,27 +107,32 @@ def _open_output(path):
         raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
 
 
-def _write_rows(fh, rows):
-    fh.write(FIELD_HEADER + "\n")
-    fh.writelines(row + "\n" for row in rows)
+def _write_chunks(path, n, rows):
+    """Header, then ``rows(s)`` for each _CHUNK-point slice ``s`` of ``n``
+    points; ``path`` is opened before the first chunk is made."""
+    with _open_output(path) as fh:
+        fh.write(FIELD_HEADER + "\n")
+        for start in range(0, n, _CHUNK):
+            fh.writelines(rows(slice(start, start + _CHUNK)))
 
 
 def write_field_csv(path, sol: Solution, points):
     """Field CSV of ``sol`` at ``points``, opened before any evaluation."""
-    with _open_output(path) as fh:
-        _write_rows(fh, field_rows(sol, points))
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    _write_chunks(path, len(points), lambda s: field_rows(sol, points[s]))
 
 
 def write_box_csv(path, field):
     """Field CSV of a periodic-box ``evolve.Field``, all points valid, x
-    fastest-varying."""
+    fastest-varying, formatted and written in the same _CHUNK-point batches
+    as ``write_field_csv``."""
     nx, ny = field.u.shape
     i = np.arange(nx * ny)
-    with _open_output(path) as fh:
-        _write_rows(fh, _format_rows(
-            np.full(i.size, field.t), i % nx * field.lx / nx,
+    cols = (np.full(i.size, field.t), i % nx * field.lx / nx,
             i // nx * field.ly / ny, field.u.T.ravel(), field.v.T.ravel(),
-            np.ones(i.size, bool)))
+            np.ones(i.size, bool))
+    _write_chunks(path, i.size,
+                  lambda s: _format_rows(*(c[s] for c in cols)))
 
 
 def _finite_or_null(value):

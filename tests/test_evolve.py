@@ -1,12 +1,13 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
-    UnsupportedVariant, Variant, advance, apply_t1, crosscheck, ellipk, \
-    evolve, family_a, family_c, make_field, mass, parse_timefn, poisson_v, \
-    step
+    UnsupportedVariant, Variant, advance, apply_t1, cli, crosscheck, \
+    ellipk, evolve, family_a, family_c, make_field, mass, parse_timefn, \
+    poisson_v, step
 
 DS2 = Variant(-1, 1)
 
@@ -226,6 +227,29 @@ def test_crosscheck_rejects_aperiodic_and_plus_branch():
     ds1 = family_c(Variant(1, 1), "sn", m, 0.3, 0.0, parse_timefn("0"))
     with pytest.raises(UnsupportedVariant):
         crosscheck(ds1, L, L, 32, 0.1, 1e-3)
+
+
+@pytest.mark.parametrize("family, params, point", [
+    # Im = ln(t) has no value at t = 0: the first probe is the first named.
+    ("A", {"Im": "ln(t)", "c": 1.0}, "(0.52, 1.16)"),
+    # The pole line y = 0 runs through the corner probe.
+    ("C", {"kind": "rational", "ell": math.pi / 2.0, "ell1": 0.0,
+           "beta": "0"}, "(0, 0)"),
+])
+def test_invalid_probe_names_its_point(tmp_path, capsys, family, params,
+                                       point):
+    message = f"solution invalid at probe point {point} at t=0"
+    cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": family,
+           "params": params,
+           "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01, "dt": 1e-3},
+           "out": str(tmp_path / "report.json")}
+    with pytest.raises(PeriodicityError) as err:
+        crosscheck(cli.build_solution(cfg), 4.0, 4.0, 16, 0.01, 1e-3)
+    assert str(err.value) == message
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert cli.main(["evolve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"PeriodicityError: {message}\n"
 
 
 def test_blowup_detection():

@@ -1,0 +1,122 @@
+"""Field CSV bytes against an independent formatter: every float cell is
+``format(c, ".17g")``, rows are joined with ``,`` and end in ``,true`` or,
+for an invalid point, ``,,,,,false``."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from dsexact import Field, GridSpec, Variant, write_field_csv
+from dsexact.catalog import Solution
+from dsexact.gridio import _CHUNK, FIELD_HEADER, write_box_csv
+
+INF, NAN = math.inf, math.nan
+# Both sides of the fixed/exponent switch of %.17g, signed zeros, the
+# smallest subnormal and the non-finite values.
+SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 1e16, 1e17, 1e-4, 1e-5, -1e16,
+            1.0 / 3.0, INF, -INF, NAN, 123456789012345678.0, 0.1]
+
+
+def reference_csv(rows):
+    """CSV text of (t, x, y, u, v, ok) tuples, cell by cell.  |u| is taken
+    from ``np.abs``, as the writer takes it: its last bit can differ from
+    Python's ``abs``, and the formatting is what is under test."""
+    lines = [FIELD_HEADER]
+    moduli = np.abs(np.array([r[3] for r in rows], dtype=complex)).tolist()
+    for (t, x, y, u, v, ok), modulus in zip(rows, moduli):
+        cells = [t, x, y]
+        if ok:
+            cells += [u.real, u.imag, modulus, v]
+        text = ",".join(format(c, ".17g") for c in cells)
+        lines.append(text + (",true" if ok else ",,,,,false"))
+    return "\n".join(lines) + "\n"
+
+
+def table_solution(values):
+    """A Solution that returns the given (u, v, ok) at each (t, x, y) key;
+    keys are bit patterns, so -0.0 and 0.0 are different points."""
+    def lookup(t, x, y):
+        keys = np.stack([t, x, y], axis=-1).reshape(-1, 3)
+        return [values[k.tobytes()] for k in keys]
+
+    def column(i, dtype):
+        return lambda t, x, y: np.array([r[i] for r in lookup(t, x, y)],
+                                        dtype=dtype)
+
+    return Solution(Variant(-1, 1), column(0, complex), column(1, float),
+                    column(2, bool))
+
+
+def write_table(tmp_path, points, draw):
+    """Write a field whose point k gets ``draw(k)`` = (u, v, ok); returns
+    (file text, reference text)."""
+    points = np.asarray(points, dtype=float)
+    rows = [(*p, *draw(k)) for k, p in enumerate(points.tolist())]
+    values = {points[k].tobytes(): r[3:] for k, r in enumerate(rows)}
+    path = tmp_path / "field.csv"
+    write_field_csv(path, table_solution(values), points)
+    return path.read_text(encoding="utf-8"), reference_csv(rows)
+
+
+def special_value(k):
+    a, b, c = (SPECIALS[(k * s) % len(SPECIALS)] for s in (1, 3, 7))
+    return complex(a, b), c, k % 5 != 2
+
+
+def test_special_floats_in_every_column(tmp_path):
+    coords = [0.0, -0.0, 5e-324, 1e16, 1e17, 1e-4, 1e-5, INF, -INF, NAN]
+    points = list(itertools.product([0.0, -0.0, 1e-5], [-0.0, 0.0, 2.5],
+                                    coords))
+    # x fastest, as the writers order points; the coordinate columns hold
+    # -0.0 and 0.0 side by side.
+    points = [(t, x, y) for t, y, x in points]
+    got, want = write_table(tmp_path, points, special_value)
+    assert got == want
+    assert ",-0,0," in got and "inf" in got and "nan" in got
+    assert "4.9406564584124654e-324" in got and "1e+17" in got
+    assert "10000000000000000" in got and "1.0000000000000001e-05" in got
+    assert ",,,,,false\n" in got
+
+
+def test_chunk_boundary_inside_a_grid_row(tmp_path):
+    nx, ny = 300, 15  # 4500 points: a chunk ends inside grid row 13
+    assert nx * ny > _CHUNK and (nx * ny) % _CHUNK and _CHUNK % nx
+    points = GridSpec((0.25,), (-3.0, 3.0, nx), (-0.0, 2.0, ny)).points(
+        seed=4)
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=len(points)) + 1j * rng.normal(size=len(points))
+    v = rng.normal(size=len(points)) * 1e8
+    ok = rng.random(len(points)) > 0.1
+    got, want = write_table(tmp_path, points, lambda k: (u[k], v[k], ok[k]))
+    assert got == want
+    assert got.count("\n") == 1 + nx * ny
+
+
+def test_one_point_grid(tmp_path):
+    points = GridSpec((-0.0,), (0.5, 0.5, 1), (-1e-5, -1e-5, 1)).points()
+    got, want = write_table(tmp_path, points,
+                            lambda k: (complex(-0.0, 1e16), 5e-324, True))
+    assert got == want == (
+        FIELD_HEADER + "\n-0,0.5,-1.0000000000000001e-05,-0,"
+        "10000000000000000,10000000000000000,4.9406564584124654e-324,true\n")
+
+
+@pytest.mark.parametrize("nx, ny", [(128, 64), (2, 2), (4, 2)])
+def test_box_csv(tmp_path, nx, ny):
+    rng = np.random.default_rng(nx)
+    u = np.empty((nx, ny), dtype=complex)
+    u.real, u.imag, v = rng.normal(size=(3, nx, ny))
+    specials = np.array(SPECIALS)
+    k = rng.integers(0, len(specials), size=(nx, ny))
+    u.real.flat[::3] = specials[k.flat[::3]]
+    u.imag.flat[::3] = specials[k.flat[::3] - 1]
+    v.flat[::5] = specials[k.flat[::5]]
+    lx, ly, t = 7.0, -3.0 if nx == 2 else 3.0, -0.0
+    path = tmp_path / "box.csv"
+    write_box_csv(path, Field(lx, ly, u, v, t, 0.0))
+    rows = [(t, ix * lx / nx, iy * ly / ny, complex(u[ix, iy]),
+             float(v[ix, iy]), True)
+            for iy in range(ny) for ix in range(nx)]
+    assert path.read_text(encoding="utf-8") == reference_csv(rows)

@@ -48,3 +48,33 @@ def test_tracer_patches_restores_and_wraps_solutions(monkeypatch):
     metrics = tracer.layer_metrics(0)
     assert metrics["catalog.valid_calls"] == 1
     assert metrics["catalog.u_calls"] == metrics["catalog.v_calls"] == 1
+
+
+def test_write_path_counts_rows_and_bytes_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    batches = []
+    field_rows = gridio.field_rows
+
+    def counting(sol, points):
+        batches.append(len(points))
+        return field_rows(sol, points)
+
+    # Patched before the tracer, so the tracer wraps the counting version.
+    monkeypatch.setattr(gridio, "field_rows", counting)
+    sol = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
+                   parse_timefn("0.1*t"))
+    # x = pi/2, the tan pole at t = 0, is a grid column: invalid rows too.
+    points = gridio.GridSpec((0.0,), (0.0, math.pi, 71),
+                             (-1.0, 1.0, 65)).points()
+    n = len(points)
+    assert n > gridio._CHUNK and n % gridio._CHUNK
+    path = tmp_path / "field.csv"
+    tracer = Tracer()
+    with tracer.install():
+        gridio.write_field_csv(path, sol, points)
+    assert tracer.counts["rows_written"] == n
+    assert tracer.counts["bytes_written"] == path.stat().st_size
+    assert sum(batches) == n and max(batches) <= gridio._CHUNK
+    assert ",false\n" in path.read_text(encoding="utf-8")
