@@ -27,13 +27,14 @@ family_c   travelling-line profiles nu(w) over the eight profile kinds,
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .ansatz import frame, match_cubic, v_profile_coefficient
-from .elliptic import SINGULARITY_GUARD, make_profile
+from .elliptic import SINGULARITY_GUARD, Profile, make_profile
 from .errors import ConfigError, MixedCaseUnsupported, NoRealSolution, \
     UnsupportedVariant
 from .timefn import TimeFunction, jet_arrays
@@ -79,22 +80,46 @@ class Solution:
     provenance: dict = field(default_factory=dict)
 
 
+# Jets and profile values of the eval_solution call in progress, or None.
+_scope = ContextVar("dsexact_eval_scope", default=None)
+
+
+def scoped(fn, obj, a):
+    """``fn(obj, a)`` for an array ``a``, computed once per distinct
+    ``(fn, obj, a)`` within one ``eval_solution`` call, so that ``valid``,
+    ``u`` and ``v`` share it; outside a call, plain ``fn(obj, a)``."""
+    memo = _scope.get()
+    if memo is None:
+        return fn(obj, a)
+    a = np.asarray(a)
+    key = (fn, id(obj), a.dtype.str, a.shape, a.tobytes())
+    if key not in memo:
+        memo[key] = fn(obj, a)
+    return memo[key]
+
+
 def eval_solution(sol: Solution, t, x, y):
     """Evaluate (u, v, valid) at broadcastable points t, x, y.
 
     ``valid`` is computed first and ``u``, ``v`` only at the valid points;
-    the others get NaN.  Returns arrays of the broadcast shape (numpy
-    scalars for scalar input).
+    the others get NaN.  Within the call, jets and profile values are
+    computed once per distinct argument (see ``scoped``).  Returns arrays of
+    the broadcast shape (numpy scalars for scalar input).
     """
     t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (t, x, y)))
-    ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), dtype=bool), t.shape)
     u = np.full(t.shape, complex("nan"))
     v = np.full(t.shape, math.nan)
-    if ok.any():
-        tv, xv, yv = t[ok], x[ok], y[ok]
-        u[ok] = sol.u(tv, xv, yv)
-        v[ok] = sol.v(tv, xv, yv)
+    token = _scope.set({})
+    try:
+        ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), bool), t.shape)
+        if ok.any():
+            at = ... if ok.all() else ok  # no masked copies if all are valid
+            tv, xv, yv = t[at], x[at], y[at]
+            u[at] = sol.u(tv, xv, yv)
+            v[at] = sol.v(tv, xv, yv)
+    finally:
+        _scope.reset(token)
     return u[()], v[()], ok[()]
 
 
@@ -112,21 +137,21 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
     c = float(c)
 
     def u(t, x, y):
-        j, _ = jet_arrays(im, t)
+        j, _ = scoped(jet_arrays, im, t)
         alpha_p = 0.5 * j.d1 - eps1 * j.d2 / (4.0 * j.d1)
         beta_p = -j.d2 / (4.0 * j.d1) - eps1 * j.d1 / 2.0
         return c * np.sqrt(j.d1) * np.exp(
             1j * (alpha_p * x * x + beta_p * y * y))
 
     def v(t, x, y):
-        j, _ = jet_arrays(im, t)
+        j, _ = scoped(jet_arrays, im, t)
         quad = (j.d3 / (4.0 * j.d1)
                 - 3.0 * j.d2 * j.d2 / (8.0 * j.d1 * j.d1)
                 - j.d1 * j.d1 / 2.0)
         return quad * (eps1 * x * x + y * y) - eps2 * c * c * j.d1
 
     def valid(t, x, y):
-        j, ok = jet_arrays(im, t)
+        j, ok = scoped(jet_arrays, im, t)
         return ok & (j.d1 > IM_SLOPE_CUTOFF)
 
     return Solution(
@@ -170,7 +195,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         # alpha = beta + Im and theta = a*w1 + b*w2 + c in the stretched
         # coordinates w1 = exp(-2 alpha) x, w2 = exp(-2 beta) y, times the
         # quadratic phase beta' (x^2 + y^2).
-        j, _ = jet_arrays(beta, t)
+        j, _ = scoped(jet_arrays, beta, t)
         alpha = j.f + im_value
         w1 = np.exp(-2.0 * alpha) * x
         w2 = np.exp(-2.0 * j.f) * y
@@ -178,7 +203,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         return amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
 
     def v(t, x, y):
-        j, _ = jet_arrays(beta, t)
+        j, _ = scoped(jet_arrays, beta, t)
         quad = j.d2 + 2.0 * j.d1 * j.d1
         e2b = np.exp(-2.0 * j.f)
         e8b = e2b ** 4
@@ -191,7 +216,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         return -vxx * x * x - vyy * y * y - cross * x * y - linear
 
     def valid(t, x, y):
-        return jet_arrays(beta, t)[1]
+        return scoped(jet_arrays, beta, t)[1]
 
     return Solution(
         variant, u, v, valid,
@@ -232,23 +257,23 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
     zeta, eta, ell1 = fr.zeta, fr.eta, fr.ell1
 
     def u(t, x, y):
-        j, _ = jet_arrays(beta, t)
+        j, _ = scoped(jet_arrays, beta, t)
         stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
-        return amp * stretch * profile.value(w) * np.exp(
+        return amp * stretch * scoped(Profile.value, profile, w) * np.exp(
             1j * j.d1 * (eps1 * x * x + y * y))
 
     def v(t, x, y):
-        j, _ = jet_arrays(beta, t)
+        j, _ = scoped(jet_arrays, beta, t)
         stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
-        nu = amp * profile.value(w)
+        nu = amp * scoped(Profile.value, profile, w)
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
         return gamma * (eps1 * x * x + y * y) \
             + stretch * stretch * (c_v + kappa * nu * nu)
 
     def valid(t, x, y):
-        j, ok = jet_arrays(beta, t)
+        j, ok = scoped(jet_arrays, beta, t)
         w = np.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
         return ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 

@@ -258,6 +258,9 @@ def _cmd_evolve(cfg, args) -> int:
     n = _count(cfg, "/evolve/n", 64)
     t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
     dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
+    if dt > 0.0 and round(t_final / dt) == 0:
+        raise ConfigError(f"evolve would run zero steps: T={t_final} is "
+                          f"less than half a step dt={dt}")
     v_mean = None
     if _get(cfg, "/evolve/v_mean", "exact") != "exact":
         v_mean = _number(cfg, "/evolve/v_mean")

@@ -130,11 +130,16 @@ def advance(field: Field, variant: Variant, dt: float,
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
     half, full = np.exp(phase / 4.0), np.exp(phase / 2.0)
     uhat = np.fft.fft2(field.u) * half
+    rotation = np.empty_like(uhat)
     for i in range(n_steps):
         u = np.fft.ifft2(uhat)
         g = u.real ** 2 + u.imag ** 2
         v = _invert(g, multiplier, field.v_mean)
-        u *= np.exp(-1j * (variant.eps2 * g + v) * dt)
+        # exp(-i theta), built from the cosine and sine of the real theta.
+        theta = (variant.eps2 * g + v) * dt
+        np.cos(theta, out=rotation.real)
+        np.negative(np.sin(theta), out=rotation.imag)
+        u *= rotation
         if not np.all(np.isfinite(u)):
             raise BlowupError(f"NaN or overflow in u during time step "
                               f"(step {i + 1} of {n_steps})")

@@ -167,11 +167,13 @@ def _rms(values) -> float:
     """Root mean square of non-negative values.  Only where the squares of
     finite values overflow is the sum rescaled by the largest value, so
     every other rms is the plain one, bit for bit."""
-    values = values.tolist()
+    with np.errstate(over="ignore"):
+        squares = (values * values).tolist()
     try:
-        total = math.fsum(v * v for v in values)
+        total = math.fsum(squares)
     except OverflowError:  # finite squares whose exact sum overflows
         total = math.inf
+    values = values.tolist()
     if math.isfinite(total) or not all(map(math.isfinite, values)):
         return math.sqrt(total / len(values))
     big = max(values)

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import Solution
+from .catalog import Solution, scoped
 from .errors import ConfigError
 from .timefn import TimeFunction, jet_arrays
 
@@ -68,7 +68,7 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
     eps1 = sol.variant.eps1
 
     def jets(t):
-        return [jet_arrays(f, t) for f in (alpha, beta, gamma)]
+        return [scoped(jet_arrays, f, t) for f in (alpha, beta, gamma)]
 
     def u(t, x, y):
         (aj, _), (bj, _), (gj, _) = jets(t)

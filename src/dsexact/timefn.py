@@ -285,7 +285,8 @@ def jet_arrays(f: TimeFunction, t):
     t = np.asarray(t, dtype=float)
     flat = t.reshape(-1)
     # A field sampled at one time repeats one t at every point: walk it once.
-    if flat.size > 1 and (flat == flat[0]).all():
+    repeated = flat.size > 1 and (flat == flat[0]).all()
+    if repeated:
         flat = flat[:1]
     j, fails = f._walk(flat)
     cols = np.empty((4, flat.size))
@@ -295,8 +296,11 @@ def jet_arrays(f: TimeFunction, t):
         ok &= ~bad
     if not ok.all():
         cols[:, ~ok] = np.nan
-    cols = np.broadcast_to(cols, (4, t.size)).reshape((4,) + t.shape)
-    return Jet(*cols), np.broadcast_to(ok, t.size).reshape(t.shape)
+    cols.flags.writeable = ok.flags.writeable = False
+    if repeated:
+        cols = np.broadcast_to(cols, (4, t.size))
+        ok = np.broadcast_to(ok, t.size)
+    return Jet(*cols.reshape((4,) + t.shape)), ok.reshape(t.shape)
 
 
 # ---------------------------------------------------------------------------

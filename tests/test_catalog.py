@@ -9,9 +9,12 @@ import pytest
 
 from dsexact import ConfigError, MixedCaseUnsupported, NoRealAmplitude, \
     NoRealSolution, TransformSpec, UnsupportedVariant, TimeFunction, \
-    Variant, compose, eval_solution, family_a, family_b, family_c, \
+    Variant, catalog, compose, eval_solution, family_a, family_b, family_c, \
     jacobi_sn_cn_dn, parse_timefn
+from dsexact.catalog import scoped
+from dsexact.elliptic import Profile
 from dsexact.selftest import default_verification_matrix
+from dsexact.timefn import jet_arrays
 
 
 def test_variant_validation():
@@ -273,6 +276,17 @@ def test_eval_solution_broadcasts_like_pointwise_calls(name, sol, pole_x,
                 assert abs(u[i, j] - up) <= 1e-14 * abs(up), (name, i, j)
                 assert abs(v[i, j] - vp) <= 1e-14 * abs(vp), (name, i, j)
 
+    # Bitwise what direct, unscoped calls give at the points eval_solution
+    # passes on: the valid ones, or all points of an all-valid grid.
+    t = np.broadcast_to(ts[:, None], x.shape)
+    assert np.array_equal(u[ok], sol.u(t[ok], x[ok], y[ok]))
+    assert np.array_equal(v[ok], sol.v(t[ok], x[ok], y[ok]))
+    t, x, y = t[:2, :-1], x[:2, :-1], y[:2, :-1]
+    u, v, ok = eval_solution(sol, t, x, y)
+    assert ok.all()
+    assert np.array_equal(u, sol.u(t, x, y))
+    assert np.array_equal(v, sol.v(t, x, y))
+
 
 def test_overflowing_time_function_makes_points_invalid():
     sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
@@ -337,3 +351,88 @@ def test_replaced_fields_route_evaluation_through_wrappers():
     u0, v0, ok0 = eval_solution(_t1_t2_chain(base), t, x, y)
     assert np.array_equal(ok, ok0) and ok.all()
     assert np.array_equal(u, u0) and np.array_equal(v, v0)
+
+
+# ---------------------------------------------------------------------------
+# The evaluation scope of eval_solution: jets and profile values computed
+# once per call, shared by valid, u and v, and never kept across calls.
+# ---------------------------------------------------------------------------
+
+def _count_walks_and_profiles(monkeypatch):
+    walks, profiles = Counter(), Counter()
+    walk, value = TimeFunction._walk, Profile.value
+
+    def counting_walk(self, t):
+        walks[id(self)] += 1
+        return walk(self, t)
+
+    def counting_value(self, s):
+        profiles[id(self)] += 1
+        return value(self, s)
+
+    monkeypatch.setattr(TimeFunction, "_walk", counting_walk)
+    monkeypatch.setattr(Profile, "value", counting_value)
+    return walks, profiles
+
+
+def test_eval_solution_walks_each_time_function_once_per_call(monkeypatch):
+    beta = parse_timefn("0.1*t")
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0, beta)
+    shift = [parse_timefn("0.3*sin(t)"), parse_timefn("0.2*t^2"),
+             parse_timefn("t^2")]
+    chain = compose([TransformSpec("T1", alpha=shift[0], beta=shift[1],
+                                   gamma=shift[2]),
+                     TransformSpec("T2", b=2.0)], line)
+    t = np.array([[0.3], [0.6]])
+    x, y = np.linspace(-0.5, 0.5, 5), 0.2
+    walks, profiles = _count_walks_and_profiles(monkeypatch)
+    for sol, fns in ((line, [beta]), (chain, [beta, *shift])):
+        walks.clear()
+        profiles.clear()
+        # A second call walks again: nothing is reused across calls.
+        for calls in (1, 2):
+            assert eval_solution(sol, t, x, y)[2].all()
+            assert walks == {id(f): calls for f in fns}
+            assert list(profiles.values()) == [calls]
+
+
+def test_raising_valid_leaves_no_scope_behind():
+    def boom(t, x, y):
+        scoped(jet_arrays, parse_timefn("t"), t)
+        raise ValueError("boom")
+
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
+                    parse_timefn("0.1*t"))
+    with pytest.raises(ValueError, match="boom"):
+        eval_solution(dataclasses.replace(line, valid=boom), 0.3, 0.1, 0.2)
+    assert catalog._scope.get() is None
+
+
+def test_scope_keys_on_shape_and_bytes():
+    # One time function at two different t of one shape: the shift's alpha
+    # is the base's beta, which the scaling hands t/4.
+    beta = parse_timefn("0.1*t + 0.05*t^2")
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0, beta)
+    chain = compose([TransformSpec("T2", b=2.0),
+                     TransformSpec("T1", alpha=beta, beta=parse_timefn("0"),
+                                   gamma=parse_timefn("0"))], line)
+    t, x, y = np.broadcast_arrays(np.array([[0.3], [0.6]]),
+                                  np.linspace(-0.5, 0.5, 3), 0.2)
+    u, v, ok = eval_solution(chain, t, x, y)
+    assert ok.all()
+    assert np.array_equal(u, chain.u(t, x, y))
+    assert np.array_equal(v, chain.v(t, x, y))
+
+    # Equal bytes in two shapes are two entries; an equal argument is one.
+    seen = []
+
+    def valid(t, x, y):
+        flat = np.ravel(t)
+        seen.extend(scoped(jet_arrays, beta, a)
+                    for a in (flat.reshape(2, 3), flat.reshape(3, 2),
+                              flat.reshape(2, 3).copy()))
+        return True
+
+    eval_solution(dataclasses.replace(line, valid=valid), t, x, y)
+    assert [j.f.shape for j, _ in seen] == [(2, 3), (3, 2), (2, 3)]
+    assert seen[2] is seen[0] and seen[1] is not seen[0]

@@ -259,9 +259,11 @@ def test_verify_rejects_bad_step(tmp_path, capsys, h):
 
 
 @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"],
-                                   ["--T", "-1"]])
+                                   ["--T", "-1"], ["--T", "0"],
+                                   ["--T", "0.0004"]])
 def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
-    # These would run zero steps and report a vacuous pass.
+    # These would run zero steps and report a vacuous pass: T = 0.0004 is
+    # less than half of dt = 1e-3 and rounds to no step at all.
     L = 4.0 * ellipk(0.5)
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
@@ -273,7 +275,8 @@ def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
         "out": str(tmp_path / "evolve.json"),
     })
     assert main(["evolve", "--config", cfg, *flags]) == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "T=" in err and "dt=" in err
     assert not (tmp_path / "evolve.json").exists()
 
 

@@ -78,3 +78,22 @@ def test_write_path_counts_rows_and_bytes_in_chunks(tmp_path, monkeypatch):
     assert tracer.counts["bytes_written"] == path.stat().st_size
     assert sum(batches) == n and max(batches) <= gridio._CHUNK
     assert ",false\n" in path.read_text(encoding="utf-8")
+
+
+def test_traced_profile_is_evaluated_once_per_call(monkeypatch):
+    # u and v share one profile value within an eval_solution call; the
+    # tracer's patch of Profile.value still sees that one call.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    sol = tracer.catalog(family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
+                                  parse_timefn("0.1*t")))
+    with tracer.install():
+        _, _, ok = eval_solution(sol, 0.3, np.linspace(-0.5, 0.5, 5), 0.2)
+    assert ok.all()
+    metrics = tracer.layer_metrics(0)
+    assert metrics["catalog.valid_calls"] == 1
+    assert metrics["catalog.u_calls"] == metrics["catalog.v_calls"] == 1
+    assert metrics["elliptic.profile_calls"] == 1
+    assert metrics["elliptic.jacobi_calls"] == 1
