@@ -258,7 +258,7 @@ def _cmd_evolve(cfg, args) -> int:
     n = _count(cfg, "/evolve/n", 64)
     t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
     dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
-    if dt > 0.0 and round(t_final / dt) == 0:
+    if dt > 0.0 and abs(t_final / dt) <= 0.5:
         raise ConfigError(f"evolve would run zero steps: T={t_final} is "
                           f"less than half a step dt={dt}")
     v_mean = None

@@ -260,10 +260,11 @@ def test_verify_rejects_bad_step(tmp_path, capsys, h):
 
 @pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"],
                                    ["--T", "-1"], ["--T", "0"],
-                                   ["--T", "0.0004"]])
+                                   ["--T", "0.0004"], ["--dt", "1e-320"]])
 def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
     # These would run zero steps and report a vacuous pass: T = 0.0004 is
-    # less than half of dt = 1e-3 and rounds to no step at all.
+    # less than half of dt = 1e-3 and rounds to no step at all.  At
+    # dt = 1e-320 the step count T/dt overflows to inf.
     L = 4.0 * ellipk(0.5)
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
@@ -358,6 +359,8 @@ MALFORMED = [
     ("verify", "/params/m", None, [], "/params/m"),
     ("verify", "/params/m", 1.0, [], "/params/m"),
     ("evolve", "/params/m", -0.2, [], "/params/m"),
+    ("evolve", "/evolve/box/0", 0.0, [], "lx="),
+    ("evolve", "/evolve/box/1", -1.0, [], "ly="),
 ]
 
 

@@ -207,6 +207,43 @@ def test_crosscheck_tracks_boosted_profile():
     assert rep["max_dev"] <= 1e-5
 
 
+@pytest.mark.parametrize("ell1, lx", [
+    # The 0.8 L box of test_crosscheck_rejects_aperiodic_and_plus_branch:
+    # a periodic profile on an incommensurate box.
+    (0.0, 0.8),
+    # sn(s + 2K) = -sn(s): u is 0 at both ends of the box and v ~ sn^2 is
+    # periodic, so only a second phase sees the sign flip.
+    (0.0, 0.5),
+    # sn(2K - s) = sn(s): the mirror maps x = 0 onto x = Lx exactly, but
+    # not x = dx onto x = Lx + dx.
+    (0.4, 0.5 - 0.8 / (4.0 * ellipk(0.5))),
+])
+def test_make_field_rejects_aperiodic(ell1, lx):
+    L = 4.0 * ellipk(0.5)
+    sol = family_c(DS2, "sn", 0.5, math.pi / 2.0, ell1, parse_timefn("0"))
+    with pytest.raises(PeriodicityError, match="wraparound mismatch"):
+        make_field(sol, lx * L, L, 32)
+    with pytest.raises(PeriodicityError, match="wraparound mismatch"):
+        crosscheck(sol, lx * L, L, 32, 0.1, 1e-3)
+
+
+def test_crosscheck_samples_the_solution_twice(monkeypatch):
+    # One grid sample at t = 0 seeds the field and one at the end
+    # time gives the exact u; each also decides validity and wraparound.
+    L = 4.0 * ellipk(0.5)
+    calls = []
+    sample = evolve.eval_solution
+
+    def counting(sol, t, x, y):
+        calls.append(t)
+        return sample(sol, t, x, y)
+
+    monkeypatch.setattr(evolve, "eval_solution", counting)
+    rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
+    assert rep["n_steps"] == 5
+    assert calls == [0.0, rep["t_final"]]
+
+
 def test_crosscheck_rejects_aperiodic_and_plus_branch():
     m = 0.5
     L = 4.0 * ellipk(m)
@@ -229,16 +266,15 @@ def test_crosscheck_rejects_aperiodic_and_plus_branch():
         crosscheck(ds1, L, L, 32, 0.1, 1e-3)
 
 
-@pytest.mark.parametrize("family, params, point", [
-    # Im = ln(t) has no value at t = 0: the first probe is the first named.
-    ("A", {"Im": "ln(t)", "c": 1.0}, "(0.52, 1.16)"),
-    # The pole line y = 0 runs through the corner probe.
+@pytest.mark.parametrize("family, params", [
+    # Im = ln(t) has no value at t = 0, so no grid point is valid.
+    ("A", {"Im": "ln(t)", "c": 1.0}),
+    # The pole line y = 0 runs through the first grid point.
     ("C", {"kind": "rational", "ell": math.pi / 2.0, "ell1": 0.0,
-           "beta": "0"}, "(0, 0)"),
+           "beta": "0"}),
 ])
-def test_invalid_probe_names_its_point(tmp_path, capsys, family, params,
-                                       point):
-    message = f"solution invalid at probe point {point} at t=0"
+def test_invalid_box_point_is_named(tmp_path, capsys, family, params):
+    message = "solution invalid at grid point (0, 0) at t=0"
     cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": family,
            "params": params,
            "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01, "dt": 1e-3},
