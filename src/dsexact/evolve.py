@@ -48,6 +48,9 @@ __all__ = ["Field", "make_field", "poisson_v", "advance", "step", "mass",
 # Wraparound mismatch (relative to the field scale) beyond which a solution
 # is rejected as aperiodic on the requested box.
 _PERIODICITY_TOL = 1e-9
+# Most steps a cross-check takes: about half an hour at n = 128, where a step
+# takes about 1.6 ms on a 2-core x86-64 VM.
+_MAX_STEPS = 10 ** 6
 
 
 def _require_power_of_two(n: int, name: str):
@@ -201,8 +204,8 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time and
     the mass drift, and the evolved Field.  ``dt`` and the box lengths must
-    be positive, ``t_final`` non-negative, and all of them and ``t_final /
-    dt`` finite, or ConfigError is raised.
+    be positive, ``t_final`` non-negative, all of them finite, and ``t_final
+    / dt`` must round to at most _MAX_STEPS steps, or ConfigError is raised.
     """
     if sol.variant.eps1 != -1:
         raise UnsupportedVariant("cross-check is limited to eps1=-1")
@@ -213,6 +216,10 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"lx > 0 and ly > 0, got T={t_final}, dt={dt}, "
                           f"lx={lx}, ly={ly}")
     n_steps = int(round(t_final / dt))
+    if n_steps > _MAX_STEPS:
+        raise ConfigError(f"evolve would run {t_final / dt:.3g} steps: "
+                          f"T={t_final} and dt={dt} exceed the cap of "
+                          f"{_MAX_STEPS} steps")
     t_end = n_steps * dt
     field = make_field(sol, lx, ly, n, v_mean=v_mean)
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)

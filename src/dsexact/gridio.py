@@ -5,12 +5,16 @@ x fastest-varying, every float printed as ``%.17g`` (the same text as
 ``format(x, ".17g")``, ``-0``, ``inf`` and ``nan`` included) so repeated
 runs are byte-identical.  Invalid points are emitted with ``valid=false``
 and empty numeric cells.  Fields are evaluated, formatted and written
-_CHUNK points at a time, never as one whole-file row list.  Reports are
-strict JSON with sorted keys and non-finite numbers written as ``null``.
+_CHUNK points at a time, never as one whole-file row list.  A chunk's
+floats are formatted column-wise (``_spell``) and its rows built as one
+byte matrix; the few values whose rounding the column-wise digits cannot
+decide are formatted by ``%``.  Reports are strict JSON with sorted keys
+and non-finite numbers written as ``null``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -30,10 +34,19 @@ FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
 # memory of large grids.
 _CHUNK = 4096
 
-# %.17g prints exactly as format(x, ".17g"), including -0, inf and nan.  The
-# t, x, y cells arrive as text (%s): a grid repeats them across rows.
-_VALID_ROW = "%s,%s,%s,%.17g,%.17g,%.17g,%.17g,true\n"
-_INVALID_ROW = "%s,%s,%s,,,,,false\n"
+# Bytes of a %.17g cell: a sign, "0.000", 17 digits and a dot, "e+ddd".
+# Unused bytes are NUL and deleted once a chunk's rows are joined.
+_CELL = 29
+# |x| range of _decimal, where its products neither overflow nor lose bits
+# to subnormals, and how close to a rounding tie or to a decade its
+# double-double may come before ``%`` decides.
+_LIMIT = 1e268
+_MARGIN = 1e-9
+# Index of the 18 digit-and-dot bytes of a cell, as a column.
+_SLOT = np.arange(18, dtype=np.uint8)[:, None]
+_MINUS, _ZERO, _DOT = np.frombuffer(b"-0.", np.uint8)
+# Row ends indexed by the valid flag; the NUL goes with the padding.
+_TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 
 
 def _linspace(lo: float, hi: float, count: int):
@@ -73,27 +86,127 @@ class GridSpec:
         return np.stack([t.ravel(), x.ravel(), y.ravel()], axis=1)
 
 
+def _split(a):
+    """Dekker's split of ``a`` into a high and a low half of 26 bits each."""
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+@functools.cache
+def _pow10():
+    """(4, 540) array: 10**k for k = -253..286 as hi + lo (hi correctly
+    rounded, lo the rounded remainder) and the Dekker halves of hi, in
+    column k + 253.  Integer division of Python ints rounds correctly."""
+    table = []
+    for k in range(-253, 287):
+        num, den = 10 ** max(k, 0), 10 ** max(-k, 0)
+        p, q = (num / den).as_integer_ratio()
+        table.append((num / den, (num * q - p * den) / (den * q)))
+    hi, lo = np.array(table).T
+    return np.stack([hi, lo, *_split(hi)])
+
+
+@functools.cache
+def _affixes():
+    """(10, 601) uint8 array: column e + 300 holds the 5 NUL-padded bytes
+    %.17g writes before the digits of a value of decimal exponent e ("0.00"
+    at e = -3) and the 5 after them ("e+17" at e = 17)."""
+    text = b"".join(
+        (b"0." + b"0" * (-1 - e) if -4 <= e < 0 else b"").ljust(5, b"\0")
+        + (b"" if -4 <= e < 17 else b"e%+03d" % e).ljust(5, b"\0")
+        for e in range(-300, 301))
+    return np.frombuffer(text, np.uint8).reshape(-1, 10).T.copy()
+
+
+def _decimal(x):
+    """``(m, e, slow)``: |x| rounded half-even to 17 digits is ``m *
+    10**(e - 16)``, 10**16 <= m < 10**17, except at the indices ``slow``.
+
+    With e = floor(log10 |x|), ``|x| * 10**(16 - e)`` is the double-double
+    ``ph + pl`` (Dekker's exact product with hi, plus ``|x| * lo``), whose
+    ph >= 2**53 is an integer, so rounding pl rounds m.  Slow are 0, inf,
+    nan, |x| beyond _LIMIT, an e that log10 rounded across a decade (then
+    ``ph + pl`` falls outside [1e16, 1e17)) and values within _MARGIN of
+    1e16 or of a rounding tie."""
+    a = np.abs(x)
+    fast = (a >= 1 / _LIMIT) & (a <= _LIMIT)  # false for 0, inf and nan
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo, hh, hl = _pow10().take(269 - e, axis=1)
+    ah, al = _split(a)
+    ph = a * hi
+    pl = ((ah * hh - ph) + ah * hl + al * hh) + al * hl + a * lo
+    slow = np.flatnonzero(~fast | ((ph - 1e16) + pl < _MARGIN)
+                          | (ph + pl >= 1e17)
+                          | (np.abs(pl - np.floor(pl) - 0.5) < _MARGIN))
+    return ph.astype(np.int64) + np.rint(pl).astype(np.int64), e, slow
+
+
+def _spell(x):
+    """(_CELL, n) uint8 array whose column j is ``format(x[j], ".17g")``,
+    NUL-padded: the digits of _decimal laid out as %.17g lays them out, and
+    ``%`` for the values _decimal leaves."""
+    m, e, slow = _decimal(x)
+    # d[i]: digit i of the 9- and of the 8-digit half of m.
+    hi = m // 10 ** 8
+    q = np.stack([hi, m - hi * 10 ** 8]).astype(np.uint32)
+    d = np.empty((9, 2, x.size), np.uint8)
+    for i in range(8, -1, -1):
+        r = q // 10
+        d[i] = q - r * 10
+        q = r
+    d = np.concatenate([d[:, 0], d[1:, 1]])
+    last = (_SLOT[:17] * (d != 0)).max(axis=0)  # the last nonzero digit
+    # Digits are kept up to the units (0 in exponent form, where the first
+    # digit is the units) and then up to the last nonzero one; the dot
+    # follows the units if a digit is kept after them.
+    units = np.where((e > 0) & (e < 17), e, 0).astype(np.uint8)
+    dot = np.where((last <= units) | ((e >= -4) & (e < 0)), 18,
+                   units + 1).astype(np.uint8)
+    digits = (d + _ZERO) * (_SLOT[:17] <= np.maximum(last, units))
+    out = np.zeros((_CELL, x.size), np.uint8)
+    out[0] = np.signbit(x) * _MINUS
+    for rows, affix in zip((out[1:6], out[24:]), np.split(_affixes(), 2)):
+        affix.take(e + 300, axis=1, out=rows, mode="clip")
+    # Digits before the dot, the dot, digits after it.
+    body = out[6:24]
+    np.multiply(digits, _SLOT[:17] < dot, out=body[:17])
+    body[1:] += digits * (_SLOT[1:] > dot)
+    body += (_SLOT == dot) * _DOT
+    if slow.size:
+        text = np.array(["%.17g" % c for c in x[slow].tolist()],
+                        dtype=f"S{_CELL}")
+        out[:, slow] = text.view(np.uint8).reshape(-1, _CELL).T
+    return out
+
+
 def _format_rows(t, x, y, u, v, ok):
     """Newline-terminated CSV rows of flat sample arrays, one list entry per
-    row; an invalid point keeps only its t, x, y.  Each distinct coordinate
-    is formatted once, keyed by its bits so that -0 and 0 stay apart."""
+    row; an invalid point keeps only its t, x, y.  The rows are built as one
+    byte matrix: each distinct coordinate is spelled once, keyed by its bits
+    so that -0 and 0 stay apart, and each value column at once."""
+    n = ok.size
     bits, where = np.unique(np.stack([t, x, y]).view(np.int64),
                             return_inverse=True)
-    text = np.array(["%.17g" % c for c in bits.view(np.float64).tolist()],
-                    dtype=object)
-    tt, xx, yy = text[where.reshape(3, -1)].tolist()
-    # Python floats (tolist): numpy scalars are slower to %-format.
-    cells = zip(tt, xx, yy, u.real.tolist(), u.imag.tolist(),
-                np.abs(u).tolist(), v.tolist())
-    return [_VALID_ROW % c if good else _INVALID_ROW % c[:3]
-            for c, good in zip(cells, ok.tolist())]
+    rows = np.empty((n, 7 * (_CELL + 1) + 6), np.uint8)
+    cells = rows[:, :-6].reshape(n, 7, _CELL + 1)
+    coords = _spell(bits.view(np.float64)).T.copy()
+    cells[:, :3, :-1] = coords[where.reshape(3, -1)].transpose(1, 0, 2)
+    # Invalid cells are spelled from a finite stand-in, then blanked.
+    for k, column in enumerate((u.real, u.imag, np.abs(u), v), 3):
+        cells[:, k, :-1] = (_spell(np.where(ok, column, 1.0)) * ok).T
+    cells[:, :, -1] = ord(",")
+    rows[:, -6:] = _TAILS[ok.astype(np.intp)]
+    text = rows.tobytes().translate(None, b"\0").decode("ascii")
+    return text.splitlines(keepends=True)
 
 
 def field_rows(sol: Solution, points):
     """Newline-terminated CSV rows, one list entry per row, of a solution
     sampled at the given points: an (N, 3) array or a sequence of (t, x, y).
-    The points are evaluated and formatted in one batch; the writers pass
-    _CHUNK at a time."""
+    The points are evaluated in one batch and formatted column-wise, byte
+    for byte as ``format(x, ".17g")``; the writers pass _CHUNK at a time."""
     t, x, y = np.asarray(points, dtype=float).reshape(-1, 3).T
     return _format_rows(t, x, y, *eval_solution(sol, t, x, y))
 
@@ -113,7 +226,7 @@ def _write_chunks(path, n, rows):
     with _open_output(path) as fh:
         fh.write(FIELD_HEADER + "\n")
         for start in range(0, n, _CHUNK):
-            fh.writelines(rows(slice(start, start + _CHUNK)))
+            fh.write("".join(rows(slice(start, start + _CHUNK))))
 
 
 def write_field_csv(path, sol: Solution, points):

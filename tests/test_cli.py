@@ -281,6 +281,29 @@ def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
     assert not (tmp_path / "evolve.json").exists()
 
 
+def test_evolve_rejects_step_count_above_cap(tmp_path, capsys, monkeypatch):
+    # T/dt = 1e303 is finite but would step for ever: it is refused before
+    # the first step.
+    def no_steps(*args):
+        raise AssertionError("advance called")
+
+    monkeypatch.setattr(evolve, "advance", no_steps)
+    L = 4.0 * ellipk(0.5)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                   "ell1": 0.0, "beta": "0"},
+        "evolve": {"box": [L, L], "n": 16, "T": 1e300, "dt": 1e-3},
+        "out": str(tmp_path / "evolve.json"),
+    })
+    assert main(["evolve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "T=1e+300" in err and "dt=0.001" in err
+    assert f"cap of {evolve._MAX_STEPS} steps" in err
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

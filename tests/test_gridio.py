@@ -10,7 +10,8 @@ import pytest
 
 from dsexact import Field, GridSpec, Variant, write_field_csv
 from dsexact.catalog import Solution
-from dsexact.gridio import _CHUNK, FIELD_HEADER, write_box_csv
+from dsexact.gridio import _CHUNK, FIELD_HEADER, _decimal, _spell, \
+    write_box_csv
 
 INF, NAN = math.inf, math.nan
 # Both sides of the fixed/exponent switch of %.17g, signed zeros, the
@@ -120,3 +121,40 @@ def test_box_csv(tmp_path, nx, ny):
              float(v[ix, iy]), True)
             for iy in range(ny) for ix in range(nx)]
     assert path.read_text(encoding="utf-8") == reference_csv(rows)
+
+
+def neighbours(values, steps):
+    """Each value and the ``steps`` doubles on either side of it."""
+    out = [values]
+    up = down = values
+    for _ in range(steps):
+        up, down = np.nextafter(up, INF), np.nextafter(down, -INF)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_column_formatter_matches_format():
+    rng = np.random.default_rng(20)
+    # m / 4 with m odd and 16 integer digits: exact ties at the 17th digit.
+    ties = (rng.integers(4 * 10 ** 15, 2 ** 53, 50_000) | 1) / 4.0
+    decades = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    others = np.concatenate([
+        # Random bit patterns: both signs, subnormals, inf, nan payloads.
+        np.frombuffer(rng.bytes(8 * 60_000), np.float64),
+        neighbours(decades, 1),
+        # Seventeen nines: at or next to a decade, 1e+17 and the like.
+        [float(f"9.9999999999999999e{k}") for k in range(-300, 300)],
+        # The fixed/exponent switches of %.17g.
+        neighbours(np.array([1e-5, 1e-4, 1e16, 1e17]), 100),
+        rng.normal(size=30_000) * 10.0 ** rng.integers(-8, 20, 30_000),
+        [0.0, INF, NAN, 99999999999999999.0, 2251799813685247.75]])
+    others = np.concatenate([others, -others])
+    values = np.concatenate([ties, others])
+    assert values.size >= 200_000
+    cells = np.vstack([_spell(values), np.full(values.size, ord("\n"))])
+    got = cells.T.tobytes().translate(None, b"\0").decode().split("\n")
+    assert got[:-1] == [format(c, ".17g") for c in values.tolist()]
+    assert "1e+17" in got and "2251799813685247.8" in got
+    # Ties are left to %; nearly all other values are formatted column-wise.
+    assert _decimal(ties)[2].size == ties.size
+    assert _decimal(others)[2].size < 0.2 * others.size
