@@ -11,7 +11,8 @@ Commands
 Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config.  Every number, in a config or a flag,
 must be finite.  Exit codes: 0 pass, 1 verification failure, 2
-configuration error, 3 numerical blow-up.
+configuration error or input outside a family's contract, 3 numerical
+blow-up.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _cmd_eval(cfg, args, sol=None) -> int:
     if sol is None:
         sol = build_solution(cfg)
     out = _string(*_flag_or_field(cfg, args, "out", "/out"), "field.csv")
-    write_field_csv(out, sol, build_grid(cfg).points(seed=args.seed))
+    write_field_csv(out, sol, *build_grid(cfg).axes(seed=args.seed))
     print(f"wrote {out}")
     return 0
 

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Every error carries an ``exit_code`` used by the command-line front end:
-2 for configuration problems, 3 for numerical blow-up, 1 for everything
-else (verification failures included).
+2 for configuration problems and for inputs outside a family's or an
+operation's contract, 3 for numerical blow-up, 1 for everything else
+(verification failures included).
 """
 
 
@@ -40,21 +41,31 @@ class DomainError(DSError):
 class UnsupportedVariant(DSError):
     """The requested sign pair is outside the operation's contract."""
 
+    exit_code = 2
+
 
 class DegenerateMatch(DSError):
     """The cubic coefficient match has a vanishing cubic-term divisor."""
+
+    exit_code = 2
 
 
 class NoRealAmplitude(DSError):
     """The matched amplitude would be imaginary; no real solution exists."""
 
+    exit_code = 2
+
 
 class NoRealSolution(DSError):
     """The family's existence condition has no real parameter choice."""
 
+    exit_code = 2
+
 
 class MixedCaseUnsupported(DSError):
     """Linear-profile family with exactly one of a, b zero; not covered."""
+
+    exit_code = 2
 
 
 class StencilError(DSError):

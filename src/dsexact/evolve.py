@@ -132,21 +132,25 @@ def advance(field: Field, variant: Variant, dt: float,
     kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly)
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
     half, full = np.exp(phase / 4.0), np.exp(phase / 2.0)
-    uhat = np.fft.fft2(field.u) * half
+    uhat = np.fft.fft2(field.u)
+    uhat *= half
     rotation = np.empty_like(uhat)
     for i in range(n_steps):
         u = np.fft.ifft2(uhat)
         g = u.real ** 2 + u.imag ** 2
         v = _invert(g, multiplier, field.v_mean)
-        # exp(-i theta), built from the cosine and sine of the real theta.
         theta = (variant.eps2 * g + v) * dt
-        np.cos(theta, out=rotation.real)
-        np.negative(np.sin(theta), out=rotation.imag)
-        u *= rotation
-        if not np.all(np.isfinite(u)):
+        # A non-finite u makes theta non-finite, and a finite theta keeps
+        # |u| finite through the rotation.
+        if not np.all(np.isfinite(theta)):
             raise BlowupError(f"NaN or overflow in u during time step "
                               f"(step {i + 1} of {n_steps})")
-        uhat = np.fft.fft2(u) * (full if i + 1 < n_steps else half)
+        # exp(-i theta), built from the cosine and sine of the real theta.
+        np.cos(theta, out=rotation.real)
+        np.negative(np.sin(theta, out=rotation.imag), out=rotation.imag)
+        u *= rotation
+        uhat = np.fft.fft2(u)
+        uhat *= full if i + 1 < n_steps else half
     u = np.fft.ifft2(uhat)
     v = _invert(u.real ** 2 + u.imag ** 2, multiplier, field.v_mean)
     return replace(field, u=u, v=v, t=field.t + n_steps * dt)

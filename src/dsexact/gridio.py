@@ -4,12 +4,11 @@ Field files are CSV with the fixed header ``t,x,y,re_u,im_u,abs_u,v,valid``,
 x fastest-varying, every float printed as ``%.17g`` (the same text as
 ``format(x, ".17g")``, ``-0``, ``inf`` and ``nan`` included) so repeated
 runs are byte-identical.  Invalid points are emitted with ``valid=false``
-and empty numeric cells.  Fields are evaluated, formatted and written
-_CHUNK points at a time, never as one whole-file row list.  A chunk's
-floats are formatted column-wise (``_spell``) and its rows built as one
-byte matrix; the few values whose rounding the column-wise digits cannot
-decide are formatted by ``%``.  Reports are strict JSON with sorted keys
-and non-finite numbers written as ``null``.
+and empty numeric cells.  A field is a grid: each axis is spelled once per
+file, and the values are evaluated, spelled column-wise (``_spell``, with
+``%`` for the few values it cannot decide) and written _CHUNK points at a
+time from one byte matrix per chunk.  Reports are strict JSON with sorted
+keys and non-finite numbers written as ``null``.
 """
 
 from __future__ import annotations
@@ -66,23 +65,26 @@ class GridSpec:
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
 
-    def points(self, seed=None) -> np.ndarray:
-        """(N, 3) float array of (t, x, y) samples, x fastest-varying.
+    def axes(self, seed=None):
+        """(ts, xs, ys) float arrays of the grid's times and coordinates.
 
         ``seed`` jitters every x and y, endpoints included, by up to 0.3 x
         spacing (0.3 x (hi - lo) on a one-point axis) to break grid symmetry.
         """
-        xs = _linspace(*self.x_range)
-        ys = _linspace(*self.y_range)
-        if seed is not None:
-            rng = random.Random(seed)
-            dx = (self.x_range[1] - self.x_range[0]) / max(1, self.x_range[2] - 1)
-            dy = (self.y_range[1] - self.y_range[0]) / max(1, self.y_range[2] - 1)
-            rx = np.array([rng.random() for _ in xs])  # x draws before y
-            ry = np.array([rng.random() for _ in ys])
-            xs = xs + 0.3 * dx * (2.0 * rx - 1.0)
-            ys = ys + 0.3 * dy * (2.0 * ry - 1.0)
-        t, y, x = np.meshgrid(self.t_values, ys, xs, indexing="ij")
+        rng = random.Random(seed)
+        axes = [np.array(self.t_values, dtype=float)]
+        for lo, hi, count in (self.x_range, self.y_range):
+            a = _linspace(lo, hi, count)
+            if seed is not None:  # x draws before y
+                r = np.array([rng.random() for _ in a])
+                a = a + 0.3 * ((hi - lo) / max(1, count - 1)) * (2.0 * r - 1.0)
+            axes.append(a)
+        return tuple(axes)
+
+    def points(self, seed=None) -> np.ndarray:
+        """(N, 3) float array of the (t, x, y) of ``axes(seed)``, x fastest."""
+        ts, xs, ys = self.axes(seed)
+        t, y, x = np.meshgrid(ts, ys, xs, indexing="ij")
         return np.stack([t.ravel(), x.ravel(), y.ravel()], axis=1)
 
 
@@ -181,71 +183,70 @@ def _spell(x):
     return out
 
 
-def _format_rows(t, x, y, u, v, ok):
-    """Newline-terminated CSV rows of flat sample arrays, one list entry per
-    row; an invalid point keeps only its t, x, y.  The rows are built as one
-    byte matrix: each distinct coordinate is spelled once, keyed by its bits
-    so that -0 and 0 stay apart, and each value column at once."""
-    n = ok.size
-    bits, where = np.unique(np.stack([t, x, y]).view(np.int64),
-                            return_inverse=True)
-    rows = np.empty((n, 7 * (_CELL + 1) + 6), np.uint8)
-    cells = rows[:, :-6].reshape(n, 7, _CELL + 1)
-    coords = _spell(bits.view(np.float64)).T.copy()
-    cells[:, :3, :-1] = coords[where.reshape(3, -1)].transpose(1, 0, 2)
+def _rows(cells, index, u, v, ok):
+    """NUL-padded uint8 row matrix, one record per row, of the grid points
+    ``index`` = (it, ix, iy), coordinates gathered from the spelled axes
+    ``cells``; an invalid point keeps only its t, x, y."""
+    rows = np.empty((ok.size, 7 * (_CELL + 1) + 6), np.uint8)
+    cols = rows[:, :-6].reshape(-1, 7, _CELL + 1)
+    for k, (table, i) in enumerate(zip(cells, index)):
+        table.take(i, axis=0, out=cols[:, k, :-1])
     # Invalid cells are spelled from a finite stand-in, then blanked.
     for k, column in enumerate((u.real, u.imag, np.abs(u), v), 3):
-        cells[:, k, :-1] = (_spell(np.where(ok, column, 1.0)) * ok).T
-    cells[:, :, -1] = ord(",")
+        cols[:, k, :-1] = (_spell(np.where(ok, column, 1.0)) * ok).T
+    cols[:, :, -1] = ord(",")
     rows[:, -6:] = _TAILS[ok.astype(np.intp)]
-    text = rows.tobytes().translate(None, b"\0").decode("ascii")
-    return text.splitlines(keepends=True)
+    return rows
 
 
-def field_rows(sol: Solution, points):
-    """Newline-terminated CSV rows, one list entry per row, of a solution
-    sampled at the given points: an (N, 3) array or a sequence of (t, x, y).
-    The points are evaluated in one batch and formatted column-wise, byte
-    for byte as ``format(x, ".17g")``; the writers pass _CHUNK at a time."""
-    t, x, y = np.asarray(points, dtype=float).reshape(-1, 3).T
-    return _format_rows(t, x, y, *eval_solution(sol, t, x, y))
+def field_rows(sol: Solution, axes, cells, index):
+    """NUL-padded uint8 row matrix, one record per row, of ``sol`` at the
+    grid points ``index`` = (it, ix, iy) of ``axes`` = (ts, xs, ys), spelled
+    as ``cells``; the writer calls it once per chunk of _CHUNK points."""
+    t, x, y = (a[i] for a, i in zip(axes, index))
+    return _rows(cells, index, *eval_solution(sol, t, x, y))
 
 
 def _open_output(path):
-    """``path`` opened for writing; a path that cannot be opened is a
+    """``path`` opened for writing bytes; a path that cannot be opened is a
     ConfigError naming it."""
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, "wb")
     except OSError as err:
         raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
 
 
-def _write_chunks(path, n, rows):
-    """Header, then ``rows(s)`` for each _CHUNK-point slice ``s`` of ``n``
-    points; ``path`` is opened before the first chunk is made."""
+def _write_grid(path, axes, rows):
+    """Header, then ``rows(cells, index)`` without its NULs for each
+    _CHUNK-point slice ``index`` of the grid over ``axes``, x fastest; the
+    axes are spelled into ``cells`` once, after ``path`` is opened."""
     with _open_output(path) as fh:
-        fh.write(FIELD_HEADER + "\n")
-        for start in range(0, n, _CHUNK):
-            fh.write("".join(rows(slice(start, start + _CHUNK))))
+        fh.write(FIELD_HEADER.encode() + b"\n")
+        cells = [_spell(a).T.copy() for a in axes]
+        shape = [len(axes[k]) for k in (0, 2, 1)]
+        for start in range(0, math.prod(shape), _CHUNK):
+            it, iy, ix = np.unravel_index(
+                np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
+            fh.write(rows(cells, (it, ix, iy)).tobytes()
+                     .translate(None, b"\0"))
 
 
-def write_field_csv(path, sol: Solution, points):
-    """Field CSV of ``sol`` at ``points``, opened before any evaluation."""
-    points = np.asarray(points, dtype=float).reshape(-1, 3)
-    _write_chunks(path, len(points), lambda s: field_rows(sol, points[s]))
+def write_field_csv(path, sol: Solution, ts, xs, ys):
+    """Field CSV of ``sol`` on the grid over the axes ``ts``, ``xs`` and
+    ``ys``; ``path`` is opened before any evaluation."""
+    axes = [np.asarray(a, dtype=float).ravel() for a in (ts, xs, ys)]
+    _write_grid(path, axes, functools.partial(field_rows, sol, axes))
 
 
 def write_box_csv(path, field):
-    """Field CSV of a periodic-box ``evolve.Field``, all points valid, x
-    fastest-varying, formatted and written in the same _CHUNK-point batches
-    as ``write_field_csv``."""
+    """Field CSV of a periodic-box ``evolve.Field``, all points valid, on
+    the grid x = ix * lx / nx, y = iy * ly / ny."""
     nx, ny = field.u.shape
-    i = np.arange(nx * ny)
-    cols = (np.full(i.size, field.t), i % nx * field.lx / nx,
-            i // nx * field.ly / ny, field.u.T.ravel(), field.v.T.ravel(),
-            np.ones(i.size, bool))
-    _write_chunks(path, i.size,
-                  lambda s: _format_rows(*(c[s] for c in cols)))
+    axes = (np.array([field.t]), np.arange(nx) * field.lx / nx,
+            np.arange(ny) * field.ly / ny)
+    _write_grid(path, axes, lambda cells, index: _rows(
+        cells, index, field.u[index[1:]], field.v[index[1:]],
+        np.ones(index[0].size, bool)))
 
 
 def _finite_or_null(value):
@@ -261,6 +262,5 @@ def _finite_or_null(value):
 def write_json_report(path, report: dict):
     """Strict JSON (sorted keys); non-finite floats are written as null."""
     with _open_output(path) as fh:
-        json.dump(_finite_or_null(report), fh, indent=2, sort_keys=True,
-                  allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
+                            allow_nan=False).encode() + b"\n")

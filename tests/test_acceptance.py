@@ -234,7 +234,7 @@ def test_criterion_6_closed_form_spot_values():
 
 
 # ---------------------------------------------------------------------------
-# 7. Determinism of report files.
+# 7. Determinism of report and field files.
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_byte_identical_reports(tmp_path):
@@ -255,7 +255,29 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
 
+    # A field CSV on a grid whose column x = pi/2 is the pole line at t = 0:
+    # invalid rows too.
+    eval_cfg = tmp_path / "eval.json"
+    eval_cfg.write_text(json.dumps({
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "tan", "ell": math.pi / 2.0, "ell1": 0.0,
+                   "beta": "0.1*t"},
+        "grid": {"t": [0.0, 0.3], "x": [0.0, math.pi, 81],
+                 "y": [-1.0, 1.0, 50]},
+    }), encoding="utf-8")
+    outs = []
+    for name in ("f1.csv", "f2.csv"):
+        out = tmp_path / name
+        assert main(["eval", "--config", str(eval_cfg),
+                     "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n") == 1 + 2 * 81 * 50
+    assert b",false\n" in outs[0]
+
     box = 4.0 * ellipk(0.5)
+    snapshot = tmp_path / "snap.csv"
     evolve_cfg = tmp_path / "evolve.json"
     evolve_cfg.write_text(json.dumps({
         "variant": {"eps1": -1, "eps2": 1},
@@ -263,13 +285,16 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
         "evolve": {"box": [box, box], "n": 32, "T": 0.05, "dt": 1e-3,
-                   "v_mean": "exact"},
+                   "v_mean": "exact", "snapshot_out": str(snapshot)},
     }), encoding="utf-8")
     outs = []
     for name in ("e1.json", "e2.json"):
         out = tmp_path / name
         assert main(["evolve", "--config", str(evolve_cfg),
                      "--out", str(out)]) == 0
-        outs.append(out.read_bytes())
+        outs.append((out.read_bytes(), snapshot.read_bytes()))
+        snapshot.unlink()
     assert outs[0] == outs[1]
-    _report(7, "verify and evolve reports byte-identical across reruns")
+    assert outs[0][1].count(b"\n") == 1 + 32 * 32
+    _report(7, "verify and evolve reports, eval CSV and evolve snapshot "
+               "byte-identical across reruns")

@@ -100,6 +100,34 @@ def test_unknown_family_is_config_error(tmp_path, capsys):
     assert "/family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, doc, error", [
+    ("verify", {"variant": {"eps1": -1, "eps2": 1}, "family": "B",
+                "params": {"a": 1.0, "b": 1.0, "c": 0.0, "beta": "0"}},
+     "UnsupportedVariant"),
+    ("eval", {"variant": {"eps1": -1, "eps2": -1}, "family": "C",
+              "params": {"kind": "tan", "ell": 0.3, "ell1": 0.0,
+                         "beta": "0"}},
+     "NoRealAmplitude"),
+    ("evolve", {"variant": {"eps1": 1, "eps2": 1}, "family": "C",
+                "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "ell1": 0.0,
+                           "beta": "0"},
+                "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01,
+                           "dt": 1e-3}},
+     "UnsupportedVariant"),
+])
+def test_input_outside_the_contract_exits_2(tmp_path, capsys, command, doc,
+                                            error):
+    # Inputs no family or operation covers are rejected like malformed
+    # ones: exit 2, no output written; 1 is left to verification failures.
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "cfg.json", {
+        **doc, "grid": {"t": [0.2], "x": [-0.5, 0.5, 3], "y": [0, 1, 2]},
+        "out": str(out)})
+    assert main([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert not out.exists()
+
+
 def test_schema_error_paths(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": 3, "eps2": 1}, "family": "A",

@@ -293,5 +293,5 @@ def test_blowup_detection():
     u = np.ones((n, n), dtype=complex)
     u[3, 4] = complex("nan")
     field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0, 0.0)
-    with pytest.raises(BlowupError):
+    with pytest.raises(BlowupError, match=r"\(step 1 of 1\)"):
         step(field, DS2, 1e-3)

@@ -2,7 +2,6 @@
 ``format(c, ".17g")``, rows are joined with ``,`` and end in ``,true`` or,
 for an invalid point, ``,,,,,false``."""
 
-import itertools
 import math
 
 import numpy as np
@@ -50,14 +49,16 @@ def table_solution(values):
                     column(2, bool))
 
 
-def write_table(tmp_path, points, draw):
-    """Write a field whose point k gets ``draw(k)`` = (u, v, ok); returns
-    (file text, reference text)."""
-    points = np.asarray(points, dtype=float)
+def write_table(tmp_path, axes, draw):
+    """Write a field on the grid over ``axes`` = (ts, xs, ys) whose point k,
+    x fastest, gets ``draw(k)`` = (u, v, ok); returns (file text, reference
+    text)."""
+    ts, xs, ys = (np.asarray(a, dtype=float).tolist() for a in axes)
+    points = np.array([(t, x, y) for t in ts for y in ys for x in xs])
     rows = [(*p, *draw(k)) for k, p in enumerate(points.tolist())]
     values = {points[k].tobytes(): r[3:] for k, r in enumerate(rows)}
     path = tmp_path / "field.csv"
-    write_field_csv(path, table_solution(values), points)
+    write_field_csv(path, table_solution(values), *axes)
     return path.read_text(encoding="utf-8"), reference_csv(rows)
 
 
@@ -68,12 +69,9 @@ def special_value(k):
 
 def test_special_floats_in_every_column(tmp_path):
     coords = [0.0, -0.0, 5e-324, 1e16, 1e17, 1e-4, 1e-5, INF, -INF, NAN]
-    points = list(itertools.product([0.0, -0.0, 1e-5], [-0.0, 0.0, 2.5],
-                                    coords))
-    # x fastest, as the writers order points; the coordinate columns hold
-    # -0.0 and 0.0 side by side.
-    points = [(t, x, y) for t, y, x in points]
-    got, want = write_table(tmp_path, points, special_value)
+    # The t and y axes hold -0.0 and 0.0 side by side, the x axis too.
+    axes = ([0.0, -0.0, 1e-5], coords, [-0.0, 0.0, 2.5])
+    got, want = write_table(tmp_path, axes, special_value)
     assert got == want
     assert ",-0,0," in got and "inf" in got and "nan" in got
     assert "4.9406564584124654e-324" in got and "1e+17" in got
@@ -81,23 +79,30 @@ def test_special_floats_in_every_column(tmp_path):
     assert ",,,,,false\n" in got
 
 
+# (times, nx, ny): a chunk ends inside grid row 13; an x axis longer than a
+# chunk; a chunk ends inside a row of t = -0.
+GRIDS = [((0.25,), 300, 15), ((0.5, -1.0), _CHUNK + 300, 2),
+         ((0.1, -0.0, 2.0), 300, 7)]
+
+
 def test_chunk_boundary_inside_a_grid_row(tmp_path):
-    nx, ny = 300, 15  # 4500 points: a chunk ends inside grid row 13
-    assert nx * ny > _CHUNK and (nx * ny) % _CHUNK and _CHUNK % nx
-    points = GridSpec((0.25,), (-3.0, 3.0, nx), (-0.0, 2.0, ny)).points(
-        seed=4)
-    rng = np.random.default_rng(11)
-    u = rng.normal(size=len(points)) + 1j * rng.normal(size=len(points))
-    v = rng.normal(size=len(points)) * 1e8
-    ok = rng.random(len(points)) > 0.1
-    got, want = write_table(tmp_path, points, lambda k: (u[k], v[k], ok[k]))
-    assert got == want
-    assert got.count("\n") == 1 + nx * ny
+    for ts, nx, ny in GRIDS:
+        n = len(ts) * nx * ny
+        assert any(k % nx for k in range(_CHUNK, n, _CHUNK))
+        axes = GridSpec(ts, (-3.0, 3.0, nx), (-0.0, 2.0, ny)).axes(seed=4)
+        rng = np.random.default_rng(11)
+        u = rng.normal(size=n) + 1j * rng.normal(size=n)
+        v = rng.normal(size=n) * 1e8
+        ok = rng.random(n) > 0.1
+        got, want = write_table(tmp_path, axes,
+                                lambda k: (u[k], v[k], ok[k]))
+        assert got == want
+        assert got.count("\n") == 1 + n
 
 
 def test_one_point_grid(tmp_path):
-    points = GridSpec((-0.0,), (0.5, 0.5, 1), (-1e-5, -1e-5, 1)).points()
-    got, want = write_table(tmp_path, points,
+    axes = GridSpec((-0.0,), (0.5, 0.5, 1), (-1e-5, -1e-5, 1)).axes()
+    got, want = write_table(tmp_path, axes,
                             lambda k: (complex(-0.0, 1e16), 5e-324, True))
     assert got == want == (
         FIELD_HEADER + "\n-0,0.5,-1.0000000000000001e-05,-0,"

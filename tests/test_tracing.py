@@ -57,27 +57,29 @@ def test_write_path_counts_rows_and_bytes_in_chunks(tmp_path, monkeypatch):
     batches = []
     field_rows = gridio.field_rows
 
-    def counting(sol, points):
-        batches.append(len(points))
-        return field_rows(sol, points)
+    def counting(*args):
+        rows = field_rows(*args)
+        batches.append(len(rows))
+        return rows
 
     # Patched before the tracer, so the tracer wraps the counting version.
     monkeypatch.setattr(gridio, "field_rows", counting)
     sol = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
                    parse_timefn("0.1*t"))
     # x = pi/2, the tan pole at t = 0, is a grid column: invalid rows too.
-    points = gridio.GridSpec((0.0,), (0.0, math.pi, 71),
-                             (-1.0, 1.0, 65)).points()
-    n = len(points)
+    axes = gridio.GridSpec((0.0,), (0.0, math.pi, 71),
+                           (-1.0, 1.0, 65)).axes()
+    n = 71 * 65
     assert n > gridio._CHUNK and n % gridio._CHUNK
     path = tmp_path / "field.csv"
     tracer = Tracer()
     with tracer.install():
-        gridio.write_field_csv(path, sol, points)
+        gridio.write_field_csv(path, sol, *axes)
     assert tracer.counts["rows_written"] == n
     assert tracer.counts["bytes_written"] == path.stat().st_size
     assert sum(batches) == n and max(batches) <= gridio._CHUNK
-    assert ",false\n" in path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 + n and ",false\n" in text
 
 
 def test_traced_profile_is_evaluated_once_per_call(monkeypatch):
