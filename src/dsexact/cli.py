@@ -59,6 +59,15 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 """
 
 
+# Largest counts, sized from the memory they ask for: an axis's coordinates,
+# jitter and spelled cells take about 143 bytes a point (150 MB at 2**20),
+# and an evolve box about 204 bytes a grid point (860 MB at n = 2048),
+# measured with tracemalloc on numpy 2.4.  They do not bound a whole grid,
+# of which verify holds about 5.5 KB a point at once.
+_MAX_AXIS = 2 ** 20
+_MAX_BOX_N = 2048
+
+
 # ---------------------------------------------------------------------------
 # Config readers.  Every config value and every flag goes through one of
 # them; each error names the full pointer (or flag) of the offending value.
@@ -94,11 +103,11 @@ def _number(cfg, pointer, default=...):
     return float(value)
 
 
-def _count(cfg, pointer, default=...):
+def _count(cfg, pointer, most, default=...):
     value = _number(cfg, pointer, default)
-    if value % 1 or value < 1:
-        raise ConfigError(f"{pointer}: expected an integer >= 1, "
-                          f"got {value!r}")
+    if value % 1 or not 1 <= value <= most:
+        raise ConfigError(f"{pointer}: expected an integer from 1 to "
+                          f"{most}, got {value!r}")
     return int(value)
 
 
@@ -204,7 +213,7 @@ def build_grid(cfg: dict) -> GridSpec:
     ranges = []
     for axis in ("/grid/x", "/grid/y"):
         lo, hi, _ = _list(cfg, axis, _number, 3)
-        ranges.append((lo, hi, _count(cfg, f"{axis}/2")))
+        ranges.append((lo, hi, _count(cfg, f"{axis}/2", _MAX_AXIS)))
     return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
 
 
@@ -256,7 +265,7 @@ def _cmd_evolve(cfg, args) -> int:
     if _get(cfg, "/transforms", None) is not None:
         sol = compose(build_transforms(cfg), sol)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
-    n = _count(cfg, "/evolve/n", 64)
+    n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64)
     t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
     dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
     if dt > 0.0 and abs(t_final / dt) <= 0.5:

@@ -2,8 +2,8 @@
 
 Every error carries an ``exit_code`` used by the command-line front end:
 2 for configuration problems and for inputs outside a family's or an
-operation's contract, 3 for numerical blow-up, 1 for everything else
-(verification failures included).
+operation's contract (ConfigError and its subclasses), 3 for numerical
+blow-up, 1 for everything else (verification failures included).
 """
 
 
@@ -38,34 +38,24 @@ class DomainError(DSError):
     validity interval, ...)."""
 
 
-class UnsupportedVariant(DSError):
+class UnsupportedVariant(ConfigError):
     """The requested sign pair is outside the operation's contract."""
 
-    exit_code = 2
 
-
-class DegenerateMatch(DSError):
+class DegenerateMatch(ConfigError):
     """The cubic coefficient match has a vanishing cubic-term divisor."""
 
-    exit_code = 2
 
-
-class NoRealAmplitude(DSError):
+class NoRealAmplitude(ConfigError):
     """The matched amplitude would be imaginary; no real solution exists."""
 
-    exit_code = 2
 
-
-class NoRealSolution(DSError):
+class NoRealSolution(ConfigError):
     """The family's existence condition has no real parameter choice."""
 
-    exit_code = 2
 
-
-class MixedCaseUnsupported(DSError):
+class MixedCaseUnsupported(ConfigError):
     """Linear-profile family with exactly one of a, b zero; not covered."""
-
-    exit_code = 2
 
 
 class StencilError(DSError):

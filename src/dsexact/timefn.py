@@ -8,11 +8,12 @@ functions.  Trees are parsed from a small expression grammar:
 
     numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh
 
-Exponents are restricted to integer and half-integer constants, which covers
-every coefficient expression this package constructs (e.g. square roots of a
-positive slope).  Derivatives are propagated through the tree by truncated
-Taylor (jet) arithmetic, so they are exact to roundoff; no symbolic
-differentiation and no finite differencing is involved.
+Exponents are restricted to integer and half-integer constants of magnitude
+at most 64, which covers every coefficient expression this package
+constructs (e.g. square roots of a positive slope).  Derivatives are
+propagated through the tree by truncated Taylor (jet) arithmetic, so they
+are exact to roundoff; no symbolic differentiation and no finite
+differencing is involved.
 
 The tree is walked once per call over a whole array of t.  A domain failure
 (ln of x <= 0, division by zero, a half-integer power of x <= 0, t outside
@@ -22,6 +23,7 @@ points are invalid; ``TimeFunction.jet`` raises DomainError at a single t.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,9 +102,6 @@ class _Node:
     def jet(self, t, fails: list) -> Jet:
         raise NotImplementedError
 
-    def is_constant(self) -> bool:
-        raise NotImplementedError
-
 
 class _Const(_Node):
     def __init__(self, value: float):
@@ -111,9 +110,6 @@ class _Const(_Node):
     def jet(self, t, fails):
         return Jet.const(self.value)
 
-    def is_constant(self):
-        return True
-
     def __str__(self):
         return repr(self.value)
 
@@ -121,9 +117,6 @@ class _Const(_Node):
 class _Var(_Node):
     def jet(self, t, fails):
         return Jet(t, _ONE, _ZERO, _ZERO)
-
-    def is_constant(self):
-        return False
 
     def __str__(self):
         return "t"
@@ -136,9 +129,6 @@ class _Neg(_Node):
     def jet(self, t, fails):
         return -self.child.jet(t, fails)
 
-    def is_constant(self):
-        return self.child.is_constant()
-
     def __str__(self):
         return f"-({self.child})"
 
@@ -150,9 +140,6 @@ class _Binary(_Node):
         self.op = op
         self.lhs = lhs
         self.rhs = rhs
-
-    def is_constant(self):
-        return self.lhs.is_constant() and self.rhs.is_constant()
 
     def __str__(self):
         return f"({self.lhs}{self.op}{self.rhs})"
@@ -172,9 +159,6 @@ class _Pow(_Node):
     def __init__(self, base: _Node, exponent: float):
         self.base = base
         self.exponent = float(exponent)
-
-    def is_constant(self):
-        return self.base.is_constant()
 
     def __str__(self):
         return f"({self.base}^{self.exponent:g})"
@@ -203,9 +187,6 @@ class _Call(_Node):
     def __init__(self, name: str, child: _Node):
         self.name = name
         self.child = child
-
-    def is_constant(self):
-        return self.child.is_constant()
 
     def __str__(self):
         return f"{self.name}({self.child})"
@@ -304,56 +285,52 @@ def jet_arrays(f: TimeFunction, t):
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent over a hand-rolled token stream.
+# Parser: recursive descent over the tokens of one regular expression.
 # ---------------------------------------------------------------------------
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = []
-        self._scan()
-        self.index = 0
+# A number is digits and dots, with an exponent only where digits follow
+# it; a name is a word character that is not a decimal digit, then word
+# characters.
+_TOKEN = re.compile(r"""(?P<blank>\s+)
+    |(?P<num>\.?\d[\d.]*(?:[eE][+-]?\d+)?)
+    |(?P<name>[^\W\d]\w*)
+    |(?P<op>[-+*/^()])
+    |(?P<bad>.)""", re.VERBOSE)
 
-    def _scan(self):
-        text, n = self.text, len(self.text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-                j = i
-                while j < n and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                if j < n and text[j] in "eE":
-                    k = j + 1
-                    if k < n and text[k] in "+-":
-                        k += 1
-                    if k < n and text[k].isdigit():
-                        j = k
-                        while j < n and text[j].isdigit():
-                            j += 1
-                try:
-                    value = float(text[i:j])
-                except ValueError:
-                    raise ParseError(f"bad number '{text[i:j]}'", i)
-                self.tokens.append(("num", value, i))
-                i = j
-                continue
-            if ch.isalpha() or ch == "_":
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("name", text[i:j], i))
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            raise ParseError(f"unexpected character '{ch}'", i)
-        self.tokens.append(("end", None, n))
+# Largest |exponent|: an integer power is that many jet products.
+_MAX_EXPONENT = 64
+
+
+def _tokens(text: str) -> list:
+    """(kind, value, position) triples of ``text``, ending in ("end", None,
+    len(text)); an operator's kind is itself, a number's value a float."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character '{value}'", pos)
+        if kind == "num":
+            try:
+                value = float(value)
+            except ValueError:
+                raise ParseError(f"bad number '{value}'", pos) from None
+        if kind != "blank":
+            tokens.append((value if kind == "op" else kind, value, pos))
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+class _Parser:
+    """expr   := term (('+'|'-') term)*
+    term   := unary (('*'|'/') unary)*
+    unary  := ('+'|'-') unary | power
+    power  := atom ('^' unary)?          (right-associative)
+    atom   := number | 't' | name '(' expr ')' | '(' expr ')'
+    """
+
+    def __init__(self, text: str):
+        self.tokens = _tokens(text)
+        self.index = 0
 
     def peek(self):
         return self.tokens[self.index]
@@ -367,89 +344,79 @@ class _Tokenizer:
     def expect(self, kind: str):
         tok = self.next()
         if tok[0] != kind:
-            raise ParseError(f"expected '{kind}', found "
-                             f"{'end of input' if tok[0] == 'end' else repr(tok[1])}",
-                             tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected '{kind}', found {found}", tok[2])
         return tok
-
-
-class _Parser:
-    """expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('+'|'-') unary | power
-    power  := atom ('^' unary)?          (right-associative)
-    atom   := number | 't' | name '(' expr ')' | '(' expr ')'
-    """
-
-    def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
 
     def parse(self) -> _Node:
         node = self.expr()
-        tok = self.toks.peek()
+        tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {repr(tok[1])}", tok[2])
         return node
 
     def expr(self):
         node = self.term()
-        while self.toks.peek()[0] in "+-":
-            node = _Binary(self.toks.next()[0], node, self.term())
+        while self.peek()[0] in "+-":
+            node = _Binary(self.next()[0], node, self.term())
         return node
 
     def term(self):
         node = self.unary()
-        while self.toks.peek()[0] in "*/":
-            node = _Binary(self.toks.next()[0], node, self.unary())
+        while self.peek()[0] in "*/":
+            node = _Binary(self.next()[0], node, self.unary())
         return node
 
     def unary(self):
-        tok = self.toks.peek()
+        tok = self.peek()
         if tok[0] == "-":
-            self.toks.next()
+            self.next()
             return _Neg(self.unary())
         if tok[0] == "+":
-            self.toks.next()
+            self.next()
             return self.unary()
         return self.power()
 
     def power(self):
+        """``atom ^ unary`` with the exponent evaluated here: it must not
+        contain t and must be an integer or half-integer of magnitude at
+        most _MAX_EXPONENT."""
         base = self.atom()
-        if self.toks.peek()[0] == "^":
-            pos = self.toks.next()[2]
-            exponent = self.unary()
-            return _Pow(base, self._constant_exponent(exponent, pos))
-        return base
-
-    def _constant_exponent(self, node: _Node, pos: int) -> float:
-        if not node.is_constant():
+        if self.peek()[0] != "^":
+            return base
+        pos = self.next()[2]
+        start = self.index
+        exponent = self.unary()
+        if ("name", "t") in (tok[:2] for tok in self.tokens[start:self.index]):
             raise ParseError("exponent must be a constant", pos)
-        j, ok = jet_arrays(TimeFunction(node, ""), 0.0)
+        j, ok = jet_arrays(TimeFunction(exponent, ""), 0.0)
         if not ok:
             raise ParseError("exponent is undefined or overflows", pos)
         value = float(j.f)
         if abs(2.0 * value - round(2.0 * value)) > 1e-12:
             raise ParseError(
                 f"exponent {value:g} is not an integer or half-integer", pos)
-        return round(2.0 * value) / 2.0
+        if abs(value) > _MAX_EXPONENT:
+            raise ParseError(f"exponent {value:g} exceeds {_MAX_EXPONENT} "
+                             f"in magnitude", pos)
+        return _Pow(base, round(2.0 * value) / 2.0)
 
     def atom(self):
-        tok = self.toks.next()
-        kind, value, pos = tok
+        kind, value, pos = self.next()
         if kind == "num":
             return _Const(value)
         if kind == "name":
             if value == "t":
                 return _Var()
             if value in _FUNCTIONS:
-                self.toks.expect("(")
+                self.expect("(")
                 inner = self.expr()
-                self.toks.expect(")")
+                self.expect(")")
                 return _Call(value, inner)
             raise ParseError(f"unknown identifier '{value}'", pos)
         if kind == "(":
             inner = self.expr()
-            self.toks.expect(")")
+            self.expect(")")
             return inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dsexact import Variant, cli, crosscheck, ellipk, evolve, family_c, \
-    gridio, parse_timefn, selftest
+from dsexact import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
+    NoRealAmplitude, NoRealSolution, UnsupportedVariant, Variant, cli, \
+    crosscheck, ellipk, evolve, family_c, gridio, parse_timefn, selftest
 from dsexact.cli import main
 
 
@@ -126,6 +127,27 @@ def test_input_outside_the_contract_exits_2(tmp_path, capsys, command, doc,
     assert main([command, "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"{error}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [UnsupportedVariant, DegenerateMatch,
+                                   NoRealAmplitude, NoRealSolution,
+                                   MixedCaseUnsupported])
+def test_contract_errors_are_config_errors(error):
+    assert issubclass(error, ConfigError) and error.exit_code == 2
+
+
+def test_axis_count_bound():
+    # Reading a grid allocates nothing, so the bound itself is checked here.
+    top = cli._MAX_AXIS
+    for x, y in ((top, 1), (1, top)):
+        grid = cli.build_grid({"grid": {"t": [0], "x": [0, 1, x],
+                                        "y": [0, 1, y]}})
+        assert (grid.x_range[2], grid.y_range[2]) == (x, y)
+    for axis in ("x", "y"):
+        cfg = {"grid": {"t": [0], "x": [0, 1, 2], "y": [0, 1, 2]}}
+        cfg["grid"][axis][2] = top + 1
+        with pytest.raises(ConfigError, match=f"/grid/{axis}/2: .* {top},"):
+            cli.build_grid(cfg)
 
 
 def test_schema_error_paths(tmp_path, capsys):
@@ -412,6 +434,8 @@ MALFORMED = [
     ("evolve", "/params/m", -0.2, [], "/params/m"),
     ("evolve", "/evolve/box/0", 0.0, [], "lx="),
     ("evolve", "/evolve/box/1", -1.0, [], "ly="),
+    ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
+    ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
 ]
 
 

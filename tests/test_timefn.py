@@ -77,6 +77,54 @@ def test_parse_errors():
         assert err.value.position == 1
 
 
+# Scanner edge cases: the tree text, or the ParseError text and position.
+# A number is digits and dots with an exponent only where digits follow it;
+# '²' and '½' are numeric but not decimal digits, so they scan as names.
+SCANNER_CASES = [
+    ("1.", "1.0"),
+    (".5", "0.5"),
+    ("1e", ("unexpected 'e' at position 1", 1)),
+    ("1e+", ("unexpected 'e' at position 1", 1)),
+    ("1e+5", "100000.0"),
+    ("1.2.3", ("bad number '1.2.3' at position 0", 0)),
+    ("1e5e5", ("unexpected 'e5' at position 3", 3)),
+    ("2t", ("unexpected 't' at position 1", 1)),
+    ("t2", ("unknown identifier 't2' at position 0", 0)),
+    ("_t", ("unknown identifier '_t' at position 0", 0)),
+    ("\tt *\n2 ", "(t*2.0)"),
+    ("$", ("unexpected character '$' at position 0", 0)),
+    ("tanh(t)", ("unknown identifier 'tanh' at position 0", 0)),
+    ("t^ -2", "(t^-2)"),
+    ("2^3^2", "(2.0^9)"),
+    ("t^t", ("exponent must be a constant at position 1", 1)),
+    ("\u00b2", ("unknown identifier '\u00b2' at position 0", 0)),
+    ("1\u00b2", ("unexpected '\u00b2' at position 1", 1)),
+    ("\u00bd", ("unknown identifier '\u00bd' at position 0", 0)),
+]
+
+
+@pytest.mark.parametrize("text, expect", SCANNER_CASES)
+def test_scanner_edge_cases(text, expect):
+    try:
+        got = str(parse_timefn(text).root)
+    except ParseError as err:
+        got = (str(err), err.position)
+    assert got == expect
+
+
+def test_exponent_magnitude_is_bounded():
+    # An integer power is |r| jet products, and a power inside an exponent
+    # is evaluated while parsing: unbounded, t^1e9 or t^(2^(10^9)) would
+    # not finish.
+    assert str(parse_timefn("t^-64").root) == "(t^-64)"
+    cases = [("t^65", 1), ("t^-64.5", 1), ("t^1e6", 1), ("2^(10^9)", 1),
+             ("t^(2^100)", 4)]
+    for text, position in cases:
+        with pytest.raises(ParseError, match="exceeds 64 in magnitude") as err:
+            parse_timefn(text)
+        assert err.value.position == position, text
+
+
 def test_whitespace_insensitive():
     a = parse_timefn("1+2*t^2")
     b = parse_timefn("  1 + 2 * t ^ 2 ")
@@ -229,3 +277,5 @@ def test_overflowing_jet_is_invalid_not_an_error():
 def test_overflowing_exponent_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_timefn("t^(2^2000)")
+    with pytest.raises(ParseError, match="undefined or overflows"):
+        parse_timefn("t^exp(1000)")
