@@ -30,8 +30,6 @@ from .errors import ConfigError, DomainError
 __all__ = ["ellipk", "jacobi_sn_cn_dn", "Profile", "make_profile",
            "PROFILE_KINDS", "ELLIPTIC_KINDS", "SINGULARITY_GUARD"]
 
-PROFILE_KINDS = ("rational", "tan", "sec", "coth", "csch", "sn", "cn", "dn")
-
 # The kinds that take a modulus m.
 ELLIPTIC_KINDS = ("sn", "cn", "dn")
 
@@ -121,55 +119,45 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
 # Profiles.
 # ---------------------------------------------------------------------------
 
-def _signature(kind: str, m: float) -> tuple:
-    if kind == "rational":
-        return 2.0, 0.0
-    if kind == "tan":
-        return 2.0, 2.0
-    if kind == "sec":
-        return 2.0, -1.0
-    if kind == "coth":
-        return 2.0, -2.0
-    if kind == "csch":
-        return 2.0, 1.0
-    if kind == "sn":
-        return 2.0 * m * m, -(1.0 + m * m)
-    if kind == "cn":
-        return -2.0 * m * m, 2.0 * m * m - 1.0
-    if kind == "dn":
-        return -2.0, 2.0 - m * m
-    raise ConfigError(f"unknown profile kind '{kind}'")
+# One row per kind: the signature (p, q) as a function of m, the shape
+# f(s, m), and the real poles as (offset, spacing), where spacing None marks
+# a single pole and a number the lattice offset + spacing*Z; None when there
+# are none.  The elliptic shapes look ``jacobi_sn_cn_dn`` up when they run.
+_KINDS = {
+    "rational": (lambda m: (2.0, 0.0), lambda s, m: 1.0 / s, (0.0, None)),
+    "tan": (lambda m: (2.0, 2.0), lambda s, m: np.tan(s),
+            (math.pi / 2.0, math.pi)),
+    "sec": (lambda m: (2.0, -1.0), lambda s, m: 1.0 / np.cos(s),
+            (math.pi / 2.0, math.pi)),
+    "coth": (lambda m: (2.0, -2.0),
+             lambda s, m: np.cosh(s) / np.sinh(s), (0.0, None)),
+    "csch": (lambda m: (2.0, 1.0), lambda s, m: 1.0 / np.sinh(s),
+             (0.0, None)),
+    "sn": (lambda m: (2.0 * m * m, -(1.0 + m * m)),
+           lambda s, m: jacobi_sn_cn_dn(s, m)[0], None),
+    "cn": (lambda m: (-2.0 * m * m, 2.0 * m * m - 1.0),
+           lambda s, m: jacobi_sn_cn_dn(s, m)[1], None),
+    "dn": (lambda m: (-2.0, 2.0 - m * m),
+           lambda s, m: jacobi_sn_cn_dn(s, m)[2], None),
+}
+
+PROFILE_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
 class Profile:
-    """A shape function and its cubic signature (p, q).
-
-    ``singularities`` lists the real poles as (offset, spacing) pairs:
-    spacing None marks a single pole, otherwise the pole set is
-    offset + spacing*Z.  Elliptic kinds have no real poles.
-    """
+    """A shape function, its cubic signature (p, q) and its real poles,
+    ``pole``: the (offset, spacing) of the kind table, or None."""
 
     kind: str
     m: float
     p: float
     q: float
-    singularities: tuple
+    pole: tuple | None
 
     def value(self, s):
         """f(s) for a float or an array of arguments."""
-        k = self.kind
-        if k == "rational":
-            return 1.0 / s
-        if k == "tan":
-            return np.tan(s)
-        if k == "sec":
-            return 1.0 / np.cos(s)
-        if k == "coth":
-            return np.cosh(s) / np.sinh(s)
-        if k == "csch":
-            return 1.0 / np.sinh(s)
-        return jacobi_sn_cn_dn(s, self.m)[ELLIPTIC_KINDS.index(k)]
+        return _KINDS[self.kind][1](s, self.m)
 
     def pole_distance(self, s):
         """Distance from s (a float or an array) to the nearest real pole,
@@ -178,19 +166,18 @@ class Profile:
         For a pole lattice this is |remainder(s - offset, spacing)| with the
         IEEE nearest-multiple remainder, taken exactly from fmod.
         """
-        best = np.full(np.shape(s), np.inf)
-        for offset, spacing in self.singularities:
-            if spacing is None:
-                best = np.minimum(best, np.abs(s - offset))
-            else:
-                r = np.abs(np.fmod(s - offset, spacing))
-                best = np.minimum(best, np.minimum(r, spacing - r))
-        return best[()]
+        if self.pole is None:
+            return np.full(np.shape(s), np.inf)[()]
+        offset, spacing = self.pole
+        if spacing is None:
+            return np.abs(s - offset)[()]
+        r = np.abs(np.fmod(s - offset, spacing))
+        return np.minimum(r, spacing - r)[()]
 
 
 def make_profile(kind: str, m: float | None = None) -> Profile:
     """Build a Profile; elliptic kinds require a modulus m in [0, 1)."""
-    if kind not in PROFILE_KINDS:
+    if kind not in _KINDS:
         raise ConfigError(f"unknown profile kind '{kind}'; "
                           f"expected one of {PROFILE_KINDS}")
     if kind in ELLIPTIC_KINDS:
@@ -201,11 +188,5 @@ def make_profile(kind: str, m: float | None = None) -> Profile:
             raise DomainError(f"profile '{kind}' requires 0 <= m < 1, got {m}")
     else:
         m = 0.0
-    p, q = _signature(kind, m)
-    if kind in ("tan", "sec"):
-        singularities = ((math.pi / 2.0, math.pi),)
-    elif kind in ("rational", "coth", "csch"):
-        singularities = ((0.0, None),)
-    else:
-        singularities = ()
-    return Profile(kind, m, p, q, singularities)
+    signature, _, pole = _KINDS[kind]
+    return Profile(kind, m, *signature(m), pole)

@@ -209,7 +209,7 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     with max/L2 deviations of u from the exact solution at the end time and
     the mass drift, and the evolved Field.  ``dt`` and the box lengths must
     be positive, ``t_final`` non-negative, all of them finite, and ``t_final
-    / dt`` must round to at most _MAX_STEPS steps, or ConfigError is raised.
+    / dt`` must round to 1 to _MAX_STEPS steps, or ConfigError is raised.
     """
     if sol.variant.eps1 != -1:
         raise UnsupportedVariant("cross-check is limited to eps1=-1")
@@ -220,6 +220,9 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"lx > 0 and ly > 0, got T={t_final}, dt={dt}, "
                           f"lx={lx}, ly={ly}")
     n_steps = int(round(t_final / dt))
+    if n_steps == 0:
+        raise ConfigError(f"evolve would run zero steps: T={t_final} is "
+                          f"less than half a step dt={dt}")
     if n_steps > _MAX_STEPS:
         raise ConfigError(f"evolve would run {t_final / dt:.3g} steps: "
                           f"T={t_final} and dt={dt} exceed the cap of "

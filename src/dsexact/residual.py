@@ -34,6 +34,9 @@ DEFAULT_TOL_REL = 1e-7
 # Residual-to-scale ratio below which a sample is considered to sit on the
 # roundoff floor, where the observed order is no longer meaningful.
 DEFAULT_FLOOR_REL = 1e-8
+# verify evaluates the stencils of this many points at a time: a point
+# holds about 5.5 KB while its stencils are evaluated, so about 23 MB.
+_BLOCK = 4096
 
 # offset: coefficient maps; apply as sum(c * f(x0 + k*h)) / h**deriv_order.
 _D1 = {
@@ -207,8 +210,11 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     _check_step(h)
     _check_order(order)
     points = np.asarray(sample, dtype=float).reshape(-1, 3)
-    r1, r2, s1, s2, ok = _residual_terms(sol, *points.T,
-                                         np.array([h, h / 2.0]), order)
+    steps = np.array([h, h / 2.0])
+    # An empty sample still makes one (empty) block.
+    blocks = [_residual_terms(sol, *points[i:i + _BLOCK].T, steps, order)
+              for i in range(0, max(len(points), 1), _BLOCK)]
+    r1, r2, s1, s2, ok = map(np.concatenate, zip(*blocks))
     keep = ok.all(axis=1)
     if not keep.any():
         raise EmptySampleError("no valid sample points for verification")

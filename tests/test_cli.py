@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from dsexact import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, UnsupportedVariant, Variant, cli, \
-    crosscheck, ellipk, evolve, family_c, gridio, parse_timefn, selftest
+    NoRealAmplitude, NoRealSolution, PROFILE_KINDS, UnsupportedVariant, \
+    Variant, cli, crosscheck, ellipk, evolve, family_c, gridio, parse_timefn, \
+    selftest
 from dsexact.cli import main
 
 
@@ -36,6 +37,13 @@ def test_families_lists_all(capsys):
     out = capsys.readouterr().out
     for token in ("A ", "B ", "C ", "T1", "T2"):
         assert token in out
+
+
+def test_families_names_every_profile_kind(capsys):
+    # The help text lists the kinds by hand; it must match the kind table.
+    assert main(["families"]) == 0
+    kinds = re.search(r'"kind": one of ([a-z|]+)', capsys.readouterr().out)
+    assert tuple(kinds.group(1).split("|")) == PROFILE_KINDS
 
 
 def test_eval_single_point_row(tmp_path):

@@ -7,6 +7,7 @@ from scipy import integrate, special
 from conftest import fd2
 from dsexact import ConfigError, DomainError, PROFILE_KINDS, ellipk, \
     jacobi_sn_cn_dn, make_profile
+from dsexact.elliptic import ELLIPTIC_KINDS
 
 # Frozen from adaptive quadrature of the defining integral (see the oracle
 # test below, which recomputes it).
@@ -182,7 +183,7 @@ def test_pole_distance_matches_ieee_remainder():
     # arguments and within a few ulps of half a spacing from a pole, where
     # a floor-mod would measure to the wrong pole.
     tan = make_profile("tan")
-    offset, spacing = tan.singularities[0]
+    offset, spacing = tan.pole
     near_half = [math.pi, -math.pi, 0.0, 2.0 * math.pi]
     s = [-7.3, -2.0, -1e-9, -3.0 * math.pi / 2.0 + 1e-6, 4.4]
     s += [math.nextafter(v, d) for v in near_half for d in (-math.inf,
@@ -202,3 +203,105 @@ def test_make_profile_errors():
         make_profile("cn", -0.2)
     with pytest.raises(DomainError):
         make_profile("dn")
+
+
+# Arguments for the pinned profile values: negative, large, near the pole
+# at 0 (not nearer than 2^-500: below about 1e-154 jacobi_sn_cn_dn gives
+# NaN), and within an ulp of the poles +-pi/2 and of +-pi, half a spacing
+# from them.
+PIN_S = [-40.0, -7.3, -2.0 ** -500, 2.0 ** -500, 0.5, 3.0, 700.0,
+         math.nextafter(math.pi / 2.0, 0.0),
+         math.nextafter(math.pi / 2.0, 4.0),
+         math.nextafter(-math.pi / 2.0, 0.0), math.nextafter(math.pi, 0.0),
+         math.nextafter(-math.pi, 0.0)]
+# f(PIN_S) of each kind (m = 0.6 for the elliptic kinds), as float.hex,
+# recorded before the kinds moved into one table.
+PINNED_VALUES = {
+    "rational": (
+        "-0x1.999999999999ap-6", "-0x1.188c46231188cp-3",
+        "-0x1.0000000000000p+500", "0x1.0000000000000p+500",
+        "0x1.0000000000000p+1", "0x1.5555555555555p-2",
+        "0x1.767dce434a9b1p-10", "0x1.45f306dc9c884p-1",
+        "0x1.45f306dc9c882p-1", "-0x1.45f306dc9c884p-1",
+        "0x1.45f306dc9c884p-2", "-0x1.45f306dc9c884p-2"),
+    "tan": (
+        "0x1.1e01cc36ebc8cp+0", "-0x1.9dd6f83006fb1p+0",
+        "-0x1.0000000000000p-500", "0x1.0000000000000p-500",
+        "0x1.17b4f5bf3474ap-1", "-0x1.23ef71254b86fp-3",
+        "-0x1.4beaba1020051p-1", "0x1.9153d9443ed0bp+51",
+        "-0x1.617a15494767ap+52", "-0x1.9153d9443ed0bp+51",
+        "-0x1.469898cc51702p-51", "0x1.469898cc51702p-51"),
+    "sec": (
+        "-0x1.7fd7ff59ea164p+0", "0x1.e69ecc10697bfp+0",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.23b5dfbfd97b6p+0",
+        "-0x1.02967b457b246p+0", "-0x1.311653935b2e4p+0",
+        "0x1.9153d9443ed0bp+51", "-0x1.617a15494767bp+52",
+        "0x1.9153d9443ed0bp+51", "-0x1.0000000000000p+0",
+        "-0x1.0000000000000p+0"),
+    "coth": (
+        "-0x1.0000000000000p+0", "-0x1.00000f500a84ep+0",
+        "-0x1.0000000000000p+500", "0x1.0000000000000p+500",
+        "0x1.14fc6ceb099bep+1", "0x1.0145b3cc9964bp+0", "0x1.0000000000000p+0",
+        "0x1.171ff596e026bp+0", "0x1.171ff596e026bp+0",
+        "-0x1.171ff596e026bp+0", "0x1.00f53a37021e4p+0",
+        "-0x1.00f53a37021e4p+0"),
+    "csch": (
+        "-0x1.39792499b1a24p-57", "-0x1.622d522a689bap-10",
+        "-0x1.0000000000000p+500", "0x1.0000000000000p+500",
+        "0x1.eb45dc88defedp+0", "0x1.98de80929b901p-4",
+        "0x1.14f2b0fb9307fp-1009", "0x1.bcf75266a5c01p-2",
+        "0x1.bcf75266a5bfep-2", "-0x1.bcf75266a5c01p-2",
+        "0x1.62abb5fde0874p-4", "-0x1.62abb5fde0874p-4"),
+    "sn": (
+        "0x1.f43c672a5e53ap-1", "-0x1.2a26ca2764b43p-2",
+        "-0x1.0000000000000p-500", "0x1.0000000000000p-500",
+        "0x1.e4881698b5453p-2", "0x1.e5d5c29cf593ep-2",
+        "-0x1.2e85ee4fe777dp-2", "0x1.faaec90732de0p-1",
+        "0x1.faaec90732de0p-1", "-0x1.faaec90732de0p-1",
+        "0x1.6609fe8b57e50p-2", "-0x1.6609fe8b57e50p-2"),
+    "cn": (
+        "-0x1.b47ebb1f620acp-3", "0x1.e9d11472435d4p-1",
+        "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.c30e452e8b93fp-1",
+        "-0x1.c2b4817e771c1p-1", "0x1.e925688f35b33p-1",
+        "0x1.2663cc0f3c071p-3", "0x1.2663cc0f3c062p-3", "0x1.2663cc0f3c071p-3",
+        "-0x1.dfaee8dcc92f6p-1", "-0x1.dfaee8dcc92f6p-1"),
+    "dn": (
+        "0x1.9ecccca9788e5p-1", "0x1.f82061270b4c9p-1", "0x1.0000000000000p+0",
+        "0x1.0000000000000p+0", "0x1.eaeeb1cf72544p-1", "0x1.ead10323e04fep-1",
+        "0x1.f7e45bf3fe5a7p-1", "0x1.9bf9349b8c46bp-1", "0x1.9bf9349b8c469p-1",
+        "0x1.9bf9349b8c46bp-1", "0x1.f49b3a2cf141fp-1",
+        "0x1.f49b3a2cf141fp-1"),
+}
+# Distance to the nearest pole, for the single pole at 0 and for the
+# lattice pi/2 + pi*Z.
+PINNED_DISTANCES = {
+    "0": (
+        "0x1.4000000000000p+5", "0x1.d333333333333p+2",
+        "0x1.0000000000000p-500", "0x1.0000000000000p-500",
+        "0x1.0000000000000p-1", "0x1.8000000000000p+1", "0x1.5e00000000000p+9",
+        "0x1.921fb54442d17p+0", "0x1.921fb54442d19p+0", "0x1.921fb54442d17p+0",
+        "0x1.921fb54442d17p+1", "0x1.921fb54442d17p+1"),
+    "pi/2+pi*Z": (
+        "0x1.75ce98aaf3160p-1", "0x1.1ba37b1102960p-1", "0x1.921fb54442d18p+0",
+        "0x1.921fb54442d18p+0", "0x1.121fb54442d18p+0", "0x1.6de04abbbd2e8p+0",
+        "0x1.fdc3d0afb38c0p-1", "0x1.0000000000000p-52",
+        "0x1.0000000000000p-52", "0x0.0p+0", "0x1.921fb54442d16p+0",
+        "0x1.921fb54442d18p+0"),
+}
+POLES = {"rational": "0", "coth": "0", "csch": "0",
+         "tan": "pi/2+pi*Z", "sec": "pi/2+pi*Z"}
+
+
+@pytest.mark.parametrize("kind", PROFILE_KINDS)
+def test_profile_values_and_pole_distances_are_pinned(kind):
+    prof = make_profile(kind, 0.6 if kind in ELLIPTIC_KINDS else None)
+    s = np.array(PIN_S)
+    assert [v.hex() for v in prof.value(s).tolist()] == \
+        list(PINNED_VALUES[kind])
+    assert [float(prof.value(v)).hex() for v in PIN_S] == \
+        list(PINNED_VALUES[kind])
+    distances = PINNED_DISTANCES.get(POLES.get(kind), ("inf",) * len(PIN_S))
+    assert [v.hex() for v in prof.pole_distance(s).tolist()] == \
+        list(distances)
+    assert [float(prof.pole_distance(v)).hex() for v in PIN_S] == \
+        list(distances)

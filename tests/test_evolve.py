@@ -180,10 +180,12 @@ def test_crosscheck_stationary_line():
 
 
 def test_crosscheck_zero_horizon():
-    m = 0.5
-    L = 4.0 * ellipk(m)
-    rep, _ = crosscheck(sn_line(m), L, L, 32, 0.0, 1e-3)
-    assert rep["max_dev"] == 0.0 and rep["n_steps"] == 0
+    # T = 0 and T = 0.0004 < dt/2 would run no step and report
+    # max_dev = 0; the library refuses them before sampling anything.
+    L = 4.0 * ellipk(0.5)
+    for t_final in (0.0, 4e-4):
+        with pytest.raises(ConfigError, match=r"zero steps: T=.* dt="):
+            crosscheck(sn_line(0.5), L, L, 16, t_final, 1e-3)
 
 
 def test_crosscheck_second_order_in_dt():

@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
+import dsexact.residual
 from dsexact import ConfigError, EmptySampleError, Solution, StencilError, \
     Variant, family_a, family_c, parse_timefn, residual_at, verify
 
@@ -98,6 +101,35 @@ def test_empty_sample():
                    parse_timefn("0"))
     with pytest.raises(EmptySampleError):
         verify(sol, [(0.0, math.pi / 2.0, 0.0)])
+
+
+def test_blocked_verify_equals_one_block(monkeypatch):
+    # 40 points in blocks of 7, the last one short; the points on the pole
+    # are skipped.
+    sol = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
+                   parse_timefn("0"))
+    pts = [(t, math.pi / 2.0 + 0.1 * i, 0.3 * j) for t in (0.1, 0.3)
+           for i in range(-5, 5) for j in (-1, 1)]
+    whole = verify(sol, pts)
+    assert whole.passed and whole.n_points == 36
+    monkeypatch.setattr(dsexact.residual, "_BLOCK", 7)
+    assert verify(sol, pts) == whole
+
+
+def test_verify_memory_is_bounded_by_the_block():
+    # A 128 x 64 sn grid held about 5.5 KB a point (45 MB) when every
+    # stencil was evaluated at once; a block of 4,096 points takes ~23 MB.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
+    x, y = np.meshgrid(np.linspace(-0.8, 0.8, 128), np.linspace(-0.8, 0.8, 64))
+    pts = np.stack([np.full(x.size, 0.2), x.ravel(), y.ravel()], axis=1)
+    tracemalloc.start()
+    try:
+        report = verify(sol, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.n_points == 8192
+    assert peak < 30e6
 
 
 def test_sign_flip_symmetry():
