@@ -10,12 +10,11 @@ from .elliptic import PROFILE_KINDS, Profile, ellipk, jacobi_sn_cn_dn, \
     make_profile
 from .errors import BlowupError, ConfigError, DegenerateMatch, DomainError, \
     DSError, EmptySampleError, MixedCaseUnsupported, NoRealAmplitude, \
-    NoRealSolution, ParseError, PeriodicityError, StencilError, \
-    UnsupportedVariant
+    NoRealSolution, ParseError, PeriodicityError, UnsupportedVariant
 from .evolve import Field, advance, crosscheck, make_field, mass, \
     poisson_v, step
 from .gridio import GridSpec, write_field_csv, write_json_report
-from .residual import ResidualReport, residual_at, verify
+from .residual import ORDERS, ResidualReport, verify
 from .symmetry import TransformSpec, apply_t1, apply_t2, compose
 from .timefn import Jet, TimeFunction, parse_timefn
 

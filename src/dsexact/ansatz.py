@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .elliptic import Profile
-from .errors import DegenerateMatch, NoRealAmplitude
+from .errors import ConfigError, DegenerateMatch, NoRealAmplitude
 
 __all__ = ["LinePhaseFrame", "frame", "CubicMatch", "match_cubic",
            "v_profile_coefficient"]
@@ -57,15 +57,23 @@ class LinePhaseFrame:
 
 
 def frame(eps1: int, ell: float, ell1: float = 0.0) -> LinePhaseFrame:
-    """Populate the (zeta, eta, E) triple for the sign branch eps1 = +-1."""
+    """Populate the (zeta, eta, E) triple for the sign branch eps1 = +-1.
+
+    Raises ConfigError where the triple is not finite (cosh(2 ell)
+    overflows above ell ~ 355, and 2 ell itself above ~9e307).
+    """
     ell = float(ell)
-    if eps1 == 1:
-        zeta, eta, E = math.sinh(ell), math.cosh(ell), math.cosh(2.0 * ell)
-    elif eps1 == -1:
-        zeta, eta, E = math.sin(ell), math.cos(ell), math.cos(2.0 * ell)
-    else:
+    if eps1 not in (1, -1):
         raise DegenerateMatch(f"eps1 must be +1 or -1, got {eps1}")
-    return LinePhaseFrame(eps1, ell, float(ell1), zeta, eta, E)
+    odd, even = (math.sinh, math.cosh) if eps1 == 1 else (math.sin, math.cos)
+    try:
+        triple = odd(ell), even(ell), even(2.0 * ell)
+    except (OverflowError, ValueError):
+        triple = (math.nan,)
+    if not all(map(math.isfinite, triple)):
+        raise ConfigError(f"ell={ell!r}: the line direction of the eps1="
+                          f"{eps1:+d} branch is not finite")
+    return LinePhaseFrame(eps1, ell, float(ell1), *triple)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,11 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         if variant.eps2 != 1:
             raise NoRealSolution(
                 "family B existence condition requires eps2 = +1")
-        im_value = 0.25 * math.log(3.0 * a * a / (b * b))
+        ratio = 3.0 * a * a / (b * b) if b * b else math.inf
+        if not 0.0 < ratio < math.inf:
+            raise ConfigError(f"family B: a={a!r}, b={b!r} give 3 a^2/b^2 "
+                              f"outside the floating-point range")
+        im_value = 0.25 * math.log(ratio)
     else:
         im_value = float(im)
     eps2 = variant.eps2

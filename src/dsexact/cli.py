@@ -30,7 +30,8 @@ from .errors import ConfigError, DSError
 from .evolve import crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
-from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, verify
+from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, ORDERS, \
+    verify
 from .selftest import run_selftest
 from .symmetry import TransformSpec, compose
 from .timefn import parse_timefn
@@ -61,12 +62,14 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 
 # Largest counts, sized from the memory they ask for: an axis's coordinates,
 # jitter and spelled cells take about 143 bytes a point (150 MB at 2**20),
-# and an evolve box about 204 bytes a grid point (860 MB at n = 2048),
-# measured with tracemalloc on numpy 2.4.  They do not bound a whole grid:
-# verify evaluates stencils 4,096 points at a time (about 23 MB) but holds
-# about 140 bytes a point of the whole sample, its points and results.
+# an evolve box about 204 bytes a grid point (860 MB at n = 2048), and a
+# verify sample about 142 bytes a point, its (t, x, y) row included, besides
+# the 23 MB block of stencils (600 MB at 2**22 points), measured with
+# tracemalloc on numpy 2.4.  eval writes 4,096 points at a time, so only
+# verify bounds the whole grid.
 _MAX_AXIS = 2 ** 20
 _MAX_BOX_N = 2048
+_MAX_POINTS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +242,15 @@ def _cmd_eval(cfg, args, sol=None) -> int:
 def _cmd_verify(cfg, args, sol=None) -> int:
     if sol is None:
         sol = build_solution(cfg)
-    points = build_grid(cfg).points(seed=args.seed)
+    grid = build_grid(cfg)
+    size = len(grid.t_values) * grid.x_range[2] * grid.y_range[2]
+    if size > _MAX_POINTS:
+        raise ConfigError(f"/grid: {size} sample points, more than the "
+                          f"{_MAX_POINTS} that verify holds")
+    points = grid.points(seed=args.seed)
     h = _number(*_flag_or_field(cfg, args, "h", "/verify/h"), DEFAULT_H)
     order = _choice(*_flag_or_field(cfg, args, "order", "/verify/order"),
-                    (2, 4, 6), DEFAULT_ORDER)
+                    ORDERS, DEFAULT_ORDER)
     tol = _number(*_flag_or_field(cfg, args, "tol", "/verify/tol_rel"),
                   DEFAULT_TOL_REL)
     out = _string(*_flag_or_field(cfg, args, "out", "/out"), "report.json")
@@ -302,7 +310,7 @@ def _cmd_selftest(cfg, args) -> int:
 _FLAGS = {
     "out": (str, "output path (overrides /out)"),
     "h": (float, "finite-difference step (overrides /verify/h)"),
-    "order": (int, "finite-difference order, 2, 4 or 6 "
+    "order": (int, f"finite-difference order, one of {ORDERS} "
                    "(overrides /verify/order)"),
     "tol": (float, "tolerance (overrides /verify/tol_rel or /evolve/tol)"),
     "dt": (float, "time step (overrides /evolve/dt)"),

@@ -41,6 +41,11 @@ _AGM_TOL = 1e-15
 # units) from any pole; residual sampling relies on it.
 SINGULARITY_GUARD = 1e-3
 
+# Below this |s|, (sn, cn, dn) = (s, 1, 1) exactly in double precision
+# (the next terms are O(s^3) and O(s^2)), while the Landen unwinding, which
+# divides by sn, overflows below about 3e-154.
+_TINY = 2.0 ** -510
+
 
 def ellipk(m: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
@@ -64,8 +69,8 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
 
     The scale chain depends only on m, so it is built once per call and
     unwound over every s together.  At m=0 this reduces to
-    (sin s, cos s, 1); at m=1 to (tanh s, sech s, sech s).  Total for finite
-    s and m in [0, 1].
+    (sin s, cos s, 1); at m=1 to (tanh s, sech s, sech s); at |s| < 2^-510
+    to (s, 1, 1).  Total for finite s and m in [0, 1].
     """
     s = np.asarray(s, dtype=float)
     m = float(m)
@@ -97,9 +102,9 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
     u = c * s
     sn = np.sin(u)
     cn = np.cos(u)
-    # sin(u) is exactly 0 only at u = 0, where (sin, cos, 1) is already the
-    # answer; a stand-in divisor keeps the unwinding finite there.
-    moving = sn != 0.0
+    # Tiny arguments (NaN is not tiny) take (s, 1, 1); a stand-in divisor
+    # keeps the unwinding finite there.
+    moving = ~(np.abs(s) < _TINY)
     ratio = cn / np.where(moving, sn, 1.0)
     c = ratio * c
     dn = 1.0
@@ -110,8 +115,8 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
         ratio = c / scale
     mag = 1.0 / np.sqrt(c * c + 1.0)
     unwound = np.where(sn >= 0.0, mag, -mag)
-    return (np.where(moving, unwound, sn)[()],
-            np.where(moving, c * unwound, cn)[()],
+    return (np.where(moving, unwound, s)[()],
+            np.where(moving, c * unwound, 1.0)[()],
             np.where(moving, dn, 1.0)[()])
 
 

@@ -58,10 +58,6 @@ class MixedCaseUnsupported(ConfigError):
     """Linear-profile family with exactly one of a, b zero; not covered."""
 
 
-class StencilError(DSError):
-    """A finite-difference stencil touches an invalid region."""
-
-
 class EmptySampleError(DSError):
     """No valid sample points survived filtering."""
 

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Solution, eval_solution
-from .errors import ConfigError, EmptySampleError, StencilError
+from .errors import ConfigError, EmptySampleError
 
-__all__ = ["ResidualReport", "residual_at", "verify",
+__all__ = ["ResidualReport", "verify", "ORDERS",
            "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
 
 DEFAULT_H = 1e-3
@@ -52,6 +52,7 @@ _D2 = {
     6: ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
         (0, -49.0 / 18.0), (1, 3.0 / 2.0), (2, -3.0 / 20.0), (3, 1.0 / 90.0)),
 }
+ORDERS = tuple(_D1)  # the stencil orders verify accepts
 
 
 @dataclass(frozen=True)
@@ -79,18 +80,6 @@ class ResidualReport:
                 "n_points": self.n_points, "pass": self.passed}
 
 
-def _check_order(order: int):
-    if order not in _D1:
-        raise StencilError(f"stencil order must be one of {tuple(_D1)}, "
-                           f"got {order}")
-
-
-def _check_step(h: float):
-    if not 0.0 < h < math.inf:
-        raise ConfigError(f"finite-difference step h must be positive and "
-                          f"finite, got {h}")
-
-
 def _stencil(order: int):
     """Node offsets (in steps) along t, x, y, and a map (axis, k) -> node.
 
@@ -112,14 +101,13 @@ _STENCILS = {order: _stencil(order) for order in _D1}
 def _residual_terms(sol: Solution, t, x, y, h, order):
     """R1, R2, their summed term magnitudes, and stencil validity.
 
-    ``t, x, y`` are arrays of one shape (or floats) and ``h`` a step or an
-    array of steps; every result has shape ``shape(t) + shape(h)``.  All
-    stencil nodes of all points and steps are evaluated in one call; ``ok``
-    is False where any node is invalid, and the other results are NaN there.
+    ``t, x, y`` are arrays of one shape and ``h`` an array of steps; every
+    result has shape ``shape(t) + shape(h)``.  All stencil nodes of all
+    points and steps are evaluated in one call; ``ok`` is False where any
+    node is invalid, and the other results are NaN there.
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
     offsets, index = _STENCILS[order]
-    h = np.asarray(h, dtype=float)
     u, v, ok = eval_solution(
         sol, *(np.add.outer(c, np.multiply.outer(h, k))
                for c, k in zip((t, x, y), offsets)))
@@ -148,22 +136,6 @@ def _residual_terms(sol: Solution, t, x, y, h, order):
                   + np.abs(cubic) + np.abs(coupling))
         scale2 = np.abs(dv_xx) + np.abs(dv_yy) + 2.0 * np.abs(dg_xx)
     return r1, r2, scale1, scale2, ok
-
-
-def residual_at(sol: Solution, t: float, x: float, y: float,
-                h: float = DEFAULT_H, order: int = DEFAULT_ORDER):
-    """Point residuals (R1 complex, R2 real) of the governing system.
-
-    Raises StencilError when the stencil footprint leaves the valid region;
-    callers sampling a grid skip such points.
-    """
-    _check_step(h)
-    _check_order(order)
-    r1, r2, _, _, ok = _residual_terms(sol, t, x, y, h, order)
-    if not ok:
-        raise StencilError(
-            f"stencil at (t={t}, x={x}, y={y}, h={h}) touches invalid region")
-    return complex(r1), float(r2)
 
 
 def _rms(values) -> float:
@@ -205,10 +177,14 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     roundoff floor; a non-finite rms gives a NaN order.  The effective
     floor is max(DEFAULT_FLOOR_REL, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
-    of residuals it would accept anyway.
+    of residuals it would accept anyway.  Raises ConfigError unless h is
+    finite and positive, (h/2)^2 is nonzero, and ``order`` is in ``ORDERS``.
     """
-    _check_step(h)
-    _check_order(order)
+    if not (0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
+            and order in ORDERS):
+        raise ConfigError(f"verify needs a finite step h > 0 whose half "
+                          f"step squares to a nonzero number and an order "
+                          f"in {ORDERS}; got h={h!r}, order={order!r}")
     points = np.asarray(sample, dtype=float).reshape(-1, 3)
     steps = np.array([h, h / 2.0])
     # An empty sample still makes one (empty) block.

@@ -462,6 +462,51 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, pointer,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
+# Finite family constants whose derived quantities leave the double range:
+# cosh(2 ell) overflows, 2 ell is infinite, and b*b underflows to 0.
+@pytest.mark.parametrize("family, variant, params, named", [
+    ("C", 1, {"ell": 800.0}, "ell=800.0"),
+    ("C", -1, {"ell": 1e308}, "ell=1e+308"),
+    ("B", 1, {"a": 1e200, "b": 1e-200, "c": 1.0}, "a=1e+200, b=1e-200"),
+])
+def test_out_of_range_family_constant_is_config_error(tmp_path, capsys, family,
+                                                     variant, params, named):
+    doc = full_config(tmp_path)
+    doc["family"] = family
+    doc["variant"]["eps1"] = variant
+    doc["params"].update(params)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError") and named in err
+
+
+@pytest.mark.parametrize("command", ["verify", "transform"])
+def test_verify_bounds_the_whole_grid_before_allocating(tmp_path, capsys,
+                                                        monkeypatch, command):
+    def refuse(self, seed=None):
+        raise AssertionError("points() called")
+
+    monkeypatch.setattr(gridio.GridSpec, "points", refuse)
+    doc = full_config(tmp_path)
+    doc["then"] = "verify"
+    doc["grid"]["x"][2] = doc["grid"]["y"][2] = cli._MAX_AXIS
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: /grid: ")
+    assert f"{2 ** 40} sample points" in err
+
+
+def test_whole_grid_bound_is_inclusive(tmp_path, monkeypatch):
+    doc = full_config(tmp_path)  # 25 points
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    monkeypatch.setattr(cli, "_MAX_POINTS", 25)
+    assert main(["verify", "--config", cfg]) == 0
+    monkeypatch.setattr(cli, "_MAX_POINTS", 24)
+    assert main(["verify", "--config", cfg]) == 2
+
+
 FLAGS = {"--out", "--h", "--order", "--tol", "--dt", "--T", "--seed"}
 COMMAND_FLAGS = {
     "families": set(), "selftest": set(),

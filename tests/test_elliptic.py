@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ def test_ellipk_domain(m):
 def test_jacobi_origin():
     for m in (0.0, 0.3, 0.9, 1.0):
         assert jacobi_sn_cn_dn(0.0, m) == (0.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.3, 0.6, 0.99, 1.0 - 1e-12])
+def test_jacobi_tiny_arguments_are_exact(m):
+    # (s, 1, 1) is exact below about 1e-153; the Landen unwinding divided
+    # cn by sn there and returned NaN, or sn = 0 where c*s underflowed.
+    tiny = [1e-155, 1e-200, 1e-300, 5e-324]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for s in tiny + [-s for s in tiny]:
+            assert jacobi_sn_cn_dn(s, m) == (s, 1.0, 1.0)
+        sn, cn, dn = jacobi_sn_cn_dn(np.array(tiny), m)
+    assert sn.tolist() == tiny and cn.tolist() == dn.tolist() == [1.0] * 4
 
 
 def test_jacobi_degenerate_modulus():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import dsexact.residual
-from dsexact import ConfigError, EmptySampleError, Solution, StencilError, \
-    Variant, family_a, family_c, parse_timefn, residual_at, verify
+from dsexact import ConfigError, EmptySampleError, Solution, Variant, \
+    family_a, family_c, parse_timefn, verify
+from dsexact.residual import DEFAULT_H
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
 
@@ -16,30 +17,36 @@ def exact_a(eps1=1, eps2=1, c=1.0):
     return family_a(Variant(eps1, eps2), parse_timefn("t"), c)
 
 
+def at_point(sol, t, x, y, h=2.0 * DEFAULT_H):
+    """The report of a one-point sample: max1, max2 are |R1|, |R2| at the
+    fine step h/2 (the default fine step is DEFAULT_H), order 4."""
+    return verify(sol, [(t, x, y)], h=h)
+
+
 def test_exact_solution_has_tiny_residual():
-    sol = exact_a()
-    r1, r2 = residual_at(sol, 0.5, 0.4, -0.7, h=1e-3, order=4)
-    assert abs(r1) <= 1e-8 * 10.0
-    assert abs(r2) <= 1e-8 * 10.0
+    report = at_point(exact_a(), 0.5, 0.4, -0.7, h=2e-3)
+    assert report.max1 <= 1e-8 * 10.0
+    assert report.max2 <= 1e-8 * 10.0
 
 
 def test_zero_solution_residual_is_exactly_zero():
     zero = Solution(Variant(1, 1), lambda t, x, y: 0j,
                     lambda t, x, y: 0.0, lambda t, x, y: True)
-    r1, r2 = residual_at(zero, 0.1, 0.2, 0.3)
-    assert r1 == 0.0 and r2 == 0.0
+    report = at_point(zero, 0.1, 0.2, 0.3)
+    assert report.max1 == 0.0 and report.max2 == 0.0
 
 
 def test_perturbed_mean_flow_shifts_r1_linearly():
-    # v -> v + 0.1 changes R1 by -0.2*u and leaves R2 unchanged.
+    # v -> v + 0.1 changes R1 by -0.2*u and leaves R2 unchanged, so by the
+    # triangle inequality |R1| moves from 0.2|u| by at most the base |R1|.
     sol = exact_a()
     bumped = Solution(sol.variant, sol.u,
                       lambda t, x, y: sol.v(t, x, y) + 0.1, sol.valid)
     t, x, y = 0.5, 0.6, -0.4
-    r1_base, r2_base = residual_at(sol, t, x, y)
-    r1_bump, r2_bump = residual_at(bumped, t, x, y)
-    assert abs((r1_bump - r1_base) + 0.2 * sol.u(t, x, y)) <= 1e-9
-    assert abs(r2_bump - r2_base) <= 1e-9
+    base = at_point(sol, t, x, y)
+    bump = at_point(bumped, t, x, y)
+    assert abs(bump.max1 - 0.2 * abs(sol.u(t, x, y))) <= base.max1 + 1e-9
+    assert abs(bump.max2 - base.max2) <= 1e-9
 
 
 def test_verify_passes_exact_family():
@@ -86,8 +93,8 @@ def test_wrong_constants_produce_h_independent_residual():
 def test_stencil_error_and_skipping():
     sol = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
                    parse_timefn("0"))
-    with pytest.raises(StencilError):
-        residual_at(sol, 0.0, math.pi / 2.0 - 5e-4, 0.0, h=1e-3, order=4)
+    with pytest.raises(EmptySampleError):
+        at_point(sol, 0.0, math.pi / 2.0 - 5e-4, 0.0, h=2e-3)
     # a grid straddling the pole loses points but still verifies
     xs = [math.pi / 2.0 + 0.22 * i for i in range(-4, 5)]
     pts = [(0.0, x, 0.5) for x in xs]
@@ -136,11 +143,11 @@ def test_sign_flip_symmetry():
     base = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3, parse_timefn("0"))
     flipped = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3, parse_timefn("0"),
                        amplitude=-base.provenance["amplitude"])
-    t, x, y = 0.0, 0.5, -0.3
-    r1a, r2a = residual_at(base, t, x, y)
-    r1b, r2b = residual_at(flipped, t, x, y)
-    assert abs(r1a + r1b) <= 1e-12  # R1 is odd in u
-    assert abs(r2a - r2b) <= 1e-12  # R2 is even in u
+    # R1 is odd and R2 even in u, and negating u negates every rounded
+    # term of R1 exactly, so both magnitudes are equal bit for bit.
+    a = at_point(base, 0.0, 0.5, -0.3)
+    b = at_point(flipped, 0.0, 0.5, -0.3)
+    assert (a.max1, a.max2) == (b.max1, b.max2)
 
 
 def test_report_json_shape_and_determinism():
@@ -153,16 +160,15 @@ def test_report_json_shape_and_determinism():
 
 
 def test_invalid_order_rejected():
-    with pytest.raises(StencilError):
-        residual_at(exact_a(), 0.0, 0.0, 0.0, order=3)
+    with pytest.raises(ConfigError, match=r"\(2, 4, 6\); got h=0.001, order=3"):
+        verify(exact_a(), GRID, order=3)
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+# 1e-300: (h/2)^2 underflows to 0, and the second differences divided by 0.
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1e-300])
 def test_bad_step_is_config_error(h):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=f"got h={h!r}, order=4"):
         verify(exact_a(), GRID, h=h)
-    with pytest.raises(ConfigError):
-        residual_at(exact_a(), 0.5, 0.4, -0.7, h=h)
 
 
 @pytest.mark.parametrize("amplitude", [1e120])
