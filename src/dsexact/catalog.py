@@ -22,6 +22,10 @@ family_b   profile linear in the stretched coordinates (e1=+1 only).  The
 family_c   travelling-line profiles nu(w) over the eight profile kinds,
            with amplitude and constants from the cubic match and the
            nu^2 coefficient kappa = -2 zeta^2 in v.
+
+Each family, like each transform in ``symmetry``, is one closure
+``fields(t, x, y) -> (u, v, ok)`` that computes its jets, profile and both
+fields once; ``eval_solution`` runs it once per layer and call.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .ansatz import frame, match_cubic, v_profile_coefficient
-from .elliptic import SINGULARITY_GUARD, Profile, make_profile
+from .elliptic import SINGULARITY_GUARD, make_profile
 from .errors import ConfigError, MixedCaseUnsupported, NoRealSolution, \
     UnsupportedVariant
 from .timefn import TimeFunction, jet_arrays
@@ -66,11 +70,11 @@ class Solution:
     ``u``, ``v`` and ``valid`` take floats or numpy arrays ``t, x, y`` that
     broadcast together, and return values that broadcast against them.
     ``valid`` is a bool mask, False inside the guard radius of any profile
-    pole, wherever a family constraint fails, and where a coefficient jet is
-    undefined or overflows (see ``jet_arrays``); ``u`` and ``v`` are only
-    meaningful where it is True, and ``eval_solution`` calls them only
-    there.  ``provenance`` records family, parameters, and the transform
-    chain.
+    pole, wherever a family constraint fails, and where a coefficient jet or
+    a stretched coordinate is undefined or overflows (see ``jet_arrays``);
+    ``u`` and ``v`` are only meaningful where it is True; families and
+    transforms select all three from one ``fields`` (see ``solution``).
+    ``provenance`` records family, parameters, and the transform chain.
     """
 
     variant: Variant
@@ -80,44 +84,48 @@ class Solution:
     provenance: dict = field(default_factory=dict)
 
 
-# Jets and profile values of the eval_solution call in progress, or None.
+# Each layer's fields within the eval_solution call in progress, or None.
 _scope = ContextVar("dsexact_eval_scope", default=None)
 
 
-def scoped(fn, obj, a):
-    """``fn(obj, a)`` for an array ``a``, computed once per distinct
-    ``(fn, obj, a)`` within one ``eval_solution`` call, so that ``valid``,
-    ``u`` and ``v`` share it; outside a call, plain ``fn(obj, a)``."""
-    memo = _scope.get()
-    if memo is None:
-        return fn(obj, a)
-    a = np.asarray(a)
-    key = (fn, id(obj), a.dtype.str, a.shape, a.tobytes())
-    if key not in memo:
-        memo[key] = fn(obj, a)
-    return memo[key]
+def solution(variant: Variant, fields, provenance: dict) -> Solution:
+    """The Solution whose ``u``, ``v`` and ``valid`` select from one layer's
+    ``fields(t, x, y) -> (u, v, ok)``, run under ``np.errstate(all=
+    "ignore")``.  Within an ``eval_solution`` call ``fields`` runs once per
+    identity of ``t``, ``x`` and ``y``, so the three selectors share it;
+    outside a call each selector runs it afresh."""
+    def run(t, x, y):
+        memo = _scope.get()
+        if memo is None:
+            memo = {}
+        key = (fields, id(t), id(x), id(y))
+        if key not in memo:
+            with np.errstate(all="ignore"):
+                # The entry keeps its arguments: no id is reused meanwhile.
+                memo[key] = fields(t, x, y), (t, x, y)
+        return memo[key][0]
+
+    return Solution(variant, lambda t, x, y: run(t, x, y)[0],
+                    lambda t, x, y: run(t, x, y)[1],
+                    lambda t, x, y: run(t, x, y)[2], provenance)
 
 
 def eval_solution(sol: Solution, t, x, y):
     """Evaluate (u, v, valid) at broadcastable points t, x, y.
 
-    ``valid`` is computed first and ``u``, ``v`` only at the valid points;
-    the others get NaN.  Within the call, jets and profile values are
-    computed once per distinct argument (see ``scoped``).  Returns arrays of
-    the broadcast shape (numpy scalars for scalar input).
+    ``valid``, ``u`` and ``v`` are called once each, on the same broadcast
+    arrays; ``u`` and ``v`` are NaN where ``valid`` is False.  Within the
+    call each layer computes its fields once (see ``solution``); nothing is
+    kept from one call to the next.  Returns arrays of the broadcast shape
+    (numpy scalars for scalar input).
     """
     t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
                                     for a in (t, x, y)))
-    u = np.full(t.shape, complex("nan"))
-    v = np.full(t.shape, math.nan)
     token = _scope.set({})
     try:
         ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), bool), t.shape)
-        if ok.any():
-            at = ... if ok.all() else ok  # no masked copies if all are valid
-            tv, xv, yv = t[at], x[at], y[at]
-            u[at] = sol.u(tv, xv, yv)
-            v[at] = sol.v(tv, xv, yv)
+        u = np.where(ok, sol.u(t, x, y), complex("nan"))
+        v = np.where(ok, sol.v(t, x, y), math.nan)
     finally:
         _scope.reset(token)
     return u[()], v[()], ok[()]
@@ -136,28 +144,20 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
     eps1, eps2 = variant.eps1, variant.eps2
     c = float(c)
 
-    def u(t, x, y):
-        j, _ = scoped(jet_arrays, im, t)
+    def fields(t, x, y):
+        j, ok = jet_arrays(im, t)
         alpha_p = 0.5 * j.d1 - eps1 * j.d2 / (4.0 * j.d1)
         beta_p = -j.d2 / (4.0 * j.d1) - eps1 * j.d1 / 2.0
-        return c * np.sqrt(j.d1) * np.exp(
+        u = c * np.sqrt(j.d1) * np.exp(
             1j * (alpha_p * x * x + beta_p * y * y))
-
-    def v(t, x, y):
-        j, _ = scoped(jet_arrays, im, t)
         quad = (j.d3 / (4.0 * j.d1)
                 - 3.0 * j.d2 * j.d2 / (8.0 * j.d1 * j.d1)
                 - j.d1 * j.d1 / 2.0)
-        return quad * (eps1 * x * x + y * y) - eps2 * c * c * j.d1
+        v = quad * (eps1 * x * x + y * y) - eps2 * c * c * j.d1
+        return u, v, ok & (j.d1 > IM_SLOPE_CUTOFF)
 
-    def valid(t, x, y):
-        j, ok = scoped(jet_arrays, im, t)
-        return ok & (j.d1 > IM_SLOPE_CUTOFF)
-
-    return Solution(
-        variant, u, v, valid,
-        provenance={"family": "A", "eps1": eps1, "eps2": eps2,
-                    "Im": im.source, "c": c})
+    return solution(variant, fields, {"family": "A", "eps1": eps1,
+                                      "eps2": eps2, "Im": im.source, "c": c})
 
 
 # ---------------------------------------------------------------------------
@@ -193,39 +193,33 @@ def family_b(variant: Variant, a: float, b: float, c: float,
     else:
         im_value = float(im)
     eps2 = variant.eps2
+    e2i = math.exp(-2.0 * im_value)
 
-    def u(t, x, y):
+    def fields(t, x, y):
         # Transport amplitude exp(-alpha - beta) * theta(w1, w2) with
         # alpha = beta + Im and theta = a*w1 + b*w2 + c in the stretched
         # coordinates w1 = exp(-2 alpha) x, w2 = exp(-2 beta) y, times the
         # quadratic phase beta' (x^2 + y^2).
-        j, _ = scoped(jet_arrays, beta, t)
+        j, ok = jet_arrays(beta, t)
         alpha = j.f + im_value
         w1 = np.exp(-2.0 * alpha) * x
         w2 = np.exp(-2.0 * j.f) * y
         amp = np.exp(-alpha - j.f) * (a * w1 + b * w2 + c)
-        return amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
-
-    def v(t, x, y):
-        j, _ = scoped(jet_arrays, beta, t)
+        u = amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
         quad = j.d2 + 2.0 * j.d1 * j.d1
         e2b = np.exp(-2.0 * j.f)
         e8b = e2b ** 4
-        e2i = math.exp(-2.0 * im_value)
         vxx = quad + eps2 * a * a * e2i ** 3 * e8b
         vyy = quad + eps2 * b * b * e2i * e8b
         cross = 2.0 * a * b * eps2 * e2i ** 2 * e8b
         linear = eps2 * c * e2i * e2b ** 2 * (
             2.0 * a * e2i * e2b * x + 2.0 * b * e2b * y + c)
-        return -vxx * x * x - vyy * y * y - cross * x * y - linear
+        v = -vxx * x * x - vyy * y * y - cross * x * y - linear
+        return u, v, ok & np.isfinite(w1) & np.isfinite(w2)
 
-    def valid(t, x, y):
-        return scoped(jet_arrays, beta, t)[1]
-
-    return Solution(
-        variant, u, v, valid,
-        provenance={"family": "B", "eps1": 1, "eps2": eps2, "a": a, "b": b,
-                    "c": c, "Im": im_value, "beta": beta.source})
+    return solution(variant, fields, {"family": "B", "eps1": 1, "eps2": eps2,
+                                      "a": a, "b": b, "c": c, "Im": im_value,
+                                      "beta": beta.source})
 
 
 # ---------------------------------------------------------------------------
@@ -260,30 +254,21 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         c_v = float(v_constant)
     zeta, eta, ell1 = fr.zeta, fr.eta, fr.ell1
 
-    def u(t, x, y):
-        j, _ = scoped(jet_arrays, beta, t)
+    def fields(t, x, y):
+        j, ok = jet_arrays(beta, t)
         stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
-        return amp * stretch * scoped(Profile.value, profile, w) * np.exp(
+        value = profile.value(w)
+        u = amp * stretch * value * np.exp(
             1j * j.d1 * (eps1 * x * x + y * y))
-
-    def v(t, x, y):
-        j, _ = scoped(jet_arrays, beta, t)
-        stretch = np.exp(-2.0 * j.f)
-        w = stretch * (zeta * x + eta * y) + ell1
-        nu = amp * scoped(Profile.value, profile, w)
+        nu = amp * value
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
-        return gamma * (eps1 * x * x + y * y) \
+        v = gamma * (eps1 * x * x + y * y) \
             + stretch * stretch * (c_v + kappa * nu * nu)
+        return u, v, ok & np.isfinite(w) \
+            & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
-    def valid(t, x, y):
-        j, ok = scoped(jet_arrays, beta, t)
-        w = np.exp(-2.0 * j.f) * (zeta * x + eta * y) + ell1
-        return ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
-
-    return Solution(
-        variant, u, v, valid,
-        provenance={"family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,
-                    "m": profile.m, "ell": fr.ell, "ell1": ell1,
-                    "beta": beta.source, "amplitude": amp,
-                    "v_constant": c_v, "v_quad_coeff": kappa})
+    return solution(variant, fields, {
+        "family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,
+        "m": profile.m, "ell": fr.ell, "ell1": ell1, "beta": beta.source,
+        "amplitude": amp, "v_constant": c_v, "v_quad_coeff": kappa})

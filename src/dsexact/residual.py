@@ -116,8 +116,8 @@ def _residual_terms(sol: Solution, t, x, y, h, order):
     def diff(f, axis, table):
         return sum(c * f[..., index[axis, k]] for k, c in table)
 
-    h2 = h * h
     with np.errstate(over="ignore", invalid="ignore"):
+        h2 = h * h  # inf above h ~ 1e154
         g = np.abs(u) ** 2
         u0 = u[..., 0]
         v0 = v[..., 0]

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import Solution, scoped
+from .catalog import Solution, solution
 from .errors import ConfigError
 from .timefn import TimeFunction, jet_arrays
 
@@ -53,13 +53,13 @@ class TransformSpec:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
 
 
-def _extend(sol: Solution, u, v, valid, transform: dict) -> Solution:
-    """The transformed solution, with ``transform`` appended to the
-    provenance chain of ``sol``."""
+def _extend(sol: Solution, fields, transform: dict) -> Solution:
+    """The transformed solution with the given ``fields``, and ``transform``
+    appended to the provenance chain of ``sol``."""
     provenance = dict(sol.provenance)
     provenance["transforms"] = [*sol.provenance.get("transforms", []),
                                 transform]
-    return Solution(sol.variant, u, v, valid, provenance)
+    return solution(sol.variant, fields, provenance)
 
 
 def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
@@ -67,26 +67,20 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
     """Shift space by (alpha, beta)(t) with the compensating linear phase."""
     eps1 = sol.variant.eps1
 
-    def jets(t):
-        return [scoped(jet_arrays, f, t) for f in (alpha, beta, gamma)]
-
-    def u(t, x, y):
-        (aj, _), (bj, _), (gj, _) = jets(t)
+    def fields(t, x, y):
+        (aj, ok_a), (bj, ok_b), (gj, ok_g) = (jet_arrays(f, t)
+                                              for f in (alpha, beta, gamma))
+        xs, ys = x + aj.f, y + bj.f
+        ok = ok_a & ok_b & ok_g & sol.valid(t, xs, ys)
         phase = -(eps1 * aj.d1 * x + bj.d1 * y + gj.f)
-        return np.exp(1j * phase) * sol.u(t, x + aj.f, y + bj.f)
+        u = np.exp(1j * phase) * sol.u(t, xs, ys)
+        v = (sol.v(t, xs, ys)
+             + eps1 * aj.d2 * x + bj.d2 * y
+             - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0
+             + gj.d1)
+        return u, v, ok
 
-    def v(t, x, y):
-        (aj, _), (bj, _), (gj, _) = jets(t)
-        return (sol.v(t, x + aj.f, y + bj.f)
-                + eps1 * aj.d2 * x + bj.d2 * y
-                - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0
-                + gj.d1)
-
-    def valid(t, x, y):
-        (aj, ok_a), (bj, ok_b), (_, ok_g) = jets(t)
-        return ok_a & ok_b & ok_g & sol.valid(t, x + aj.f, y + bj.f)
-
-    return _extend(sol, u, v, valid,
+    return _extend(sol, fields,
                    {"kind": "T1", "alpha": alpha.source, "beta": beta.source,
                     "gamma": gamma.source})
 
@@ -98,16 +92,12 @@ def apply_t2(sol: Solution, b: float) -> Solution:
         raise ConfigError("scaling parameter b must be nonzero")
     b2 = b * b
 
-    def u(t, x, y):
-        return sol.u(t / b2, x / b, y / b) / b
+    def fields(t, x, y):
+        ts, xs, ys = t / b2, x / b, y / b
+        ok = sol.valid(ts, xs, ys)
+        return sol.u(ts, xs, ys) / b, sol.v(ts, xs, ys) / b2, ok
 
-    def v(t, x, y):
-        return sol.v(t / b2, x / b, y / b) / b2
-
-    def valid(t, x, y):
-        return sol.valid(t / b2, x / b, y / b)
-
-    return _extend(sol, u, v, valid, {"kind": "T2", "b": b})
+    return _extend(sol, fields, {"kind": "T2", "b": b})
 
 
 def compose(specs, sol: Solution) -> Solution:

@@ -7,14 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from dsexact import ConfigError, MixedCaseUnsupported, NoRealAmplitude, \
-    NoRealSolution, TransformSpec, UnsupportedVariant, TimeFunction, \
-    Variant, catalog, compose, eval_solution, family_a, family_b, family_c, \
-    jacobi_sn_cn_dn, parse_timefn
-from dsexact.catalog import scoped
+from dsexact import ConfigError, EmptySampleError, MixedCaseUnsupported, \
+    NoRealAmplitude, NoRealSolution, TransformSpec, UnsupportedVariant, \
+    TimeFunction, Variant, catalog, compose, eval_solution, family_a, \
+    family_b, family_c, jacobi_sn_cn_dn, parse_timefn, verify
 from dsexact.elliptic import Profile
 from dsexact.selftest import default_verification_matrix
-from dsexact.timefn import jet_arrays
 
 
 def test_variant_validation():
@@ -276,8 +274,8 @@ def test_eval_solution_broadcasts_like_pointwise_calls(name, sol, pole_x,
                 assert abs(u[i, j] - up) <= 1e-14 * abs(up), (name, i, j)
                 assert abs(v[i, j] - vp) <= 1e-14 * abs(vp), (name, i, j)
 
-    # Bitwise what direct, unscoped calls give at the points eval_solution
-    # passes on: the valid ones, or all points of an all-valid grid.
+    # Bitwise what direct calls outside eval_solution give, on the valid
+    # points alone and on an all-valid grid.
     t = np.broadcast_to(ts[:, None], x.shape)
     assert np.array_equal(u[ok], sol.u(t[ok], x[ok], y[ok]))
     assert np.array_equal(v[ok], sol.v(t[ok], x[ok], y[ok]))
@@ -295,6 +293,22 @@ def test_overflowing_time_function_makes_points_invalid():
     assert ok.tolist() == [True, False]
     assert np.isfinite(u[0]) and np.isfinite(v[0])
     assert np.isnan(u[1]) and np.isnan(v[1])
+
+
+def test_overflowing_stretched_coordinate_makes_points_invalid():
+    # The jets of 0.1*t are finite at t = -1e4 and -1e200, but the stretch
+    # exp(-2 beta) overflows, so the line coordinate is not finite.
+    beta = parse_timefn("0.1*t")
+    line = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0, beta)
+    linear = family_b(Variant(1, 1), 1.0, 1.0, 0.5, beta)
+    for sol in (line, linear):
+        u, v, ok = eval_solution(sol, np.array([0.2, -1e4, -1e200]), 0.3,
+                                 0.1)
+        assert ok.tolist() == [True, False, False]
+        assert np.isfinite(u[0]) and np.isnan(u[1:]).all()
+    # Every stencil reaches t - 1e200: no point is left to verify.
+    with pytest.raises(EmptySampleError):
+        verify(line, [(0.2, 0.3, 0.1), (0.5, -0.2, 0.4)], h=1e200)
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +368,8 @@ def test_replaced_fields_route_evaluation_through_wrappers():
 
 
 # ---------------------------------------------------------------------------
-# The evaluation scope of eval_solution: jets and profile values computed
-# once per call, shared by valid, u and v, and never kept across calls.
+# The evaluation scope of eval_solution: each layer's fields computed once
+# per call, shared by valid, u and v, and never kept across calls.
 # ---------------------------------------------------------------------------
 
 def _count_walks_and_profiles(monkeypatch):
@@ -383,32 +397,39 @@ def test_eval_solution_walks_each_time_function_once_per_call(monkeypatch):
     chain = compose([TransformSpec("T1", alpha=shift[0], beta=shift[1],
                                    gamma=shift[2]),
                      TransformSpec("T2", b=2.0)], line)
+    # A tan line with its pole at x = pi/2 when t = 0: the last point is
+    # inside the guard, so some points are invalid.
+    tan = family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0, beta)
     t = np.array([[0.3], [0.6]])
     x, y = np.linspace(-0.5, 0.5, 5), 0.2
     walks, profiles = _count_walks_and_profiles(monkeypatch)
-    for sol, fns in ((line, [beta]), (chain, [beta, *shift])):
+    for sol, fns, args in ((line, [beta], (t, x, y)),
+                           (chain, [beta, *shift], (t, x, y)),
+                           (tan, [beta], (0.0, [0.3, math.pi / 2.0], 0.0))):
         walks.clear()
         profiles.clear()
         # A second call walks again: nothing is reused across calls.
         for calls in (1, 2):
-            assert eval_solution(sol, t, x, y)[2].all()
+            ok = eval_solution(sol, *args)[2]
+            assert ok.all() == (sol is not tan) and ok.any()
             assert walks == {id(f): calls for f in fns}
             assert list(profiles.values()) == [calls]
 
 
 def test_raising_valid_leaves_no_scope_behind():
-    def boom(t, x, y):
-        scoped(jet_arrays, parse_timefn("t"), t)
-        raise ValueError("boom")
-
     line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
                     parse_timefn("0.1*t"))
+
+    def boom(t, x, y):
+        line.u(t, x, y)  # fills the scope
+        raise ValueError("boom")
+
     with pytest.raises(ValueError, match="boom"):
         eval_solution(dataclasses.replace(line, valid=boom), 0.3, 0.1, 0.2)
     assert catalog._scope.get() is None
 
 
-def test_scope_keys_on_shape_and_bytes():
+def test_scope_keys_on_argument_identity(monkeypatch):
     # One time function at two different t of one shape: the shift's alpha
     # is the base's beta, which the scaling hands t/4.
     beta = parse_timefn("0.1*t + 0.05*t^2")
@@ -423,16 +444,17 @@ def test_scope_keys_on_shape_and_bytes():
     assert np.array_equal(u, chain.u(t, x, y))
     assert np.array_equal(v, chain.v(t, x, y))
 
-    # Equal bytes in two shapes are two entries; an equal argument is one.
+    # The same arrays share one evaluation; a new array of equal content is
+    # a new entry.  eval_solution's own u and v then share the first.
+    walks, _ = _count_walks_and_profiles(monkeypatch)
     seen = []
 
     def valid(t, x, y):
-        flat = np.ravel(t)
-        seen.extend(scoped(jet_arrays, beta, a)
-                    for a in (flat.reshape(2, 3), flat.reshape(3, 2),
-                              flat.reshape(2, 3).copy()))
+        seen.extend([line.u(t, x, y), line.u(t, x, y),
+                     line.u(t.copy(), x, y)])
         return True
 
-    eval_solution(dataclasses.replace(line, valid=valid), t, x, y)
-    assert [j.f.shape for j, _ in seen] == [(2, 3), (3, 2), (2, 3)]
-    assert seen[2] is seen[0] and seen[1] is not seen[0]
+    u, _, _ = eval_solution(dataclasses.replace(line, valid=valid), t, x, y)
+    assert seen[1] is seen[0] and seen[2] is not seen[0]
+    assert np.array_equal(seen[2], seen[0]) and np.array_equal(u, seen[0])
+    assert walks == {id(beta): 2}

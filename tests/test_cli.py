@@ -444,6 +444,7 @@ MALFORMED = [
     ("evolve", "/evolve/box/1", -1.0, [], "ly="),
     ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
     ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
+    ("evolve", "/evolve/n", 48, [], "/evolve/n"),
 ]
 
 

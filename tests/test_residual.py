@@ -8,7 +8,7 @@ import pytest
 import dsexact.residual
 from dsexact import ConfigError, EmptySampleError, Solution, Variant, \
     family_a, family_c, parse_timefn, verify
-from dsexact.residual import DEFAULT_H
+from dsexact.residual import DEFAULT_H, ORDERS
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
 
@@ -57,15 +57,23 @@ def test_verify_passes_exact_family():
     assert report.rms2 <= report.max2
 
 
-def test_fourth_order_convergence_in_truncation_regime():
-    # With h large enough that truncation dominates roundoff, halving h
-    # must shrink the R1 norm by at least 2^(order-0.5).
-    sol = family_a(Variant(-1, 1), parse_timefn("ln(t)"), 1.0)
+# A step per stencil order at which truncation error dominates roundoff on
+# the line below, also at half the step.
+TRUNCATION_STEPS = {2: 0.04, 4: 0.08, 6: 0.16}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_nominal_order_convergence_in_truncation_regime(order):
+    # Halving h must shrink the R1 and R2 norms by at least 2^(order-0.5),
+    # from h to h/2 and again from h/2 to h/4.
+    sol = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.3,
+                   parse_timefn("0.1*t"))
     pts = [(0.8, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
-    report = verify(sol, pts, h=0.08, order=4, tol_rel=float("inf"))
-    assert report.order1 >= 3.5
-    report2 = verify(sol, pts, h=0.04, order=4, tol_rel=float("inf"))
-    assert report.rms1 / report2.rms1 >= 2.0 ** 3.5
+    for h in (TRUNCATION_STEPS[order], TRUNCATION_STEPS[order] / 2.0):
+        report = verify(sol, pts, h=h, order=order, tol_rel=float("inf"))
+        assert report.n_points == len(pts)
+        assert report.order1 >= order - 0.5
+        assert report.order2 >= order - 0.5
 
 
 def test_wrong_constants_produce_h_independent_residual():
