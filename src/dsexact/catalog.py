@@ -25,7 +25,7 @@ family_c   travelling-line profiles nu(w) over the eight profile kinds,
 
 Each family, like each transform in ``symmetry``, is one closure
 ``fields(t, x, y) -> (u, v, ok)`` that computes its jets, profile and both
-fields once; ``eval_solution`` runs it once per layer and call.
+fields once; a transform reads the layer below with ``eval_solution``.
 """
 
 from __future__ import annotations
@@ -72,8 +72,9 @@ class Solution:
     ``valid`` is a bool mask, False inside the guard radius of any profile
     pole, wherever a family constraint fails, and where a coefficient jet or
     a stretched coordinate is undefined or overflows (see ``jet_arrays``);
-    ``u`` and ``v`` are only meaningful where it is True; families and
-    transforms select all three from one ``fields`` (see ``solution``).
+    ``u`` and ``v`` are only meaningful where it is True.  Each layer selects
+    all three from one ``fields`` that reads any layer below through
+    ``eval_solution`` (see ``solution``).
     ``provenance`` records family, parameters, and the transform chain.
     """
 
@@ -93,7 +94,9 @@ def solution(variant: Variant, fields, provenance: dict) -> Solution:
     ``fields(t, x, y) -> (u, v, ok)``, run under ``np.errstate(all=
     "ignore")``.  Within an ``eval_solution`` call ``fields`` runs once per
     identity of ``t``, ``x`` and ``y``, so the three selectors share it;
-    outside a call each selector runs it afresh."""
+    outside a call each selector runs it afresh.  A transform's ``fields``
+    reads the layer below with one ``eval_solution`` call, a scope of its
+    own, so any call runs each layer beneath once."""
     def run(t, x, y):
         memo = _scope.get()
         if memo is None:
@@ -202,12 +205,12 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         # quadratic phase beta' (x^2 + y^2).
         j, ok = jet_arrays(beta, t)
         alpha = j.f + im_value
+        e2b = np.exp(-2.0 * j.f)
         w1 = np.exp(-2.0 * alpha) * x
-        w2 = np.exp(-2.0 * j.f) * y
+        w2 = e2b * y
         amp = np.exp(-alpha - j.f) * (a * w1 + b * w2 + c)
         u = amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
         quad = j.d2 + 2.0 * j.d1 * j.d1
-        e2b = np.exp(-2.0 * j.f)
         e8b = e2b ** 4
         vxx = quad + eps2 * a * a * e2i ** 3 * e8b
         vyy = quad + eps2 * b * b * e2i * e8b

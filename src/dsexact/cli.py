@@ -10,9 +10,9 @@ Commands
 
 Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config.  Every number, in a config or a flag,
-must be finite.  Exit codes: 0 pass, 1 verification failure, 2
-configuration error or input outside a family's contract, 3 numerical
-blow-up.
+must be finite, and a tolerance >= 0.  Exit codes: 0 pass, 1 verification
+failure, 2 configuration error or input outside a family's contract, 3
+numerical blow-up.
 """
 
 from __future__ import annotations
@@ -113,6 +113,13 @@ def _count(cfg, pointer, most, default=...):
         raise ConfigError(f"{pointer}: expected an integer from 1 to "
                           f"{most}, got {value!r}")
     return int(value)
+
+
+def _tolerance(cfg, pointer, default=...):
+    value = _number(cfg, pointer, default)
+    if value is not None and value < 0.0:
+        raise ConfigError(f"{pointer}: expected a number >= 0, got {value!r}")
+    return value
 
 
 def _choice(cfg, pointer, choices, default=...):
@@ -231,8 +238,7 @@ def _cmd_families(cfg, args) -> int:
 
 
 def _cmd_eval(cfg, args, sol=None) -> int:
-    if sol is None:
-        sol = build_solution(cfg)
+    sol = build_solution(cfg) if sol is None else sol
     out = _string(*_flag_or_field(cfg, args, "out", "/out"), "field.csv")
     write_field_csv(out, sol, *build_grid(cfg).axes(seed=args.seed))
     print(f"wrote {out}")
@@ -240,8 +246,7 @@ def _cmd_eval(cfg, args, sol=None) -> int:
 
 
 def _cmd_verify(cfg, args, sol=None) -> int:
-    if sol is None:
-        sol = build_solution(cfg)
+    sol = build_solution(cfg) if sol is None else sol
     grid = build_grid(cfg)
     size = len(grid.t_values) * grid.x_range[2] * grid.y_range[2]
     if size > _MAX_POINTS:
@@ -251,8 +256,8 @@ def _cmd_verify(cfg, args, sol=None) -> int:
     h = _number(*_flag_or_field(cfg, args, "h", "/verify/h"), DEFAULT_H)
     order = _choice(*_flag_or_field(cfg, args, "order", "/verify/order"),
                     ORDERS, DEFAULT_ORDER)
-    tol = _number(*_flag_or_field(cfg, args, "tol", "/verify/tol_rel"),
-                  DEFAULT_TOL_REL)
+    tol = _tolerance(*_flag_or_field(cfg, args, "tol", "/verify/tol_rel"),
+                     DEFAULT_TOL_REL)
     out = _string(*_flag_or_field(cfg, args, "out", "/out"), "report.json")
     report = verify(sol, points, h=h, order=order, tol_rel=tol)
     write_json_report(out, report.to_json_dict())
@@ -279,10 +284,9 @@ def _cmd_evolve(cfg, args) -> int:
         raise ConfigError(f"/evolve/n: expected a power of two, got {n}")
     t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
     dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
-    v_mean = None
-    if _get(cfg, "/evolve/v_mean", "exact") != "exact":
-        v_mean = _number(cfg, "/evolve/v_mean")
-    tol = _number(*_flag_or_field(cfg, args, "tol", "/evolve/tol"), None)
+    v_mean = None if _get(cfg, "/evolve/v_mean", "exact") == "exact" \
+        else _number(cfg, "/evolve/v_mean")
+    tol = _tolerance(*_flag_or_field(cfg, args, "tol", "/evolve/tol"), None)
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _string(*_flag_or_field(cfg, args, "out", "/out"), "evolve.json")
     report, field = crosscheck(sol, lx, ly, n, t_final, dt, v_mean=v_mean)
@@ -300,11 +304,8 @@ def _cmd_evolve(cfg, args) -> int:
 
 def _cmd_selftest(cfg, args) -> int:
     failures = run_selftest()
-    if failures:
-        print(f"{failures} check(s) failed")
-        return 1
-    print("all checks passed")
-    return 0
+    print(f"{failures} check(s) failed" if failures else "all checks passed")
+    return 1 if failures else 0
 
 
 # Optional flags: name -> (type, help).  Each flag overrides one config

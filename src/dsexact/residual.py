@@ -178,13 +178,15 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     floor is max(DEFAULT_FLOOR_REL, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.  Raises ConfigError unless h is
-    finite and positive, (h/2)^2 is nonzero, and ``order`` is in ``ORDERS``.
+    finite and positive, (h/2)^2 is nonzero, ``order`` is in ``ORDERS`` and
+    tol_rel is >= 0 (NaN is not).
     """
     if not (0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
-            and order in ORDERS):
+            and order in ORDERS and tol_rel >= 0.0):
         raise ConfigError(f"verify needs a finite step h > 0 whose half "
-                          f"step squares to a nonzero number and an order "
-                          f"in {ORDERS}; got h={h!r}, order={order!r}")
+                          f"step squares to a nonzero number, a tolerance "
+                          f">= 0 and an order in {ORDERS}; got h={h!r}, "
+                          f"order={order!r}, tol_rel={tol_rel!r}")
     points = np.asarray(sample, dtype=float).reshape(-1, 3)
     steps = np.array([h, h / 2.0])
     # An empty sample still makes one (empty) block.

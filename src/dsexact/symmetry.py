@@ -15,7 +15,8 @@ Both carry exact solutions to exact solutions; the residual suite is the
 check of record.  The scaling argument runs opposite to the prefactor so
 that the cubic term and the second derivatives scale together (b^{-3} on
 both sides); with the arguments scaled the other way the two sides scale as
-b and b^{-3} and the map only preserves solutions for b^4 = 1.
+b and b^{-3} and the map only preserves solutions for b^4 = 1.  Each map's
+``fields`` reads the layer below with one ``eval_solution`` call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import Solution, solution
+from .catalog import Solution, eval_solution, solution
 from .errors import ConfigError
 from .timefn import TimeFunction, jet_arrays
 
@@ -56,10 +57,9 @@ class TransformSpec:
 def _extend(sol: Solution, fields, transform: dict) -> Solution:
     """The transformed solution with the given ``fields``, and ``transform``
     appended to the provenance chain of ``sol``."""
-    provenance = dict(sol.provenance)
-    provenance["transforms"] = [*sol.provenance.get("transforms", []),
-                                transform]
-    return solution(sol.variant, fields, provenance)
+    chain = [*sol.provenance.get("transforms", []), transform]
+    return solution(sol.variant, fields,
+                    {**sol.provenance, "transforms": chain})
 
 
 def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
@@ -70,15 +70,12 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
     def fields(t, x, y):
         (aj, ok_a), (bj, ok_b), (gj, ok_g) = (jet_arrays(f, t)
                                               for f in (alpha, beta, gamma))
-        xs, ys = x + aj.f, y + bj.f
-        ok = ok_a & ok_b & ok_g & sol.valid(t, xs, ys)
+        u0, v0, ok0 = eval_solution(sol, t, x + aj.f, y + bj.f)
         phase = -(eps1 * aj.d1 * x + bj.d1 * y + gj.f)
-        u = np.exp(1j * phase) * sol.u(t, xs, ys)
-        v = (sol.v(t, xs, ys)
-             + eps1 * aj.d2 * x + bj.d2 * y
-             - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0
-             + gj.d1)
-        return u, v, ok
+        u = np.exp(1j * phase) * u0
+        v = (v0 + eps1 * aj.d2 * x + bj.d2 * y
+             - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0 + gj.d1)
+        return u, v, ok_a & ok_b & ok_g & ok0
 
     return _extend(sol, fields,
                    {"kind": "T1", "alpha": alpha.source, "beta": beta.source,
@@ -93,9 +90,8 @@ def apply_t2(sol: Solution, b: float) -> Solution:
     b2 = b * b
 
     def fields(t, x, y):
-        ts, xs, ys = t / b2, x / b, y / b
-        ok = sol.valid(ts, xs, ys)
-        return sol.u(ts, xs, ys) / b, sol.v(ts, xs, ys) / b2, ok
+        u0, v0, ok0 = eval_solution(sol, t / b2, x / b, y / b)
+        return u0 / b, v0 / b2, ok0
 
     return _extend(sol, fields, {"kind": "T2", "b": b})
 
@@ -105,10 +101,7 @@ def compose(specs, sol: Solution) -> Solution:
     specs = list(specs)
     if not specs:
         raise ConfigError("transform chain must be nonempty")
-    out = sol
     for spec in specs:
-        if spec.kind == "T1":
-            out = apply_t1(out, spec.alpha, spec.beta, spec.gamma)
-        else:
-            out = apply_t2(out, spec.b)
-    return out
+        sol = (apply_t1(sol, spec.alpha, spec.beta, spec.gamma)
+               if spec.kind == "T1" else apply_t2(sol, spec.b))
+    return sol

@@ -416,6 +416,35 @@ def test_eval_solution_walks_each_time_function_once_per_call(monkeypatch):
             assert list(profiles.values()) == [calls]
 
 
+def test_direct_selector_call_evaluates_each_layer_once(monkeypatch):
+    # A transform reads the layer below with one eval_solution call, so a
+    # selector called outside eval_solution runs each layer beneath once,
+    # not once per selector of the layer above (3^k times for k transforms).
+    beta = parse_timefn("0.1*t")
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0, beta)
+    specs, fns = [], [beta]
+    for _ in range(3):
+        shift = [parse_timefn("0.3*sin(t)"), parse_timefn("0.2*t^2"),
+                 parse_timefn("t^2")]
+        specs += [TransformSpec("T2", b=2.0),
+                  TransformSpec("T1", alpha=shift[0], beta=shift[1],
+                                gamma=shift[2])]
+        fns += shift
+    chain = compose(specs, line)
+    t, x, y = np.array([[0.3], [0.6]]), np.linspace(-0.5, 0.5, 5), 0.2
+    u, v, ok = eval_solution(chain, t, x, y)
+    assert ok.all()
+    walks, profiles = _count_walks_and_profiles(monkeypatch)
+    for select, want in ((chain.u, u), (chain.v, v), (chain.valid, ok),
+                         (lambda *a: eval_solution(chain, *a)[0], u)):
+        walks.clear()
+        profiles.clear()
+        assert np.array_equal(np.broadcast_to(select(t, x, y), ok.shape),
+                              want)
+        assert walks == {id(f): 1 for f in fns}
+        assert list(profiles.values()) == [1]
+
+
 def test_raising_valid_leaves_no_scope_behind():
     line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
                     parse_timefn("0.1*t"))

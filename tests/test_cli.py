@@ -445,6 +445,15 @@ MALFORMED = [
     ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
     ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
     ("evolve", "/evolve/n", 48, [], "/evolve/n"),
+    ("verify", "/verify/tol_rel", -1.0, [], "/verify/tol_rel: expected"),
+    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1"], "--tol: expected"),
+    ("evolve", "/evolve/tol", -1.0, [], "/evolve/tol: expected"),
+    ("evolve", "/evolve/tol", 1e-5, ["--tol", "-0.5"], "--tol: expected"),
+    ("verify", "/grid/x", [-0.9, 0.9], [], "/grid/x: expected a list of 3"),
+    ("transform", "/transforms", [], [], "/transforms: expected a nonempty"),
+    ("verify", "/params/beta", 3, [], "/params/beta: expected a string"),
+    ("verify", "/params/beta", {"expr": "t", "domain": [1, 0]}, [],
+     "/params/beta: empty validity interval"),
 ]
 
 
@@ -553,6 +562,45 @@ def test_evolve_tol_flag_overrides_config(tmp_path):
     assert report["tol"] == 1e-30
     assert report["pass"] is False
     assert report["max_dev"] > 1e-30
+
+
+def test_evolve_numeric_v_mean_sets_the_gauge(tmp_path):
+    doc = full_config(tmp_path)
+    del doc["evolve"]["tol"]
+    doc["evolve"]["v_mean"] = 0.25
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["evolve", "--config", cfg]) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["v_mean"] == 0.25
+
+
+def test_family_b_im_override_fails_verification(tmp_path, capsys):
+    # The forced Im = ln(3)/4 passes; any other Im breaks the mean-flow
+    # constraint, which the oracle reports as a failure, not a config error.
+    doc = full_config(tmp_path)
+    doc.update(variant={"eps1": 1, "eps2": 1}, family="B",
+               params={"a": 1.0, "b": 1.0, "c": 0.5, "beta": "0.1*t"})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["verify", "--config", cfg]) == 0
+    doc["params"]["im"] = 0.5
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().out.startswith("FAIL ")
+    assert json.loads((tmp_path / "out.json").read_text())["pass"] is False
+
+
+@pytest.mark.parametrize("text, named", [
+    (None, "cannot read config: "),
+    ("[1, 2]", "/: config must be a JSON object"),
+])
+def test_config_must_be_a_readable_json_object(tmp_path, capsys, text, named):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: {named}")
+    assert not out.exists()
 
 
 def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,

@@ -172,6 +172,14 @@ def test_invalid_order_rejected():
         verify(exact_a(), GRID, order=3)
 
 
+@pytest.mark.parametrize("tol_rel", [-1.0, -1e-12, math.nan])
+def test_negative_or_nan_tolerance_is_config_error(tol_rel):
+    # A negative tolerance can never pass; infinity keeps its vacuous pass.
+    with pytest.raises(ConfigError, match=f"tol_rel={tol_rel!r}"):
+        verify(exact_a(), GRID, tol_rel=tol_rel)
+    assert verify(exact_a(), GRID, tol_rel=math.inf).passed
+
+
 # 1e-300: (h/2)^2 underflows to 0, and the second differences divided by 0.
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1e-300])
 def test_bad_step_is_config_error(h):

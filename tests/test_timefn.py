@@ -100,6 +100,7 @@ SCANNER_CASES = [
     ("\u00b2", ("unknown identifier '\u00b2' at position 0", 0)),
     ("1\u00b2", ("unexpected '\u00b2' at position 1", 1)),
     ("\u00bd", ("unknown identifier '\u00bd' at position 0", 0)),
+    ("-t", "-(t)"),
 ]
 
 
