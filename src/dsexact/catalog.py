@@ -68,7 +68,7 @@ class Solution:
     """An evaluable exact solution pair (u complex, v real).
 
     ``u``, ``v`` and ``valid`` take floats or numpy arrays ``t, x, y`` that
-    broadcast together, and return values that broadcast against them.
+    broadcast together; time-only factors take the shape of ``t``.
     ``valid`` is a bool mask, False inside the guard radius of any profile
     pole, wherever a family constraint fails, and where a coefficient jet or
     a stretched coordinate is undefined or overflows (see ``jet_arrays``);
@@ -116,17 +116,17 @@ def solution(variant: Variant, fields, provenance: dict) -> Solution:
 def eval_solution(sol: Solution, t, x, y):
     """Evaluate (u, v, valid) at broadcastable points t, x, y.
 
-    ``valid``, ``u`` and ``v`` are called once each, on the same broadcast
-    arrays; ``u`` and ``v`` are NaN where ``valid`` is False.  Within the
-    call each layer computes its fields once (see ``solution``); nothing is
-    kept from one call to the next.  Returns arrays of the broadcast shape
+    ``valid``, ``u`` and ``v`` are called once each, on t, x and y as float
+    arrays of the shapes passed; ``u`` and ``v`` are NaN where ``valid``,
+    broadcast to the common shape, is False.  Each layer computes its fields
+    once per call (see ``solution``).  Returns arrays of the broadcast shape
     (numpy scalars for scalar input).
     """
-    t, x, y = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                    for a in (t, x, y)))
+    t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
+    shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
     token = _scope.set({})
     try:
-        ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), bool), t.shape)
+        ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), bool), shape)
         u = np.where(ok, sol.u(t, x, y), complex("nan"))
         v = np.where(ok, sol.v(t, x, y), math.nan)
     finally:

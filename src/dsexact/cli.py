@@ -358,7 +358,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    # argparse reads a token such as -1e-9 as an option: join each value
+    # flag to the token after it, as in --tol=-1e-9.
+    joined = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in ("--config", *(f"--{f}" for f in _FLAGS)):
+            arg = joined.pop() + "=" + arg
+        joined.append(arg)
+    args = _parser().parse_args(joined)
     handler = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config) if "config" in args else None

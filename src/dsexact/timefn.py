@@ -261,16 +261,11 @@ def jet_arrays(f: TimeFunction, t):
     Returns read-only arrays shaped like t: ``(jet, ok)``, a Jet of four
     float arrays and a bool mask that is False where ``f.jet`` raises
     DomainError or where a jet entry is not finite (an overflow); those
-    entries of the jet are NaN.
+    entries of the jet are NaN.  Each entry is walked, repeated or not.
     """
     t = np.asarray(t, dtype=float)
-    flat = t.reshape(-1)
-    # A field sampled at one time repeats one t at every point: walk it once.
-    repeated = flat.size > 1 and (flat == flat[0]).all()
-    if repeated:
-        flat = flat[:1]
-    j, fails = f._walk(flat)
-    cols = np.empty((4, flat.size))
+    j, fails = f._walk(t.reshape(-1))
+    cols = np.empty((4, t.size))
     cols[0], cols[1], cols[2], cols[3] = j.f, j.d1, j.d2, j.d3
     ok = np.isfinite(cols).all(axis=0)
     for bad, _, _ in fails:
@@ -278,9 +273,6 @@ def jet_arrays(f: TimeFunction, t):
     if not ok.all():
         cols[:, ~ok] = np.nan
     cols.flags.writeable = ok.flags.writeable = False
-    if repeated:
-        cols = np.broadcast_to(cols, (4, t.size))
-        ok = np.broadcast_to(ok, t.size)
     return Jet(*cols.reshape((4,) + t.shape)), ok.reshape(t.shape)
 
 

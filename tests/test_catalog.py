@@ -9,8 +9,9 @@ import pytest
 
 from dsexact import ConfigError, EmptySampleError, MixedCaseUnsupported, \
     NoRealAmplitude, NoRealSolution, TransformSpec, UnsupportedVariant, \
-    TimeFunction, Variant, catalog, compose, eval_solution, family_a, \
-    family_b, family_c, jacobi_sn_cn_dn, parse_timefn, verify
+    TimeFunction, Variant, catalog, compose, ellipk, eval_solution, \
+    family_a, family_b, family_c, jacobi_sn_cn_dn, make_field, parse_timefn, \
+    verify
 from dsexact.elliptic import Profile
 from dsexact.selftest import default_verification_matrix
 
@@ -372,12 +373,16 @@ def test_replaced_fields_route_evaluation_through_wrappers():
 # per call, shared by valid, u and v, and never kept across calls.
 # ---------------------------------------------------------------------------
 
-def _count_walks_and_profiles(monkeypatch):
+def _count_walks_and_profiles(monkeypatch, sizes=None):
+    """Counters of time-function walks and profile evaluations by id; with
+    a dict ``sizes``, each walk also appends the size of its t there."""
     walks, profiles = Counter(), Counter()
     walk, value = TimeFunction._walk, Profile.value
 
     def counting_walk(self, t):
         walks[id(self)] += 1
+        if sizes is not None:
+            sizes.setdefault(id(self), []).append(t.size)
         return walk(self, t)
 
     def counting_value(self, s):
@@ -487,3 +492,64 @@ def test_scope_keys_on_argument_identity(monkeypatch):
     assert seen[1] is seen[0] and seen[2] is not seen[0]
     assert np.array_equal(seen[2], seen[0]) and np.array_equal(u, seen[0])
     assert walks == {id(beta): 2}
+
+
+def test_scalar_time_walks_each_time_function_once_over_one_element(
+        monkeypatch):
+    # eval_solution hands t, x and y on as passed: at one scalar time the
+    # jets are walked once, at shape (), and broadcast against the grid.
+    beta = parse_timefn("0.1*t + 0.05*t^2")
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0, beta)
+    shift = [parse_timefn("0.3*sin(t)"), parse_timefn("0.2*t^2"),
+             parse_timefn("t^2")]
+    chain = compose([TransformSpec("T1", alpha=shift[0], beta=shift[1],
+                                   gamma=shift[2]),
+                     TransformSpec("T2", b=2.0)], line)
+    n = 6
+    x = np.linspace(-0.5, 0.5, n)[:, None]
+    y = np.linspace(-0.4, 0.6, n)[None, :]
+    for sol, fns in ((line, [beta]), (chain, [beta, *shift])):
+        sizes = {}
+        _count_walks_and_profiles(monkeypatch, sizes)
+        u, v, ok = eval_solution(sol, 0.3, x, y)
+        assert sizes == {id(f): [1] for f in fns}
+        assert u.shape == v.shape == ok.shape == (n, n) and ok.all()
+        monkeypatch.undo()
+        # The same bits as on arrays broadcast up front.
+        full = eval_solution(sol, *np.broadcast_arrays(0.3, x, y))
+        assert all(np.array_equal(a, b) for a, b in zip((u, v, ok), full))
+        # numpy's one-element loops may round a last bit differently.
+        for i, xi in enumerate(x[:, 0]):
+            for j, yj in enumerate(y[0]):
+                up, vp, okp = eval_solution(sol, 0.3, xi, yj)
+                assert okp and abs(u[i, j] - up) <= 1e-14 * abs(up)
+                assert abs(v[i, j] - vp) <= 1e-14 * abs(vp)
+
+
+def test_family_a_below_the_slope_cutoff_is_invalid_on_the_full_shape():
+    # Im = t^3 has Im'(0) = 0: the time-only mask is one False, broadcast.
+    sol = family_a(Variant(1, 1), parse_timefn("t^3"), 1.0)
+    u, v, ok = eval_solution(sol, 0.0, np.linspace(-1.0, 1.0, 4)[:, None],
+                             np.linspace(-1.0, 1.0, 5)[None, :])
+    assert ok.shape == u.shape == v.shape == (4, 5)
+    assert not ok.any() and np.isnan(u).all() and np.isnan(v).all()
+
+
+def test_make_field_walks_the_line_beta_once_over_one_element(monkeypatch):
+    beta = parse_timefn("0")
+    line = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0, beta)
+    L = 4.0 * ellipk(0.5)
+    sizes = {}
+    _count_walks_and_profiles(monkeypatch, sizes)
+    field = make_field(line, L, L, 32)
+    assert sizes == {id(beta): [1]} and field.u.shape == (32, 32)
+
+
+def test_shapes_that_do_not_broadcast_fail_before_any_layer_runs(
+        monkeypatch):
+    line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
+                    parse_timefn("0.1*t"))
+    walks, profiles = _count_walks_and_profiles(monkeypatch)
+    with pytest.raises(ValueError):
+        eval_solution(line, np.zeros(2), np.zeros(3), 0.0)
+    assert not walks and not profiles

@@ -454,6 +454,9 @@ MALFORMED = [
     ("verify", "/params/beta", 3, [], "/params/beta: expected a string"),
     ("verify", "/params/beta", {"expr": "t", "domain": [1, 0]}, [],
      "/params/beta: empty validity interval"),
+    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1e-9"], "--tol: expected"),
+    ("verify", "/verify/h", 1e-3, ["--h", "-1e-3"], "h=-0.001"),
+    ("evolve", "/evolve/dt", 1e-3, ["--dt", "-1e-3"], "dt=-0.001"),
 ]
 
 
@@ -470,6 +473,17 @@ def test_malformed_input_is_config_error(tmp_path, capsys, command, pointer,
     assert "ConfigError" in err
     assert named.format(tmp=tmp_path) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_value_flags_take_a_dash_value_after_a_space(tmp_path, monkeypatch):
+    # argparse alone reads "-c.json" and "-x.csv" as options; each value
+    # flag takes the next token, as with --config=-c.json.
+    doc = full_config(tmp_path)
+    doc["grid"] = {"t": [0.0], "x": [0.0, 0.0, 1], "y": [0.0, 0.0, 1]}
+    write_config(tmp_path / "-c.json", doc)
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--config", "-c.json", "--out", "-x.csv"]) == 0
+    assert (tmp_path / "-x.csv").read_text().startswith(gridio.FIELD_HEADER)
 
 
 # Finite family constants whose derived quantities leave the double range:
