@@ -224,7 +224,12 @@ def build_grid(cfg: dict) -> GridSpec:
     ranges = []
     for axis in ("/grid/x", "/grid/y"):
         lo, hi, _ = _list(cfg, axis, _number, 3)
-        ranges.append((lo, hi, _count(cfg, f"{axis}/2", _MAX_AXIS)))
+        count = _count(cfg, f"{axis}/2", _MAX_AXIS)
+        # The largest product the grid's points and jitter are built from.
+        if not math.isfinite((hi - lo) * max(1, count - 1)):
+            raise ConfigError(f"{axis}: the span from {lo!r} to {hi!r} over "
+                              f"{count} points overflows")
+        ranges.append((lo, hi, count))
     return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
 
 

@@ -84,15 +84,21 @@ class Field:
 def _wavenumbers(shape, lx: float, ly: float):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
-    half-spectrum (0 at k=0, whose gauge is set separately)."""
+    half-spectrum (0 at k=0, whose gauge is set separately).  A box whose
+    k^2 overflows, or underflows to a 0/0 multiplier, is a ConfigError."""
     nx, ny = shape
     _require_power_of_two(nx, "Nx")
     _require_power_of_two(ny, "Ny")
-    kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=lx / nx))[:, None] ** 2
-    ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=ly / ny))[None, :] ** 2
-    k2 = kx2 + ky2[:, :ny // 2 + 1]
-    k2[0, 0] = 1.0
-    return kx2, ky2, -2.0 * kx2 / k2
+    with np.errstate(all="ignore"):
+        kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=lx / nx))[:, None] ** 2
+        ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=ly / ny))[None, :] ** 2
+        k2 = kx2 + ky2[:, :ny // 2 + 1]
+        k2[0, 0] = 1.0
+        multiplier = -2.0 * kx2 / k2
+    if not all(np.isfinite(a).all() for a in (kx2, ky2, multiplier)):
+        raise ConfigError(f"the {nx} x {ny} box of lx={lx}, ly={ly} has "
+                          f"wavenumbers out of the double range")
+    return kx2, ky2, multiplier
 
 
 def _invert(g, multiplier, v_mean):
@@ -208,8 +214,9 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time and
     the mass drift, and the evolved Field.  ``dt`` and the box lengths must
-    be positive, ``t_final`` non-negative, all of them finite, and ``t_final
-    / dt`` must round to 1 to _MAX_STEPS steps, or ConfigError is raised.
+    be positive, ``t_final`` non-negative, all of them finite, ``t_final /
+    dt`` must round to 1 to _MAX_STEPS steps, and the box's wavenumbers must
+    be finite, or ConfigError is raised.
     """
     if sol.variant.eps1 != -1:
         raise UnsupportedVariant("cross-check is limited to eps1=-1")
@@ -228,6 +235,7 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"T={t_final} and dt={dt} exceed the cap of "
                           f"{_MAX_STEPS} steps")
     t_end = n_steps * dt
+    _wavenumbers((n, n), lx, ly)
     field = make_field(sol, lx, ly, n, v_mean=v_mean)
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)
     mass0 = mass(field)

@@ -1,29 +1,30 @@
-"""Functions of t as expression trees with exact third-order jets.
+"""Functions of t compiled once into exact third-order jets.
 
 The time-dependent coefficients of every solution family are functions of a
 single variable t.  What the solution evaluators actually consume is not the
 function alone but the jet (f, f', f'', f''') at a point, because the
 mean-flow field involves up to three derivatives of the coefficient
-functions.  Trees are parsed from a small expression grammar:
+functions.  Expressions of at most 200 tokens are parsed from the grammar
 
     numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh
 
 Exponents are restricted to integer and half-integer constants of magnitude
 at most 64, which covers every coefficient expression this package
-constructs (e.g. square roots of a positive slope).  Derivatives are
-propagated through the tree by truncated Taylor (jet) arithmetic, so they
-are exact to roundoff; no symbolic differentiation and no finite
-differencing is involved.
+constructs (e.g. square roots of a positive slope).  The parser compiles
+each subexpression into a function that carries truncated Taylor (jet)
+arithmetic, so derivatives are exact to roundoff; no symbolic
+differentiation and no finite differencing is involved.
 
-The tree is walked once per call over a whole array of t.  A domain failure
-(ln of x <= 0, division by zero, a half-integer power of x <= 0, t outside
-the validity interval) becomes a mask, as does a jet that overflows, so such
-points are invalid; ``TimeFunction.jet`` raises DomainError at a single t.
-"""
+The compiled function runs once per call over a whole array of t.  A domain
+failure (ln of x <= 0, division by zero, a half-integer power of x <= 0, t
+outside the validity interval) becomes a mask, as does a jet that overflows;
+``TimeFunction.jet`` raises DomainError at a single t, naming the failing
+subexpression as written."""
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,137 +87,80 @@ def _chain(w0, w1, w2, w3, g: Jet) -> Jet:
     )
 
 
-def _recip(g: Jet, node, fails) -> Jet:
-    fails.append((g.f == 0.0, "division by zero", node))
+def _recip(g: Jet, text, fails) -> Jet:
+    fails.append((g.f == 0.0, "division by zero", text))
     r = 1.0 / g.f
     return _chain(r, -r * r, 2.0 * r ** 3, -6.0 * r ** 4, g)
 
 
 # ---------------------------------------------------------------------------
-# Expression tree nodes.  ``jet(t, fails)`` evaluates over the 1-D float
-# array t; a node that leaves its domain appends (mask, reason, node) to
-# ``fails`` and carries on, leaving inf or NaN at the masked entries.
+# Compiled expressions: one function ``jet(t, fails)`` per subexpression,
+# over the 1-D float array t.  One that leaves its domain appends (mask,
+# reason, text) to ``fails``, ``text`` being its source as written, and
+# carries on, leaving inf or NaN at the masked entries.
 # ---------------------------------------------------------------------------
 
-class _Node:
-    def jet(self, t, fails: list) -> Jet:
-        raise NotImplementedError
-
-
-class _Const(_Node):
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def jet(self, t, fails):
-        return Jet.const(self.value)
-
-    def __str__(self):
-        return repr(self.value)
-
-
-class _Var(_Node):
-    def jet(self, t, fails):
-        return Jet(t, _ONE, _ZERO, _ZERO)
-
-    def __str__(self):
-        return "t"
-
-
-class _Neg(_Node):
-    def __init__(self, child: _Node):
-        self.child = child
-
-    def jet(self, t, fails):
-        return -self.child.jet(t, fails)
-
-    def __str__(self):
-        return f"-({self.child})"
-
-
-class _Binary(_Node):
+def _binary(op: str, lhs, rhs, text: str):
     """lhs op rhs for op one of + - * /."""
+    combine = {"+": Jet.__add__, "-": Jet.__sub__, "*": Jet.__mul__}.get(op)
 
-    def __init__(self, op: str, lhs: _Node, rhs: _Node):
-        self.op = op
-        self.lhs = lhs
-        self.rhs = rhs
-
-    def __str__(self):
-        return f"({self.lhs}{self.op}{self.rhs})"
-
-    def jet(self, t, fails):
-        a, b = self.lhs.jet(t, fails), self.rhs.jet(t, fails)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        return a * (b if self.op == "*" else _recip(b, self, fails))
+    def jet(t, fails):
+        a, b = lhs(t, fails), rhs(t, fails)
+        return combine(a, b) if combine else a * _recip(b, text, fails)
+    return jet
 
 
-class _Pow(_Node):
+def _power(base, r: float, text: str):
     """base ^ r with r a fixed integer or half-integer."""
+    n = int(round(r))
 
-    def __init__(self, base: _Node, exponent: float):
-        self.base = base
-        self.exponent = float(exponent)
-
-    def __str__(self):
-        return f"({self.base}^{self.exponent:g})"
-
-    def jet(self, t, fails):
-        g = self.base.jet(t, fails)
-        r = self.exponent
-        n = int(round(r))
+    def jet(t, fails):
+        g = base(t, fails)
         if r == n:
             out = Jet.const(1.0)
             for _ in range(abs(n)):
                 out = out * g
-            return out if n >= 0 else _recip(out, self, fails)
+            return out if n >= 0 else _recip(out, text, fails)
         # Half-integer exponent: require a positive base so all derivatives
         # of the branch are real and finite.
         fails.append((g.f <= 0.0, "fractional power of non-positive value",
-                      self))
+                      text))
         w0 = g.f ** r
         w1 = r * g.f ** (r - 1.0)
         w2 = r * (r - 1.0) * g.f ** (r - 2.0)
         w3 = r * (r - 1.0) * (r - 2.0) * g.f ** (r - 3.0)
         return _chain(w0, w1, w2, w3, g)
+    return jet
 
 
-class _Call(_Node):
-    def __init__(self, name: str, child: _Node):
-        self.name = name
-        self.child = child
-
-    def __str__(self):
-        return f"{self.name}({self.child})"
-
-    def jet(self, t, fails):
-        g = self.child.jet(t, fails)
+def _call(name: str, child, text: str):
+    def jet(t, fails):
+        g = child(t, fails)
         x = g.f
-        if self.name == "exp":
+        if name == "exp":
             e = np.exp(x)
             return _chain(e, e, e, e, g)
-        if self.name == "ln":
-            fails.append((x <= 0.0, "ln of non-positive value", self))
+        if name == "ln":
+            fails.append((x <= 0.0, "ln of non-positive value", text))
             r = 1.0 / x
             return _chain(np.log(x), r, -r * r, 2.0 * r ** 3, g)
         # sin and sinh with their derivatives; cos and cosh start one later.
-        if self.name in ("sin", "cos"):
+        if name in ("sin", "cos"):
             s, c = np.sin(x), np.cos(x)
             w = (s, c, -s, -c, s)
         else:
             s, c = np.sinh(x), np.cosh(x)
             w = (s, c, s, c, s)
-        k = self.name in ("cos", "cosh")
+        k = name in ("cos", "cosh")
         return _chain(*w[k:k + 4], g)
+    return jet
 
 
 _FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
 
 
 # ---------------------------------------------------------------------------
-# TimeFunction: immutable tree plus an optional validity interval.
+# TimeFunction: a compiled expression plus an optional validity interval.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -228,7 +172,7 @@ class TimeFunction:
     marks the point invalid.
     """
 
-    root: _Node
+    compiled: Callable[[np.ndarray, list], Jet]
     source: str
     domain: tuple | None = None
 
@@ -242,7 +186,7 @@ class TimeFunction:
                           f"t outside validity interval [{lo}, {hi}]",
                           self.source))
         with np.errstate(all="ignore"):
-            return self.root.jet(t, fails), fails
+            return self.compiled(t, fails), fails
 
     def jet(self, t: float) -> Jet:
         """The jet at one t, as floats.  Raises DomainError naming the first
@@ -256,7 +200,7 @@ class TimeFunction:
 
 
 def jet_arrays(f: TimeFunction, t):
-    """Jets of f at every entry of t, in one walk of the tree over the array.
+    """Jets of f at every entry of t, in one walk of f over the array.
 
     Returns read-only arrays shaped like t: ``(jet, ok)``, a Jet of four
     float arrays and a bool mask that is False where ``f.jet`` raises
@@ -291,6 +235,9 @@ _TOKEN = re.compile(r"""(?P<blank>\s+)
 
 # Largest |exponent|: an integer power is that many jet products.
 _MAX_EXPONENT = 64
+# Most tokens in one expression: keeps the recursion of parsing and of
+# evaluation (99 nested parentheses, 199 unary minuses) well inside Python's.
+_MAX_TOKENS = 200
 
 
 def _tokens(text: str) -> list:
@@ -299,6 +246,11 @@ def _tokens(text: str) -> list:
     tokens = []
     for match in _TOKEN.finditer(text):
         kind, value, pos = match.lastgroup, match.group(), match.start()
+        if kind == "blank":
+            continue
+        if len(tokens) == _MAX_TOKENS:
+            raise ParseError(f"expression longer than {_MAX_TOKENS} tokens",
+                             pos)
         if kind == "bad":
             raise ParseError(f"unexpected character '{value}'", pos)
         if kind == "num":
@@ -306,8 +258,7 @@ def _tokens(text: str) -> list:
                 value = float(value)
             except ValueError:
                 raise ParseError(f"bad number '{value}'", pos) from None
-        if kind != "blank":
-            tokens.append((value if kind == "op" else kind, value, pos))
+        tokens.append((value if kind == "op" else kind, value, pos))
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -318,9 +269,12 @@ class _Parser:
     unary  := ('+'|'-') unary | power
     power  := atom ('^' unary)?          (right-associative)
     atom   := number | 't' | name '(' expr ')' | '(' expr ')'
+
+    Each rule returns its subexpression compiled to ``jet(t, fails)``.
     """
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokens(text)
         self.index = 0
 
@@ -340,30 +294,37 @@ class _Parser:
             raise ParseError(f"expected '{kind}', found {found}", tok[2])
         return tok
 
-    def parse(self) -> _Node:
-        node = self.expr()
+    def since(self, start: int) -> str:
+        """The source text of the tokens from ``start`` to the next one."""
+        return self.text[self.tokens[start][2]:self.peek()[2]].rstrip()
+
+    def parse(self):
+        jet = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"unexpected {repr(tok[1])}", tok[2])
-        return node
+        return jet
 
     def expr(self):
-        node = self.term()
+        start, jet = self.index, self.term()
         while self.peek()[0] in "+-":
-            node = _Binary(self.next()[0], node, self.term())
-        return node
+            op = self.next()[0]
+            jet = _binary(op, jet, self.term(), self.since(start))
+        return jet
 
     def term(self):
-        node = self.unary()
+        start, jet = self.index, self.unary()
         while self.peek()[0] in "*/":
-            node = _Binary(self.next()[0], node, self.unary())
-        return node
+            op = self.next()[0]
+            jet = _binary(op, jet, self.unary(), self.since(start))
+        return jet
 
     def unary(self):
         tok = self.peek()
         if tok[0] == "-":
             self.next()
-            return _Neg(self.unary())
+            child = self.unary()
+            return lambda t, fails: -child(t, fails)
         if tok[0] == "+":
             self.next()
             return self.unary()
@@ -373,13 +334,13 @@ class _Parser:
         """``atom ^ unary`` with the exponent evaluated here: it must not
         contain t and must be an integer or half-integer of magnitude at
         most _MAX_EXPONENT."""
-        base = self.atom()
+        start, base = self.index, self.atom()
         if self.peek()[0] != "^":
             return base
         pos = self.next()[2]
-        start = self.index
+        first = self.index
         exponent = self.unary()
-        if ("name", "t") in (tok[:2] for tok in self.tokens[start:self.index]):
+        if ("name", "t") in (tok[:2] for tok in self.tokens[first:self.index]):
             raise ParseError("exponent must be a constant", pos)
         j, ok = jet_arrays(TimeFunction(exponent, ""), 0.0)
         if not ok:
@@ -391,20 +352,22 @@ class _Parser:
         if abs(value) > _MAX_EXPONENT:
             raise ParseError(f"exponent {value:g} exceeds {_MAX_EXPONENT} "
                              f"in magnitude", pos)
-        return _Pow(base, round(2.0 * value) / 2.0)
+        return _power(base, round(2.0 * value) / 2.0, self.since(start))
 
     def atom(self):
+        start = self.index
         kind, value, pos = self.next()
         if kind == "num":
-            return _Const(value)
+            c = Jet.const(value)
+            return lambda t, fails: c
         if kind == "name":
             if value == "t":
-                return _Var()
+                return lambda t, fails: Jet(t, _ONE, _ZERO, _ZERO)
             if value in _FUNCTIONS:
                 self.expect("(")
                 inner = self.expr()
                 self.expect(")")
-                return _Call(value, inner)
+                return _call(value, inner, self.since(start))
             raise ParseError(f"unknown identifier '{value}'", pos)
         if kind == "(":
             inner = self.expr()
@@ -421,10 +384,10 @@ def parse_timefn(text: str, domain: tuple | None = None) -> TimeFunction:
     Whitespace-insensitive.  Raises ParseError with the character position
     on malformed input or unknown identifiers.
     """
-    root = _Parser(text).parse()
+    compiled = _Parser(text).parse()
     if domain is not None:
         lo, hi = float(domain[0]), float(domain[1])
         if not lo < hi:
             raise ParseError(f"empty validity interval [{lo}, {hi}]")
         domain = (lo, hi)
-    return TimeFunction(root, text.strip(), domain)
+    return TimeFunction(compiled, text.strip(), domain)

@@ -412,6 +412,8 @@ def set_pointer(doc, pointer, value):
     doc[int(last) if isinstance(doc, list) else last] = value
 
 
+TOO_LONG = "expression longer than 200 tokens at position 200"
+
 # (command, pointer, bad value, flags, text stderr must name)
 MALFORMED = [
     ("verify", "/grid/x/0", "a", [], "/grid/x/0"),
@@ -457,6 +459,21 @@ MALFORMED = [
     ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1e-9"], "--tol: expected"),
     ("verify", "/verify/h", 1e-3, ["--h", "-1e-3"], "h=-0.001"),
     ("evolve", "/evolve/dt", 1e-3, ["--dt", "-1e-3"], "dt=-0.001"),
+    pytest.param("verify", "/params/beta", "(" * 2000 + "t" + ")" * 2000, [],
+                 f"/params/beta: {TOO_LONG}", id="verify-parens"),
+    pytest.param("eval", "/params/beta", "+".join(["t"] * 20000), [],
+                 f"/params/beta: {TOO_LONG}", id="eval-plus-chain"),
+    pytest.param("evolve", "/params/beta", "-" * 5000 + "t", [],
+                 f"/params/beta: {TOO_LONG}", id="evolve-minuses"),
+    pytest.param("transform", "/transforms/0",
+                 {"kind": "T1", "alpha": "t" + "^1" * 3000, "beta": "0",
+                  "gamma": "0"}, [], f"/transforms/0/alpha: {TOO_LONG}",
+                 id="transform-power-chain"),
+    ("eval", "/grid/x", [-1e308, 1e308, 3], [], "/grid/x: the span"),
+    ("verify", "/grid/y", [-1e308, 7e307, 3], [], "/grid/y: the span"),
+    ("eval", "/grid/x", [-1e308, 1e308, 1], [], "/grid/x: the span"),
+    ("evolve", "/evolve/box", [1e-300, 1e-300], [], "lx=1e-300, ly=1e-300"),
+    ("evolve", "/evolve/box", [1e300, 1e300], [], "lx=1e+300, ly=1e+300"),
 ]
 
 

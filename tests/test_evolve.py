@@ -188,6 +188,20 @@ def test_crosscheck_zero_horizon():
             crosscheck(sn_line(0.5), L, L, 16, t_final, 1e-3)
 
 
+@pytest.mark.parametrize("box", [(1e-300, 1e-300), (1e300, 1e300),
+                                 (1e-300, 4.0)])
+def test_crosscheck_rejects_a_box_out_of_wavenumber_range(monkeypatch, box):
+    # A tiny box overflows k^2 and a huge one underflows it to a 0/0
+    # Poisson multiplier; either is refused before any sampling or step.
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(evolve, "_sample_box", refuse)
+    with pytest.raises(ConfigError) as err:
+        crosscheck(sn_line(0.5), *box, 16, 0.01, 1e-3)
+    assert f"lx={box[0]}, ly={box[1]}" in str(err.value)
+
+
 def test_crosscheck_second_order_in_dt():
     m = 0.5
     L = 4.0 * ellipk(m)

@@ -77,37 +77,39 @@ def test_parse_errors():
         assert err.value.position == 1
 
 
-# Scanner edge cases: the tree text, or the ParseError text and position.
+# Scanner edge cases: the jet at t = 2 (every entry exact), or the
+# ParseError text and position.  A valid row's id spells its parse as a
+# tree: 2^3^2 is 2^9, not 8^2.
 # A number is digits and dots with an exponent only where digits follow it;
 # '²' and '½' are numeric but not decimal digits, so they scan as names.
 SCANNER_CASES = [
-    ("1.", "1.0"),
-    (".5", "0.5"),
+    pytest.param("1.", (1.0, 0.0, 0.0, 0.0), id="1.-1.0"),
+    pytest.param(".5", (0.5, 0.0, 0.0, 0.0), id=".5-0.5"),
     ("1e", ("unexpected 'e' at position 1", 1)),
     ("1e+", ("unexpected 'e' at position 1", 1)),
-    ("1e+5", "100000.0"),
+    pytest.param("1e+5", (1e5, 0.0, 0.0, 0.0), id="1e+5-100000.0"),
     ("1.2.3", ("bad number '1.2.3' at position 0", 0)),
     ("1e5e5", ("unexpected 'e5' at position 3", 3)),
     ("2t", ("unexpected 't' at position 1", 1)),
     ("t2", ("unknown identifier 't2' at position 0", 0)),
     ("_t", ("unknown identifier '_t' at position 0", 0)),
-    ("\tt *\n2 ", "(t*2.0)"),
+    pytest.param("\tt *\n2 ", (4.0, 2.0, 0.0, 0.0), id="\tt *\n2 -(t*2.0)"),
     ("$", ("unexpected character '$' at position 0", 0)),
     ("tanh(t)", ("unknown identifier 'tanh' at position 0", 0)),
-    ("t^ -2", "(t^-2)"),
-    ("2^3^2", "(2.0^9)"),
+    pytest.param("t^ -2", (0.25, -0.25, 0.375, -0.75), id="t^ -2-(t^-2)"),
+    pytest.param("2^3^2", (512.0, 0.0, 0.0, 0.0), id="2^3^2-(2.0^9)"),
     ("t^t", ("exponent must be a constant at position 1", 1)),
     ("\u00b2", ("unknown identifier '\u00b2' at position 0", 0)),
     ("1\u00b2", ("unexpected '\u00b2' at position 1", 1)),
     ("\u00bd", ("unknown identifier '\u00bd' at position 0", 0)),
-    ("-t", "-(t)"),
+    pytest.param("-t", (-2.0, -1.0, 0.0, 0.0), id="-t--(t)"),
 ]
 
 
 @pytest.mark.parametrize("text, expect", SCANNER_CASES)
 def test_scanner_edge_cases(text, expect):
     try:
-        got = str(parse_timefn(text).root)
+        got = jet_tuple(parse_timefn(text).jet(2.0))
     except ParseError as err:
         got = (str(err), err.position)
     assert got == expect
@@ -117,7 +119,9 @@ def test_exponent_magnitude_is_bounded():
     # An integer power is |r| jet products, and a power inside an exponent
     # is evaluated while parsing: unbounded, t^1e9 or t^(2^(10^9)) would
     # not finish.
-    assert str(parse_timefn("t^-64").root) == "(t^-64)"
+    assert jet_tuple(parse_timefn("t^-64").jet(2.0)) == (
+        2.0 ** -64, -64 * 2.0 ** -65, 64 * 65 * 2.0 ** -66,
+        -64 * 65 * 66 * 2.0 ** -67)
     cases = [("t^65", 1), ("t^-64.5", 1), ("t^1e6", 1), ("2^(10^9)", 1),
              ("t^(2^100)", 4)]
     for text, position in cases:
@@ -134,13 +138,58 @@ def test_whitespace_insensitive():
 
 
 def test_domain_errors_carry_subexpression():
-    with pytest.raises(DomainError) as err:
-        parse_timefn("ln(t-3)").jet(1.0)
-    assert "ln" in str(err.value)
-    with pytest.raises(DomainError):
-        parse_timefn("1/(t-2)").jet(2.0)
-    with pytest.raises(DomainError):
-        parse_timefn("(t-5)^(1/2)").jet(1.0)
+    # The failing subexpression is named as it is written in the source.
+    cases = [
+        ("ln(t-3)", 1.0, "ln of non-positive value in 'ln(t-3)' at t=1.0"),
+        ("1/(t-2)", 2.0, "division by zero in '1/(t-2)' at t=2.0"),
+        ("(t-5)^(1/2)", 1.0, "fractional power of non-positive value in "
+                             "'(t-5)^(1/2)' at t=1.0"),
+        ("1 + 3*t^-2", 0.0, "division by zero in 't^-2' at t=0.0"),
+        ("2 * ln( t-3 ) ", 1.0,
+         "ln of non-positive value in 'ln( t-3 )' at t=1.0"),
+    ]
+    for text, t, message in cases:
+        with pytest.raises(DomainError) as err:
+            parse_timefn(text).jet(t)
+        assert str(err.value) == message
+
+
+# Expressions of more than 200 tokens, each deep enough, unbounded, to
+# exhaust Python's recursion limit: nested parentheses, a '+' chain
+# (iterative to parse but left-deep to walk), unary minuses and a '^1'
+# chain.  The 201st token is at character 200 in each.
+TOO_LONG = ["(" * 2000 + "t" + ")" * 2000, "+".join(["t"] * 20000),
+            "-" * 5000 + "t", "t" + "^1" * 3000]
+
+
+@pytest.mark.parametrize("text", TOO_LONG, ids=["paren", "plus", "neg", "pow"])
+def test_expression_length_is_bounded(text):
+    with pytest.raises(ParseError, match="longer than 200 tokens") as err:
+        parse_timefn(text)
+    assert err.value.position == 200
+
+
+def _deep(depth, f, *args):
+    """f(*args) called from ``depth`` extra stack frames."""
+    return f(*args) if depth == 0 else _deep(depth - 1, f, *args)
+
+
+# 200-token worst cases of each nesting, and the value of each at t = 2.
+LONGEST = [("(" * 99 + "-t" + ")" * 99, -2.0),
+           ("-" + "+".join(["t"] * 100), 196.0),
+           ("-" * 199 + "t", -2.0),
+           ("-" + "sin(" * 66 + "t" + ")" * 66, None),
+           ("-t" + "^1" * 99, -2.0)]
+
+
+@pytest.mark.parametrize("text, value", LONGEST,
+                         ids=["paren", "plus", "neg", "sin", "pow"])
+def test_longest_expressions_parse_and_walk_on_a_deep_stack(text, value):
+    f = _deep(400, parse_timefn, text)
+    j, ok = _deep(400, jet_arrays, f, np.array([2.0]))
+    assert ok.all()
+    if value is not None:
+        assert j.f[0] == value
 
 
 def test_validity_interval():
