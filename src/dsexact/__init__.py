@@ -2,8 +2,6 @@
 symmetry transforms, a finite-difference residual oracle, and a split-step
 spectral cross-check."""
 
-from .ansatz import CubicMatch, LinePhaseFrame, frame, match_cubic, \
-    v_profile_coefficient
 from .catalog import Solution, Variant, eval_solution, family_a, family_b, \
     family_c
 from .elliptic import PROFILE_KINDS, Profile, ellipk, jacobi_sn_cn_dn, \

@@ -19,9 +19,27 @@ family_b   profile linear in the stretched coordinates (e1=+1 only).  The
            mean-flow constraint, including its (|u|^2)_xx source term,
            forces e2=+1 and exp(4*Im) = 3 a^2/b^2.
 
-family_c   travelling-line profiles nu(w) over the eight profile kinds,
-           with amplitude and constants from the cubic match and the
-           nu^2 coefficient kappa = -2 zeta^2 in v.
+family_c   travelling-line profiles over the eight profile kinds.  With
+           the phase a'(t) x^2 + b'(t) y^2, the modulus equation becomes a
+           transport equation solved exactly by
+
+               xi = exp(-e1 a - b) theta(w1, w2),
+               w1 = exp(-2 e1 a) x,  w2 = exp(-2 b) y,
+
+           for any two-variable theta.  The line takes theta = nu(w) along
+           w = zeta w1 + eta w2 + l1, with (zeta, eta) = (sinh, cosh)(l)
+           for e1=+1 and (sin, cos)(l) for e1=-1, so eta^2 - e1 zeta^2 = 1.
+           A profile nu = A f with f'' = p f^3 + q f reduces everything to
+
+               -E nu'' + 2 c nu + 2 (e2 + kappa) nu^3 = 0,  E = eta(2l),
+
+           solved by c = E q/2 and A = sqrt(E p / (2 (e2 + kappa))).  The
+           mean-flow constraint fixes the nu^2 coefficient in v to
+           kappa = -2 zeta^2: (d_xx - e1 d_yy) on functions of w gives
+           -e1 exp(-4b) (.)'' and the 2 (xi^2)_xx source gives
+           2 zeta^2 exp(-8b) (nu^2)'', so the constraint leaves
+           -e1 (kappa + 2 zeta^2) exp(-8b) (nu^2)'' and only that kappa
+           cancels it.  The residual oracle is the arbiter of record.
 
 Each family, like each transform in ``symmetry``, is one closure
 ``fields(t, x, y) -> (u, v, ok)`` that computes its jets, profile and both
@@ -37,10 +55,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ansatz import frame, match_cubic, v_profile_coefficient
 from .elliptic import SINGULARITY_GUARD, make_profile
-from .errors import ConfigError, MixedCaseUnsupported, NoRealSolution, \
-    UnsupportedVariant
+from .errors import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
+    NoRealAmplitude, NoRealSolution, UnsupportedVariant
 from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
@@ -48,6 +65,9 @@ __all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
 
 # Below this slope the family-A construction is treated as degenerate.
 IM_SLOPE_CUTOFF = 1e-8
+
+# Below this |e2 + kappa| the family-C cubic match is degenerate.
+_DEGENERATE_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -70,11 +90,11 @@ class Solution:
     ``u``, ``v`` and ``valid`` take floats or numpy arrays ``t, x, y`` that
     broadcast together; time-only factors take the shape of ``t``.
     ``valid`` is a bool mask, False inside the guard radius of any profile
-    pole, wherever a family constraint fails, and where a coefficient jet or
-    a stretched coordinate is undefined or overflows (see ``jet_arrays``);
-    ``u`` and ``v`` are only meaningful where it is True.  Each layer selects
-    all three from one ``fields`` that reads any layer below through
-    ``eval_solution`` (see ``solution``).
+    pole, wherever a family constraint fails, where a coefficient jet is
+    undefined or overflows (see ``jet_arrays``), and where ``u`` or ``v``
+    is not finite; ``u`` and ``v`` are only meaningful where it is True.
+    Each layer selects all three from one ``fields`` that reads any layer
+    below through ``eval_solution`` (see ``solution``).
     ``provenance`` records family, parameters, and the transform chain.
     """
 
@@ -92,9 +112,10 @@ _scope = ContextVar("dsexact_eval_scope", default=None)
 def solution(variant: Variant, fields, provenance: dict) -> Solution:
     """The Solution whose ``u``, ``v`` and ``valid`` select from one layer's
     ``fields(t, x, y) -> (u, v, ok)``, run under ``np.errstate(all=
-    "ignore")``.  Within an ``eval_solution`` call ``fields`` runs once per
-    identity of ``t``, ``x`` and ``y``, so the three selectors share it;
-    outside a call each selector runs it afresh.  A transform's ``fields``
+    "ignore")``, with ``ok`` False where ``u`` or ``v`` is not finite.
+    Within an ``eval_solution`` call ``fields`` runs once per identity of
+    ``t``, ``x`` and ``y``, so the three selectors share it; outside a
+    call each selector runs it afresh.  A transform's ``fields``
     reads the layer below with one ``eval_solution`` call, a scope of its
     own, so any call runs each layer beneath once."""
     def run(t, x, y):
@@ -104,8 +125,10 @@ def solution(variant: Variant, fields, provenance: dict) -> Solution:
         key = (fields, id(t), id(x), id(y))
         if key not in memo:
             with np.errstate(all="ignore"):
-                # The entry keeps its arguments: no id is reused meanwhile.
-                memo[key] = fields(t, x, y), (t, x, y)
+                u, v, ok = fields(t, x, y)
+                ok = ok & np.isfinite(u) & np.isfinite(v)
+            # The entry keeps its arguments: no id is reused meanwhile.
+            memo[key] = (u, v, ok), (t, x, y)
         return memo[key][0]
 
     return Solution(variant, lambda t, x, y: run(t, x, y)[0],
@@ -218,7 +241,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         linear = eps2 * c * e2i * e2b ** 2 * (
             2.0 * a * e2i * e2b * x + 2.0 * b * e2b * y + c)
         v = -vxx * x * x - vyy * y * y - cross * x * y - linear
-        return u, v, ok & np.isfinite(w1) & np.isfinite(w2)
+        return u, v, ok
 
     return solution(variant, fields, {"family": "B", "eps1": 1, "eps2": eps2,
                                       "a": a, "b": b, "c": c, "Im": im_value,
@@ -236,26 +259,42 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
              v_quad_coeff: float | None = None) -> Solution:
     """Travelling-line family over the profile zoo.
 
-    Defaults derive amplitude A, the v constant, and the nu^2 coefficient
-    from the self-consistent cubic match (kappa = -2 zeta^2).  The keyword
-    overrides substitute raw numbers for individual constants; they exist so
+    Raises ConfigError where the line direction (zeta, eta, E) is not
+    finite (cosh(2 ell) overflows above ell ~ 355, and 2 ell itself above
+    ~9e307).  The cubic match runs when ``amplitude`` or ``v_constant`` is
+    None, always against the forced kappa = -2 zeta^2; it raises
+    DegenerateMatch when e2 + kappa vanishes and NoRealAmplitude when
+    A^2 < 0.  The keyword overrides substitute raw numbers for individual
+    constants (``v_quad_coeff`` only replaces kappa in v); they exist so
     alternative constant sets can be fed to the residual oracle and are
     expected to break exactness.
     """
     eps1, eps2 = variant.eps1, variant.eps2
-    fr = frame(eps1, ell, ell1)
+    ell, ell1 = float(ell), float(ell1)
+    odd, even = (math.sinh, math.cosh) if eps1 == 1 else (math.sin, math.cos)
+    try:
+        zeta, eta, E = odd(ell), even(ell), even(2.0 * ell)
+    except (OverflowError, ValueError):
+        zeta = eta = E = math.nan
+    if not all(map(math.isfinite, (zeta, eta, E))):
+        raise ConfigError(f"ell={ell!r}: the line direction of the eps1="
+                          f"{eps1:+d} branch is not finite")
     profile = make_profile(kind, m)
-    kappa = v_profile_coefficient(fr.zeta) if v_quad_coeff is None \
-        else float(v_quad_coeff)
+    forced = -2.0 * zeta * zeta
+    kappa = forced if v_quad_coeff is None else float(v_quad_coeff)
     if amplitude is None or v_constant is None:
-        matched = match_cubic(profile, fr.E,
-                              v_profile_coefficient(fr.zeta), eps2)
-        amp = matched.amplitude if amplitude is None else float(amplitude)
-        c_v = matched.c_ode if v_constant is None else float(v_constant)
-    else:
-        amp = float(amplitude)
-        c_v = float(v_constant)
-    zeta, eta, ell1 = fr.zeta, fr.eta, fr.ell1
+        S = eps2 + forced
+        if abs(S) < _DEGENERATE_TOL:
+            raise DegenerateMatch(f"cubic coefficient eps2+kappa vanishes "
+                                  f"(eps2={eps2}, kappa={forced})")
+        a2 = E * profile.p / (2.0 * S)
+        if a2 < 0.0:
+            raise NoRealAmplitude(
+                f"amplitude^2 = {a2:g} < 0 for kind '{profile.kind}' "
+                f"(E={E:g}, kappa={forced:g}, eps2={eps2})")
+        amplitude = math.sqrt(a2) if amplitude is None else amplitude
+        v_constant = E * profile.q / 2.0 if v_constant is None else v_constant
+    amp, c_v = float(amplitude), float(v_constant)
 
     def fields(t, x, y):
         j, ok = jet_arrays(beta, t)
@@ -268,10 +307,9 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
         v = gamma * (eps1 * x * x + y * y) \
             + stretch * stretch * (c_v + kappa * nu * nu)
-        return u, v, ok & np.isfinite(w) \
-            & (profile.pole_distance(w) > SINGULARITY_GUARD)
+        return u, v, ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
     return solution(variant, fields, {
         "family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,
-        "m": profile.m, "ell": fr.ell, "ell1": ell1, "beta": beta.source,
+        "m": profile.m, "ell": ell, "ell1": ell1, "beta": beta.source,
         "amplitude": amp, "v_constant": c_v, "v_quad_coeff": kappa})

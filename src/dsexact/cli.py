@@ -225,10 +225,14 @@ def build_grid(cfg: dict) -> GridSpec:
     for axis in ("/grid/x", "/grid/y"):
         lo, hi, _ = _list(cfg, axis, _number, 3)
         count = _count(cfg, f"{axis}/2", _MAX_AXIS)
-        # The largest product the grid's points and jitter are built from.
-        if not math.isfinite((hi - lo) * max(1, count - 1)):
+        # The largest product the grid's points and jitter are built from,
+        # and the largest magnitude a jittered point can reach.
+        reach = max(abs(lo), abs(hi)) \
+            + 0.3 * (abs(hi - lo) / max(1, count - 1))
+        if not (math.isfinite((hi - lo) * max(1, count - 1))
+                and math.isfinite(reach)):
             raise ConfigError(f"{axis}: the span from {lo!r} to {hi!r} over "
-                              f"{count} points overflows")
+                              f"{count} points, or its jitter, overflows")
         ranges.append((lo, hi, count))
     return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
 

@@ -1,9 +1,11 @@
-"""Shared helpers: independent finite-difference derivatives and bounded
-random expression trees for property sweeps."""
+"""Shared helpers: independent finite-difference derivatives, the published
+family C constant set, and bounded random expression trees for property
+sweeps."""
 
+import math
 import random
 
-from dsexact import parse_timefn
+from dsexact import make_profile, parse_timefn
 
 # 6th-order central stencil, independent of the ones inside the package.
 _D2_6 = ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
@@ -17,6 +19,21 @@ def fd2(f, x, h):
 
 def fd1_o2(f, x, h):
     return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+def published_constants(kind, m, eps1, ell, eps2):
+    """The family C constants as published: nu^2 coefficient +zeta^2 in v,
+    linear constant E*q (twice the matched value), and the amplitude matched
+    against that kappa.  Applies the formulas directly, with the profile's
+    cubic signature f'' = p f^3 + q f as the only input from the package.
+    """
+    odd, even = (math.sinh, math.cosh) if eps1 == 1 else (math.sin, math.cos)
+    zeta, E = odd(ell), even(2.0 * ell)
+    prof = make_profile(kind, m)
+    kappa = zeta ** 2
+    amplitude = math.sqrt(E * prof.p / (2.0 * (eps2 + kappa)))
+    return {"amplitude": amplitude, "v_constant": E * prof.q,
+            "v_quad_coeff": kappa}
 
 
 def random_smooth_tree(rng: random.Random, bounded=False) -> str:

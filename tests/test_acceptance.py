@@ -10,10 +10,10 @@ import random
 
 import pytest
 
-from conftest import fd2
+from conftest import fd2, published_constants
 from dsexact import PROFILE_KINDS, TransformSpec, Variant, apply_t1, \
-    apply_t2, compose, crosscheck, ellipk, family_a, family_c, frame, \
-    jacobi_sn_cn_dn, make_profile, match_cubic, parse_timefn, verify
+    apply_t2, compose, crosscheck, ellipk, family_a, family_c, \
+    jacobi_sn_cn_dn, make_profile, parse_timefn, verify
 from dsexact.cli import main
 from dsexact.residual import _residual_terms
 from dsexact.selftest import default_verification_matrix
@@ -88,15 +88,11 @@ def test_criterion_3_errata_detection():
     cases = [(-1, 1, "sn", 0.7, 0.4, 0.3), (1, 1, "tan", None, 0.3, 0.0)]
     pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
     for eps1, eps2, kind, m, ell, ell1 in cases:
-        fr = frame(eps1, ell)
-        prof = make_profile(kind, m)
         # published set: nu^2 coefficient +zeta^2, linear constant E*q (twice
         # the matched value), amplitude matched against kappa=+zeta^2
-        alt = match_cubic(prof, fr.E, fr.zeta ** 2, eps2)
         sol = family_c(Variant(eps1, eps2), kind, m, ell, ell1,
-                       parse_timefn("0.1*t"), amplitude=alt.amplitude,
-                       v_constant=fr.E * prof.q,
-                       v_quad_coeff=fr.zeta ** 2)
+                       parse_timefn("0.1*t"),
+                       **published_constants(kind, m, eps1, ell, eps2))
         report = verify(sol, pts, h=H, order=ORDER, tol_rel=TOL_REL)
         assert not report.passed
         # h-independent: observed order ~ 0 at both steps

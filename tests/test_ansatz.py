@@ -1,60 +1,82 @@
+"""Family C's line direction and cubic match, read from the constants that
+``family_c`` records in its provenance."""
+
 import math
 
 import pytest
 
 from conftest import fd2
-from dsexact import DegenerateMatch, NoRealAmplitude, frame, make_profile, \
-    match_cubic, v_profile_coefficient
+from dsexact import DegenerateMatch, NoRealAmplitude, Variant, family_c, \
+    make_profile, parse_timefn, verify
 
 
-def test_frame_trivial():
-    for eps1 in (1, -1):
-        fr = frame(eps1, 0.0)
-        assert (fr.zeta, fr.eta, fr.E) == (0.0, 1.0, 1.0)
-    fr = frame(-1, math.pi / 2.0)
-    assert fr.zeta == pytest.approx(1.0, abs=1e-15)
-    assert fr.eta == pytest.approx(0.0, abs=1e-15)
-    assert fr.E == pytest.approx(-1.0, abs=1e-15)
+def constants(kind, m, eps1, ell, eps2, **overrides):
+    """(amplitude, v_constant, v_quad_coeff) of a family C line."""
+    sol = family_c(Variant(eps1, eps2), kind, m, ell, 0.0, parse_timefn("0"),
+                   **overrides)
+    return tuple(sol.provenance[key]
+                 for key in ("amplitude", "v_constant", "v_quad_coeff"))
 
 
-def test_frame_identity_sweep():
-    for eps1 in (1, -1):
-        for i in range(-8, 9):
-            fr = frame(eps1, 0.41 * i)
-            # roundoff in eta^2 - eps1 zeta^2 grows with the squares
-            tol = 1e-14 * (1.0 + fr.eta ** 2 + abs(fr.zeta) ** 2)
-            assert abs(fr.eta ** 2 - eps1 * fr.zeta ** 2 - 1.0) <= tol
+def test_line_direction_sweep():
+    # sn lines along both branches of the direction (zeta, eta): the
+    # residual oracle certifies the matched constants at every ell.
+    pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
+    cases = [(-1, 0.41 * i) for i in range(-8, 9)] \
+        + [(1, 0.15 * i) for i in range(-4, 5)]
+    for eps1, ell in cases:
+        sol = family_c(Variant(eps1, 1), "sn", 0.7, ell, 0.3,
+                       parse_timefn("0.1*t"))
+        assert verify(sol, pts).passed, (eps1, ell)
 
 
 def test_match_sn_at_unit_frame():
     # nu = m*sn solves -nu'' + 2c nu + 2 nu^3 = 0 with c = -(1+m^2)/2.
     m = 0.7
-    match = match_cubic(make_profile("sn", m), 1.0, 0.0, 1)
-    assert match.amplitude == pytest.approx(m, rel=1e-14)
-    assert match.c_ode == pytest.approx(-(1.0 + m * m) / 2.0, rel=1e-14)
+    for eps1 in (1, -1):
+        amplitude, c_v, kappa = constants("sn", m, eps1, 0.0, 1)
+        assert amplitude == pytest.approx(m, rel=1e-14)
+        assert c_v == pytest.approx(-(1.0 + m * m) / 2.0, rel=1e-14)
+        assert kappa == 0.0
 
 
 def test_match_rational():
-    match = match_cubic(make_profile("rational"), 1.0, 0.0, 1)
-    assert match.amplitude == 1.0
-    assert match.c_ode == 0.0
+    assert constants("rational", None, 1, 0.0, 1) == (1.0, 0.0, 0.0)
 
 
 def test_match_dn_needs_negative_divisor():
     with pytest.raises(NoRealAmplitude):
-        match_cubic(make_profile("dn", 0.5), 1.0, 0.0, 1)
+        constants("dn", 0.5, 1, 0.0, 1)
 
 
 def test_match_degenerate():
+    # e1 = -1, ell = pi/4: kappa = -2 sin^2(pi/4) = -1 cancels e2 = +1.
     with pytest.raises(DegenerateMatch):
-        match_cubic(make_profile("tan"), 1.0, -1.0, 1)
+        constants("tan", None, -1, math.pi / 4.0, 1)
 
 
 def test_v_profile_coefficient():
-    assert v_profile_coefficient(0.0) == 0.0
-    assert v_profile_coefficient(1.0) == -2.0
-    assert v_profile_coefficient(math.sin(math.pi / 4.0)) == \
+    assert constants("sn", 0.5, -1, 0.0, 1)[2] == 0.0
+    assert constants("tan", None, -1, math.pi / 2.0, 1)[2] == -2.0
+    assert constants("dn", 0.5, -1, math.pi / 4.0, -1)[2] == \
         pytest.approx(-1.0, rel=1e-14)
+
+
+def test_v_quad_coeff_alone_keeps_the_matched_constants():
+    matched = constants("cn", 0.65, 1, 1.0, 1)
+    assert constants("cn", 0.65, 1, 1.0, 1, v_quad_coeff=0.37) == \
+        (*matched[:2], 0.37)
+
+
+def test_given_amplitude_and_v_constant_skip_the_match():
+    # dn with e2 = +1 has no real matched amplitude; with both constants
+    # given the instance builds, and v keeps the forced kappa = -2 zeta^2.
+    for ell in (0.0, 0.3):
+        zeta = math.sinh(ell)
+        assert constants("dn", 0.5, 1, ell, 1, amplitude=0.8,
+                         v_constant=-0.1) == (0.8, -0.1, -2.0 * zeta * zeta)
+        with pytest.raises(NoRealAmplitude):
+            constants("dn", 0.5, 1, ell, 1, amplitude=0.8)
 
 
 def _admissible_cases():
@@ -71,20 +93,19 @@ def _admissible_cases():
 
 def test_matched_ode_with_independent_second_derivative():
     # -E nu'' + 2 c nu + 2 (eps2+kappa) nu^3 must vanish pointwise, with
-    # nu'' taken from finite differences rather than the signature.
+    # E = eta(2 ell) and nu'' taken from finite differences rather than the
+    # signature.
     h = 2e-3
     samples = {"rational": (0.7, 1.8), "tan": (0.2, -0.8), "sec": (0.3, 0.9),
                "coth": (0.8, -1.6), "csch": (0.8, 2.2),
                "sn": (0.5, -1.9), "cn": (0.0, 1.2), "dn": (0.4, 2.8)}
     for kind, m, eps1, ell, eps2 in _admissible_cases():
-        fr = frame(eps1, ell)
+        E = (math.cosh if eps1 == 1 else math.cos)(2.0 * ell)
         prof = make_profile(kind, m)
-        kappa = v_profile_coefficient(fr.zeta)
-        match = match_cubic(prof, fr.E, kappa, eps2)
-        A = match.amplitude
+        A, c_ode, kappa = constants(kind, m, eps1, ell, eps2)
         for s in samples[kind]:
             nu = A * prof.value(s)
             nu2 = A * fd2(prof.value, s, h)
-            resid = -fr.E * nu2 + 2.0 * match.c_ode * nu \
+            resid = -E * nu2 + 2.0 * c_ode * nu \
                 + 2.0 * (eps2 + kappa) * nu ** 3
             assert abs(resid) <= 1e-9 * (1.0 + abs(nu) ** 3), (kind, s)

@@ -310,6 +310,23 @@ def test_overflowing_stretched_coordinate_makes_points_invalid():
     # Every stencil reaches t - 1e200: no point is left to verify.
     with pytest.raises(EmptySampleError):
         verify(line, [(0.2, 0.3, 0.1), (0.5, -0.2, 0.4)], h=1e200)
+    # Finite jets and line coordinates, but fields that are not finite: the
+    # sn argument at x = 1.7e308, the phase of family A at x = 1e200, and
+    # every pole-bearing line at (x, y) = (-1.7e308, 1.7e308).
+    zero = parse_timefn("0")
+    cases = [(family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0, zero),
+              0.0, 1.7e308, 0.0),
+             (family_a(Variant(1, 1), parse_timefn("t"), 1.0),
+              0.5, 1e200, 0.0)]
+    cases += [(family_c(Variant(eps1, 1), kind, None, 0.3, 0.0, zero),
+               0.0, -1.7e308, 1.7e308)
+              for kind in ("rational", "tan", "sec", "coth", "csch")
+              for eps1 in (1, -1)]
+    for sol, t, x, y in cases:
+        u, v, ok = eval_solution(sol, t, np.array([0.3, x]),
+                                 np.array([0.1, y]))
+        assert ok.tolist() == [True, False], sol.provenance
+        assert np.isfinite(u[0]) and np.isnan(u[1]) and np.isnan(v[1])
 
 
 # ---------------------------------------------------------------------------

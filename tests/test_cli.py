@@ -474,6 +474,9 @@ MALFORMED = [
     ("eval", "/grid/x", [-1e308, 1e308, 1], [], "/grid/x: the span"),
     ("evolve", "/evolve/box", [1e-300, 1e-300], [], "lx=1e-300, ly=1e-300"),
     ("evolve", "/evolve/box", [1e300, 1e300], [], "lx=1e+300, ly=1e+300"),
+    ("eval", "/grid/x", [1.7e308, 1.79e308, 2], ["--seed", "1"],
+     "/grid/x: the span"),
+    ("verify", "/grid/y", [-1.79e308, -1.7e308, 2], [], "/grid/y: the span"),
 ]
 
 
@@ -694,6 +697,20 @@ def test_overflowing_time_function_gives_invalid_rows(tmp_path):
     assert all(r.endswith(",true") for r in rows[:3])
     assert all(r.startswith("800,") and r.endswith(",,,,,false")
                for r in rows[3:])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_non_finite_fields_give_invalid_rows(tmp_path):
+    # The sn argument is not finite at x = 1.7e308 though the line
+    # coordinate is: the row is invalid, not NaN cells marked true.
+    doc = full_config(tmp_path)
+    del doc["transforms"]
+    doc["grid"] = {"t": [0.0], "x": [1.7e308, 1.7e308, 1], "y": [0.0, 0.0, 1]}
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    out = tmp_path / "field.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "0,1.6999999999999999e+308,0,,,,,false"]
 
 
 def test_main_builds_no_parser_garbage(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dsexact.residual
+from conftest import published_constants
 from dsexact import ConfigError, EmptySampleError, Solution, Variant, \
     family_a, family_c, parse_timefn, verify
 from dsexact.residual import DEFAULT_H, ORDERS
@@ -79,15 +80,10 @@ def test_nominal_order_convergence_in_truncation_regime(order):
 def test_wrong_constants_produce_h_independent_residual():
     # Feeding the alternative constant set (kappa=+zeta^2 and the doubled
     # linear constant) must fail with an O(1) residual at order ~ 0.
-    from dsexact import frame, make_profile, match_cubic
     eps1, eps2, m, ell = -1, 1, 0.7, 0.4
-    fr = frame(eps1, ell)
-    prof = make_profile("sn", m)
-    alt = match_cubic(prof, fr.E, fr.zeta ** 2, eps2)
     sol = family_c(Variant(eps1, eps2), "sn", m, ell, 0.3,
                    parse_timefn("0.1*t"),
-                   amplitude=alt.amplitude, v_constant=fr.E * prof.q,
-                   v_quad_coeff=fr.zeta ** 2)
+                   **published_constants("sn", m, eps1, ell, eps2))
     pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
     report = verify(sol, pts)
     assert not report.passed
