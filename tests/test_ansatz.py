@@ -18,6 +18,49 @@ def constants(kind, m, eps1, ell, eps2, **overrides):
                  for key in ("amplitude", "v_constant", "v_quad_coeff"))
 
 
+def test_frame_trivial():
+    # ell = 0 is (zeta, eta, E) = (0, 1, 1) on both branches: kappa = 0,
+    # the unit-frame constant E q / 2, and u constant along x.
+    q = make_profile("sn", 0.7).q
+    for eps1 in (1, -1):
+        assert constants("sn", 0.7, eps1, 0.0, 1)[1:] == (q / 2.0, 0.0)
+        sol = family_c(Variant(eps1, 1), "sn", 0.7, 0.0, 0.3,
+                       parse_timefn("0"))
+        for y in (-1.1, 0.4, 2.0):
+            assert sol.u(0.0, 1.7, y) == sol.u(0.0, -0.8, y)
+    # eps1 = -1, ell = pi/2 is (1, 0, -1): kappa = -2, constant -q/2, and
+    # u constant along y.
+    _, c_v, kappa = constants("sn", 0.7, -1, math.pi / 2.0, 1)
+    assert kappa == pytest.approx(-2.0, abs=1e-15)
+    assert c_v == pytest.approx(-q / 2.0, abs=1e-15)
+    sol = family_c(Variant(-1, 1), "sn", 0.7, math.pi / 2.0, 0.3,
+                   parse_timefn("0"))
+    for x in (-1.1, 0.4, 2.0):
+        assert sol.u(0.0, x, 1.7) == pytest.approx(sol.u(0.0, x, -0.8),
+                                                   abs=1e-15)
+
+
+def test_frame_identity_sweep():
+    # eta^2 - eps1 zeta^2 = 1 and E = eta^2 + eps1 zeta^2 give
+    # E = 1 + 2 eps1 zeta^2, read back as zeta^2 = -kappa/2, E = 2 c_v / q.
+    for eps1 in (1, -1):
+        for i in range(-8, 9):
+            ell = 0.41 * i
+            for kind in ("sn", "dn"):  # one of them has a real amplitude
+                try:
+                    _, c_v, kappa = constants(kind, 0.7, eps1, ell, 1)
+                    break
+                except NoRealAmplitude:
+                    continue
+            else:
+                pytest.fail(f"no real amplitude at eps1={eps1}, ell={ell}")
+            E = 2.0 * c_v / make_profile(kind, 0.7).q
+            zeta2 = -kappa / 2.0
+            # roundoff grows with the squares
+            tol = 1e-14 * (1.0 + abs(E) + 2.0 * zeta2)
+            assert abs(E - 2.0 * eps1 * zeta2 - 1.0) <= tol, (eps1, ell)
+
+
 def test_line_direction_sweep():
     # sn lines along both branches of the direction (zeta, eta): the
     # residual oracle certifies the matched constants at every ell.
