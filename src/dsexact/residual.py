@@ -34,8 +34,8 @@ DEFAULT_TOL_REL = 1e-7
 # Residual-to-scale ratio below which a sample is considered to sit on the
 # roundoff floor, where the observed order is no longer meaningful.
 DEFAULT_FLOOR_REL = 1e-8
-# verify evaluates the stencils of this many points at a time: a point
-# holds about 5.5 KB while its stencils are evaluated, so about 23 MB.
+# verify evaluates the nodes of this many points at a time: a point holds
+# about 3.3 KB while its nodes are evaluated, so about 14 MB.
 _BLOCK = 4096
 
 # offset: coefficient maps; apply as sum(c * f(x0 + k*h)) / h**deriv_order.
@@ -60,8 +60,8 @@ class ResidualReport:
     """Aggregated residual magnitudes with observed convergence orders.
 
     ``max*``/``rms*`` are taken at the finer step h/2; ``order*`` compare
-    the rms at h against h/2; ``n_points`` counts the samples whose stencils
-    stayed inside the valid region.
+    the rms at h against h/2; ``n_points`` counts the samples kept (see
+    ``verify``).
     """
 
     max1: float
@@ -80,53 +80,47 @@ class ResidualReport:
                 "n_points": self.n_points, "pass": self.passed}
 
 
-def _stencil(order: int):
-    """Node offsets (in steps) along t, x, y, and a map (axis, k) -> node.
-
-    Node 0 is the centre; the others lie on one axis each.
-    """
-    reach = [k for k in range(-(order // 2), order // 2 + 1) if k != 0]
-    offsets = [(0, 0, 0)]
-    index = {(axis, 0): 0 for axis in range(3)}
-    for axis in range(3):
-        for k in reach:
-            index[axis, k] = len(offsets)
-            offsets.append(tuple(k if a == axis else 0 for a in range(3)))
-    return np.array(offsets, dtype=float).T, index
+_EYE = np.eye(3, dtype=bool)
 
 
-_STENCILS = {order: _stencil(order) for order in _D1}
+def _residual_terms(sol: Solution, points, steps, order):
+    """|R1| and |R2| at both steps and the two term scales at the finer
+    step: the columns of an (n, 6) array over the kept points.
 
-
-def _residual_terms(sol: Solution, t, x, y, h, order):
-    """R1, R2, their summed term magnitudes, and stencil validity.
-
-    ``t, x, y`` are arrays of one shape and ``h`` an array of steps; every
-    result has shape ``shape(t) + shape(h)``.  All stencil nodes of all
-    points and steps are evaluated in one call; ``ok`` is False where any
-    node is invalid, and the other results are NaN there.
+    ``points`` holds (t, x, y) rows and ``steps`` is the array (h, h/2).
+    Each axis has one sorted row of the distinct node offsets s*k, and
+    every node of every point is evaluated in one call at shape (points,
+    3 axes, row).  A point is kept iff every node is valid and its half
+    step does not round away on any axis (t + h/2 == t, say).
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    offsets, index = _STENCILS[order]
-    u, v, ok = eval_solution(
-        sol, *(np.add.outer(c, np.multiply.outer(h, k))
-               for c, k in zip((t, x, y), offsets)))
-    ok = ok.all(axis=-1)
+    half = order // 2
+    reach = range(-half, half + 1)
+    row = sorted({s * k for s in steps.tolist() for k in reach})
+    cols = np.array([[row.index(s * k) for k in reach]
+                     for s in steps.tolist()])
+    # (coordinate, point, axis, row): c + 0.0 off the axis, c + s*k on it
+    offsets = np.where(_EYE[:, None, :, None], row, 0.0)
+    u, v, ok = eval_solution(sol, *(points.T[..., None, None] + offsets))
+    size = np.abs(points)
+    keep = ok.all(axis=(1, 2)) & (size + steps[1] != size).all(axis=1)
+    u, v = u[:, :, cols], v[:, :, cols]  # (points, axis, step, k + half)
 
-    def diff(f, axis, table):
-        return sum(c * f[..., index[axis, k]] for k, c in table)
+    def diff(f, table):
+        return sum(c * f[..., k + half] for k, c in table)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        h2 = h * h  # inf above h ~ 1e154
-        g = np.abs(u) ** 2
-        u0 = u[..., 0]
-        v0 = v[..., 0]
-        du_dt = diff(u, 0, _D1[order]) / h
-        du_xx = diff(u, 1, _D2[order]) / h2
-        du_yy = diff(u, 2, _D2[order]) / h2
-        dv_xx = diff(v, 1, _D2[order]) / h2
-        dv_yy = diff(v, 2, _D2[order]) / h2
-        dg_xx = diff(g, 1, _D2[order]) / h2
+        h2 = steps * steps  # inf above h ~ 1e154
+        g = np.abs(u[:, 1]) ** 2
+        u0 = u[:, 0, :, half]
+        v0 = v[:, 0, :, half]
+        d2 = _D2[order]
+        du_dt = diff(u[:, 0], _D1[order]) / steps
+        du_xx = diff(u[:, 1], d2) / h2
+        du_yy = diff(u[:, 2], d2) / h2
+        dv_xx = diff(v[:, 1], d2) / h2
+        dv_yy = diff(v[:, 2], d2) / h2
+        dg_xx = diff(g, d2) / h2
 
         cubic = 2.0 * eps2 * (u0.real ** 2 + u0.imag ** 2) * u0
         coupling = 2.0 * u0 * v0
@@ -135,7 +129,8 @@ def _residual_terms(sol: Solution, t, x, y, h, order):
         scale1 = (2.0 * np.abs(du_dt) + np.abs(du_xx) + np.abs(du_yy)
                   + np.abs(cubic) + np.abs(coupling))
         scale2 = np.abs(dv_xx) + np.abs(dv_yy) + 2.0 * np.abs(dg_xx)
-    return r1, r2, scale1, scale2, ok
+    return np.concatenate([np.abs(r1), np.abs(r2), scale1[:, 1:],
+                           scale2[:, 1:]], axis=1)[keep]
 
 
 def _rms(values) -> float:
@@ -170,8 +165,9 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     """Aggregate residuals over sample points at steps h and h/2.
 
     ``sample`` is an (N, 3) array or a sequence of (t, x, y) points;
-    points whose stencil footprint (at either step) leaves the valid region
-    are skipped deterministically.  Passing requires, for each equation, a
+    points whose stencil footprint (at either step) leaves the valid region,
+    or whose half step rounds away on an axis (t + h/2 == t, say), are
+    skipped deterministically.  Passing requires, for each equation, a
     finite rms at h/2 within tol_rel of a finite term scale and either the
     nominal convergence order (within 0.5) or a residual already on the
     roundoff floor; a non-finite rms gives a NaN order.  The effective
@@ -187,24 +183,23 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
                           f"step squares to a nonzero number, a tolerance "
                           f">= 0 and an order in {ORDERS}; got h={h!r}, "
                           f"order={order!r}, tol_rel={tol_rel!r}")
+    order = int(order)
     points = np.asarray(sample, dtype=float).reshape(-1, 3)
     steps = np.array([h, h / 2.0])
     # An empty sample still makes one (empty) block.
-    blocks = [_residual_terms(sol, *points[i:i + _BLOCK].T, steps, order)
-              for i in range(0, max(len(points), 1), _BLOCK)]
-    r1, r2, s1, s2, ok = map(np.concatenate, zip(*blocks))
-    keep = ok.all(axis=1)
-    if not keep.any():
+    terms = np.concatenate([
+        _residual_terms(sol, points[i:i + _BLOCK], steps, order)
+        for i in range(0, max(len(points), 1), _BLOCK)])
+    if not len(terms):
         raise EmptySampleError("no valid sample points for verification")
 
-    r1_coarse, r1_fine = np.abs(r1[keep]).T
-    r2_coarse, r2_fine = np.abs(r2[keep]).T
+    r1_coarse, r1_fine, r2_coarse, r2_fine, s1, s2 = terms.T
     rms1 = _rms(r1_fine)
     rms2 = _rms(r2_fine)
     order1 = _order_of(_rms(r1_coarse), rms1)
     order2 = _order_of(_rms(r2_coarse), rms2)
-    scale1 = 1.0 + _rms(s1[keep, 1])
-    scale2 = 1.0 + _rms(s2[keep, 1])
+    scale1 = 1.0 + _rms(s1)
+    scale2 = 1.0 + _rms(s2)
     floor = max(DEFAULT_FLOOR_REL, 0.1 * tol_rel)
     order_ok1 = order1 >= order - 0.5 or rms1 <= floor * scale1
     order_ok2 = order2 >= order - 0.5 or rms2 <= floor * scale2
@@ -213,4 +208,4 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
               and rms2 <= tol_rel * scale2 and order_ok1 and order_ok2)
     return ResidualReport(float(np.max(r1_fine)), rms1,
                           float(np.max(r2_fine)), rms2, order1, order2,
-                          int(keep.sum()), passed)
+                          len(terms), passed)

@@ -7,7 +7,8 @@ The first form writes, with every path relative to OUT:
 
 * ``verify/s<seed>-<index>.json``: the verify report of each entry of
   ``default_verification_matrix()`` on the points of its grid jittered by
-  seeds 0-3;
+  seeds 0-3, and ``verify/o<order>-s0-<index>.json`` the same at seed 0
+  with the stencil orders 2 and 6;
 * ``eval/<kind>.csv`` and ``transform/<kind>.csv``: ``dsexact eval`` and
   ``dsexact transform`` (a T1-then-T2 chain, jittered by seed 1) of a
   family C line of each of the eight profile kinds; the eval grid holds a
@@ -140,6 +141,12 @@ def record(out) -> str:
             for i, entry in enumerate(matrix):
                 report = verify(entry.solution, entry.grid.points(seed))
                 write_json_report(f"verify/s{seed}-{i:02d}.json",
+                                  report.to_json_dict())
+        for order in (2, 6):
+            for i, entry in enumerate(matrix):
+                report = verify(entry.solution, entry.grid.points(0),
+                                order=order)
+                write_json_report(f"verify/o{order}-s0-{i:02d}.json",
                                   report.to_json_dict())
         _commands()
     finally:

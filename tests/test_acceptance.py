@@ -8,6 +8,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from conftest import fd2, published_constants
@@ -98,11 +99,9 @@ def test_criterion_3_errata_detection():
         # h-independent: observed order ~ 0 at both steps
         assert abs(report.order1) <= 0.5 and abs(report.order2) <= 0.5
         # magnitude at least 1e-2 of the PDE term scale
-        scales1, scales2 = [], []
-        for p in pts:
-            _, _, s1, s2, _ = _residual_terms(sol, *p, H / 2.0, ORDER)
-            scales1.append(s1)
-            scales2.append(s2)
+        scales1, scales2 = _residual_terms(
+            sol, np.array(pts), np.array([H, H / 2.0]), ORDER)[:, 4:].T
+        assert len(scales1) == len(pts)
         s1 = 1.0 + math.sqrt(sum(v * v for v in scales1) / len(scales1))
         s2 = 1.0 + math.sqrt(sum(v * v for v in scales2) / len(scales2))
         assert report.rms1 >= 1e-2 * s1 or report.rms2 >= 1e-2 * s2

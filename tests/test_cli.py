@@ -3,15 +3,16 @@ import gc
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dsexact import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, PROFILE_KINDS, UnsupportedVariant, \
-    Variant, cli, crosscheck, ellipk, evolve, family_c, gridio, parse_timefn, \
-    selftest
+from dsexact import BlowupError, ConfigError, DegenerateMatch, \
+    MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, PROFILE_KINDS, \
+    UnsupportedVariant, Variant, cli, crosscheck, ellipk, evolve, family_c, \
+    gridio, parse_timefn, selftest
 from dsexact.cli import main
 
 
@@ -86,6 +87,24 @@ def test_verify_pass_and_report(tmp_path):
     assert doc["n_points"] == 49
     assert sorted(doc) == ["max1", "max2", "n_points", "order1", "order2",
                            "pass", "rms1", "rms2"]
+
+
+def test_verify_of_stencils_that_round_onto_their_points(tmp_path, capsys):
+    # At t = 1e308, t + h == t, so every time difference is 0; the sample
+    # once passed with rms1 = 0.  Each point is skipped instead.
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "ell1": 0.3,
+                   "beta": "0.1*t"},
+        "grid": {"t": [1e308], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]},
+        "out": str(tmp_path / "report.json"),
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", cfg]) == 1
+    assert capsys.readouterr().err.startswith("EmptySampleError: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_failure_exit_code(tmp_path):
@@ -306,6 +325,28 @@ def test_selftest_reports_a_failed_certificate(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "FAIL catalog certificates" in out
     assert "1 check(s) failed" in out
+
+
+@pytest.mark.parametrize("report, problem", [
+    ({"max_dev": 2e-5, "mass_drift": 0.0, "mass_initial": 1.0},
+     "max_dev 2e-05 > 1e-5"),
+    ({"max_dev": 0.0, "mass_drift": 2e-10, "mass_initial": 1.0},
+     "mass drift 2e-10 > 1e-10 * mass"),
+])
+def test_selftest_crosscheck_gates(monkeypatch, report, problem):
+    monkeypatch.setattr(selftest, "crosscheck", lambda *args: (report, None))
+    assert selftest._dynamical_crosscheck() == problem
+
+
+def test_selftest_reports_an_error_as_a_failure(capsys, monkeypatch):
+    def blowup(*args):
+        raise BlowupError("field blew up")
+
+    monkeypatch.setattr(selftest, "crosscheck", blowup)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL dynamical cross-check: BlowupError: field blew up" in out
+    assert "ok   catalog certificates" in out
 
 
 @pytest.mark.parametrize("h", ["0", "-0.001", "nan", "inf"])

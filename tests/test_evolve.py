@@ -72,6 +72,19 @@ def test_field_requires_power_of_two():
               0.0, 0.0)
 
 
+def test_field_requires_equal_grids():
+    with pytest.raises(ConfigError, match="u and v grids must have the same"):
+        Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 8)),
+              0.0, 0.0)
+
+
+def test_advance_rejects_plus_branch():
+    field = Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 4)),
+                  0.0, 0.0)
+    with pytest.raises(UnsupportedVariant):
+        advance(field, Variant(1, 1), 1e-3, 1)
+
+
 def test_zero_field_stays_zero():
     n = 16
     field = Field(2.0 * math.pi, 2.0 * math.pi, np.zeros((n, n), complex),

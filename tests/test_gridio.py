@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from dsexact import Field, GridSpec, Variant, write_field_csv
+from dsexact import ConfigError, Field, GridSpec, Variant, write_field_csv
 from dsexact.catalog import Solution
 from dsexact.gridio import _CHUNK, FIELD_HEADER, _decimal, _spell, \
     write_box_csv
@@ -107,6 +107,11 @@ def test_one_point_grid(tmp_path):
     assert got == want == (
         FIELD_HEADER + "\n-0,0.5,-1.0000000000000001e-05,-0,"
         "10000000000000000,10000000000000000,4.9406564584124654e-324,true\n")
+
+
+def test_empty_axis_is_config_error():
+    with pytest.raises(ConfigError, match="grid count must be >= 1, got 0"):
+        GridSpec((0.0,), (0.0, 1.0, 0), (0.0, 1.0, 2)).axes()
 
 
 @pytest.mark.parametrize("nx, ny", [(128, 64), (2, 2), (4, 2)])

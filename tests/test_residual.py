@@ -114,6 +114,49 @@ def test_empty_sample():
         verify(sol, [(0.0, math.pi / 2.0, 0.0)])
 
 
+def test_point_whose_half_step_rounds_away_is_skipped():
+    # At x = 1e17, x + h/2 == x, so every x difference is 0 and R1 is no
+    # residual at all (kept, the point read rms1 2.7e31 at order 0).  Such
+    # a point is skipped like one whose stencil leaves the valid region.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
+    report = verify(sol, [(0.2, 0.1, 0.1), (0.2, 1e17, 0.1)])
+    assert report.n_points == 1
+    assert report == verify(sol, [(0.2, 0.1, 0.1)])
+    with pytest.raises(EmptySampleError):
+        verify(sol, [(0.2, 1e17, 0.1)])
+
+
+@pytest.mark.parametrize("order, nodes", [(2, 15), (4, 21), (6, 33)])
+def test_each_axis_evaluates_one_row_of_nodes(monkeypatch, order, nodes):
+    # Each axis has one row of the distinct offsets s*k of the steps
+    # s = h, h/2 (at order 4: -2h, -h, -h/2, 0, h/2, h, 2h), so the nodes
+    # the two steps share are evaluated once; only the centre repeats, once
+    # on each axis.  Separate stencils per step took 14/26/38 nodes.
+    seen = []
+    evaluate = dsexact.residual.eval_solution
+
+    def recording(sol, t, x, y):
+        seen.append(np.stack(np.broadcast_arrays(t, x, y), axis=-1))
+        return evaluate(sol, t, x, y)
+
+    monkeypatch.setattr(dsexact.residual, "eval_solution", recording)
+    assert verify(exact_a(), [(0.5, 0.4, -0.7)], order=order).n_points == 1
+    [block] = seen
+    assert block.shape == (1, 3, nodes // 3, 3)
+    assert len(set(map(tuple, block.reshape(-1, 3).tolist()))) == nodes - 2
+
+
+def test_order_may_be_any_number_equal_to_an_order():
+    want = verify(exact_a(), GRID, order=4)
+    assert verify(exact_a(), GRID, order=4.0) == want
+    assert verify(exact_a(), GRID, order=np.int64(4)) == want
+
+
+def test_rms_rescales_only_a_sum_that_overflows():
+    # Each square, 1e308, is finite; their sum is not.
+    assert dsexact.residual._rms(np.array([1e154, 1e154])) == 1e154
+
+
 def test_blocked_verify_equals_one_block(monkeypatch):
     # 40 points in blocks of 7, the last one short; the points on the pole
     # are skipped.

@@ -159,6 +159,11 @@ def test_t2_rejects_zero():
         compose([], constant_solution())
 
 
+def test_unknown_transform_kind():
+    with pytest.raises(ConfigError, match="unknown transform kind 'T3'"):
+        TransformSpec("T3")
+
+
 def test_dressed_rational_closed_form():
     # T1 applied to the axis-aligned rational line solution must reproduce
     # the three-parameter dressed form written out by hand below.

@@ -103,6 +103,8 @@ SCANNER_CASES = [
     ("1\u00b2", ("unexpected '\u00b2' at position 1", 1)),
     ("\u00bd", ("unknown identifier '\u00bd' at position 0", 0)),
     pytest.param("-t", (-2.0, -1.0, 0.0, 0.0), id="-t--(t)"),
+    (")", ("unexpected ')' at position 0", 0)),
+    ("t+)", ("unexpected ')' at position 2", 2)),
 ]
 
 
