@@ -143,15 +143,21 @@ def eval_solution(sol: Solution, t, x, y):
     arrays of the shapes passed; ``u`` and ``v`` are NaN where ``valid``,
     broadcast to the common shape, is False.  Each layer computes its fields
     once per call (see ``solution``).  Returns arrays of the broadcast shape
-    (numpy scalars for scalar input).
+    (numpy scalars for scalar input): where ``valid`` is True throughout and
+    the three already have that shape and dtype, the layer's own arrays,
+    not copies.
     """
     t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
-    shape = np.broadcast_shapes(t.shape, x.shape, y.shape)
+    shape = np.broadcast(t, x, y).shape
     token = _scope.set({})
     try:
-        ok = np.broadcast_to(np.asarray(sol.valid(t, x, y), bool), shape)
-        u = np.where(ok, sol.u(t, x, y), complex("nan"))
-        v = np.where(ok, sol.v(t, x, y), math.nan)
+        ok = np.asarray(sol.valid(t, x, y), bool)
+        u, v = np.asarray(sol.u(t, x, y)), np.asarray(sol.v(t, x, y))
+        if not (ok.shape == u.shape == v.shape == shape and ok.all()
+                and u.dtype == complex and v.dtype == float):
+            ok = np.broadcast_to(ok, shape)
+            u = np.where(ok, u, complex("nan"))
+            v = np.where(ok, v, math.nan)
     finally:
         _scope.reset(token)
     return u[()], v[()], ok[()]
@@ -301,13 +307,13 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         stretch = np.exp(-2.0 * j.f)
         w = stretch * (zeta * x + eta * y) + ell1
         value = profile.value(w)
-        u = amp * stretch * value * np.exp(
-            1j * j.d1 * (eps1 * x * x + y * y))
+        quad = eps1 * x * x + y * y
+        u = amp * stretch * value * np.exp(1j * j.d1 * quad)
         nu = amp * value
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
-        v = gamma * (eps1 * x * x + y * y) \
-            + stretch * stretch * (c_v + kappa * nu * nu)
-        return u, v, ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
+        v = gamma * quad + stretch * stretch * (c_v + kappa * nu * nu)
+        return u, v, ok if profile.pole is None \
+            else ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
     return solution(variant, fields, {
         "family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,

@@ -63,8 +63,8 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 # Largest counts, sized from the memory they ask for: an axis's coordinates,
 # jitter and spelled cells take about 143 bytes a point (150 MB at 2**20),
 # an evolve box about 204 bytes a grid point (860 MB at n = 2048), and a
-# verify sample about 136 bytes a point, its (t, x, y) row included, besides
-# the 14 MB block of nodes (590 MB at 2**22 points), measured with
+# verify sample about 120 bytes a point, its (t, x, y) row included, besides
+# the 14 MB block of nodes (520 MB at 2**22 points), measured with
 # tracemalloc on numpy 2.4.  eval writes 4,096 points at a time, so only
 # verify bounds the whole grid.
 _MAX_AXIS = 2 ** 20

@@ -17,6 +17,8 @@ does not move with h.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,24 +36,21 @@ DEFAULT_TOL_REL = 1e-7
 # Residual-to-scale ratio below which a sample is considered to sit on the
 # roundoff floor, where the observed order is no longer meaningful.
 DEFAULT_FLOOR_REL = 1e-8
-# verify evaluates the nodes of this many points at a time: a point holds
-# about 3.3 KB while its nodes are evaluated, so about 14 MB.
+# verify evaluates the nodes of this many points at a time, and an rms reads
+# lists of at most this many values: a point holds about 3.3 KB while its
+# nodes are evaluated at order 4, so about 14 MB (22 MB at order 6).
 _BLOCK = 4096
 
-# offset: coefficient maps; apply as sum(c * f(x0 + k*h)) / h**deriv_order.
-_D1 = {
-    2: ((-1, -0.5), (1, 0.5)),
-    4: ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0)),
-    6: ((-3, -1.0 / 60.0), (-2, 3.0 / 20.0), (-1, -3.0 / 4.0),
-        (1, 3.0 / 4.0), (2, -3.0 / 20.0), (3, 1.0 / 60.0)),
-}
-_D2 = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    4: ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0),
-        (1, 4.0 / 3.0), (2, -1.0 / 12.0)),
-    6: ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
-        (0, -49.0 / 18.0), (1, 3.0 / 2.0), (2, -3.0 / 20.0), (3, 1.0 / 90.0)),
-}
+# Central difference weights at k = -order/2..order/2 (0 at the centre of
+# a first difference); apply as sum(c_k * f(x0 + k*h)) / h**deriv_order.
+_D1 = {2: (-0.5, 0.0, 0.5),
+       4: (1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0),
+       6: (-1.0 / 60.0, 3.0 / 20.0, -3.0 / 4.0, 0.0, 3.0 / 4.0,
+           -3.0 / 20.0, 1.0 / 60.0)}
+_D2 = {2: (1.0, -2.0, 1.0),
+       4: (-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0),
+       6: (1.0 / 90.0, -3.0 / 20.0, 3.0 / 2.0, -49.0 / 18.0, 3.0 / 2.0,
+           -3.0 / 20.0, 1.0 / 90.0)}
 ORDERS = tuple(_D1)  # the stencil orders verify accepts
 
 
@@ -80,7 +79,25 @@ class ResidualReport:
                 "n_points": self.n_points, "pass": self.passed}
 
 
-_EYE = np.eye(3, dtype=bool)
+# One entry per (h, order) a process verifies at: the CLI and the default
+# matrix use one, a test sweeping steps and orders a few.
+@functools.lru_cache(maxsize=4)
+def _nodes(h, order):
+    """Read-only, for the steps s = h, h/2: node ``offsets`` at (coordinate,
+    point, axis, row), c + 0.0 off the axis and c + s*k on it over one
+    sorted row of the distinct s*k; each step's ``cols`` in the row; the
+    ``divisors`` (s, s*s, s*s) at (step, 1, slot); the ``weights`` of the
+    six differences of _residual_terms at (k, slot)."""
+    steps = (h, h / 2.0)
+    reach = range(-(order // 2), order // 2 + 1)
+    row = sorted({s * k for s in steps for k in reach})
+    cols = np.array([[row.index(s * k) for k in reach] for s in steps])
+    offsets = np.where(np.eye(3, dtype=bool)[:, None, :, None], row, 0.0)
+    divisors = np.array([[(s, s * s, s * s)] for s in steps])
+    weights = np.array([_D1[order]] + [_D2[order]] * 5).T.copy()
+    for a in (offsets, cols, divisors, weights):
+        a.flags.writeable = False
+    return offsets, cols, divisors, weights
 
 
 def _residual_terms(sol: Solution, points, steps, order):
@@ -88,67 +105,66 @@ def _residual_terms(sol: Solution, points, steps, order):
     step: the columns of an (n, 6) array over the kept points.
 
     ``points`` holds (t, x, y) rows and ``steps`` is the array (h, h/2).
-    Each axis has one sorted row of the distinct node offsets s*k, and
-    every node of every point is evaluated in one call at shape (points,
-    3 axes, row).  A point is kept iff every node is valid and its half
-    step does not round away on any axis (t + h/2 == t, say).
+    Every node of every point is evaluated in one call at shape (points,
+    3 axes, row), and the six differences (of u along t, x, y, of v along
+    x, y, of |u|^2 along x) are one sum over k in the tables' order.  A
+    point is kept iff every node is valid and its half step does not round
+    away on any axis (t + h/2 == t, say).
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    half = order // 2
-    reach = range(-half, half + 1)
-    row = sorted({s * k for s in steps.tolist() for k in reach})
-    cols = np.array([[row.index(s * k) for k in reach]
-                     for s in steps.tolist()])
-    # (coordinate, point, axis, row): c + 0.0 off the axis, c + s*k on it
-    offsets = np.where(_EYE[:, None, :, None], row, 0.0)
+    offsets, cols, divisors, weights = _nodes(float(steps[0]), order)
     u, v, ok = eval_solution(sol, *(points.T[..., None, None] + offsets))
     size = np.abs(points)
     keep = ok.all(axis=(1, 2)) & (size + steps[1] != size).all(axis=1)
-    u, v = u[:, :, cols], v[:, :, cols]  # (points, axis, step, k + half)
-
-    def diff(f, table):
-        return sum(c * f[..., k + half] for k, c in table)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        h2 = steps * steps  # inf above h ~ 1e154
-        g = np.abs(u[:, 1]) ** 2
-        u0 = u[:, 0, :, half]
-        v0 = v[:, 0, :, half]
-        d2 = _D2[order]
-        du_dt = diff(u[:, 0], _D1[order]) / steps
-        du_xx = diff(u[:, 1], d2) / h2
-        du_yy = diff(u[:, 2], d2) / h2
-        dv_xx = diff(v[:, 1], d2) / h2
-        dv_yy = diff(v[:, 2], d2) / h2
-        dg_xx = diff(g, d2) / h2
-
+        # (k + order/2, step, point, slot)
+        f = np.concatenate([u, v[:, 1:], np.abs(u[:, 1:2]) ** 2],
+                           axis=1).transpose(2, 0, 1)[cols.T]
+        d = weights[0] * f[0]
+        for k in range(1, order + 1):
+            d += weights[k] * f[k]
+        d[..., :3] /= divisors
+        d.real[..., 3:] /= divisors[..., 1:2]  # complex division rounds twice
+        du_dt, du_xx, du_yy = d[..., 0], d[..., 1], d[..., 2]
+        dv_xx, dv_yy, dg_xx = d.real[..., 3], d.real[..., 4], d.real[..., 5]
+        u0, v0 = (a[:, 0, cols[1, order // 2]] for a in (u, v))
         cubic = 2.0 * eps2 * (u0.real ** 2 + u0.imag ** 2) * u0
         coupling = 2.0 * u0 * v0
-        r1 = 2j * du_dt + eps1 * du_xx + du_yy - cubic - coupling
-        r2 = dv_xx - eps1 * (dv_yy + 2.0 * dg_xx)
-        scale1 = (2.0 * np.abs(du_dt) + np.abs(du_xx) + np.abs(du_yy)
-                  + np.abs(cubic) + np.abs(coupling))
-        scale2 = np.abs(dv_xx) + np.abs(dv_yy) + 2.0 * np.abs(dg_xx)
-    return np.concatenate([np.abs(r1), np.abs(r2), scale1[:, 1:],
-                           scale2[:, 1:]], axis=1)[keep]
+        terms = np.empty((len(points), 6))
+        np.abs(2j * du_dt + eps1 * du_xx + du_yy - cubic - coupling,
+               out=terms[:, :2].T)
+        np.abs(dv_xx - eps1 * (dv_yy + 2.0 * dg_xx), out=terms[:, 2:4].T)
+        mu, mv = np.abs(d[1, :, :3]), np.abs(d.real[1, :, 3:])  # at h/2
+        terms[:, 4] = (2.0 * mu[:, 0] + mu[:, 1] + mu[:, 2] + np.abs(cubic)
+                       + np.abs(coupling))
+        terms[:, 5] = mv[:, 0] + mv[:, 1] + 2.0 * mv[:, 2]
+    return terms[keep]
 
 
-def _rms(values) -> float:
-    """Root mean square of non-negative values.  Only where the squares of
-    finite values overflow is the sum rescaled by the largest value, so
-    every other rms is the plain one, bit for bit."""
+def _rms(values):
+    """Root mean square of non-negative values: a list with one for each
+    column of a 2-D array, a float for a 1-D one.  Only where the squares
+    of finite values overflow is the sum rescaled by the largest value, so
+    every other rms is the plain one, bit for bit; ``math.fsum`` rounds
+    exactly, so a column is read in lists of at most _BLOCK values."""
+    n = len(values)
+    chunks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+    rms = []
     with np.errstate(over="ignore"):
-        squares = (values * values).tolist()
-    try:
-        total = math.fsum(squares)
-    except OverflowError:  # finite squares whose exact sum overflows
-        total = math.inf
-    values = values.tolist()
-    if math.isfinite(total) or not all(map(math.isfinite, values)):
-        return math.sqrt(total / len(values))
-    big = max(values)
-    return big * math.sqrt(math.fsum((v / big) ** 2 for v in values)
-                           / len(values))
+        for col in values.reshape(n, -1).T:
+            try:
+                total = math.fsum(itertools.chain.from_iterable(
+                    (col[c] * col[c]).tolist() for c in chunks))
+            except OverflowError:  # finite squares whose exact sum overflows
+                total = math.inf
+            if math.isfinite(total) or not np.isfinite(col).all():
+                rms.append(math.sqrt(total / n))
+                continue
+            big = float(col.max())
+            rms.append(big * math.sqrt(math.fsum(
+                (v / big) ** 2 for c in chunks for v in col[c].tolist()) / n))
+    return rms if values.ndim > 1 else rms[0]
 
 
 def _order_of(coarse: float, fine: float) -> float:
@@ -193,19 +209,15 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     if not len(terms):
         raise EmptySampleError("no valid sample points for verification")
 
-    r1_coarse, r1_fine, r2_coarse, r2_fine, s1, s2 = terms.T
-    rms1 = _rms(r1_fine)
-    rms2 = _rms(r2_fine)
-    order1 = _order_of(_rms(r1_coarse), rms1)
-    order2 = _order_of(_rms(r2_coarse), rms2)
-    scale1 = 1.0 + _rms(s1)
-    scale2 = 1.0 + _rms(s2)
+    coarse1, rms1, coarse2, rms2, s1, s2 = _rms(terms)
+    order1, order2 = _order_of(coarse1, rms1), _order_of(coarse2, rms2)
+    scale1, scale2 = 1.0 + s1, 1.0 + s2
     floor = max(DEFAULT_FLOOR_REL, 0.1 * tol_rel)
     order_ok1 = order1 >= order - 0.5 or rms1 <= floor * scale1
     order_ok2 = order2 >= order - 0.5 or rms2 <= floor * scale2
     finite = all(map(math.isfinite, (rms1, rms2, scale1, scale2)))
     passed = (finite and rms1 <= tol_rel * scale1
               and rms2 <= tol_rel * scale2 and order_ok1 and order_ok2)
-    return ResidualReport(float(np.max(r1_fine)), rms1,
-                          float(np.max(r2_fine)), rms2, order1, order2,
+    max1, max2 = terms[:, 1:4:2].max(axis=0).tolist()
+    return ResidualReport(max1, rms1, max2, rms2, order1, order2,
                           len(terms), passed)
