@@ -63,8 +63,8 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 # Largest counts, sized from the memory they ask for: an axis's coordinates,
 # jitter and spelled cells take about 143 bytes a point (150 MB at 2**20),
 # an evolve box about 204 bytes a grid point (860 MB at n = 2048), and a
-# verify sample about 120 bytes a point, its (t, x, y) row included, besides
-# the 14 MB block of nodes (520 MB at 2**22 points), measured with
+# verify sample about 72 bytes a point, its (t, x, y) row included, besides
+# the 14 MB block of nodes (316 MB at 2**22 points), measured with
 # tracemalloc on numpy 2.4.  eval writes 4,096 points at a time, so only
 # verify bounds the whole grid.
 _MAX_AXIS = 2 ** 20
@@ -221,19 +221,9 @@ def build_transforms(cfg: dict) -> list:
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    ranges = []
-    for axis in ("/grid/x", "/grid/y"):
-        lo, hi, _ = _list(cfg, axis, _number, 3)
-        count = _count(cfg, f"{axis}/2", _MAX_AXIS)
-        # The largest product the grid's points and jitter are built from,
-        # and the largest magnitude a jittered point can reach.
-        reach = max(abs(lo), abs(hi)) \
-            + 0.3 * (abs(hi - lo) / max(1, count - 1))
-        if not (math.isfinite((hi - lo) * max(1, count - 1))
-                and math.isfinite(reach)):
-            raise ConfigError(f"{axis}: the span from {lo!r} to {hi!r} over "
-                              f"{count} points, or its jitter, overflows")
-        ranges.append((lo, hi, count))
+    ranges = [(*_list(cfg, axis, _number, 3)[:2],
+               _count(cfg, f"{axis}/2", _MAX_AXIS))
+              for axis in ("/grid/x", "/grid/y")]
     return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
 
 

@@ -32,6 +32,8 @@ FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
 # Points evaluated, formatted and written per batch: bounds the working
 # memory of large grids.
 _CHUNK = 4096
+# Largest seeded jitter of a grid coordinate, in spacings of its axis.
+_JITTER = 0.3
 
 # Bytes of a %.17g cell: a sign, "0.000", 17 digits and a dot, "e+ddd".
 # Unused bytes are NUL and deleted once a chunk's rows are joined.
@@ -48,22 +50,28 @@ _MINUS, _ZERO, _DOT = np.frombuffer(b"-0.", np.uint8)
 _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 
 
-def _linspace(lo: float, hi: float, count: int):
-    if count < 1:
-        raise ConfigError(f"grid count must be >= 1, got {count}")
-    if count == 1:
-        return np.array([lo], dtype=float)
-    span = hi - lo
-    return lo + span * np.arange(count) / (count - 1)
-
-
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian sample grid: a list of times and two coordinate ranges."""
+    """Cartesian sample grid, a config's ``/grid``: a list of times and two
+    coordinate ranges, each a ConfigError if it has no point or if its
+    points, jittered or not, can leave the double range."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
+
+    def __post_init__(self):
+        for axis, (lo, hi, count) in zip("xy", (self.x_range, self.y_range)):
+            if count < 1:
+                raise ConfigError(f"grid count must be >= 1, got {count}")
+            # The largest product the points and jitter are built from, and
+            # the largest magnitude a jittered point can reach.
+            spacing = abs(hi - lo) / max(1, count - 1)
+            if not (math.isfinite((hi - lo) * max(1, count - 1)) and
+                    math.isfinite(max(abs(lo), abs(hi)) + _JITTER * spacing)):
+                raise ConfigError(f"/grid/{axis}: the span from {lo!r} to "
+                                  f"{hi!r} over {count} points, or its "
+                                  f"jitter, overflows")
 
     def axes(self, seed=None):
         """(ts, xs, ys) float arrays of the grid's times and coordinates.
@@ -74,10 +82,11 @@ class GridSpec:
         rng = random.Random(seed)
         axes = [np.array(self.t_values, dtype=float)]
         for lo, hi, count in (self.x_range, self.y_range):
-            a = _linspace(lo, hi, count)
+            a = np.array([lo], dtype=float) if count == 1 else \
+                lo + (hi - lo) * np.arange(count) / (count - 1)
             if seed is not None:  # x draws before y
-                r = np.array([rng.random() for _ in a])
-                a = a + 0.3 * ((hi - lo) / max(1, count - 1)) * (2.0 * r - 1.0)
+                r = 2.0 * np.array([rng.random() for _ in a]) - 1.0
+                a = a + _JITTER * ((hi - lo) / max(1, count - 1)) * r
             axes.append(a)
         return tuple(axes)
 
@@ -183,11 +192,10 @@ def _spell(x):
     return out
 
 
-def _rows(cells, index, u, v, ok):
-    """NUL-padded uint8 row matrix, one record per row, of the grid points
-    ``index`` = (it, ix, iy), coordinates gathered from the spelled axes
-    ``cells``; an invalid point keeps only its t, x, y."""
-    rows = np.empty((ok.size, 7 * (_CELL + 1) + 6), np.uint8)
+def _rows(rows, cells, index, u, v, ok):
+    """``rows``, a uint8 matrix, filled with the NUL-padded records, one a
+    row, of the grid points ``index`` = (it, ix, iy), coordinates gathered
+    from the spelled axes ``cells``; an invalid point keeps only t, x, y."""
     cols = rows[:, :-6].reshape(-1, 7, _CELL + 1)
     for k, (table, i) in enumerate(zip(cells, index)):
         table.take(i, axis=0, out=cols[:, k, :-1])
@@ -199,12 +207,12 @@ def _rows(cells, index, u, v, ok):
     return rows
 
 
-def field_rows(sol: Solution, axes, cells, index):
-    """NUL-padded uint8 row matrix, one record per row, of ``sol`` at the
-    grid points ``index`` = (it, ix, iy) of ``axes`` = (ts, xs, ys), spelled
-    as ``cells``; the writer calls it once per chunk of _CHUNK points."""
+def field_rows(sol: Solution, axes, rows, cells, index):
+    """``rows`` filled as by _rows with ``sol`` at the grid points ``index``
+    of ``axes`` = (ts, xs, ys), spelled as ``cells``; the writer calls it
+    once per chunk of _CHUNK points."""
     t, x, y = (a[i] for a, i in zip(axes, index))
-    return _rows(cells, index, *eval_solution(sol, t, x, y))
+    return _rows(rows, cells, index, *eval_solution(sol, t, x, y))
 
 
 def _open_output(path):
@@ -217,17 +225,18 @@ def _open_output(path):
 
 
 def _write_grid(path, axes, rows):
-    """Header, then ``rows(cells, index)`` without its NULs for each
-    _CHUNK-point slice ``index`` of the grid over ``axes``, x fastest; the
-    axes are spelled into ``cells`` once, after ``path`` is opened."""
+    """Header, then ``rows(out[:len(index[0])], cells, index)`` without its
+    NULs for each _CHUNK-point slice ``index`` of the grid over ``axes``, x
+    fastest; ``cells`` and ``out`` are made once, after ``path`` is opened."""
     with _open_output(path) as fh:
         fh.write(FIELD_HEADER.encode() + b"\n")
         cells = [_spell(a).T.copy() for a in axes]
+        out = np.empty((_CHUNK, 7 * (_CELL + 1) + 6), np.uint8)
         shape = [len(axes[k]) for k in (0, 2, 1)]
         for start in range(0, math.prod(shape), _CHUNK):
             it, iy, ix = np.unravel_index(
                 np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
-            fh.write(rows(cells, (it, ix, iy)).tobytes()
+            fh.write(rows(out[:it.size], cells, (it, ix, iy)).tobytes()
                      .translate(None, b"\0"))
 
 
@@ -244,8 +253,8 @@ def write_box_csv(path, field):
     nx, ny = field.u.shape
     axes = (np.array([field.t]), np.arange(nx) * field.lx / nx,
             np.arange(ny) * field.ly / ny)
-    _write_grid(path, axes, lambda cells, index: _rows(
-        cells, index, field.u[index[1:]], field.v[index[1:]],
+    _write_grid(path, axes, lambda rows, cells, index: _rows(
+        rows, cells, index, field.u[index[1:]], field.v[index[1:]],
         np.ones(index[0].size, bool)))
 
 

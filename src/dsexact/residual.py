@@ -36,9 +36,9 @@ DEFAULT_TOL_REL = 1e-7
 # Residual-to-scale ratio below which a sample is considered to sit on the
 # roundoff floor, where the observed order is no longer meaningful.
 DEFAULT_FLOOR_REL = 1e-8
-# verify evaluates the nodes of this many points at a time, and an rms reads
-# lists of at most this many values: a point holds about 3.3 KB while its
-# nodes are evaluated at order 4, so about 14 MB (22 MB at order 6).
+# verify evaluates the nodes of this many points at a time (3.3 KB a point
+# at order 4, so 14 MB; 22 MB at order 6) and keeps 48 bytes of each kept
+# point in its block: 316 MB at 2**22 points (tracemalloc, numpy 2.4).
 _BLOCK = 4096
 
 # Central difference weights at k = -order/2..order/2 (0 at the centre of
@@ -100,22 +100,22 @@ def _nodes(h, order):
     return offsets, cols, divisors, weights
 
 
-def _residual_terms(sol: Solution, points, steps, order):
+def _residual_terms(sol: Solution, points, h, order):
     """|R1| and |R2| at both steps and the two term scales at the finer
     step: the columns of an (n, 6) array over the kept points.
 
-    ``points`` holds (t, x, y) rows and ``steps`` is the array (h, h/2).
-    Every node of every point is evaluated in one call at shape (points,
-    3 axes, row), and the six differences (of u along t, x, y, of v along
-    x, y, of |u|^2 along x) are one sum over k in the tables' order.  A
-    point is kept iff every node is valid and its half step does not round
-    away on any axis (t + h/2 == t, say).
+    ``points`` holds (t, x, y) rows; the steps are h and h/2.  Every node
+    of every point is evaluated in one call at shape (points, 3 axes, row),
+    and the six differences (of u along t, x, y, of v along x, y, of |u|^2
+    along x) are one sum over k in the tables' order.  A point is kept iff
+    every node is valid and its half step does not round away on any axis
+    (t + h/2 == t, say).
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    offsets, cols, divisors, weights = _nodes(float(steps[0]), order)
+    offsets, cols, divisors, weights = _nodes(h, order)
     u, v, ok = eval_solution(sol, *(points.T[..., None, None] + offsets))
     size = np.abs(points)
-    keep = ok.all(axis=(1, 2)) & (size + steps[1] != size).all(axis=1)
+    keep = ok.all(axis=(1, 2)) & (size + h / 2.0 != size).all(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # (k + order/2, step, point, slot)
@@ -142,29 +142,29 @@ def _residual_terms(sol: Solution, points, steps, order):
     return terms[keep]
 
 
-def _rms(values):
-    """Root mean square of non-negative values: a list with one for each
-    column of a 2-D array, a float for a 1-D one.  Only where the squares
-    of finite values overflow is the sum rescaled by the largest value, so
-    every other rms is the plain one, bit for bit; ``math.fsum`` rounds
-    exactly, so a column is read in lists of at most _BLOCK values."""
-    n = len(values)
-    chunks = [slice(i, i + _BLOCK) for i in range(0, n, _BLOCK)]
+def _rms(blocks):
+    """Root mean square of each column of the non-negative (k, 6) arrays
+    ``blocks``, over all of them.  Only where the squares of finite values
+    overflow is the sum rescaled by the largest value, so every other rms
+    is the plain one, bit for bit; ``math.fsum`` rounds exactly, so a
+    column is read one block at a time."""
+    n = sum(map(len, blocks))
     rms = []
     with np.errstate(over="ignore"):
-        for col in values.reshape(n, -1).T:
+        for col in zip(*(b.T for b in blocks)):
             try:
                 total = math.fsum(itertools.chain.from_iterable(
-                    (col[c] * col[c]).tolist() for c in chunks))
+                    (c * c).tolist() for c in col))
             except OverflowError:  # finite squares whose exact sum overflows
                 total = math.inf
-            if math.isfinite(total) or not np.isfinite(col).all():
+            if math.isfinite(total) or not all(np.isfinite(c).all()
+                                               for c in col):
                 rms.append(math.sqrt(total / n))
                 continue
-            big = float(col.max())
+            big = max(float(c.max()) for c in col)
             rms.append(big * math.sqrt(math.fsum(
-                (v / big) ** 2 for c in chunks for v in col[c].tolist()) / n))
-    return rms if values.ndim > 1 else rms[0]
+                (v / big) ** 2 for c in col for v in c.tolist()) / n))
+    return rms
 
 
 def _order_of(coarse: float, fine: float) -> float:
@@ -199,17 +199,14 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
                           f"step squares to a nonzero number, a tolerance "
                           f">= 0 and an order in {ORDERS}; got h={h!r}, "
                           f"order={order!r}, tol_rel={tol_rel!r}")
-    order = int(order)
+    order, h = int(order), float(h)
     points = np.asarray(sample, dtype=float).reshape(-1, 3)
-    steps = np.array([h, h / 2.0])
-    # An empty sample still makes one (empty) block.
-    terms = np.concatenate([
-        _residual_terms(sol, points[i:i + _BLOCK], steps, order)
-        for i in range(0, max(len(points), 1), _BLOCK)])
-    if not len(terms):
+    blocks = [b for b in (_residual_terms(sol, points[i:i + _BLOCK], h, order)
+                          for i in range(0, len(points), _BLOCK)) if len(b)]
+    if not blocks:
         raise EmptySampleError("no valid sample points for verification")
 
-    coarse1, rms1, coarse2, rms2, s1, s2 = _rms(terms)
+    coarse1, rms1, coarse2, rms2, s1, s2 = _rms(blocks)
     order1, order2 = _order_of(coarse1, rms1), _order_of(coarse2, rms2)
     scale1, scale2 = 1.0 + s1, 1.0 + s2
     floor = max(DEFAULT_FLOOR_REL, 0.1 * tol_rel)
@@ -218,6 +215,8 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     finite = all(map(math.isfinite, (rms1, rms2, scale1, scale2)))
     passed = (finite and rms1 <= tol_rel * scale1
               and rms2 <= tol_rel * scale2 and order_ok1 and order_ok2)
-    max1, max2 = terms[:, 1:4:2].max(axis=0).tolist()
+    # np.maximum, not Python's max, so that a NaN in any block propagates.
+    max1, max2 = functools.reduce(
+        np.maximum, (b[:, 1:4:2].max(axis=0) for b in blocks)).tolist()
     return ResidualReport(max1, rms1, max2, rms2, order1, order2,
-                          len(terms), passed)
+                          sum(map(len, blocks)), passed)

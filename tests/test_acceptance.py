@@ -100,7 +100,7 @@ def test_criterion_3_errata_detection():
         assert abs(report.order1) <= 0.5 and abs(report.order2) <= 0.5
         # magnitude at least 1e-2 of the PDE term scale
         scales1, scales2 = _residual_terms(
-            sol, np.array(pts), np.array([H, H / 2.0]), ORDER)[:, 4:].T
+            sol, np.array(pts), H, ORDER)[:, 4:].T
         assert len(scales1) == len(pts)
         s1 = 1.0 + math.sqrt(sum(v * v for v in scales1) / len(scales1))
         s2 = 1.0 + math.sqrt(sum(v * v for v in scales2) / len(scales2))

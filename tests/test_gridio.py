@@ -114,6 +114,16 @@ def test_empty_axis_is_config_error():
         GridSpec((0.0,), (0.0, 1.0, 0), (0.0, 1.0, 2)).axes()
 
 
+@pytest.mark.parametrize("x, y, named", [
+    # 1.79e308 plus 0.3 x 9e306 of jitter leaves the double range.
+    ((1.7e308, 1.79e308, 2), (0.0, 1.0, 2), "/grid/x"),
+    ((0.0, 1.0, 2), (-1e308, 1e308, 3), "/grid/y"),
+])
+def test_axis_leaving_the_double_range_is_config_error(x, y, named):
+    with pytest.raises(ConfigError, match=f"{named}: the span"):
+        GridSpec((0.0,), x, y).axes(1)
+
+
 @pytest.mark.parametrize("nx, ny", [(128, 64), (2, 2), (4, 2)])
 def test_box_csv(tmp_path, nx, ny):
     rng = np.random.default_rng(nx)

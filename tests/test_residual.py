@@ -155,13 +155,14 @@ def test_order_may_be_any_number_equal_to_an_order():
 
 
 def test_rms_rescales_only_a_sum_that_overflows():
-    # Each square, 1e308, is finite; their sum is not.
-    assert dsexact.residual._rms(np.array([1e154, 1e154])) == 1e154
+    # Each square, 1e308, is finite; their sum is not.  One row per block.
+    assert dsexact.residual._rms([np.full((1, 6), 1e154)] * 2) == [1e154] * 6
 
 
 def column_rms(values):
     """The rms of one column as verify summed it from whole-column lists:
-    the reference that _rms of a 2-D array must equal bit for bit."""
+    the reference that _rms of the column's blocks must equal bit for
+    bit."""
     with np.errstate(over="ignore"):
         squares = (values * values).tolist()
     try:
@@ -177,15 +178,15 @@ def column_rms(values):
 
 
 @pytest.mark.parametrize("block", [4096, 3])
-def test_rms_of_each_column_equals_the_whole_column_rms(monkeypatch, block):
+def test_rms_of_each_column_equals_the_whole_column_rms(block):
     # Columns: plain, squares that overflow (1e160^2), finite squares whose
     # sum overflows (about 1e308 each), squares that underflow, and one
-    # infinite and one NaN value.  A block of 3 reads 11 rows in 4 chunks.
+    # infinite and one NaN value.  Blocks of 3 hold 11 rows in 4 blocks.
     scales = [1.0, 1e160, 1e154, 1e-200, 1.0, 1.0]
     values = np.linspace(0.5, 1.2, 11)[:, None] * scales
     values[4, 4], values[7, 5] = math.inf, math.nan
-    monkeypatch.setattr(dsexact.residual, "_BLOCK", block)
-    got = dsexact.residual._rms(values)
+    got = dsexact.residual._rms([values[i:i + block]
+                                 for i in range(0, len(values), block)])
     assert [v.hex() for v in got] == \
         [column_rms(col).hex() for col in values.T]
     assert got[1] == pytest.approx(1e160 * column_rms(values[:, 0]))
@@ -202,6 +203,53 @@ def test_blocked_verify_equals_one_block(monkeypatch):
     assert whole.passed and whole.n_points == 36
     monkeypatch.setattr(dsexact.residual, "_BLOCK", 7)
     assert verify(sol, pts) == whole
+
+
+@pytest.mark.parametrize("late", [7.0, math.nan])
+def test_blocks_aggregate_like_the_joined_columns(monkeypatch, late):
+    # Two blocks of two points.  The first holds an infinite |R1| at h/2,
+    # the second the only |R2|s at h/2 whose squares overflow, so the rms2
+    # is rescaled over both blocks; a NaN |R1| after the infinite one must
+    # still make max1 NaN.  The reference is the same verify with the
+    # columns joined into one block and the whole-column rms.
+    terms = np.array([[1.0, math.inf, 1e-3, 1e100, 2.0, 3.0],
+                      [2.0, 5.0, 2e-3, 2e100, 1.0, 1.0],
+                      [3.0, late, 3e-3, 1e160, 1.0, 1.0],
+                      [4.0, 6.0, 4e-3, 3e160, 1.0, 2.0]])
+    monkeypatch.setattr(dsexact.residual, "_residual_terms",
+                        lambda sol, points, h, order:
+                        terms[points[:, 0].astype(int)])
+    pts = [(i, 0.0, 0.0) for i in range(4)]
+    monkeypatch.setattr(dsexact.residual, "_BLOCK", 2)
+    blocked = verify(exact_a(), pts)
+    monkeypatch.setattr(dsexact.residual, "_BLOCK", 4)
+    monkeypatch.setattr(dsexact.residual, "_rms", lambda blocks: [
+        column_rms(c) for c in np.concatenate(blocks).T])
+    assert repr(blocked) == repr(verify(exact_a(), pts))
+    assert blocked.n_points == 4 and 1e160 < blocked.rms2 < math.inf
+    assert math.isnan(blocked.max1) == math.isnan(late)
+
+
+def test_sample_without_a_kept_point_is_empty(monkeypatch):
+    # Five points in blocks of two, each skipped because x + h/2 == x:
+    # three blocks are evaluated and none keeps a point.  An empty sample
+    # evaluates no block.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
+    sizes = []
+    terms = dsexact.residual._residual_terms
+
+    def counting(sol, points, h, order):
+        sizes.append(len(points))
+        return terms(sol, points, h, order)
+
+    monkeypatch.setattr(dsexact.residual, "_residual_terms", counting)
+    monkeypatch.setattr(dsexact.residual, "_BLOCK", 2)
+    with pytest.raises(EmptySampleError):
+        verify(sol, [(0.2, 1e17 * k, 0.1) for k in range(1, 6)])
+    assert sizes == [2, 2, 1]
+    with pytest.raises(EmptySampleError):
+        verify(sol, [])
+    assert sizes == [2, 2, 1]
 
 
 def test_verify_memory_is_bounded_by_the_block():
@@ -367,8 +415,10 @@ def test_verify_reports_equal_the_reference_sums(monkeypatch, name, order):
     # bits its numpy gives exp, sin and cos.
     sol, grid = reference_cases()[name]
     report = verify(sol, grid.points(1), order=order)
-    monkeypatch.setattr(dsexact.residual, "_residual_terms", stencil_sums)
-    monkeypatch.setattr(dsexact.residual, "_rms", lambda a: column_rms(a) if
-                        a.ndim == 1 else [column_rms(c) for c in a.T])
+    monkeypatch.setattr(dsexact.residual, "_residual_terms",
+                        lambda sol, points, h, order: stencil_sums(
+                            sol, points, np.array([h, h / 2.0]), order))
+    monkeypatch.setattr(dsexact.residual, "_rms", lambda blocks: [
+        column_rms(c) for c in np.concatenate(blocks).T])
     assert repr(report) == repr(verify(sol, grid.points(1), order=order))
     assert report.n_points == (5120 if name == "chain" else 50)
