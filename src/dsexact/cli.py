@@ -372,7 +372,3 @@ def main(argv=None) -> int:
     except DSError as err:
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

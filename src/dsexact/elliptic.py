@@ -86,7 +86,6 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
     a = 1.0
     scales = []
     roots = []
-    c = a
     for _ in range(16):
         scales.append(a)
         mc = math.sqrt(mc)

@@ -159,6 +159,10 @@ def _spell(x):
     NUL-padded: the digits of _decimal laid out as %.17g lays them out, and
     ``%`` for the values _decimal leaves."""
     m, e, slow = _decimal(x)
+    out = np.zeros((_CELL, x.size), np.uint8)
+    out[0] = np.signbit(x) * _MINUS
+    for rows, affix in zip((out[1:6], out[24:]), np.split(_affixes(), 2)):
+        affix.take(e + 300, axis=1, out=rows, mode="clip")
     # d[i]: digit i of the 9- and of the 8-digit half of m.
     hi = m // 10 ** 8
     q = np.stack([hi, m - hi * 10 ** 8]).astype(np.uint32)
@@ -169,17 +173,12 @@ def _spell(x):
         q = r
     d = np.concatenate([d[:, 0], d[1:, 1]])
     last = (_SLOT[:17] * (d != 0)).max(axis=0)  # the last nonzero digit
-    # Digits are kept up to the units (0 in exponent form, where the first
-    # digit is the units) and then up to the last nonzero one; the dot
-    # follows the units if a digit is kept after them.
-    units = np.where((e > 0) & (e < 17), e, 0).astype(np.uint8)
-    dot = np.where((last <= units) | ((e >= -4) & (e < 0)), 18,
-                   units + 1).astype(np.uint8)
+    # Digits are kept up to the units (0 where a suffix holds the exponent)
+    # and then up to the last nonzero one; the dot follows the units if a
+    # digit is kept after them, unless the prefix ("0.", "0.00") holds it.
+    units = np.where((out[24] == 0) & (e > 0), e, 0).astype(np.uint8)
+    dot = np.where((last <= units) | (out[1] != 0), 18, units + 1)
     digits = (d + _ZERO) * (_SLOT[:17] <= np.maximum(last, units))
-    out = np.zeros((_CELL, x.size), np.uint8)
-    out[0] = np.signbit(x) * _MINUS
-    for rows, affix in zip((out[1:6], out[24:]), np.split(_affixes(), 2)):
-        affix.take(e + 300, axis=1, out=rows, mode="clip")
     # Digits before the dot, the dot, digits after it.
     body = out[6:24]
     np.multiply(digits, _SLOT[:17] < dot, out=body[:17])

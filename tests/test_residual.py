@@ -12,6 +12,7 @@ from dsexact import ConfigError, EmptySampleError, Solution, TransformSpec, \
 from dsexact.catalog import eval_solution
 from dsexact.gridio import GridSpec
 from dsexact.residual import DEFAULT_H, ORDERS
+from dsexact.selftest import default_verification_matrix
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
 
@@ -336,6 +337,63 @@ def test_overflowing_squares_give_finite_rms_and_fail():
     assert report.max1 == pytest.approx(3.470e239, rel=1e-3)
     assert report.rms1 == pytest.approx(2.218e239, rel=1e-3)
     assert report.order1 == pytest.approx(0.0, abs=1e-6)
+
+
+# Known failures of the oracle, pinned as strict xfails: each becomes a
+# plain test when the ROADMAP item named in its reason lands.
+SCALE_BLIND = "ROADMAP item 3: the tolerance is blind to the field scale"
+ROUNDOFF_FLOOR = "ROADMAP item 3: no named roundoff floor"
+FOOTPRINT = "ROADMAP item 10: the pole guard is not measured in footprints"
+
+
+def matrix_entry(name):
+    return next(e for e in default_verification_matrix() if e.name == name)
+
+
+@pytest.mark.parametrize("b", [1.0, 10.0] + [
+    pytest.param(b, marks=pytest.mark.xfail(strict=True, reason=SCALE_BLIND))
+    for b in (100.0, 1000.0)])
+def test_wrong_amplitude_is_rejected_at_any_scale(b):
+    # 1.5x the matched amplitude is wrong at any scale.  Under T2 every
+    # term of R1 shrinks with b (rms1 8.0e-2, 2.2e-7, 2.4e-13 and 1.3e-15
+    # at b = 1, 10, 100 and 1000), but the tolerance tol_rel * (1 + rms of
+    # the terms) never falls below tol_rel, so the last two pass.
+    beta = parse_timefn("0.1*t")
+    matched = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0, beta)
+    wrong = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0, beta,
+                     amplitude=1.5 * matched.provenance["amplitude"])
+    axis = np.linspace(-1.0, 1.0, 8)
+    pts = [(0.3, x, y) for x in axis for y in axis]
+    report = verify(compose([TransformSpec("T2", b=b)], wrong), pts)
+    assert report.n_points == 64
+    assert not report.passed
+
+
+@pytest.mark.parametrize("seed", [
+    pytest.param(s, marks=pytest.mark.xfail(strict=True,
+                                            reason=ROUNDOFF_FLOOR))
+    for s in (5, 7, 17, 19, 25)])
+def test_matrix_coth_entry_passes_on_every_seed(seed):
+    # On these jitter seeds rms2 reads 1.3-1.5e-8 at order2 -2.0 to -2.3:
+    # equation 2 sits on its roundoff floor at h = 1e-3, above the
+    # tolerance, and nothing names the floor.
+    entry = matrix_entry("C coth eps1=+1 eps2=+1 ell=0.3")
+    assert verify(entry.solution, entry.grid.points(seed)).passed
+
+
+@pytest.mark.parametrize("b", [
+    pytest.param(b, marks=pytest.mark.xfail(strict=True, reason=FOOTPRINT))
+    for b in (None, 0.7, -0.7, 0.3)] + [1.5])
+def test_tan_line_passes_near_its_poles(b):
+    # The guard excludes a fixed radius of the base line coordinate, so
+    # points a few stencil footprints from a pole keep a truncation error
+    # far above the tolerance (rms1 3.8e3 alone, 1.3e4 at b = +-0.7 and
+    # 2.1e4 at b = 0.3, where T2 shrinks the radius in x by |b|).
+    sol = matrix_entry("C tan eps1=+1 eps2=+1 ell=0.3").solution
+    if b is not None:
+        sol = compose([TransformSpec("T2", b=b)], sol)
+    grid = GridSpec((0.0, 0.4), (-2.0, 2.0, 41), (-1.5, 1.5, 31))
+    assert verify(sol, grid.points(1)).passed
 
 
 def reference_cases():
