@@ -53,11 +53,6 @@ _PERIODICITY_TOL = 1e-9
 _MAX_STEPS = 10 ** 6
 
 
-def _require_power_of_two(n: int, name: str):
-    if n < 2 or (n & (n - 1)) != 0:
-        raise ConfigError(f"{name} must be a power of two >= 2, got {n}")
-
-
 @dataclass
 class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
@@ -74,9 +69,6 @@ class Field:
     v_mean: float
 
     def __post_init__(self):
-        nx, ny = self.u.shape
-        _require_power_of_two(nx, "Nx")
-        _require_power_of_two(ny, "Ny")
         if self.v.shape != self.u.shape:
             raise ConfigError("u and v grids must have the same shape")
 
@@ -84,11 +76,12 @@ class Field:
 def _wavenumbers(shape, lx: float, ly: float):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
-    half-spectrum (0 at k=0, whose gauge is set separately).  A box whose
-    k^2 overflows, or underflows to a 0/0 multiplier, is a ConfigError."""
+    half-spectrum (0 at k=0, whose gauge is set separately).  The one check
+    of an evolve grid: fewer than 2 points on an axis, or a k^2 that
+    overflows or underflows to a 0/0 multiplier, is a ConfigError."""
     nx, ny = shape
-    _require_power_of_two(nx, "Nx")
-    _require_power_of_two(ny, "Ny")
+    if min(nx, ny) < 2:
+        raise ConfigError(f"the {nx} x {ny} grid has an axis of < 2 points")
     with np.errstate(all="ignore"):
         kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=lx / nx))[:, None] ** 2
         ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=ly / ny))[None, :] ** 2
@@ -195,10 +188,11 @@ def make_field(sol: Solution, lx: float, ly: float, n: int,
     """Sample a Solution on an n x n periodic box grid at t = 0.
 
     ``v_mean`` None takes the grid mean of the exact v (the gauge that keeps
-    the reconstructed v aligned with the exact one).  An invalid or
-    aperiodic solution raises PeriodicityError.
+    the reconstructed v aligned with the exact one).  A grid that
+    ``_wavenumbers`` refuses is a ConfigError before any sampling, and an
+    invalid or aperiodic solution raises PeriodicityError.
     """
-    _require_power_of_two(n, "N")
+    _wavenumbers((n, n), lx, ly)
     u, v = _sample_box(sol, lx, ly, n, 0.0)
     if v_mean is None:
         v_mean = float(np.mean(v))
@@ -215,8 +209,8 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     with max/L2 deviations of u from the exact solution at the end time and
     the mass drift, and the evolved Field.  ``dt`` and the box lengths must
     be positive, ``t_final`` non-negative, all of them finite, ``t_final /
-    dt`` must round to 1 to _MAX_STEPS steps, and the box's wavenumbers must
-    be finite, or ConfigError is raised.
+    dt`` must round to 1 to _MAX_STEPS steps, and the grid must pass
+    ``make_field``'s check, or ConfigError is raised before any sampling.
     """
     if sol.variant.eps1 != -1:
         raise UnsupportedVariant("cross-check is limited to eps1=-1")
@@ -235,7 +229,6 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"T={t_final} and dt={dt} exceed the cap of "
                           f"{_MAX_STEPS} steps")
     t_end = n_steps * dt
-    _wavenumbers((n, n), lx, ly)
     field = make_field(sol, lx, ly, n, v_mean=v_mean)
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)
     mass0 = mass(field)

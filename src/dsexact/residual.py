@@ -113,7 +113,10 @@ def _residual_terms(sol: Solution, points, h, order):
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
     offsets, cols, divisors, weights = _nodes(h, order)
-    u, v, ok = eval_solution(sol, *(points.T[..., None, None] + offsets))
+    t, x, y = points.T[..., None, None] + offsets
+    if (points[:, 0] == points[0, 0]).all():
+        t = t[:1]  # at (1, 3, row), so each time function walks it once
+    u, v, ok = eval_solution(sol, t, x, y)
     size = np.abs(points)
     keep = ok.all(axis=(1, 2)) & (size + h / 2.0 != size).all(axis=1)
 

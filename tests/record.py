@@ -1,7 +1,7 @@
 """Write the outputs of record, or compare two records.
 
     python tests/record.py OUT
-    python tests/record.py --diff A B
+    python tests/record.py --diff A B [--expect FILE]
 
 The first form writes, with every path relative to OUT:
 
@@ -26,8 +26,12 @@ file, with OUT as the working directory.  A run takes well under a second.
 The second form names each file that differs between records A and B (or
 is in one only), and for each its first difference: the JSON key, or the
 CSV row and column, both values and their distance in units in the last
-place.  It exits 0 when the records match and 1 otherwise.  Standard
-library and numpy only.
+place.  It exits 0 when the records match and 1 otherwise.  With
+``--expect FILE`` it exits 0 when the differing files are exactly the ones
+FILE declares, and 1 otherwise, naming each undeclared difference and each
+declared file that does not differ.  FILE holds one declaration a line: a
+record path, then the reason it changes; blank lines and ``#`` lines are
+skipped.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -240,11 +244,48 @@ def diff(a, b) -> list:
     return lines
 
 
+def declared(path) -> dict:
+    """The record paths that the file ``path`` declares changed, each with
+    its reason.  A declaration without a reason is a ValueError."""
+    changes = {}
+    for number, line in enumerate(
+            Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        name, _, reason = line.strip().partition(" ")
+        if name and not name.startswith("#"):
+            if not reason.strip():
+                raise ValueError(f"{path}:{number}: {name} gives no reason")
+            changes[name] = reason.strip()
+    return changes
+
+
+def unexpected(lines, changes) -> list:
+    """The lines of a ``diff`` whose file ``changes`` does not declare, and
+    one line for each declared file that does not differ."""
+    names = [line.split(": ", 1)[0] for line in lines]
+    return [f"undeclared: {line}" for name, line in zip(names, lines)
+            if name not in changes] + \
+        [f"declared but unchanged: {name} ({reason})"
+         for name, reason in changes.items() if name not in names]
+
+
 def _main(argv) -> int:
-    if len(argv) == 3 and argv[0] == "--diff":
+    if argv[:1] == ["--diff"] and (
+            len(argv) == 3 or len(argv) == 5 and argv[3] == "--expect"):
         lines = diff(argv[1], argv[2])
         print("\n".join(lines) if lines else "records match")
-        return 1 if lines else 0
+        if len(argv) == 3:
+            return 1 if lines else 0
+        try:
+            problems = unexpected(lines, declared(argv[4]))
+        except (OSError, ValueError) as err:
+            print(err, file=sys.stderr)
+            return 2
+        if problems:
+            print("\n".join(problems), file=sys.stderr)
+            return 1
+        if lines:
+            print(f"each difference is declared in {argv[4]}")
+        return 0
     if len(argv) == 1 and not argv[0].startswith("-"):
         sums = record(argv[0])
         print(f"recorded {len(sums.splitlines())} files in {argv[0]}")

@@ -233,6 +233,23 @@ def test_evolve_report_and_snapshot(tmp_path):
     assert len(snap) == 1 + 32 * 32
 
 
+def test_evolve_box_that_is_not_a_power_of_two(tmp_path):
+    L = 4.0 * ellipk(0.5)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+                   "ell1": 0.0, "beta": "0"},
+        "evolve": {"box": [L, L], "n": 48, "T": 0.05, "dt": 1e-3,
+                   "tol": 1e-8, "snapshot_out": str(tmp_path / "snap.csv")},
+        "out": str(tmp_path / "evolve.json"),
+    })
+    assert main(["evolve", "--config", cfg]) == 0
+    doc = json.loads((tmp_path / "evolve.json").read_text())
+    assert doc["pass"] is True and doc["n"] == 48
+    assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + 48 ** 2
+
+
 def test_evolve_snapshot_is_the_checked_field(tmp_path, monkeypatch):
     L = 4.0 * ellipk(0.5)
     sol = family_c(Variant(-1, 1), "sn", 0.5, math.pi / 2.0, 0.0,
@@ -487,7 +504,8 @@ MALFORMED = [
     ("evolve", "/evolve/box/1", -1.0, [], "ly="),
     ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
     ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
-    ("evolve", "/evolve/n", 48, [], "/evolve/n"),
+    pytest.param("evolve", "/evolve/n", 1, [], "/evolve/n: expected 2 or more",
+                 id="evolve-n-below-two"),
     ("verify", "/verify/tol_rel", -1.0, [], "/verify/tol_rel: expected"),
     ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1"], "--tol: expected"),
     ("evolve", "/evolve/tol", -1.0, [], "/evolve/tol: expected"),

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import dsexact.catalog
 import dsexact.residual
 from conftest import published_constants
 from dsexact import ConfigError, EmptySampleError, Solution, TransformSpec, \
@@ -147,6 +148,26 @@ def test_each_axis_evaluates_one_row_of_nodes(monkeypatch, order, nodes):
     [block] = seen
     assert block.shape == (1, 3, nodes // 3, 3)
     assert len(set(map(tuple, block.reshape(-1, 3).tolist()))) == nodes - 2
+
+
+@pytest.mark.parametrize("times, size", [((0.5,), 3 * 7),
+                                         ((0.5, 0.6), len(GRID) * 3 * 7)])
+def test_a_one_time_block_walks_its_time_functions_once(monkeypatch, times,
+                                                        size):
+    # At one t, each time function walks the 3 x 7 t nodes of one point
+    # (order 4), not those of every point of the block.
+    sizes = []
+    walk = dsexact.catalog.jet_arrays
+
+    def recording(f, t):
+        sizes.append(np.size(t))
+        return walk(f, t)
+
+    monkeypatch.setattr(dsexact.catalog, "jet_arrays", recording)
+    sample = [(times[i % len(times)], x, y) for i, (_, x, y) in
+              enumerate(GRID)]
+    assert verify(exact_a(), sample).n_points == len(GRID)
+    assert sizes and set(sizes) == {size}
 
 
 def test_order_may_be_any_number_equal_to_an_order():
