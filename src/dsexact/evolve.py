@@ -69,19 +69,21 @@ class Field:
     v_mean: float
 
     def __post_init__(self):
-        if self.v.shape != self.u.shape:
-            raise ConfigError("u and v grids must have the same shape")
+        if self.u.ndim != 2 or self.v.shape != self.u.shape:
+            raise ConfigError(f"u and v grids must have the same 2-D shape, "
+                              f"got {self.u.shape} and {self.v.shape}")
 
 
 def _wavenumbers(shape, lx: float, ly: float):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
-    of an evolve grid: fewer than 2 points on an axis, or a k^2 that
-    overflows or underflows to a 0/0 multiplier, is a ConfigError."""
+    of an evolve grid: one not 2-D with 2 or more points an axis, or with a
+    k^2 that overflows or underflows to a 0/0 multiplier, is a ConfigError."""
+    if len(shape) != 2 or min(shape) < 2:
+        raise ConfigError(f"the {' x '.join(map(str, shape))} grid is not "
+                          f"2-D with 2 or more points an axis")
     nx, ny = shape
-    if min(nx, ny) < 2:
-        raise ConfigError(f"the {nx} x {ny} grid has an axis of < 2 points")
     with np.errstate(all="ignore"):
         kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=lx / nx))[:, None] ** 2
         ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=ly / ny))[None, :] ** 2

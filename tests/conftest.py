@@ -5,7 +5,8 @@ sweeps."""
 import math
 import random
 
-from dsexact import make_profile, parse_timefn
+from dsexact import parse_timefn
+from dsexact.elliptic import make_profile
 
 # 6th-order central stencil, independent of the ones inside the package.
 _D2_6 = ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from conftest import fd2, published_constants
-from dsexact import PROFILE_KINDS, TransformSpec, Variant, apply_t1, \
-    apply_t2, compose, crosscheck, ellipk, family_a, family_c, \
-    jacobi_sn_cn_dn, make_profile, parse_timefn, verify
+from dsexact import TransformSpec, Variant, compose, crosscheck, ellipk, \
+    family_a, family_c, parse_timefn, verify
 from dsexact.cli import main
+from dsexact.elliptic import PROFILE_KINDS, jacobi_sn_cn_dn, make_profile
 from dsexact.residual import _residual_terms
 from dsexact.selftest import default_verification_matrix
+from dsexact.symmetry import apply_t1, apply_t2
 
 H = 1e-3
 ORDER = 4

@@ -7,7 +7,8 @@ import pytest
 
 from conftest import fd2
 from dsexact import DegenerateMatch, NoRealAmplitude, Variant, family_c, \
-    make_profile, parse_timefn, verify
+    parse_timefn, verify
+from dsexact.elliptic import make_profile
 
 
 def constants(kind, m, eps1, ell, eps2, **overrides):

@@ -10,9 +10,9 @@ import pytest
 from dsexact import ConfigError, EmptySampleError, MixedCaseUnsupported, \
     NoRealAmplitude, NoRealSolution, TransformSpec, UnsupportedVariant, \
     TimeFunction, Variant, catalog, compose, ellipk, eval_solution, \
-    family_a, family_b, family_c, jacobi_sn_cn_dn, make_field, parse_timefn, \
-    verify
-from dsexact.elliptic import Profile
+    family_a, family_b, family_c, parse_timefn, verify
+from dsexact.elliptic import Profile, jacobi_sn_cn_dn
+from dsexact.evolve import make_field
 from dsexact.selftest import default_verification_matrix
 
 
@@ -570,3 +570,24 @@ def test_shapes_that_do_not_broadcast_fail_before_any_layer_runs(
     with pytest.raises(ValueError):
         eval_solution(line, np.zeros(2), np.zeros(3), 0.0)
     assert not walks and not profiles
+
+
+def test_matrix_verify_gets_each_layers_own_arrays(monkeypatch):
+    # Every matrix point is valid and each layer's ok has its fields' shape,
+    # one-time blocks of sn, cn and dn included, so eval_solution copies
+    # nothing: np.broadcast_to, the first call of its copy path, never runs.
+    shapes = []
+    broadcast_to = np.broadcast_to
+
+    def spy(array, shape, **kwargs):
+        shapes.append(shape)
+        return broadcast_to(array, shape, **kwargs)
+
+    monkeypatch.setattr(np, "broadcast_to", spy)
+    for entry in default_verification_matrix():
+        verify(entry.solution, entry.grid.points(seed=1))
+    assert shapes == []
+    # The spy sees the copy path where an invalid point takes it.
+    log_a = family_a(Variant(1, 1), parse_timefn("ln(t)"), 1.0)
+    eval_solution(log_a, np.array([-1.0, 1.0]), 0.0, np.zeros((3, 1)))
+    assert shapes == [(3, 2)]

@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from dsexact import BlowupError, ConfigError, DegenerateMatch, \
-    MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, PROFILE_KINDS, \
+    MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, \
     UnsupportedVariant, Variant, cli, crosscheck, ellipk, evolve, family_c, \
     gridio, parse_timefn, selftest
 from dsexact.cli import main
+from dsexact.elliptic import PROFILE_KINDS
 
 
 def write_config(path, doc):

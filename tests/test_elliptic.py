@@ -1,14 +1,15 @@
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 from conftest import fd2
-from dsexact import ConfigError, DomainError, PROFILE_KINDS, ellipk, \
+from dsexact import ConfigError, DomainError, ellipk
+from dsexact.elliptic import ELLIPTIC_KINDS, PROFILE_KINDS, \
     jacobi_sn_cn_dn, make_profile
-from dsexact.elliptic import ELLIPTIC_KINDS
 
 # Frozen from adaptive quadrature of the defining integral (see the oracle
 # test below, which recomputes it).
@@ -319,3 +320,78 @@ def test_profile_values_and_pole_distances_are_pinned(kind):
         list(distances)
     assert [float(prof.pole_distance(v)).hex() for v in PIN_S] == \
         list(distances)
+
+
+# Exact algebra: polynomials in (sn, cn, dn, m) as {exponents: Fraction}.
+ONE, SN, CN, DN = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+# The primitive rules sn' = cn dn, cn' = -sn dn, dn' = -m^2 sn cn.
+RULES = ({(0, 1, 1, 0): 1}, {(1, 0, 1, 0): -1}, {(1, 1, 0, 2): -1})
+# f'' = p f^3 + q f with (p, q) polynomials in m, as elliptic's docstring.
+EXACT_SIGNATURES = {
+    "sn": (SN, {(0, 0, 0, 2): 2}, {ONE: -1, (0, 0, 0, 2): -1}),
+    "cn": (CN, {(0, 0, 0, 2): -2}, {ONE: -1, (0, 0, 0, 2): 2}),
+    "dn": (DN, {ONE: -2}, {ONE: 2, (0, 0, 0, 2): -1}),
+}
+
+
+def _add(*polys):
+    out = {}
+    for poly in polys:
+        for e, c in poly.items():
+            out[e] = out.get(e, 0) + Fraction(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul(a, b):
+    return _add(*({tuple(map(sum, zip(ea, eb))): ca * cb}
+                  for ea, ca in a.items() for eb, cb in b.items()))
+
+
+def _derivative(poly, rules):
+    terms = []
+    for e, c in poly.items():
+        for i, rule in enumerate(rules):
+            if e[i]:
+                lower = tuple(k - (j == i) for j, k in enumerate(e))
+                terms.append(_mul({lower: c * e[i]}, rule))
+    return _add(*terms)
+
+
+def _reduce(poly):
+    """Rewrite cn^2 as 1 - sn^2 and dn^2 as 1 - m^2 sn^2 until no cn or dn
+    is squared."""
+    for e, c in poly.items():
+        for i, square in ((1, {ONE: 1, (2, 0, 0, 0): -1}),
+                          (2, {ONE: 1, (2, 0, 0, 2): -1})):
+            if e[i] >= 2:
+                rest = {tuple(k - 2 * (j == i) for j, k in enumerate(e)): c}
+                others = {k: v for k, v in poly.items() if k != e}
+                return _reduce(_add(others, _mul(rest, square)))
+    return poly
+
+
+def _remainder(kind, rules=RULES):
+    """f'' - p f^3 - q f of the kind's f, reduced."""
+    exponents, p, q = EXACT_SIGNATURES[kind]
+    f, minus = {exponents: 1}, {ONE: -1}
+    return _reduce(_add(_derivative(_derivative(f, rules), rules),
+                        _mul(minus, _mul(p, _mul(f, _mul(f, f)))),
+                        _mul(minus, _mul(q, f))))
+
+
+@pytest.mark.parametrize("kind", ELLIPTIC_KINDS)
+def test_elliptic_signatures_are_exact_identities(kind):
+    assert _remainder(kind) == {}
+    _, p, q = EXACT_SIGNATURES[kind]
+    for m in (0.0, 0.3, 0.6, 0.9):
+        prof = make_profile(kind, m)
+        for got, poly in ((prof.p, p), (prof.q, q)):
+            want = sum(c * Fraction(m) ** e[3] for e, c in poly.items())
+            assert got == pytest.approx(float(want), rel=1e-15, abs=1e-15)
+
+
+def test_a_slipped_dn_rule_leaves_a_remainder():
+    # dn' = -m sn cn leaves m (m - 1) dn (1 - 2 sn^2).
+    slipped = RULES[:2] + ({(1, 1, 0, 1): -1},)
+    assert _remainder("dn", slipped) == {(0, 0, 1, 2): 1, (0, 0, 1, 1): -1,
+                                         (2, 0, 1, 1): 2, (2, 0, 1, 2): -2}

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
-    UnsupportedVariant, Variant, advance, apply_t1, cli, crosscheck, \
-    ellipk, evolve, family_a, family_c, make_field, mass, parse_timefn, \
-    poisson_v, step
+    UnsupportedVariant, Variant, advance, cli, crosscheck, ellipk, evolve, \
+    family_a, family_c, mass, parse_timefn
+from dsexact.evolve import make_field, poisson_v, step
+from dsexact.symmetry import apply_t1
 
 DS2 = Variant(-1, 1)
 
@@ -82,6 +83,21 @@ def test_poisson_on_a_one_point_axis_is_config_error():
     # Never a ZeroDivisionError or an empty spectrum.
     with pytest.raises(ConfigError, match="1 x 8 grid"):
         poisson_v(np.ones((1, 8)), 1.0, 1.0, DS2, 0.0)
+
+
+@pytest.mark.parametrize("shape, name", [((8,), "8"),
+                                         ((2, 2, 2), "2 x 2 x 2")],
+                         ids=["1-D", "3-D"])
+def test_poisson_on_a_grid_that_is_not_2d_is_config_error(shape, name):
+    # Never a ValueError from unpacking the shape.
+    with pytest.raises(ConfigError, match=f"the {name} grid is not 2-D"):
+        poisson_v(np.ones(shape), 1.0, 1.0, DS2, 0.0)
+
+
+def test_field_requires_a_2d_grid():
+    # A 1-D Field would reach mass and advance, which unpack a 2-D shape.
+    with pytest.raises(ConfigError, match=r"same 2-D shape, got \(8,\)"):
+        Field(1.0, 1.0, np.zeros(8, complex), np.zeros(8), 0.0, 0.0)
 
 
 def test_field_requires_equal_grids():

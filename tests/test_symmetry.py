@@ -3,8 +3,9 @@ import math
 
 import pytest
 
-from dsexact import ConfigError, TransformSpec, Variant, apply_t1, apply_t2, \
-    compose, family_a, family_c, parse_timefn, verify
+from dsexact import ConfigError, TransformSpec, Variant, compose, family_a, \
+    family_c, parse_timefn, verify
+from dsexact.symmetry import apply_t1, apply_t2
 
 ZERO = parse_timefn("0")
 GRID = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
