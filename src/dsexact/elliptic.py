@@ -14,8 +14,8 @@ with constant (p, q).  The eight admitted profiles and their signatures:
     cn(s|m)  (-2m^2, 2m^2-1)
     dn(s|m)  (-2, 2-m^2)
 
-m is the elliptic modulus (not the squared parameter), so sn(s|0) = sin s
-and sn(s|1) = tanh s.  K(m) is the quarter period of sn along the real line.
+m is the elliptic modulus (not the squared parameter), 0 <= m < 1, so
+sn(s|0) = sin s.  K(m) is the quarter period of sn along the real line.
 """
 
 from __future__ import annotations
@@ -47,15 +47,23 @@ SINGULARITY_GUARD = 1e-3
 _TINY = 2.0 ** -510
 
 
+def _modulus(m, what: str) -> float:
+    """``float(m)`` for m in [0, 1); otherwise (None and NaN included) a
+    DomainError naming ``what``."""
+    if m is None:
+        raise DomainError(f"{what} requires a modulus m")
+    if not 0.0 <= float(m) < 1.0:
+        raise DomainError(f"{what} requires 0 <= m < 1, got m={float(m)}")
+    return float(m)
+
+
 def ellipk(m: float) -> float:
     """Complete elliptic integral of the first kind, modulus convention.
 
     K(m) = integral over [0, pi/2] of dtheta / sqrt(1 - m^2 sin^2 theta),
     computed by the arithmetic-geometric mean: K = pi / (2 agm(1, sqrt(1-m^2))).
     """
-    m = float(m)
-    if not 0.0 <= m < 1.0:
-        raise DomainError(f"ellipk requires 0 <= m < 1, got m={m}")
+    m = _modulus(m, "ellipk")
     a = 1.0
     g = math.sqrt(1.0 - m * m)
     while abs(a - g) > _AGM_TOL * a:
@@ -69,17 +77,12 @@ def jacobi_sn_cn_dn(s, m: float) -> tuple:
 
     The scale chain depends only on m, so it is built once per call and
     unwound over every s together.  At m=0 this reduces to
-    (sin s, cos s, 1); at m=1 to (tanh s, sech s, sech s); at |s| < 2^-510
-    to (s, 1, 1).  Total for finite s and m in [0, 1].
+    (sin s, cos s, 1); at |s| < 2^-510 to (s, 1, 1).  Total for finite s
+    and m in [0, 1).
     """
     s = np.asarray(s, dtype=float)
-    m = float(m)
-    if not 0.0 <= m <= 1.0:
-        raise DomainError(f"jacobi_sn_cn_dn requires 0 <= m <= 1, got m={m}")
+    m = _modulus(m, "jacobi_sn_cn_dn")
     mc = (1.0 - m) * (1.0 + m)  # complementary parameter 1 - m^2
-    if mc == 0.0:
-        cn = 1.0 / np.cosh(s)
-        return np.tanh(s)[()], cn[()], cn[()]
 
     # Descend: replace the modulus by its Landen image until the scale
     # chain has converged, then unwind with the backward recurrences.
@@ -184,13 +187,6 @@ def make_profile(kind: str, m: float | None = None) -> Profile:
     if kind not in _KINDS:
         raise ConfigError(f"unknown profile kind '{kind}'; "
                           f"expected one of {PROFILE_KINDS}")
-    if kind in ELLIPTIC_KINDS:
-        if m is None:
-            raise DomainError(f"profile '{kind}' requires a modulus m")
-        m = float(m)
-        if not 0.0 <= m < 1.0:
-            raise DomainError(f"profile '{kind}' requires 0 <= m < 1, got {m}")
-    else:
-        m = 0.0
+    m = _modulus(m, f"profile '{kind}'") if kind in ELLIPTIC_KINDS else 0.0
     signature, _, pole = _KINDS[kind]
     return Profile(kind, m, *signature(m), pole)

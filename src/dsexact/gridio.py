@@ -53,17 +53,20 @@ _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian sample grid, a config's ``/grid``: a list of times and two
-    coordinate ranges, each a ConfigError if it has no point or if its
-    points, jittered or not, can leave the double range."""
+    ranges (lo, hi, count), each a ConfigError if it has no point, a count
+    not whole or points that, jittered or not, can leave the double range."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
 
     def __post_init__(self):
+        if not len(self.t_values):
+            raise ConfigError("/grid/t: a grid needs at least one time")
         for axis, (lo, hi, count) in zip("xy", (self.x_range, self.y_range)):
-            if count < 1:
-                raise ConfigError(f"grid count must be >= 1, got {count}")
+            if count % 1 or not count >= 1:  # NaN and inf included
+                raise ConfigError(f"/grid/{axis}: a whole grid count must "
+                                  f"be >= 1, got {count!r}")
             # The largest product the points and jitter are built from, and
             # the largest magnitude a jittered point can reach.
             spacing = abs(hi - lo) / max(1, count - 1)
@@ -230,12 +233,14 @@ def _write_grid(path, axes, rows):
     with _open_output(path) as fh:
         fh.write(FIELD_HEADER.encode() + b"\n")
         cells = [_spell(a).T.copy() for a in axes]
-        out = np.empty((_CHUNK, 7 * (_CELL + 1) + 6), np.uint8)
+        buf = bytearray(_CHUNK * (7 * (_CELL + 1) + 6))
+        out = np.frombuffer(buf, np.uint8).reshape(_CHUNK, -1)
         shape = [len(axes[k]) for k in (0, 2, 1)]
         for start in range(0, math.prod(shape), _CHUNK):
             it, iy, ix = np.unravel_index(
                 np.arange(start, min(start + _CHUNK, math.prod(shape))), shape)
-            fh.write(rows(out[:it.size], cells, (it, ix, iy)).tobytes()
+            n = rows(out[:it.size], cells, (it, ix, iy)).nbytes
+            fh.write((buf if n == len(buf) else buf[:n])
                      .translate(None, b"\0"))
 
 

@@ -2,9 +2,13 @@ import argparse
 import gc
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +43,17 @@ def test_families_lists_all(capsys):
     out = capsys.readouterr().out
     for token in ("A ", "B ", "C ", "T1", "T2"):
         assert token in out
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m dsexact`` goes through __main__.py, which no in-process
+    # call of ``main`` executes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "dsexact", "families"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == cli._FAMILIES_TEXT.splitlines()[0]
 
 
 def test_families_names_every_profile_kind(capsys):

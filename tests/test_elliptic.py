@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ def test_ellipk_domain(m):
 
 
 def test_jacobi_origin():
-    for m in (0.0, 0.3, 0.9, 1.0):
+    for m in (0.0, 0.3, 0.9):
         assert jacobi_sn_cn_dn(0.0, m) == (0.0, 1.0, 1.0)
 
 
@@ -63,12 +64,6 @@ def test_jacobi_tiny_arguments_are_exact(m):
 
 
 def test_jacobi_degenerate_modulus():
-    # m=1 collapses to hyperbolic functions.
-    for s in (-2.0, -0.3, 0.0, 0.7, 3.1):
-        sn, cn, dn = jacobi_sn_cn_dn(s, 1.0)
-        assert sn == pytest.approx(math.tanh(s), abs=1e-15)
-        assert cn == pytest.approx(1.0 / math.cosh(s), abs=1e-15)
-        assert dn == cn
     # m=0 collapses to trigonometric functions.
     for s in (-1.1, 0.4, 2.8):
         sn, cn, dn = jacobi_sn_cn_dn(s, 0.0)
@@ -119,6 +114,24 @@ def test_sn_limit_to_tanh_monotone():
         errs = [abs(jacobi_sn_cn_dn(s, m)[0] - math.tanh(s))
                 for m in (0.9, 0.99, 0.999)]
         assert errs[0] > errs[1] > errs[2]
+
+
+# Each entry point that takes a modulus, and the name its DomainError gives.
+MODULUS_ENTRIES = {
+    "ellipk": (ellipk, "ellipk"),
+    "jacobi_sn_cn_dn": (lambda m: jacobi_sn_cn_dn(0.3, m), "jacobi_sn_cn_dn"),
+    "make_profile": (lambda m: make_profile("cn", m), "profile 'cn'"),
+}
+
+
+@pytest.mark.parametrize("m", [1.0, 1.5, -0.2, math.nan, None])
+@pytest.mark.parametrize("entry", MODULUS_ENTRIES)
+def test_modulus_outside_its_domain_is_named(entry, m):
+    # One domain, 0 <= m < 1, for every entry point: m = 1 (where K is
+    # infinite) is refused, and so are NaN and a missing modulus.
+    call, name = MODULUS_ENTRIES[entry]
+    with pytest.raises(DomainError, match=rf"^{re.escape(name)} requires "):
+        call(m)
 
 
 def test_jacobi_domain():
@@ -322,16 +335,9 @@ def test_profile_values_and_pole_distances_are_pinned(kind):
         list(distances)
 
 
-# Exact algebra: polynomials in (sn, cn, dn, m) as {exponents: Fraction}.
-ONE, SN, CN, DN = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
-# The primitive rules sn' = cn dn, cn' = -sn dn, dn' = -m^2 sn cn.
-RULES = ({(0, 1, 1, 0): 1}, {(1, 0, 1, 0): -1}, {(1, 1, 0, 2): -1})
-# f'' = p f^3 + q f with (p, q) polynomials in m, as elliptic's docstring.
-EXACT_SIGNATURES = {
-    "sn": (SN, {(0, 0, 0, 2): 2}, {ONE: -1, (0, 0, 0, 2): -1}),
-    "cn": (CN, {(0, 0, 0, 2): -2}, {ONE: -1, (0, 0, 0, 2): 2}),
-    "dn": (DN, {ONE: -2}, {ONE: 2, (0, 0, 0, 2): -1}),
-}
+# Exact algebra: a polynomial is {exponents: Fraction}, one exponent per
+# symbol.  A proof names each symbol's primitive derivative rule (symbols
+# past the rules, such as m, are constants) and the squares it rewrites.
 
 
 def _add(*polys):
@@ -357,31 +363,48 @@ def _derivative(poly, rules):
     return _add(*terms)
 
 
-def _reduce(poly):
-    """Rewrite cn^2 as 1 - sn^2 and dn^2 as 1 - m^2 sn^2 until no cn or dn
-    is squared."""
+def _reduce(poly, squares):
+    """Rewrite the square of symbol i as ``squares[i]`` until no such
+    symbol is squared."""
     for e, c in poly.items():
-        for i, square in ((1, {ONE: 1, (2, 0, 0, 0): -1}),
-                          (2, {ONE: 1, (2, 0, 0, 2): -1})):
+        for i, square in squares.items():
             if e[i] >= 2:
                 rest = {tuple(k - 2 * (j == i) for j, k in enumerate(e)): c}
                 others = {k: v for k, v in poly.items() if k != e}
-                return _reduce(_add(others, _mul(rest, square)))
+                return _reduce(_add(others, _mul(rest, square)), squares)
     return poly
 
 
-def _remainder(kind, rules=RULES):
-    """f'' - p f^3 - q f of the kind's f, reduced."""
-    exponents, p, q = EXACT_SIGNATURES[kind]
-    f, minus = {exponents: 1}, {ONE: -1}
+def _remainder(f, p, q, rules, squares):
+    """f'' - p f^3 - q f, reduced."""
+    minus = {(0,) * len(next(iter(f))): -1}
     return _reduce(_add(_derivative(_derivative(f, rules), rules),
                         _mul(minus, _mul(p, _mul(f, _mul(f, f)))),
-                        _mul(minus, _mul(q, f))))
+                        _mul(minus, _mul(q, f))), squares)
+
+
+# Polynomials in (sn, cn, dn, m).
+ONE, SN, CN, DN = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)
+# The primitive rules sn' = cn dn, cn' = -sn dn, dn' = -m^2 sn cn.
+RULES = ({(0, 1, 1, 0): 1}, {(1, 0, 1, 0): -1}, {(1, 1, 0, 2): -1})
+# cn^2 = 1 - sn^2 and dn^2 = 1 - m^2 sn^2.
+SQUARES = {1: {ONE: 1, (2, 0, 0, 0): -1}, 2: {ONE: 1, (2, 0, 0, 2): -1}}
+# f'' = p f^3 + q f with (p, q) polynomials in m, as elliptic's docstring.
+EXACT_SIGNATURES = {
+    "sn": (SN, {(0, 0, 0, 2): 2}, {ONE: -1, (0, 0, 0, 2): -1}),
+    "cn": (CN, {(0, 0, 0, 2): -2}, {ONE: -1, (0, 0, 0, 2): 2}),
+    "dn": (DN, {ONE: -2}, {ONE: 2, (0, 0, 0, 2): -1}),
+}
+
+
+def _elliptic_remainder(kind, rules=RULES):
+    f, p, q = EXACT_SIGNATURES[kind]
+    return _remainder({f: 1}, p, q, rules, SQUARES)
 
 
 @pytest.mark.parametrize("kind", ELLIPTIC_KINDS)
 def test_elliptic_signatures_are_exact_identities(kind):
-    assert _remainder(kind) == {}
+    assert _elliptic_remainder(kind) == {}
     _, p, q = EXACT_SIGNATURES[kind]
     for m in (0.0, 0.3, 0.6, 0.9):
         prof = make_profile(kind, m)
@@ -393,5 +416,40 @@ def test_elliptic_signatures_are_exact_identities(kind):
 def test_a_slipped_dn_rule_leaves_a_remainder():
     # dn' = -m sn cn leaves m (m - 1) dn (1 - 2 sn^2).
     slipped = RULES[:2] + ({(1, 1, 0, 1): -1},)
-    assert _remainder("dn", slipped) == {(0, 0, 1, 2): 1, (0, 0, 1, 1): -1,
-                                         (2, 0, 1, 1): 2, (2, 0, 1, 2): -2}
+    assert _elliptic_remainder("dn", slipped) == {
+        (0, 0, 1, 2): 1, (0, 0, 1, 1): -1, (2, 0, 1, 1): 2, (2, 0, 1, 2): -2}
+
+
+# The pole-bearing kinds: f's exponents, the primitive rules, the squares
+# rewritten and the signature (p, q) proved; then a wrong rule set.
+POLE_PROOFS = {
+    # 1/s, f' = -f^2.  (f' = +f^2 gives the same f'', so f' = -2 f^2.)
+    "rational": ((1,), ({(2,): -1},), {}, (2, 0), ({(2,): -2},)),
+    # tan' = 1 + tan^2; wrong: 1 - tan^2.
+    "tan": ((1,), ({(0,): 1, (2,): 1},), {}, (2, 2),
+            ({(0,): 1, (2,): -1},)),
+    # (sec, tan): sec' = sec tan, tan' = 1 + tan^2 with tan^2 = sec^2 - 1;
+    # wrong: sec' = -sec tan.
+    "sec": ((1, 0), ({(1, 1): 1}, {(0, 0): 1, (0, 2): 1}),
+            {1: {(0, 0): -1, (2, 0): 1}}, (2, -1),
+            ({(1, 1): -1}, {(0, 0): 1, (0, 2): 1})),
+    # coth' = 1 - coth^2; wrong: 1 + coth^2.
+    "coth": ((1,), ({(0,): 1, (2,): -1},), {}, (2, -2),
+             ({(0,): 1, (2,): 1},)),
+    # (csch, coth): csch' = -csch coth, coth' = 1 - coth^2 with
+    # coth^2 = 1 + csch^2; wrong: csch' = csch coth.
+    "csch": ((1, 0), ({(1, 1): -1}, {(0, 0): 1, (0, 2): -1}),
+             {1: {(0, 0): 1, (2, 0): 1}}, (2, 1),
+             ({(1, 1): 1}, {(0, 0): 1, (0, 2): -1})),
+}
+
+
+@pytest.mark.parametrize("kind", POLE_PROOFS)
+def test_pole_signatures_are_exact_identities(kind):
+    f, rules, squares, (p, q), wrong = POLE_PROOFS[kind]
+    one = (0,) * len(f)
+    signature = ({f: 1}, {one: p}, {one: q})
+    assert _remainder(*signature, rules, squares) == {}
+    assert _remainder(*signature, wrong, squares) != {}
+    prof = make_profile(kind)
+    assert (prof.p, prof.q) == (p, q)

@@ -115,6 +115,23 @@ def test_empty_axis_is_config_error():
 
 
 @pytest.mark.parametrize("x, y, named", [
+    ((-1.0, 1.0, 1.5), (0.0, 1.0, 2), "/grid/x"),  # built x = [-1, 3]
+    ((-1.0, 1.0, NAN), (0.0, 1.0, 2), "/grid/x"),  # failed in axes()
+    ((0.0, 1.0, 2), (0.0, 1.0, -1.0), "/grid/y"),
+    ((0.0, 1.0, 2), (0.0, 1.0, INF), "/grid/y"),
+])
+def test_count_not_a_whole_number_of_points_is_config_error(x, y, named):
+    with pytest.raises(ConfigError, match=f"{named}: a whole grid count"):
+        GridSpec((0.0,), x, y)
+
+
+def test_grid_without_a_time_is_config_error():
+    # It built, and its points() had shape (0, 3).
+    with pytest.raises(ConfigError, match="/grid/t"):
+        GridSpec((), (0.0, 1.0, 2), (0.0, 1.0, 2))
+
+
+@pytest.mark.parametrize("x, y, named", [
     # 1.79e308 plus 0.3 x 9e306 of jitter leaves the double range.
     ((1.7e308, 1.79e308, 2), (0.0, 1.0, 2), "/grid/x"),
     ((0.0, 1.0, 2), (-1e308, 1e308, 3), "/grid/y"),

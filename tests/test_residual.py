@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -254,8 +255,8 @@ def test_blocks_aggregate_like_the_joined_columns(monkeypatch, late):
 
 def test_sample_without_a_kept_point_is_empty(monkeypatch):
     # Five points in blocks of two, each skipped because x + h/2 == x:
-    # three blocks are evaluated and none keeps a point.  An empty sample
-    # evaluates no block.
+    # three blocks are evaluated and none keeps a point.  An empty sample,
+    # of any shape, evaluates no block.
     sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
     sizes = []
     terms = dsexact.residual._residual_terms
@@ -269,9 +270,25 @@ def test_sample_without_a_kept_point_is_empty(monkeypatch):
     with pytest.raises(EmptySampleError):
         verify(sol, [(0.2, 1e17 * k, 0.1) for k in range(1, 6)])
     assert sizes == [2, 2, 1]
-    with pytest.raises(EmptySampleError):
-        verify(sol, [])
+    for empty in ([], np.empty((0, 3)), np.empty((0, 2))):
+        with pytest.raises(EmptySampleError):
+            verify(sol, empty)
     assert sizes == [2, 2, 1]
+
+
+@pytest.mark.parametrize("sample, shape", [
+    # Three (t, x) pairs were read as two made-up (t, x, y) points, and the
+    # sn line below passed on them with n_points=2.
+    ([(0.2, 0.1), (0.3, 0.2), (0.4, 0.3)], (3, 2)),
+    # One row of four was a bare ValueError from reshape.
+    ([[0.2, 0.1, 0.1, 0.0]], (1, 4)),
+    ((0.2, 0.1, 0.1), (3,)),
+], ids=["t-x-pairs", "row-of-four", "flat-point"])
+def test_sample_not_of_t_x_y_rows_is_config_error(sample, shape):
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
+    with pytest.raises(ConfigError, match=re.escape(f"sample shape {shape} "
+                                                    f"is not (N, 3)")):
+        verify(sol, sample)
 
 
 def test_verify_memory_is_bounded_by_the_block():
