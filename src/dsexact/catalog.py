@@ -207,9 +207,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
     """
     if variant.eps1 != 1:
         raise UnsupportedVariant("family B requires eps1 = +1")
-    a = float(a)
-    b = float(b)
-    c = float(c)
+    a, b, c = float(a), float(b), float(c)
     if a == 0.0 or b == 0.0:
         raise MixedCaseUnsupported(
             "family B needs a*b != 0; use family A for a=b=0")
@@ -312,8 +310,7 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         nu = amp * value
         gamma = -(j.d2 + 2.0 * j.d1 * j.d1)
         v = gamma * quad + stretch * stretch * (c_v + kappa * nu * nu)
-        return u, v, ok if profile.pole is None \
-            else ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
+        return u, v, ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
     return solution(variant, fields, {
         "family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,

@@ -24,8 +24,8 @@ import math
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
-from .elliptic import ELLIPTIC_KINDS, PROFILE_KINDS
-from .errors import ConfigError, DSError
+from .elliptic import PROFILE_KINDS
+from .errors import ConfigError, DomainError, DSError
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
@@ -107,10 +107,10 @@ def _number(cfg, pointer, default=...):
     return float(value)
 
 
-def _count(cfg, pointer, most, default=...):
+def _count(cfg, pointer, most, default=..., least=1):
     value = _number(cfg, pointer, default)
-    if value % 1 or not 1 <= value <= most:
-        raise ConfigError(f"{pointer}: expected an integer from 1 to "
+    if value % 1 or not least <= value <= most:
+        raise ConfigError(f"{pointer}: expected an integer from {least} to "
                           f"{most}, got {value!r}")
     return int(value)
 
@@ -194,18 +194,18 @@ def build_solution(cfg: dict) -> Solution:
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
                         _timefn(cfg, "/params/beta", "0"),
                         im=_number(cfg, "/params/im", None))
-    kind = _choice(cfg, "/params/kind", PROFILE_KINDS)
-    elliptic = kind in ELLIPTIC_KINDS
-    m = _number(cfg, "/params/m", ... if elliptic else None)
-    if elliptic and not 0.0 <= m < 1.0:
-        raise ConfigError(f"/params/m: expected a modulus in [0, 1), "
-                          f"got {m!r}")
-    return family_c(
-        variant, kind, m, _number(cfg, "/params/ell"),
-        _number(cfg, "/params/ell1", 0.0), _timefn(cfg, "/params/beta", "0"),
-        amplitude=_number(cfg, "/params/amplitude", None),
-        v_constant=_number(cfg, "/params/v_constant", None),
-        v_quad_coeff=_number(cfg, "/params/v_quad_coeff", None))
+    # family_c's one DomainError is elliptic's verdict on the modulus.
+    try:
+        return family_c(
+            variant, _choice(cfg, "/params/kind", PROFILE_KINDS),
+            _number(cfg, "/params/m", None), _number(cfg, "/params/ell"),
+            _number(cfg, "/params/ell1", 0.0),
+            _timefn(cfg, "/params/beta", "0"),
+            amplitude=_number(cfg, "/params/amplitude", None),
+            v_constant=_number(cfg, "/params/v_constant", None),
+            v_quad_coeff=_number(cfg, "/params/v_quad_coeff", None))
+    except DomainError as err:
+        raise ConfigError(f"/params/m: {err}") from None
 
 
 def _transform(cfg, pointer) -> TransformSpec:
@@ -278,9 +278,7 @@ def _cmd_evolve(cfg, args) -> int:
     if _get(cfg, "/transforms", None) is not None:
         sol = compose(build_transforms(cfg), sol)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
-    n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64)
-    if n < 2:
-        raise ConfigError(f"/evolve/n: expected 2 or more, got {n}")
+    n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64, least=2)
     t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
     dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
     v_mean = None if _get(cfg, "/evolve/v_mean", "exact") == "exact" \

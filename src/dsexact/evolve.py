@@ -57,8 +57,8 @@ _MAX_STEPS = 10 ** 6
 class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
-    u[ix, iy] lives at (ix*lx/nx, iy*ly/ny).  ``v_mean`` records the gauge
-    constant used when reconstructing v from |u|^2.
+    u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); ``v_mean`` records
+    the gauge constant used when reconstructing v from |u|^2.
     """
 
     lx: float
@@ -72,6 +72,15 @@ class Field:
         if self.u.ndim != 2 or self.v.shape != self.u.shape:
             raise ConfigError(f"u and v grids must have the same 2-D shape, "
                               f"got {self.u.shape} and {self.v.shape}")
+
+    def axes(self):
+        """The coordinates (xs, ys) of u's rows and columns."""
+        return tuple(map(_axis, (self.lx, self.ly), self.u.shape))
+
+
+def _axis(length: float, n: int, extra: int = 0):
+    """Coordinates i * (length / n), 0 <= i < n + extra, of an n-point box."""
+    return np.arange(n + extra) * (length / n)
 
 
 def _wavenumbers(shape, lx: float, ly: float):
@@ -115,10 +124,8 @@ def poisson_v(g: np.ndarray, lx: float, ly: float, variant: Variant,
 
 def mass(field: Field) -> float:
     """Discrete |u|^2 mass, sum |u|^2 dx dy."""
-    nx, ny = field.u.shape
-    dx = field.lx / nx
-    dy = field.ly / ny
-    return float(np.sum(np.abs(field.u) ** 2)) * dx * dy
+    (nx, ny), lx, ly = field.u.shape, field.lx, field.ly
+    return float(np.sum(np.abs(field.u) ** 2)) * (lx / nx) * (ly / ny)
 
 
 def advance(field: Field, variant: Variant, dt: float,
@@ -166,8 +173,7 @@ def _sample_box(sol: Solution, lx: float, ly: float, n: int, t: float):
     """u and v on the n x n box grid at time t, from one sample of the grid
     extended one step past the box: each point must be valid and rows and
     columns n, n+1 must repeat 0, 1, or PeriodicityError is raised."""
-    xs = np.arange(n + 2) * (lx / n)
-    ys = np.arange(n + 2) * (ly / n)
+    xs, ys = _axis(lx, n, 2), _axis(ly, n, 2)
     u, v, ok = eval_solution(sol, t, xs[:, None], ys[None, :])
     if not ok.all():
         i, j = np.argwhere(~ok)[0]
@@ -236,11 +242,10 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     mass0 = mass(field)
     field = advance(field, sol.variant, dt, n_steps)
     diff = field.u - u_exact
-    dx, dy = lx / n, ly / n
     mass1 = mass(field)
     return {
         "max_dev": float(np.max(np.abs(diff))),
-        "l2_dev": float(math.sqrt(np.sum(np.abs(diff) ** 2) * dx * dy)),
+        "l2_dev": math.sqrt(mass(replace(field, u=diff))),
         "mass_initial": mass0,
         "mass_final": mass1,
         "mass_drift": abs(mass1 - mass0),

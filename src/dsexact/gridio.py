@@ -252,11 +252,8 @@ def write_field_csv(path, sol: Solution, ts, xs, ys):
 
 
 def write_box_csv(path, field):
-    """Field CSV of a periodic-box ``evolve.Field``, all points valid, on
-    the grid x = ix * lx / nx, y = iy * ly / ny."""
-    nx, ny = field.u.shape
-    axes = (np.array([field.t]), np.arange(nx) * field.lx / nx,
-            np.arange(ny) * field.ly / ny)
+    """Field CSV of an ``evolve.Field`` on its ``axes()``, all points valid."""
+    axes = (np.array([field.t]), *field.axes())
     _write_grid(path, axes, lambda rows, cells, index: _rows(
         rows, cells, index, field.u[index[1:]], field.v[index[1:]],
         np.ones(index[0].size, bool)))

@@ -194,7 +194,7 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.  Raises ConfigError unless h is
     finite and positive, (h/2)^2 is nonzero, ``order`` is in ``ORDERS``,
-    tol_rel is >= 0 (NaN is not) and a nonempty sample has shape (N, 3).
+    tol_rel is >= 0 (NaN is not) and the sample is numbers, (N, 3) if any.
     """
     if not (0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
             and order in ORDERS and tol_rel >= 0.0):
@@ -203,7 +203,10 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
                           f">= 0 and an order in {ORDERS}; got h={h!r}, "
                           f"order={order!r}, tol_rel={tol_rel!r}")
     order, h = int(order), float(h)
-    points = np.asarray(sample, dtype=float)
+    try:
+        points = np.asarray(sample, dtype=float)
+    except (TypeError, ValueError) as err:  # ragged rows, a non-number
+        raise ConfigError(f"verify: sample is not an array: {err}") from None
     if points.size and points.shape[1:] != (3,):
         raise ConfigError(f"verify: sample shape {points.shape} is not (N, 3)")
     points = points.reshape(-1, 3)

@@ -264,6 +264,13 @@ def test_evolve_box_that_is_not_a_power_of_two(tmp_path):
     doc = json.loads((tmp_path / "evolve.json").read_text())
     assert doc["pass"] is True and doc["n"] == 48
     assert len((tmp_path / "snap.csv").read_text().splitlines()) == 1 + 48 ** 2
+    # The snapshot's coordinates are the points the box sampled, i * (L / n);
+    # i * L / n was up to 1 ulp away from them on 19 of the 48.
+    x, y = np.loadtxt(tmp_path / "snap.csv", delimiter=",", skiprows=1,
+                      usecols=(1, 2), unpack=True)
+    axis = np.arange(48) * (L / 48)
+    assert np.array_equal(x, np.tile(axis, 48))
+    assert np.array_equal(y, np.repeat(axis, 48))
 
 
 def test_evolve_snapshot_is_the_checked_field(tmp_path, monkeypatch):
@@ -520,7 +527,8 @@ MALFORMED = [
     ("evolve", "/evolve/box/1", -1.0, [], "ly="),
     ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
     ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
-    pytest.param("evolve", "/evolve/n", 1, [], "/evolve/n: expected 2 or more",
+    pytest.param("evolve", "/evolve/n", 1, [],
+                 "/evolve/n: expected an integer from 2 to 2048, got 1.0",
                  id="evolve-n-below-two"),
     ("verify", "/verify/tol_rel", -1.0, [], "/verify/tol_rel: expected"),
     ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1"], "--tol: expected"),

@@ -276,18 +276,21 @@ def test_sample_without_a_kept_point_is_empty(monkeypatch):
     assert sizes == [2, 2, 1]
 
 
-@pytest.mark.parametrize("sample, shape", [
+@pytest.mark.parametrize("sample, named", [
     # Three (t, x) pairs were read as two made-up (t, x, y) points, and the
     # sn line below passed on them with n_points=2.
-    ([(0.2, 0.1), (0.3, 0.2), (0.4, 0.3)], (3, 2)),
+    ([(0.2, 0.1), (0.3, 0.2), (0.4, 0.3)],
+     "sample shape (3, 2) is not (N, 3)"),
     # One row of four was a bare ValueError from reshape.
-    ([[0.2, 0.1, 0.1, 0.0]], (1, 4)),
-    ((0.2, 0.1, 0.1), (3,)),
-], ids=["t-x-pairs", "row-of-four", "flat-point"])
-def test_sample_not_of_t_x_y_rows_is_config_error(sample, shape):
+    ([[0.2, 0.1, 0.1, 0.0]], "sample shape (1, 4) is not (N, 3)"),
+    ((0.2, 0.1, 0.1), "sample shape (3,) is not (N, 3)"),
+    # Ragged rows and a string cell were numpy's bare ValueError.
+    ([(0.1, 0.2, 0.3), (0.1, 0.2)], "sample is not an array"),
+    ([(0.1, 0.2, "a")], "sample is not an array"),
+], ids=["t-x-pairs", "row-of-four", "flat-point", "ragged", "non-numeric"])
+def test_sample_not_of_t_x_y_rows_is_config_error(sample, named):
     sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
-    with pytest.raises(ConfigError, match=re.escape(f"sample shape {shape} "
-                                                    f"is not (N, 3)")):
+    with pytest.raises(ConfigError, match=re.escape(f"verify: {named}")):
         verify(sol, sample)
 
 
