@@ -83,12 +83,20 @@ def _axis(length: float, n: int, extra: int = 0):
     return np.arange(n + extra) * (length / n)
 
 
-def _wavenumbers(shape, lx: float, ly: float):
+def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
-    of an evolve grid: one not 2-D with 2 or more points an axis, or with a
-    k^2 that overflows or underflows to a 0/0 multiplier, is a ConfigError."""
+    of an evolve problem: eps1 != -1 is UnsupportedVariant, and a box not
+    finite and positive, a grid not 2-D with 2 or more points an axis, or a
+    k^2 that overflows or underflows to a 0/0 multiplier a ConfigError."""
+    if variant.eps1 != -1:
+        raise UnsupportedVariant(
+            "spectral inversion of the mean-flow constraint needs eps1=-1; "
+            "the eps1=+1 constraint is hyperbolic on a periodic box")
+    if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
+        raise ConfigError(f"the evolve box needs finite lx > 0 and ly > 0, "
+                          f"got lx={lx}, ly={ly}")
     if len(shape) != 2 or min(shape) < 2:
         raise ConfigError(f"the {' x '.join(map(str, shape))} grid is not "
                           f"2-D with 2 or more points an axis")
@@ -114,12 +122,8 @@ def _invert(g, multiplier, v_mean):
 def poisson_v(g: np.ndarray, lx: float, ly: float, variant: Variant,
               v_mean: float) -> np.ndarray:
     """Invert the mean-flow constraint for v given g = |u|^2 (e1=-1 only)."""
-    if variant.eps1 != -1:
-        raise UnsupportedVariant(
-            "spectral inversion of the mean-flow constraint needs eps1=-1; "
-            "the eps1=+1 constraint is hyperbolic on a periodic box")
     g = np.asarray(g, dtype=float)
-    return _invert(g, _wavenumbers(g.shape, lx, ly)[2], v_mean)
+    return _invert(g, _wavenumbers(g.shape, lx, ly, variant)[2], v_mean)
 
 
 def mass(field: Field) -> float:
@@ -132,12 +136,11 @@ def advance(field: Field, variant: Variant, dt: float,
             n_steps: int) -> Field:
     """``n_steps`` Strang steps of size dt with the adjacent linear halves
     fused into full steps; v is recomputed only for the final field.  Zero
-    steps return ``field`` itself."""
-    if variant.eps1 != -1:
-        raise UnsupportedVariant("time stepping is limited to eps1=-1")
+    steps return ``field`` itself, after the same check as any other call."""
+    kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly,
+                                        variant)
     if n_steps < 1:
         return field
-    kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly)
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
     half, full = np.exp(phase / 4.0), np.exp(phase / 2.0)
     uhat = np.fft.fft2(field.u)
@@ -196,11 +199,11 @@ def make_field(sol: Solution, lx: float, ly: float, n: int,
     """Sample a Solution on an n x n periodic box grid at t = 0.
 
     ``v_mean`` None takes the grid mean of the exact v (the gauge that keeps
-    the reconstructed v aligned with the exact one).  A grid that
-    ``_wavenumbers`` refuses is a ConfigError before any sampling, and an
-    invalid or aperiodic solution raises PeriodicityError.
+    the reconstructed v aligned with the exact one).  A variant, box or
+    grid that ``_wavenumbers`` refuses is a ConfigError before any sampling,
+    and an invalid or aperiodic solution raises PeriodicityError.
     """
-    _wavenumbers((n, n), lx, ly)
+    _wavenumbers((n, n), lx, ly, sol.variant)
     u, v = _sample_box(sol, lx, ly, n, 0.0)
     if v_mean is None:
         v_mean = float(np.mean(v))
@@ -215,19 +218,15 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     at the start and end times, both before any step, and PeriodicityError
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time and
-    the mass drift, and the evolved Field.  ``dt`` and the box lengths must
-    be positive, ``t_final`` non-negative, all of them finite, ``t_final /
-    dt`` must round to 1 to _MAX_STEPS steps, and the grid must pass
+    the mass drift, and the evolved Field.  ``dt`` must be positive and
+    ``t_final`` non-negative, both finite, ``t_final / dt`` must round to 1
+    to _MAX_STEPS steps, and the variant, box and grid must pass
     ``make_field``'s check, or ConfigError is raised before any sampling.
     """
-    if sol.variant.eps1 != -1:
-        raise UnsupportedVariant("cross-check is limited to eps1=-1")
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
-            and t_final / dt < math.inf
-            and 0.0 < lx < math.inf and 0.0 < ly < math.inf):
-        raise ConfigError(f"evolve needs finite dt > 0, T >= 0, T/dt, "
-                          f"lx > 0 and ly > 0, got T={t_final}, dt={dt}, "
-                          f"lx={lx}, ly={ly}")
+            and t_final / dt < math.inf):
+        raise ConfigError(f"evolve needs finite dt > 0, T >= 0 and T/dt, "
+                          f"got T={t_final}, dt={dt}")
     n_steps = int(round(t_final / dt))
     if n_steps == 0:
         raise ConfigError(f"evolve would run zero steps: T={t_final} is "

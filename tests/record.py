@@ -15,7 +15,9 @@ The first form writes, with every path relative to OUT:
   pole of each pole-bearing kind;
 * ``transform/verify.json``: ``dsexact transform`` with ``then: verify``;
 * ``evolve/<name>.json`` and ``evolve/<name>-snap.csv``: ``dsexact evolve``
-  of a stationary and of a T1-boosted ``sn`` line;
+  of a stationary and of a T1-boosted ``sn`` line along x, and of the
+  oblique ``sn`` line of ``selftest`` on its period box, which varies along
+  both axes and has lx != ly;
 * ``config/*.json``: the config of each command above;
 * ``SHA256SUMS``: the sha256 of every file above, as ``sha256sum`` writes
   it, so ``cd OUT && sha256sum -c SHA256SUMS`` checks the record.
@@ -109,15 +111,19 @@ def _commands():
         "grid": {"t": [0.2, 0.5], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]},
         "out": "transform/verify.json"}, ["transform", "--seed", "0"])
     box = 4.0 * ellipk(0.5)
-    for name, transforms in (
-            ("stationary", None),
+    oblique = math.pi / 3.0
+    for name, ell, lengths, transforms in (
+            ("stationary", math.pi / 2.0, [box, box], None),
             # alpha' = 2 pi / box keeps the compensating phase periodic.
-            ("boosted", [{"kind": "T1", "alpha": f"{2.0 * math.pi / box!r}*t",
-                          "beta": "0", "gamma": "0"}])):
+            ("boosted", math.pi / 2.0, [box, box],
+             [{"kind": "T1", "alpha": f"{2.0 * math.pi / box!r}*t",
+               "beta": "0", "gamma": "0"}]),
+            ("oblique", oblique,
+             [box / math.sin(oblique), box / math.cos(oblique)], None)):
         cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
-               "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
+               "params": {"kind": "sn", "m": 0.5, "ell": ell,
                           "ell1": 0.0, "beta": "0"},
-               "evolve": {"box": [box, box], "n": 16, "T": 0.01, "dt": 1e-3,
+               "evolve": {"box": lengths, "n": 16, "T": 0.01, "dt": 1e-3,
                           "snapshot_out": f"evolve/{name}-snap.csv"},
                "out": f"evolve/{name}.json"}
         if transforms:

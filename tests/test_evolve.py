@@ -63,20 +63,32 @@ def test_poisson_spectral_constraint_and_mean():
 
 
 def test_poisson_rejects_plus_branch():
-    with pytest.raises(UnsupportedVariant):
+    with pytest.raises(UnsupportedVariant, match="hyperbolic on a periodic"):
         poisson_v(np.zeros((8, 8)), 1.0, 1.0, Variant(1, 1), 0.0)
 
 
+@pytest.mark.parametrize("lx, ly", [(-1.0, 1.0), (1.0, 0.0),
+                                    (math.inf, 1.0), (1.0, math.nan)])
+def test_poisson_refuses_a_box_that_is_not_finite_and_positive(lx, ly):
+    # Never a v on a mirrored or empty box.
+    with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
+        poisson_v(np.ones((8, 8)), lx, ly, DS2, 0.0)
+
+
 def test_field_takes_any_grid_and_advance_checks_it():
-    # The step's one grid check refuses an axis of fewer than 2 points and
-    # steps a 12 x 16 grid.
-    def field(shape):
-        return Field(1.0, 1.0, np.zeros(shape, complex), np.zeros(shape),
+    # The step's one check refuses an axis of fewer than 2 points or a box
+    # length that is not positive, also for zero steps, and steps a 12 x 16
+    # grid.
+    def field(shape, ly=1.0):
+        return Field(1.0, ly, np.zeros(shape, complex), np.zeros(shape),
                      0.0, 0.0)
 
     assert advance(field((12, 16)), DS2, 1e-3, 1).u.shape == (12, 16)
-    with pytest.raises(ConfigError, match="1 x 8 grid"):
-        advance(field((1, 8)), DS2, 1e-3, 1)
+    for n_steps in (1, 0):
+        with pytest.raises(ConfigError, match="1 x 8 grid"):
+            advance(field((1, 8)), DS2, 1e-3, n_steps)
+        with pytest.raises(ConfigError, match="lx=1.0, ly=-1.0"):
+            advance(field((8, 8), ly=-1.0), DS2, 1e-3, n_steps)
 
 
 def test_poisson_on_a_one_point_axis_is_config_error():
@@ -109,8 +121,9 @@ def test_field_requires_equal_grids():
 def test_advance_rejects_plus_branch():
     field = Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 4)),
                   0.0, 0.0)
-    with pytest.raises(UnsupportedVariant):
-        advance(field, Variant(1, 1), 1e-3, 1)
+    for n_steps in (1, 0):
+        with pytest.raises(UnsupportedVariant, match="hyperbolic on a"):
+            advance(field, Variant(1, 1), 1e-3, n_steps)
 
 
 def test_zero_field_stays_zero():
@@ -230,17 +243,22 @@ def test_crosscheck_zero_horizon():
 
 
 @pytest.mark.parametrize("box", [(1e-300, 1e-300), (1e300, 1e300),
-                                 (1e-300, 4.0)])
+                                 (1e-300, 4.0),
+                                 (-4.0 * ellipk(0.5), 4.0 * ellipk(0.5)),
+                                 (4.0, 0.0)])
 def test_crosscheck_rejects_a_box_out_of_wavenumber_range(monkeypatch, box):
     # A tiny box overflows k^2 and a huge one underflows it to a 0/0
-    # Poisson multiplier; either is refused before any sampling or step.
+    # Poisson multiplier, and a box length that is not positive has no
+    # grid; each is refused before any sampling or step.
     def refuse(*args):
         raise AssertionError("sampled")
 
     monkeypatch.setattr(evolve, "_sample_box", refuse)
-    with pytest.raises(ConfigError) as err:
-        crosscheck(sn_line(0.5), *box, 16, 0.01, 1e-3)
-    assert f"lx={box[0]}, ly={box[1]}" in str(err.value)
+    for run in (lambda: make_field(sn_line(0.5), *box, 16),
+                lambda: crosscheck(sn_line(0.5), *box, 16, 0.01, 1e-3)):
+        with pytest.raises(ConfigError) as err:
+            run()
+        assert f"lx={box[0]}, ly={box[1]}" in str(err.value)
 
 
 @pytest.mark.parametrize("n", [0, 1, -3])
@@ -342,7 +360,9 @@ def test_crosscheck_rejects_aperiodic_and_plus_branch():
         crosscheck(boosted, L / math.sin(ell), L / math.cos(ell), 32, 0.1,
                    1e-3)
     ds1 = family_c(Variant(1, 1), "sn", m, 0.3, 0.0, parse_timefn("0"))
-    with pytest.raises(UnsupportedVariant):
+    with pytest.raises(UnsupportedVariant, match="hyperbolic on a periodic"):
+        make_field(ds1, L, L, 32)
+    with pytest.raises(UnsupportedVariant, match="hyperbolic on a periodic"):
         crosscheck(ds1, L, L, 32, 0.1, 1e-3)
 
 

@@ -22,7 +22,7 @@ def test_record_reruns_are_byte_identical(tmp_path):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert first == second == (tmp_path / "c" / "SHA256SUMS").read_text()
-    assert len(first.splitlines()) == (4 + 2) * 32 + 2 * 8 + 1 + 2 * 2 + 19
+    assert len(first.splitlines()) == (4 + 2) * 32 + 2 * 8 + 1 + 3 * 2 + 20
     assert record.diff(tmp_path / "a", tmp_path / "c") == []
 
     # --diff names each differing file and its first difference.
