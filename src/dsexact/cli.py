@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
@@ -101,7 +100,8 @@ def _number(cfg, pointer, default=...):
     value = _get(cfg, pointer, default)
     if value is None:
         return None
-    if type(value) not in (int, float) or not math.isfinite(value):
+    if type(value) not in (int, float) \
+            or not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{pointer}: expected a finite number, "
                           f"got {value!r}")
     return float(value)
@@ -175,7 +175,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSON, UTF-8 or the int digit limit
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("/: config must be a JSON object")

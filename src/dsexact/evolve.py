@@ -58,7 +58,8 @@ class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
     u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); ``v_mean`` records
-    the gauge constant used when reconstructing v from |u|^2.
+    the gauge constant used when reconstructing v from |u|^2.  u and v not
+    of one 2-D shape, or steps that ``_steps`` refuses, are a ConfigError.
     """
 
     lx: float
@@ -72,38 +73,42 @@ class Field:
         if self.u.ndim != 2 or self.v.shape != self.u.shape:
             raise ConfigError(f"u and v grids must have the same 2-D shape, "
                               f"got {self.u.shape} and {self.v.shape}")
+        _steps(self.lx, self.ly, self.u.shape)
 
     def axes(self):
         """The coordinates (xs, ys) of u's rows and columns."""
-        return tuple(map(_axis, (self.lx, self.ly), self.u.shape))
+        steps = _steps(self.lx, self.ly, self.u.shape)
+        return tuple(np.arange(n) * d for n, d in zip(self.u.shape, steps))
 
 
-def _axis(length: float, n: int, extra: int = 0):
-    """Coordinates i * (length / n), 0 <= i < n + extra, of an n-point box."""
-    return np.arange(n + extra) * (length / n)
+def _steps(lx: float, ly: float, shape):
+    """The box grid's steps (lx / nx, ly / ny), computed here alone: a
+    ConfigError unless both are finite and > 0 (an empty axis too)."""
+    dx, dy = (length / (n or math.nan) for length, n in zip((lx, ly), shape))
+    if not (0.0 < dx < math.inf and 0.0 < dy < math.inf):
+        raise ConfigError(f"the {shape[0]} x {shape[1]} grid needs finite "
+                          f"steps lx/nx, ly/ny > 0, got lx={lx}, ly={ly}")
+    return dx, dy
 
 
 def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
-    of an evolve problem: eps1 != -1 is UnsupportedVariant, and a box not
-    finite and positive, a grid not 2-D with 2 or more points an axis, or a
+    of an evolve problem: eps1 != -1 is UnsupportedVariant, and a grid not
+    2-D with 2 or more points an axis, steps that ``_steps`` refuses, or a
     k^2 that overflows or underflows to a 0/0 multiplier a ConfigError."""
     if variant.eps1 != -1:
         raise UnsupportedVariant(
             "spectral inversion of the mean-flow constraint needs eps1=-1; "
             "the eps1=+1 constraint is hyperbolic on a periodic box")
-    if not (0.0 < lx < math.inf and 0.0 < ly < math.inf):
-        raise ConfigError(f"the evolve box needs finite lx > 0 and ly > 0, "
-                          f"got lx={lx}, ly={ly}")
     if len(shape) != 2 or min(shape) < 2:
         raise ConfigError(f"the {' x '.join(map(str, shape))} grid is not "
                           f"2-D with 2 or more points an axis")
-    nx, ny = shape
+    (nx, ny), (dx, dy) = shape, _steps(lx, ly, shape)
     with np.errstate(all="ignore"):
-        kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=lx / nx))[:, None] ** 2
-        ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=ly / ny))[None, :] ** 2
+        kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=dx))[:, None] ** 2
+        ky2 = (2.0 * math.pi * np.fft.fftfreq(ny, d=dy))[None, :] ** 2
         k2 = kx2 + ky2[:, :ny // 2 + 1]
         k2[0, 0] = 1.0
         multiplier = -2.0 * kx2 / k2
@@ -127,18 +132,25 @@ def poisson_v(g: np.ndarray, lx: float, ly: float, variant: Variant,
 
 
 def mass(field: Field) -> float:
-    """Discrete |u|^2 mass, sum |u|^2 dx dy."""
-    (nx, ny), lx, ly = field.u.shape, field.lx, field.ly
-    return float(np.sum(np.abs(field.u) ** 2)) * (lx / nx) * (ly / ny)
+    """Discrete |u|^2 mass, sum |u|^2 dx dy.  It raises nothing: ``Field``
+    checks the steps as it is built."""
+    dx, dy = _steps(field.lx, field.ly, field.u.shape)
+    return float(np.sum(np.abs(field.u) ** 2)) * dx * dy
 
 
 def advance(field: Field, variant: Variant, dt: float,
             n_steps: int) -> Field:
     """``n_steps`` Strang steps of size dt with the adjacent linear halves
     fused into full steps; v is recomputed only for the final field.  Zero
-    steps return ``field`` itself, after the same check as any other call."""
+    steps return ``field`` itself, after the same checks as any other call:
+    ``_wavenumbers``'s, and a ConfigError unless dt is finite and > 0 and
+    n_steps an integer >= 0.  A u that is not finite raises BlowupError."""
     kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly,
                                         variant)
+    if not (0.0 < dt < math.inf and hasattr(n_steps, "__index__")
+            and n_steps >= 0):
+        raise ConfigError(f"advance needs a finite dt > 0 and an integer "
+                          f"n_steps >= 0, got dt={dt}, n_steps={n_steps!r}")
     if n_steps < 1:
         return field
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
@@ -176,7 +188,7 @@ def _sample_box(sol: Solution, lx: float, ly: float, n: int, t: float):
     """u and v on the n x n box grid at time t, from one sample of the grid
     extended one step past the box: each point must be valid and rows and
     columns n, n+1 must repeat 0, 1, or PeriodicityError is raised."""
-    xs, ys = _axis(lx, n, 2), _axis(ly, n, 2)
+    xs, ys = (np.arange(n + 2) * d for d in _steps(lx, ly, (n, n)))
     u, v, ok = eval_solution(sol, t, xs[:, None], ys[None, :])
     if not ok.all():
         i, j = np.argwhere(~ok)[0]

@@ -31,9 +31,10 @@ CSV row and column, both values and their distance in units in the last
 place.  It exits 0 when the records match and 1 otherwise.  With
 ``--expect FILE`` it exits 0 when the differing files are exactly the ones
 FILE declares, and 1 otherwise, naming each undeclared difference and each
-declared file that does not differ.  FILE holds one declaration a line: a
-record path, then the reason it changes; blank lines and ``#`` lines are
-skipped.  Standard library and numpy only.
+declared file that does not differ (FILE may still hold a previous change's
+declarations, which the next change clears).  FILE holds one declaration a
+line: a record path, then the reason it changes; blank lines and ``#``
+lines are skipped.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -288,6 +289,10 @@ def _main(argv) -> int:
             return 2
         if problems:
             print("\n".join(problems), file=sys.stderr)
+            if any(p.startswith("declared but unchanged") for p in problems):
+                print(f"{argv[4]} may still hold a previous change's "
+                      f"declarations: the change after one that moves the "
+                      f"record empties it (README)", file=sys.stderr)
             return 1
         if lines:
             print(f"each difference is declared in {argv[4]}")

@@ -114,6 +114,15 @@ def test_family_b_existence_constant():
     assert sol2.provenance["Im"] == pytest.approx(math.log(12.0) / 4.0)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 0.3)])
+def test_family_b_passes_at_b_not_one(a, b):
+    # At |b| = 1, 3 a^2 / b^2 equals 3 a^2 * b^2 and v_yy's b * b equals
+    # b / b; here both mutants fail (3 a^2 * b^2 with rms2 1.8 and 72).
+    sol = family_b(Variant(1, 1), a, b, 0.5, parse_timefn("0.1*t"))
+    pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
+    assert verify(sol, pts).passed
+
+
 def test_family_b_zero_offset_has_zero_at_origin():
     sol = family_b(Variant(1, 1), 1.5, -0.7, 0.0, parse_timefn("0.2*t"))
     for t in (0.0, 0.4, 1.1):

@@ -560,6 +560,11 @@ MALFORMED = [
     ("eval", "/grid/x", [1.7e308, 1.79e308, 2], ["--seed", "1"],
      "/grid/x: the span"),
     ("verify", "/grid/y", [-1.79e308, -1.7e308, 2], [], "/grid/y: the span"),
+    # An int past the double range was an OverflowError in math.isfinite.
+    pytest.param("verify", "/params/ell", 10 ** 400, [],
+                 "/params/ell: expected a finite number", id="verify-1e400"),
+    # The step lx / 16 rounded to 0 and fftfreq divided by it.
+    ("evolve", "/evolve/box/0", 5e-324, [], "lx=5e-324"),
 ]
 
 
@@ -718,6 +723,22 @@ def test_config_must_be_a_readable_json_object(tmp_path, capsys, text, named):
     assert main(["verify", "--config", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"ConfigError: {named}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"1" * 5000],
+                         ids=["latin-1", "digits"])
+def test_config_json_cannot_read_is_config_error(tmp_path, capsys, bad):
+    # Bytes json.dumps cannot write: a config that is not UTF-8, and an int
+    # literal past Python's 4,300-digit limit on str -> int.  Each was a
+    # traceback (UnicodeDecodeError, ValueError) that exited 1.
+    doc = full_config(tmp_path)
+    doc["params"]["ell"] = "@"
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(doc).encode().replace(b'"@"', bad))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ConfigError: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,17 +69,19 @@ def test_poisson_rejects_plus_branch():
 
 
 @pytest.mark.parametrize("lx, ly", [(-1.0, 1.0), (1.0, 0.0),
-                                    (math.inf, 1.0), (1.0, math.nan)])
+                                    (math.inf, 1.0), (1.0, math.nan),
+                                    (5e-324, 1.0)])
 def test_poisson_refuses_a_box_that_is_not_finite_and_positive(lx, ly):
-    # Never a v on a mirrored or empty box.
+    # Never a v on a mirrored or empty box.  5e-324 / 8 rounds to a step of
+    # 0, which fftfreq divided by.
     with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
         poisson_v(np.ones((8, 8)), lx, ly, DS2, 0.0)
 
 
 def test_field_takes_any_grid_and_advance_checks_it():
-    # The step's one check refuses an axis of fewer than 2 points or a box
-    # length that is not positive, also for zero steps, and steps a 12 x 16
-    # grid.
+    # The step's one check refuses an axis of fewer than 2 points, also for
+    # zero steps, and steps a 12 x 16 grid; a box length that is not
+    # positive is refused as the Field is built.
     def field(shape, ly=1.0):
         return Field(1.0, ly, np.zeros(shape, complex), np.zeros(shape),
                      0.0, 0.0)
@@ -104,6 +107,35 @@ def test_poisson_on_a_grid_that_is_not_2d_is_config_error(shape, name):
     # Never a ValueError from unpacking the shape.
     with pytest.raises(ConfigError, match=f"the {name} grid is not 2-D"):
         poisson_v(np.ones(shape), 1.0, 1.0, DS2, 0.0)
+
+
+@pytest.mark.parametrize("lx, ly, shape", [
+    (-1.0, 1.0, (8, 8)),  # mass read -1.0
+    (1.0, 1.0, (0, 8)),  # mass divided by zero
+    (5e-324, 1.0, (16, 16)),  # the step rounds to 0
+    (1.0, math.inf, (8, 8)),
+    (math.nan, 1.0, (8, 8)),
+])
+def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
+    # Every Field has steps that mass, write_box_csv and advance can use.
+    with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
+        Field(lx, ly, np.zeros(shape, complex), np.zeros(shape), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("dt, n_steps", [
+    (math.nan, 1),  # was a BlowupError
+    (-1e-3, 1),  # stepped back to t = -0.001
+    (math.inf, 0),  # refused before the zero-step return
+    (1e-3, 2.5),  # was a bare TypeError
+    (1e-3, -1),  # returned the field unchanged
+    (1e-3, "1"),
+])
+def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
+    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)),
+                  0.0, 0.0)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"got dt={dt}, n_steps={n_steps!r}")):
+        advance(field, DS2, dt, n_steps)
 
 
 def test_field_requires_a_2d_grid():
@@ -177,7 +209,8 @@ def test_mass_conservation():
 
 @pytest.mark.parametrize("n_steps", [0, 1, 2, 37])
 def test_advance_matches_repeated_steps(n_steps):
-    # The fused loop must keep exactly one linear half step at each end.
+    # The fused loop must keep exactly one linear half step at each end,
+    # and a numpy integer counts steps as an int does.
     L = 4.0 * ellipk(0.5)
     w = 2.0 * math.pi / L
     boosted = apply_t1(sn_line(0.5), parse_timefn(f"{w!r}*t"),
@@ -186,7 +219,7 @@ def test_advance_matches_repeated_steps(n_steps):
     stepwise = field
     for _ in range(n_steps):
         stepwise = step(stepwise, DS2, 1e-3)
-    fused = advance(field, DS2, 1e-3, n_steps)
+    fused = advance(field, DS2, 1e-3, np.int64(n_steps))
     for got, want in ((fused.u, stepwise.u), (fused.v, stepwise.v)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -245,11 +278,12 @@ def test_crosscheck_zero_horizon():
 @pytest.mark.parametrize("box", [(1e-300, 1e-300), (1e300, 1e300),
                                  (1e-300, 4.0),
                                  (-4.0 * ellipk(0.5), 4.0 * ellipk(0.5)),
-                                 (4.0, 0.0)])
+                                 (4.0, 0.0), (5e-324, 4.0 * ellipk(0.5))])
 def test_crosscheck_rejects_a_box_out_of_wavenumber_range(monkeypatch, box):
     # A tiny box overflows k^2 and a huge one underflows it to a 0/0
-    # Poisson multiplier, and a box length that is not positive has no
-    # grid; each is refused before any sampling or step.
+    # Poisson multiplier, and a box length that is not positive, or whose
+    # step rounds to 0, has no grid; each is refused before any sampling or
+    # step.
     def refuse(*args):
         raise AssertionError("sampled")
 
@@ -295,14 +329,19 @@ def test_crosscheck_second_order_in_dt():
 
 def test_crosscheck_tracks_boosted_profile():
     # A moving frame (alpha linear in t, commensurate phase) is tracked to
-    # the same tolerance as the stationary profile.
+    # the same tolerance as the stationary profile, and so is its v (1.1e-8
+    # apart here, of a largest |v| of 1.06).  The boost makes u complex, so
+    # a final v from u.real ** 2 - u.imag ** 2 in advance is 0.58 off; on
+    # the unboosted lines u stays real and that mutant passes.
     m = 0.5
     L = 4.0 * ellipk(m)
     w = 2.0 * math.pi / L
     boosted = apply_t1(sn_line(m), parse_timefn(f"{w!r}*t"),
                        parse_timefn("0"), parse_timefn("0"))
-    rep, _ = crosscheck(boosted, L, L, 64, 0.5, 1e-3)
+    rep, field = crosscheck(boosted, L, L, 64, 0.5, 1e-3)
     assert rep["max_dev"] <= 1e-5
+    _, v_exact = evolve._sample_box(boosted, L, L, 64, rep["t_final"])
+    assert np.max(np.abs(field.v - v_exact)) <= 1e-7
 
 
 @pytest.mark.parametrize("ell1, lx", [

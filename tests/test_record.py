@@ -55,6 +55,8 @@ def _records(tmp_path, cell):
 
 CELL = "eval/tan.csv: row 1, column valid: 'true' vs 'false'\n"
 TAN = "eval/tan.csv the pole cell moves\n"
+STALE = ("{expect} may still hold a previous change's declarations: the "
+         "change after one that moves the record empties it (README)\n")
 
 
 @pytest.mark.parametrize("cell, declarations, code, stdout, stderr", [
@@ -68,9 +70,9 @@ TAN = "eval/tan.csv the pole cell moves\n"
                  id="declared"),
     pytest.param("true", TAN, 1, "records match\n",
                  "declared but unchanged: eval/tan.csv "
-                 "(the pole cell moves)\n", id="stale"),
+                 "(the pole cell moves)\n" + STALE, id="stale"),
     pytest.param("false", TAN + "r.json a key moves\n", 1, CELL,
-                 "declared but unchanged: r.json (a key moves)\n",
+                 "declared but unchanged: r.json (a key moves)\n" + STALE,
                  id="declared-and-stale"),
     pytest.param("false", "eval/tan.csv\n", 2, CELL,
                  "{expect}:1: eval/tan.csv gives no reason\n",
@@ -79,7 +81,8 @@ TAN = "eval/tan.csv the pole cell moves\n"
 def test_diff_expect_gates_on_the_declared_changes(
         tmp_path, capsys, cell, declarations, code, stdout, stderr):
     # --expect passes when the differing files are exactly the declared
-    # ones: an undeclared difference fails, and so does a stale declaration.
+    # ones: an undeclared difference fails, and so does a stale declaration,
+    # with one more line saying the file may hold a previous change's.
     expect = tmp_path / "changes.txt"
     expect.write_text(declarations)
     argv = ["--diff", *_records(tmp_path, cell), "--expect", str(expect)]

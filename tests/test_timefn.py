@@ -28,6 +28,15 @@ def test_square_jet():
     assert jet_tuple(parse_timefn("t^2").jet(3.0)) == (9.0, 6.0, 2.0, 0.0)
 
 
+@pytest.mark.parametrize("expr, jet", [("t^3 - t^2", (0.0, 1.0, 4.0, 6.0)),
+                                       ("t^2 - t^3", (0.0, -1.0, -4.0, -6.0))])
+def test_difference_jet(expr, jet):
+    # Each order of Jet.__sub__ subtracts, which kills its sign mutants: at
+    # t = 1, d2 = 6 - 2, not 6 + 2, and d3 = 0 - 6 (t^3 - t^2 alone has a
+    # d3 of 6 - 0 = 6 + 0).
+    assert jet_tuple(parse_timefn(expr).jet(1.0)) == jet
+
+
 def test_sin_jet_at_zero():
     j = parse_timefn("sin(t)").jet(0.0)
     assert jet_tuple(j) == pytest.approx((0.0, 1.0, 0.0, -1.0), abs=1e-15)
