@@ -9,8 +9,8 @@ Commands
     selftest    certify the matrix, a transform chain and a cross-check
 
 Configs are JSON documents (see README for the schema); all runs are
-deterministic for a fixed config.  Every number, in a config or a flag,
-must be finite, and a tolerance >= 0.  Exit codes: 0 pass, 1 verification
+deterministic for a fixed config and seed.  Every number in a config must
+be finite, and a tolerance >= 0.  Exit codes: 0 pass, 1 verification
 failure, 2 configuration error or input outside a family's contract, 3
 numerical blow-up.
 """
@@ -72,15 +72,14 @@ _MAX_POINTS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
-# Config readers.  Every config value and every flag goes through one of
-# them; each error names the full pointer (or flag) of the offending value.
+# Config readers.  Every config value goes through one of them; each error
+# names the full pointer of the offending value.
 # ---------------------------------------------------------------------------
 
 def _get(cfg, pointer: str, default=...):
     """The value at a pointer such as ``/grid/x/2`` (dict keys and list
     indices).  A missing or null value is ``default``, and an error when the
-    default is ``...`` (a required field).  A flag name such as ``--h`` has
-    no ``/``, so it names ``cfg`` itself."""
+    default is ``...`` (a required field)."""
     node = cfg
     for key in pointer.split("/")[1:]:
         if isinstance(node, dict):
@@ -162,11 +161,10 @@ def _timefn(cfg, pointer, default=...):
         raise ConfigError(f"{pointer}: {err}") from None
 
 
-def _flag_or_field(cfg, args, flag, pointer):
-    """Where a setting is read from: ``(value, "--flag")`` when the flag is
-    given, else ``(cfg, pointer)``.  Either pair goes to the same reader."""
-    value = getattr(args, flag)
-    return (cfg, pointer) if value is None else (value, f"--{flag}")
+def _out(cfg, args, default):
+    """The output path: ``--out`` when given, else ``/out``, else
+    ``default``."""
+    return _string(cfg, "/out", default) if args.out is None else args.out
 
 
 def load_config(path: str) -> dict:
@@ -238,7 +236,7 @@ def _cmd_families(cfg, args) -> int:
 
 def _cmd_eval(cfg, args, sol=None) -> int:
     sol = build_solution(cfg) if sol is None else sol
-    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "field.csv")
+    out = _out(cfg, args, "field.csv")
     write_field_csv(out, sol, *build_grid(cfg).axes(seed=args.seed))
     print(f"wrote {out}")
     return 0
@@ -252,12 +250,10 @@ def _cmd_verify(cfg, args, sol=None) -> int:
         raise ConfigError(f"/grid: {size} sample points, more than the "
                           f"{_MAX_POINTS} that verify holds")
     points = grid.points(seed=args.seed)
-    h = _number(*_flag_or_field(cfg, args, "h", "/verify/h"), DEFAULT_H)
-    order = _choice(*_flag_or_field(cfg, args, "order", "/verify/order"),
-                    ORDERS, DEFAULT_ORDER)
-    tol = _tolerance(*_flag_or_field(cfg, args, "tol", "/verify/tol_rel"),
-                     DEFAULT_TOL_REL)
-    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "report.json")
+    h = _number(cfg, "/verify/h", DEFAULT_H)
+    order = _choice(cfg, "/verify/order", ORDERS, DEFAULT_ORDER)
+    tol = _tolerance(cfg, "/verify/tol_rel", DEFAULT_TOL_REL)
+    out = _out(cfg, args, "report.json")
     report = verify(sol, points, h=h, order=order, tol_rel=tol)
     write_json_report(out, report.to_json_dict())
     status = "pass" if report.passed else "FAIL"
@@ -279,13 +275,13 @@ def _cmd_evolve(cfg, args) -> int:
         sol = compose(build_transforms(cfg), sol)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
     n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64, least=2)
-    t_final = _number(*_flag_or_field(cfg, args, "T", "/evolve/T"))
-    dt = _number(*_flag_or_field(cfg, args, "dt", "/evolve/dt"))
+    t_final = _number(cfg, "/evolve/T")
+    dt = _number(cfg, "/evolve/dt")
     v_mean = None if _get(cfg, "/evolve/v_mean", "exact") == "exact" \
         else _number(cfg, "/evolve/v_mean")
-    tol = _tolerance(*_flag_or_field(cfg, args, "tol", "/evolve/tol"), None)
+    tol = _tolerance(cfg, "/evolve/tol", None)
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
-    out = _string(*_flag_or_field(cfg, args, "out", "/out"), "evolve.json")
+    out = _out(cfg, args, "evolve.json")
     report, field = crosscheck(sol, lx, ly, n, t_final, dt, v_mean=v_mean)
     if tol is not None:
         report["tol"] = tol
@@ -305,16 +301,11 @@ def _cmd_selftest(cfg, args) -> int:
     return 1 if failures else 0
 
 
-# Optional flags: name -> (type, help).  Each flag overrides one config
-# field, checked by that field's reader.
+# Optional flags: name -> (type, help).  The config holds every number a
+# verdict depends on; a flag gives only the output path, which shapes no
+# result, or the jitter seed, which has no config field.
 _FLAGS = {
     "out": (str, "output path (overrides /out)"),
-    "h": (float, "finite-difference step (overrides /verify/h)"),
-    "order": (int, f"finite-difference order, one of {ORDERS} "
-                   "(overrides /verify/order)"),
-    "tol": (float, "tolerance (overrides /verify/tol_rel or /evolve/tol)"),
-    "dt": (float, "time step (overrides /evolve/dt)"),
-    "T": (float, "final time (overrides /evolve/T)"),
     "seed": (int, "sample-point jitter seed"),
 }
 
@@ -324,11 +315,10 @@ _COMMANDS = {
     "families": (_cmd_families, "list family parameter schemas", None),
     "eval": (_cmd_eval, "sample fields to CSV", ("out", "seed")),
     "verify": (_cmd_verify, "residual verification, JSON report",
-               ("out", "h", "order", "tol", "seed")),
+               ("out", "seed")),
     "transform": (_cmd_transform, "apply transform chain, then eval/verify",
-                  ("out", "h", "order", "tol", "seed")),
-    "evolve": (_cmd_evolve, "split-step cross-check, JSON report",
-               ("out", "dt", "T", "tol")),
+                  ("out", "seed")),
+    "evolve": (_cmd_evolve, "split-step cross-check, JSON report", ("out",)),
     "selftest": (_cmd_selftest, "certify the matrix, a transform chain and "
                  "a cross-check", None),
 }
@@ -355,8 +345,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # argparse reads a token such as -1e-9 as an option: join each value
-    # flag to the token after it, as in --tol=-1e-9.
+    # argparse reads a token such as -c.json as an option: join each value
+    # flag to the token after it, as in --config=-c.json.
     joined = []
     for arg in sys.argv[1:] if argv is None else argv:
         if joined and joined[-1] in ("--config", *(f"--{f}" for f in _FLAGS)):

@@ -53,13 +53,14 @@ _PERIODICITY_TOL = 1e-9
 _MAX_STEPS = 10 ** 6
 
 
-@dataclass
+@dataclass(frozen=True)
 class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
     u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); ``v_mean`` records
     the gauge constant used when reconstructing v from |u|^2.  u and v not
-    of one 2-D shape, or steps that ``_steps`` refuses, are a ConfigError.
+    of one 2-D shape, or steps that ``_steps`` refuses, are a ConfigError;
+    the Field is frozen, so that check holds for its life.
     """
 
     lx: float

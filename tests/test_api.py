@@ -1,4 +1,5 @@
-"""The top level of dsexact is the API that README lists, and nothing else."""
+"""The top level of dsexact is the API that README lists, and nothing else;
+README's flag table is the flags each command takes."""
 
 import ast
 import importlib.util
@@ -8,6 +9,7 @@ import re
 from pathlib import Path
 
 import dsexact
+from dsexact import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -52,3 +54,23 @@ def test_the_list_covers_the_documented_imports():
     assert {"ellipk", "verify", "eval_solution", "compose"} <= imported
     for name in imported - readme_names():
         assert importlib.util.find_spec(f"dsexact.{name}") is not None, name
+
+
+def test_readme_flag_table_is_the_command_flags():
+    # README's table under "Command line": a header row of command columns,
+    # then one row a flag, with "—" where a command does not read it.
+    lines = itertools.dropwhile(lambda line: not line.startswith("| flag |"),
+                                README.splitlines())
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in itertools.takewhile(lambda line: line.startswith("|"),
+                                            lines)]
+    columns = [re.findall(r"`(\w+)`", cell) for cell in rows[0][1:]]
+    table = {command: set() for commands in columns for command in commands}
+    for row in rows[2:]:
+        flag = re.match(r"`--(\w+)", row[0])[1]
+        for commands, cell in zip(columns, row[1:], strict=True):
+            if cell != "—":
+                for command in commands:
+                    table[command].add(flag)
+    assert table == {name: set(flags) for name, (_, _, flags)
+                     in cli._COMMANDS.items() if flags is not None}

@@ -26,14 +26,14 @@ def write_config(path, doc):
     return str(path)
 
 
-def sn_verify_config(tmp_path, out_name="report.json"):
+def sn_verify_config(tmp_path, out_name="report.json", **verify):
     return write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
         "family": "C",
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
         "grid": {"t": [0.0], "x": [-0.9, 0.9, 7], "y": [-0.9, 0.9, 7]},
-        "verify": {"h": 1e-3, "order": 4, "tol_rel": 1e-7},
+        "verify": {"h": 1e-3, "order": 4, "tol_rel": 1e-7, **verify},
         "out": str(tmp_path / out_name),
     })
 
@@ -76,6 +76,19 @@ def test_eval_single_point_row(tmp_path):
     assert lines[0] == "t,x,y,re_u,im_u,abs_u,v,valid"
     assert lines[1] == "0,0,0,1,0,1,-1,true"
     assert len(lines) == 2
+
+
+def test_family_c_ell1_defaults_to_zero(tmp_path):
+    # Any other default moves the line, and every u and v with it.
+    doc = full_config(tmp_path)
+    doc["params"]["ell1"] = 0
+    zero = write_config(tmp_path / "zero.json", doc)
+    del doc["params"]["ell1"]
+    default = write_config(tmp_path / "default.json", doc)
+    for cfg in (zero, default):
+        assert main(["eval", "--config", cfg, "--out", cfg + ".csv"]) == 0
+    assert Path(zero + ".csv").read_bytes() == \
+        Path(default + ".csv").read_bytes()
 
 
 def test_eval_row_count_and_invalid_cells(tmp_path):
@@ -333,10 +346,11 @@ def test_seeded_jitter_is_deterministic(tmp_path):
     assert a != c
 
 
-def test_flag_overrides_config(tmp_path):
-    cfg = sn_verify_config(tmp_path)
-    # an absurd tolerance forces failure even though the config would pass
-    assert main(["verify", "--config", cfg, "--tol", "1e-30"]) == 1
+def test_verify_tol_rel_decides_the_verdict(tmp_path):
+    # The config passes at its own tolerance; an absurd one fails it.
+    assert main(["verify", "--config", sn_verify_config(tmp_path)]) == 0
+    cfg = sn_verify_config(tmp_path, tol_rel=1e-30)
+    assert main(["verify", "--config", cfg]) == 1
 
 
 def test_selftest_runs_clean(capsys):
@@ -391,30 +405,31 @@ def test_selftest_reports_an_error_as_a_failure(capsys, monkeypatch):
 
 @pytest.mark.parametrize("h", ["0", "-0.001", "nan", "inf"])
 def test_verify_rejects_bad_step(tmp_path, capsys, h):
-    cfg = sn_verify_config(tmp_path)
-    assert main(["verify", "--config", cfg, "--h", h]) == 2
+    cfg = sn_verify_config(tmp_path, h=float(h))
+    assert main(["verify", "--config", cfg]) == 2
     assert "ConfigError" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("flags", [["--dt", "0"], ["--dt", "-1"],
-                                   ["--T", "-1"], ["--T", "0"],
-                                   ["--T", "0.0004"], ["--dt", "1e-320"]])
-def test_evolve_rejects_empty_horizon(tmp_path, capsys, flags):
+@pytest.mark.parametrize("key, value", [("dt", 0.0), ("dt", -1.0),
+                                        ("T", -1.0), ("T", 0.0),
+                                        ("T", 0.0004), ("dt", 1e-320)])
+def test_evolve_rejects_empty_horizon(tmp_path, capsys, key, value):
     # These would run zero steps and report a vacuous pass: T = 0.0004 is
     # less than half of dt = 1e-3 and rounds to no step at all.  At
     # dt = 1e-320 the step count T/dt overflows to inf.
     L = 4.0 * ellipk(0.5)
+    evolve = {"box": [L, L], "n": 16, "T": 0.01, "dt": 1e-3, "tol": 1e-5}
+    evolve[key] = value
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
         "family": "C",
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
-        "evolve": {"box": [L, L], "n": 16, "T": 0.01, "dt": 1e-3,
-                   "tol": 1e-5},
+        "evolve": evolve,
         "out": str(tmp_path / "evolve.json"),
     })
-    assert main(["evolve", "--config", cfg, *flags]) == 2
+    assert main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "ConfigError" in err and "T=" in err and "dt=" in err
     assert not (tmp_path / "evolve.json").exists()
@@ -506,7 +521,7 @@ MALFORMED = [
     ("evolve", "/evolve/n", 16.7, [], "/evolve/n"),
     ("verify", "/verify/order", 4.5, [], "/verify/order"),
     ("verify", "/verify/order", 3, [], "/verify/order"),
-    ("verify", "/verify/order", 4, ["--order", "3"], "--order"),
+    ("verify", "/verify/order", "4", [], "/verify/order"),
     ("verify", "/variant/eps1", True, [], "/variant/eps1"),
     ("verify", "/out", ["x"], [], "/out"),
     ("evolve", "/evolve/snapshot_out", 3, [], "/evolve/snapshot_out"),
@@ -516,8 +531,8 @@ MALFORMED = [
      "{tmp}/missing/s.csv"),
     ("verify", "/params/ell", math.nan, [], "/params/ell"),
     ("verify", "/grid/x/0", math.inf, [], "/grid/x/0"),
-    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "inf"], "--tol"),
-    ("evolve", "/evolve/tol", 1e-5, ["--tol", "inf"], "--tol"),
+    ("verify", "/verify/tol_rel", math.inf, [], "/verify/tol_rel"),
+    ("evolve", "/evolve/tol", math.inf, [], "/evolve/tol"),
     ("verify", "/params/beta", "t^(1/0)", [], "/params/beta"),
     ("evolve", "/params/beta", "t^ln(0-1)", [], "/params/beta"),
     ("verify", "/params/m", None, [], "/params/m"),
@@ -531,17 +546,19 @@ MALFORMED = [
                  "/evolve/n: expected an integer from 2 to 2048, got 1.0",
                  id="evolve-n-below-two"),
     ("verify", "/verify/tol_rel", -1.0, [], "/verify/tol_rel: expected"),
-    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1"], "--tol: expected"),
+    ("verify", "/verify/tol_rel", "1e-7", [],
+     "/verify/tol_rel: expected a finite number"),
     ("evolve", "/evolve/tol", -1.0, [], "/evolve/tol: expected"),
-    ("evolve", "/evolve/tol", 1e-5, ["--tol", "-0.5"], "--tol: expected"),
+    ("evolve", "/evolve/T", math.nan, [], "/evolve/T: expected a finite"),
     ("verify", "/grid/x", [-0.9, 0.9], [], "/grid/x: expected a list of 3"),
     ("transform", "/transforms", [], [], "/transforms: expected a nonempty"),
     ("verify", "/params/beta", 3, [], "/params/beta: expected a string"),
     ("verify", "/params/beta", {"expr": "t", "domain": [1, 0]}, [],
      "/params/beta: empty validity interval"),
-    ("verify", "/verify/tol_rel", 1e-7, ["--tol", "-1e-9"], "--tol: expected"),
-    ("verify", "/verify/h", 1e-3, ["--h", "-1e-3"], "h=-0.001"),
-    ("evolve", "/evolve/dt", 1e-3, ["--dt", "-1e-3"], "dt=-0.001"),
+    # The smallest negative double is still below 0.
+    ("verify", "/verify/tol_rel", -5e-324, [], "/verify/tol_rel: expected"),
+    ("verify", "/verify/h", -1e-3, [], "h=-0.001"),
+    ("evolve", "/evolve/dt", -1e-3, [], "dt=-0.001"),
     pytest.param("verify", "/params/beta", "(" * 2000 + "t" + ")" * 2000, [],
                  f"/params/beta: {TOO_LONG}", id="verify-parens"),
     pytest.param("eval", "/params/beta", "+".join(["t"] * 20000), [],
@@ -639,13 +656,15 @@ def test_whole_grid_bound_is_inclusive(tmp_path, monkeypatch):
     assert main(["verify", "--config", cfg]) == 2
 
 
-FLAGS = {"--out", "--h", "--order", "--tol", "--dt", "--T", "--seed"}
+# The flags any command takes, and those that once overrode a config field:
+# the config alone holds h, order, the tolerances, dt and T.
+FLAGS = {"--out", "--seed", "--h", "--order", "--tol", "--dt", "--T"}
 COMMAND_FLAGS = {
     "families": set(), "selftest": set(),
     "eval": {"--out", "--seed"},
-    "verify": {"--out", "--h", "--order", "--tol", "--seed"},
-    "transform": {"--out", "--h", "--order", "--tol", "--seed"},
-    "evolve": {"--out", "--dt", "--T", "--tol"},
+    "verify": {"--out", "--seed"},
+    "transform": {"--out", "--seed"},
+    "evolve": {"--out"},
 }
 
 
@@ -674,12 +693,14 @@ def test_help_lists_exactly_the_command_flags(capsys, command):
     assert listed == {"--help"} | config | COMMAND_FLAGS[command]
 
 
-def test_evolve_tol_flag_overrides_config(tmp_path):
+def test_evolve_tol_decides_the_verdict(tmp_path):
     doc = full_config(tmp_path)
     del doc["transforms"]
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main(["evolve", "--config", cfg]) == 0
-    assert main(["evolve", "--config", cfg, "--tol", "1e-30"]) == 1
+    doc["evolve"]["tol"] = 1e-30
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["evolve", "--config", cfg]) == 1
     report = json.loads((tmp_path / "out.json").read_text())
     assert report["tol"] == 1e-30
     assert report["pass"] is False

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -136,6 +137,18 @@ def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
     with pytest.raises(ConfigError, match=re.escape(
             f"got dt={dt}, n_steps={n_steps!r}")):
         advance(field, DS2, dt, n_steps)
+
+
+@pytest.mark.parametrize("name, value", [("u", np.ones(4)), ("lx", -1.0)],
+                         ids=["u", "lx"])
+def test_field_is_frozen(name, value):
+    # mass, advance and write_box_csv rely on the checks the Field was
+    # built with; an assignment would bypass them.
+    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)),
+                  0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(field, name, value)
+    assert mass(field) == 1.0
 
 
 def test_field_requires_a_2d_grid():

@@ -58,6 +58,15 @@ def test_half_integer_power():
     assert j.d1 == pytest.approx(3.0)
 
 
+def test_half_integer_power_of_a_base_below_one():
+    # Only a base <= 0 is outside the branch's domain; a check of
+    # ``g.f <= 1`` would refuse both times.
+    j, ok = jet_arrays(parse_timefn("t^0.5"), [0.25, 1.0])
+    assert ok.tolist() == [True, True]
+    assert [d.tolist() for d in jet_tuple(j)] == [
+        [0.5, 1.0], [1.0, 0.5], [-2.0, -0.25], [12.0, 0.375]]
+
+
 def test_negative_power():
     j = parse_timefn("t^-2").jet(2.0)
     assert jet_tuple(j) == pytest.approx(
@@ -114,6 +123,8 @@ SCANNER_CASES = [
     pytest.param("-t", (-2.0, -1.0, 0.0, 0.0), id="-t--(t)"),
     (")", ("unexpected ')' at position 0", 0)),
     ("t+)", ("unexpected ')' at position 2", 2)),
+    # The text past the last token is named, not printed as its value.
+    ("sin(t", ("expected ')', found end of input at position 5", 5)),
 ]
 
 
