@@ -72,15 +72,16 @@ _DEGENERATE_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Variant:
-    """Sign pair selecting the variant: eps1 = +1 or -1, eps2 = +1 or -1."""
+    """Sign pair selecting the variant: eps1, eps2 = +1 or -1, as integers."""
 
     eps1: int
     eps2: int
 
     def __post_init__(self):
-        if self.eps1 not in (1, -1) or self.eps2 not in (1, -1):
-            raise ConfigError(
-                f"variant signs must be +-1, got ({self.eps1}, {self.eps2})")
+        if any(isinstance(e, bool) or not hasattr(e, "__index__")
+               or e not in (1, -1) for e in (self.eps1, self.eps2)):
+            raise ConfigError(f"variant signs must be the integers +-1, "
+                              f"got ({self.eps1!r}, {self.eps2!r})")
 
 
 @dataclass(frozen=True)

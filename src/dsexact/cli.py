@@ -277,12 +277,10 @@ def _cmd_evolve(cfg, args) -> int:
     n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64, least=2)
     t_final = _number(cfg, "/evolve/T")
     dt = _number(cfg, "/evolve/dt")
-    v_mean = None if _get(cfg, "/evolve/v_mean", "exact") == "exact" \
-        else _number(cfg, "/evolve/v_mean")
     tol = _tolerance(cfg, "/evolve/tol", None)
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
-    report, field = crosscheck(sol, lx, ly, n, t_final, dt, v_mean=v_mean)
+    report, field = crosscheck(sol, lx, ly, n, t_final, dt)
     if tol is not None:
         report["tol"] = tol
         report["pass"] = report["max_dev"] <= tol

@@ -97,15 +97,16 @@ def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
     of an evolve problem: eps1 != -1 is UnsupportedVariant, and a grid not
-    2-D with 2 or more points an axis, steps that ``_steps`` refuses, or a
-    k^2 that overflows or underflows to a 0/0 multiplier a ConfigError."""
+    2-D with integer counts >= 2, steps that ``_steps`` refuses, or a k^2
+    that overflows or underflows to a 0/0 multiplier a ConfigError."""
     if variant.eps1 != -1:
         raise UnsupportedVariant(
             "spectral inversion of the mean-flow constraint needs eps1=-1; "
             "the eps1=+1 constraint is hyperbolic on a periodic box")
-    if len(shape) != 2 or min(shape) < 2:
+    if len(shape) != 2 or not all(hasattr(n, "__index__") and n >= 2
+                                  for n in shape):
         raise ConfigError(f"the {' x '.join(map(str, shape))} grid is not "
-                          f"2-D with 2 or more points an axis")
+                          f"2-D with integer counts >= 2")
     (nx, ny), (dx, dy) = shape, _steps(lx, ly, shape)
     with np.errstate(all="ignore"):
         kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=dx))[:, None] ** 2
@@ -207,34 +208,32 @@ def _sample_box(sol: Solution, lx: float, ly: float, n: int, t: float):
     return np.ascontiguousarray(u[:n, :n]), np.ascontiguousarray(v[:n, :n])
 
 
-def make_field(sol: Solution, lx: float, ly: float, n: int,
-               v_mean=None) -> Field:
+def make_field(sol: Solution, lx: float, ly: float, n: int) -> Field:
     """Sample a Solution on an n x n periodic box grid at t = 0.
 
-    ``v_mean`` None takes the grid mean of the exact v (the gauge that keeps
-    the reconstructed v aligned with the exact one).  A variant, box or
-    grid that ``_wavenumbers`` refuses is a ConfigError before any sampling,
-    and an invalid or aperiodic solution raises PeriodicityError.
+    The gauge ``v_mean`` is the grid mean of the exact v, which keeps the
+    reconstructed v aligned with the exact one.  A variant, box or grid
+    that ``_wavenumbers`` refuses is a ConfigError before any sampling, and
+    an invalid or aperiodic solution raises PeriodicityError.
     """
     _wavenumbers((n, n), lx, ly, sol.variant)
     u, v = _sample_box(sol, lx, ly, n, 0.0)
-    if v_mean is None:
-        v_mean = float(np.mean(v))
-    return Field(lx, ly, u, v, 0.0, float(v_mean))
+    return Field(lx, ly, u, v, 0.0, float(np.mean(v)))
 
 
 def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
-               dt: float, v_mean=None):
+               dt: float):
     """Evolve a sampled catalog solution and report its drift.
 
     The fields must wrap around the given box: the extended grid is sampled
     at the start and end times, both before any step, and PeriodicityError
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
-    with max/L2 deviations of u from the exact solution at the end time and
-    the mass drift, and the evolved Field.  ``dt`` must be positive and
-    ``t_final`` non-negative, both finite, ``t_final / dt`` must round to 1
-    to _MAX_STEPS steps, and the variant, box and grid must pass
-    ``make_field``'s check, or ConfigError is raised before any sampling.
+    with max/L2 deviations of u from the exact solution at the end time,
+    the mass drift and ``make_field``'s gauge v_mean, and the evolved Field.
+    ``dt`` must be positive and ``t_final`` non-negative, both finite,
+    ``t_final / dt`` must round to 1 to _MAX_STEPS steps, and the variant,
+    box and grid must pass ``make_field``'s check, or ConfigError is raised
+    before any sampling.
     """
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
             and t_final / dt < math.inf):
@@ -249,7 +248,7 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"T={t_final} and dt={dt} exceed the cap of "
                           f"{_MAX_STEPS} steps")
     t_end = n_steps * dt
-    field = make_field(sol, lx, ly, n, v_mean=v_mean)
+    field = make_field(sol, lx, ly, n)
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)
     mass0 = mass(field)
     field = advance(field, sol.variant, dt, n_steps)

@@ -108,8 +108,8 @@ def _residual_terms(sol: Solution, points, h, order):
     of every point is evaluated in one call at shape (points, 3 axes, row),
     and the six differences (of u along t, x, y, of v along x, y, of |u|^2
     along x) are one sum over k in the tables' order.  A point is kept iff
-    every node is valid and its half step does not round away on any axis
-    (t + h/2 == t, say).
+    every node is valid and its half step moves every coordinate up (t +
+    h/2 > t, say): one that rounds away or is NaN is dropped.
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
     offsets, cols, divisors, weights = _nodes(h, order)
@@ -118,7 +118,7 @@ def _residual_terms(sol: Solution, points, h, order):
         t = t[:1]  # at (1, 3, row), so each time function walks it once
     u, v, ok = eval_solution(sol, t, x, y)
     size = np.abs(points)
-    keep = ok.all(axis=(1, 2)) & (size + h / 2.0 != size).all(axis=1)
+    keep = ok.all(axis=(1, 2)) & (size + h / 2.0 > size).all(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
         # (k + order/2, step, point, slot)
@@ -185,11 +185,11 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
 
     ``sample`` is an (N, 3) array or a sequence of (t, x, y) points;
     points whose stencil footprint (at either step) leaves the valid region,
-    or whose half step rounds away on an axis (t + h/2 == t, say), are
-    skipped deterministically.  Passing requires, for each equation, a
-    finite rms at h/2 within tol_rel of a finite term scale and either the
-    nominal convergence order (within 0.5) or a residual already on the
-    roundoff floor; a non-finite rms gives a NaN order.  The effective
+    whose half step rounds away on an axis (t + h/2 == t, say) or that have
+    a NaN coordinate are skipped deterministically.  Passing requires, for
+    each equation, a finite rms at h/2 within tol_rel of a finite term scale
+    and either the nominal convergence order (within 0.5) or a residual on
+    the roundoff floor; a non-finite rms gives a NaN order.  The effective
     floor is max(DEFAULT_FLOOR_REL, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.  Raises ConfigError unless h is

@@ -281,7 +281,7 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
         "evolve": {"box": [box, box], "n": 32, "T": 0.05, "dt": 1e-3,
-                   "v_mean": "exact", "snapshot_out": str(snapshot)},
+                   "snapshot_out": str(snapshot)},
     }), encoding="utf-8")
     outs = []
     for name in ("e1.json", "e2.json"):

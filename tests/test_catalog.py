@@ -22,6 +22,12 @@ def test_variant_validation():
         Variant(0, 1)
     with pytest.raises(ConfigError):
         Variant(1, 2)
+    # A float sign once passed and then broke family C's own error text
+    # (":+d" of a float) with a ValueError.
+    for signs in [(1.0, 1), (-1, -1.0), (True, 1), (1, np.True_), ("1", 1)]:
+        with pytest.raises(ConfigError, match="integers"):
+            Variant(*signs)
+    assert Variant(np.int64(-1), np.int8(1)) == Variant(-1, 1)
 
 
 # ---------------------------------------------------------------------------

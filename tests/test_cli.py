@@ -2,9 +2,8 @@ import argparse
 import gc
 import json
 import math
-import os
 import re
-import subprocess
+import runpy
 import sys
 import warnings
 from dataclasses import replace
@@ -45,15 +44,14 @@ def test_families_lists_all(capsys):
         assert token in out
 
 
-def test_python_dash_m_runs_the_cli():
-    # ``python -m dsexact`` goes through __main__.py, which no in-process
-    # call of ``main`` executes.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-m", "dsexact", "families"],
-                          capture_output=True, text=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": src})
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[0] == cli._FAMILIES_TEXT.splitlines()[0]
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    # ``python -m dsexact`` goes through __main__.py, which no call of
+    # ``main`` executes; runpy takes the path ``-m`` takes, in this process.
+    monkeypatch.setattr(sys, "argv", ["dsexact", "families"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("dsexact", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == cli._FAMILIES_TEXT
 
 
 def test_families_names_every_profile_kind(capsys):
@@ -250,8 +248,7 @@ def test_evolve_report_and_snapshot(tmp_path):
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
         "evolve": {"box": [L, L], "n": 32, "T": 0.02, "dt": 1e-3,
-                   "v_mean": "exact", "tol": 1e-5,
-                   "snapshot_out": str(tmp_path / "snap.csv")},
+                   "tol": 1e-5, "snapshot_out": str(tmp_path / "snap.csv")},
         "out": str(tmp_path / "evolve.json"),
     })
     assert main(["evolve", "--config", cfg]) == 0
@@ -705,15 +702,6 @@ def test_evolve_tol_decides_the_verdict(tmp_path):
     assert report["tol"] == 1e-30
     assert report["pass"] is False
     assert report["max_dev"] > 1e-30
-
-
-def test_evolve_numeric_v_mean_sets_the_gauge(tmp_path):
-    doc = full_config(tmp_path)
-    del doc["evolve"]["tol"]
-    doc["evolve"]["v_mean"] = 0.25
-    cfg = write_config(tmp_path / "cfg.json", doc)
-    assert main(["evolve", "--config", cfg]) == 0
-    assert json.loads((tmp_path / "out.json").read_text())["v_mean"] == 0.25
 
 
 def test_family_b_im_override_fails_verification(tmp_path, capsys):

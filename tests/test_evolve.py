@@ -321,6 +321,28 @@ def test_grid_below_two_points_is_refused_before_sampling(monkeypatch, n):
         crosscheck(sn_line(0.5), L, L, n, 0.05, 1e-3)
 
 
+@pytest.mark.parametrize("n", [16.0, 2.5, "16"])
+def test_grid_count_that_is_not_an_integer_is_refused_before_sampling(
+        monkeypatch, n):
+    # Never numpy's bare "n should be an integer" from fftfreq.
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(evolve, "_sample_box", refuse)
+    L = 4.0 * ellipk(0.5)
+    with pytest.raises(ConfigError, match=f"{n} x {n} grid .* integer"):
+        make_field(sn_line(0.5), L, L, n)
+    with pytest.raises(ConfigError, match=f"{n} x {n} grid .* integer"):
+        crosscheck(sn_line(0.5), L, L, n, 0.01, 1e-3)
+
+
+def test_numpy_integer_grid_count_is_accepted():
+    L = 4.0 * ellipk(0.5)
+    field = make_field(sn_line(0.5), L, L, np.int64(16))
+    assert field.u.shape == (16, 16)
+    assert field.v_mean == float(np.mean(field.v))
+
+
 @pytest.mark.parametrize("n", [24, 45, 48])
 def test_crosscheck_on_a_box_of_any_length(n):
     # numpy's FFT takes any length: boxes that are not powers of two track

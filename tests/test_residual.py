@@ -8,7 +8,7 @@ import pytest
 
 import dsexact.catalog
 import dsexact.residual
-from conftest import published_constants
+from conftest import fd1_o2, fd2, published_constants
 from dsexact import ConfigError, EmptySampleError, Solution, TransformSpec, \
     Variant, compose, family_a, family_c, parse_timefn, verify
 from dsexact.catalog import eval_solution
@@ -129,6 +129,71 @@ def test_point_whose_half_step_rounds_away_is_skipped():
     assert report == verify(sol, [(0.2, 0.1, 0.1)])
     with pytest.raises(EmptySampleError):
         verify(sol, [(0.2, 1e17, 0.1)])
+
+
+def test_point_with_a_nan_coordinate_is_skipped():
+    # nan + h/2 != nan holds, so a point with a NaN time was once kept: on a
+    # line whose u does not depend on t its residuals are finite, and a
+    # sample of such points passed with no point checked.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0"))
+    with pytest.raises(EmptySampleError):
+        verify(sol, [(math.nan, 0.1, 0.2), (math.nan, 0.3, -0.2)])
+    report = verify(sol, [(math.nan, 0.1, 0.2), (0.0, 0.3, -0.2)])
+    assert report == verify(sol, [(0.0, 0.3, -0.2)])
+    assert report.n_points == 1
+
+
+def test_term_scales_equal_independent_derivatives():
+    # Column 4 is 2|u_t| + |u_xx| + |u_yy| + |2 e2 |u|^2 u| + |2 u v| and
+    # column 5 is |v_xx| + |v_yy| + 2 |(|u|^2)_xx|, each at the fine step.
+    # On this line every one of the eight terms is at least 1% of its sum,
+    # so a dropped or flipped term or a changed weight moves a column by
+    # 1% or more; the references agree with the stencils to ~1e-9.
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
+    points = np.array([(0.2, 0.1, 0.3), (0.5, -0.4, 0.2)])
+    terms = dsexact.residual._residual_terms(sol, points, DEFAULT_H, 4)
+    assert terms.shape == (2, 6)
+
+    def u(t, x, y):
+        return complex(eval_solution(sol, t, x, y)[0])
+
+    def v(t, x, y):
+        return float(eval_solution(sol, t, x, y)[1])
+
+    for (t, x, y), (scale1, scale2) in zip(points, terms[:, 4:]):
+        u0 = u(t, x, y)
+        parts1 = [2.0 * abs(fd1_o2(lambda s: u(s, x, y), t, 1e-5)),
+                  abs(fd2(lambda s: u(t, s, y), x, 1e-2)),
+                  abs(fd2(lambda s: u(t, x, s), y, 1e-2)),
+                  abs(2.0 * abs(u0) ** 2 * u0), abs(2.0 * u0 * v(t, x, y))]
+        parts2 = [abs(fd2(lambda s: v(t, s, y), x, 1e-2)),
+                  abs(fd2(lambda s: v(t, x, s), y, 1e-2)),
+                  2.0 * abs(fd2(lambda s: abs(u(t, s, y)) ** 2, x, 1e-2))]
+        for parts, scale in ((parts1, scale1), (parts2, scale2)):
+            assert min(parts) >= 0.01 * sum(parts)
+            assert scale == pytest.approx(sum(parts), rel=1e-7)
+
+
+@pytest.mark.parametrize("equation", [1, 2])
+def test_verdict_bound_is_tol_times_one_plus_the_term_scale(monkeypatch,
+                                                            equation):
+    # Term columns stubbed so that one equation's rms at h/2 is exactly
+    # tol_rel * (1 + 3), with a term scale of 3 and order 4 (the rms at h is
+    # 16 times it), and the other equation's residual is 0: the verdict
+    # passes there and fails one ulp above.
+    tol = 2.0 ** -20
+
+    def passes(fine):
+        row = np.zeros(6)
+        row[2 * equation - 2:2 * equation] = 16.0 * fine, fine
+        row[4:] = 3.0
+        monkeypatch.setattr(dsexact.residual, "_residual_terms",
+                            lambda sol, points, h, order: row[None, :])
+        return verify(exact_a(), [(0.5, 0.1, 0.2)], tol_rel=tol).passed
+
+    edge = 4.0 * tol
+    assert passes(edge)
+    assert not passes(math.nextafter(edge, math.inf))
 
 
 @pytest.mark.parametrize("order, nodes", [(2, 15), (4, 21), (6, 33)])
@@ -514,6 +579,11 @@ def test_verify_reports_equal_the_reference_sums(monkeypatch, name, order):
     # bits its numpy gives exp, sin and cos.
     sol, grid = reference_cases()[name]
     report = verify(sol, grid.points(1), order=order)
+    # Every column, the term scales too, bit for bit on the first block.
+    points = grid.points(1)[:dsexact.residual._BLOCK]
+    assert np.array_equal(
+        dsexact.residual._residual_terms(sol, points, DEFAULT_H, order),
+        stencil_sums(sol, points, np.array([DEFAULT_H, DEFAULT_H / 2]), order))
     monkeypatch.setattr(dsexact.residual, "_residual_terms",
                         lambda sol, points, h, order: stencil_sums(
                             sol, points, np.array([h, h / 2.0]), order))
