@@ -16,8 +16,8 @@ where v comes from the spectral inversion of the mean-flow constraint
 
 |u| is pointwise invariant under the nonlinear phase rotation, so v is
 frozen during that substep and the rotation is exact.  The k=0 mode of v is
-a free gauge constant; it feeds a uniform phase into u, so cross-checks pin
-it to the box mean of the exact solution's v.
+a free gauge constant; it feeds a uniform phase into u, and ``advance``
+keeps it at the mean of the given field's v.
 
 A Strang step is half linear, full nonlinear, half linear; over n steps the
 adjacent halves compose into full linear steps (Strang 1968).  ``advance``
@@ -57,10 +57,10 @@ _MAX_STEPS = 10 ** 6
 class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
-    u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); ``v_mean`` records
-    the gauge constant used when reconstructing v from |u|^2.  u and v not
-    of one 2-D shape, or steps that ``_steps`` refuses, are a ConfigError;
-    the Field is frozen, so that check holds for its life.
+    u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); the mean of v is
+    the gauge of the mean flow.  u and v not of one 2-D shape, a v not
+    float64, or steps that ``_steps`` refuses are a ConfigError; the Field
+    is frozen, so that check holds for its life.
     """
 
     lx: float
@@ -68,12 +68,13 @@ class Field:
     u: np.ndarray
     v: np.ndarray
     t: float
-    v_mean: float
 
     def __post_init__(self):
-        if self.u.ndim != 2 or self.v.shape != self.u.shape:
+        if (self.u.ndim != 2 or self.v.shape != self.u.shape
+                or self.v.dtype != float):
             raise ConfigError(f"u and v grids must have the same 2-D shape, "
-                              f"got {self.u.shape} and {self.v.shape}")
+                              f"got {self.u.shape} and {self.v.shape} of "
+                              f"{self.v.dtype} (v must be float64)")
         _steps(self.lx, self.ly, self.u.shape)
 
     def axes(self):
@@ -134,8 +135,7 @@ def poisson_v(g: np.ndarray, lx: float, ly: float, variant: Variant,
 
 
 def mass(field: Field) -> float:
-    """Discrete |u|^2 mass, sum |u|^2 dx dy.  It raises nothing: ``Field``
-    checks the steps as it is built."""
+    """Discrete |u|^2 mass, sum |u|^2 dx dy, on the steps ``Field`` checked."""
     dx, dy = _steps(field.lx, field.ly, field.u.shape)
     return float(np.sum(np.abs(field.u) ** 2)) * dx * dy
 
@@ -143,18 +143,19 @@ def mass(field: Field) -> float:
 def advance(field: Field, variant: Variant, dt: float,
             n_steps: int) -> Field:
     """``n_steps`` Strang steps of size dt with the adjacent linear halves
-    fused into full steps; v is recomputed only for the final field.  Zero
-    steps return ``field`` itself, after the same checks as any other call:
-    ``_wavenumbers``'s, and a ConfigError unless dt is finite and > 0 and
-    n_steps an integer >= 0.  A u that is not finite raises BlowupError."""
+    fused into full steps; v keeps the mean of field.v (the gauge) and is
+    recomputed only for the final field.  Zero steps return ``field``,
+    after ``_wavenumbers``'s checks and a ConfigError unless dt is finite
+    and > 0 and n_steps an int >= 0.  A u not finite raises BlowupError."""
     kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly,
                                         variant)
     if not (0.0 < dt < math.inf and hasattr(n_steps, "__index__")
-            and n_steps >= 0):
+            and not isinstance(n_steps, bool) and n_steps >= 0):
         raise ConfigError(f"advance needs a finite dt > 0 and an integer "
                           f"n_steps >= 0, got dt={dt}, n_steps={n_steps!r}")
     if n_steps < 1:
         return field
+    v_mean = float(np.mean(field.v))
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
     half, full = np.exp(phase / 4.0), np.exp(phase / 2.0)
     uhat = np.fft.fft2(field.u)
@@ -163,7 +164,7 @@ def advance(field: Field, variant: Variant, dt: float,
     for i in range(n_steps):
         u = np.fft.ifft2(uhat)
         g = u.real ** 2 + u.imag ** 2
-        v = _invert(g, multiplier, field.v_mean)
+        v = _invert(g, multiplier, v_mean)
         theta = (variant.eps2 * g + v) * dt
         # A non-finite u makes theta non-finite, and a finite theta keeps
         # |u| finite through the rotation.
@@ -177,7 +178,7 @@ def advance(field: Field, variant: Variant, dt: float,
         uhat = np.fft.fft2(u)
         uhat *= full if i + 1 < n_steps else half
     u = np.fft.ifft2(uhat)
-    v = _invert(u.real ** 2 + u.imag ** 2, multiplier, field.v_mean)
+    v = _invert(u.real ** 2 + u.imag ** 2, multiplier, v_mean)
     return replace(field, u=u, v=v, t=field.t + n_steps * dt)
 
 
@@ -204,21 +205,20 @@ def _sample_box(sol: Solution, lx: float, ly: float, n: int, t: float):
         raise PeriodicityError(
             f"fields not periodic on the {lx:g} x {ly:g} box at t={t:g} "
             f"(wraparound mismatch {err:g})")
-    # Copies, not strided views, keep np.mean's summation order (v_mean).
+    # Copies, not strided views, keep np.mean's summation order (the gauge).
     return np.ascontiguousarray(u[:n, :n]), np.ascontiguousarray(v[:n, :n])
 
 
 def make_field(sol: Solution, lx: float, ly: float, n: int) -> Field:
     """Sample a Solution on an n x n periodic box grid at t = 0.
 
-    The gauge ``v_mean`` is the grid mean of the exact v, which keeps the
-    reconstructed v aligned with the exact one.  A variant, box or grid
-    that ``_wavenumbers`` refuses is a ConfigError before any sampling, and
-    an invalid or aperiodic solution raises PeriodicityError.
+    The gauge that ``advance`` keeps is the grid mean of the exact v.  A
+    variant, box or grid that ``_wavenumbers`` refuses is a ConfigError
+    before any sampling; an invalid or aperiodic solution, PeriodicityError.
     """
     _wavenumbers((n, n), lx, ly, sol.variant)
     u, v = _sample_box(sol, lx, ly, n, 0.0)
-    return Field(lx, ly, u, v, 0.0, float(np.mean(v)))
+    return Field(lx, ly, u, v, 0.0)
 
 
 def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
@@ -229,11 +229,11 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     at the start and end times, both before any step, and PeriodicityError
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time,
-    the mass drift and ``make_field``'s gauge v_mean, and the evolved Field.
-    ``dt`` must be positive and ``t_final`` non-negative, both finite,
-    ``t_final / dt`` must round to 1 to _MAX_STEPS steps, and the variant,
-    box and grid must pass ``make_field``'s check, or ConfigError is raised
-    before any sampling.
+    the mass drift and the gauge v_mean (the mean of v at t = 0), and the
+    evolved Field.  ``dt`` must be positive and ``t_final`` non-negative,
+    both finite, ``t_final / dt`` must round to 1 to _MAX_STEPS steps, and
+    the variant, box and grid must pass ``make_field``'s check, or
+    ConfigError is raised before any sampling.
     """
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
             and t_final / dt < math.inf):
@@ -248,12 +248,11 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
                           f"T={t_final} and dt={dt} exceed the cap of "
                           f"{_MAX_STEPS} steps")
     t_end = n_steps * dt
-    field = make_field(sol, lx, ly, n)
+    start = make_field(sol, lx, ly, n)
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)
-    mass0 = mass(field)
-    field = advance(field, sol.variant, dt, n_steps)
+    field = advance(start, sol.variant, dt, n_steps)
     diff = field.u - u_exact
-    mass1 = mass(field)
+    mass0, mass1 = mass(start), mass(field)
     return {
         "max_dev": float(np.max(np.abs(diff))),
         "l2_dev": math.sqrt(mass(replace(field, u=diff))),
@@ -265,5 +264,5 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
         "dt": dt,
         "n": n,
         "box": [lx, ly],
-        "v_mean": field.v_mean,
+        "v_mean": float(np.mean(start.v)),
     }, field

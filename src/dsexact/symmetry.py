@@ -21,6 +21,8 @@ b and b^{-3} and the map only preserves solutions for b^4 = 1.  Each map's
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,8 +50,10 @@ class TransformSpec:
             if self.alpha is None or self.beta is None or self.gamma is None:
                 raise ConfigError("T1 needs alpha, beta, gamma")
         elif self.kind == "T2":
-            if self.b is None or self.b == 0.0:
-                raise ConfigError("T2 needs a nonzero real b")
+            if not (isinstance(self.b, numbers.Real)
+                    and 0.0 < abs(self.b) <= sys.float_info.max):
+                raise ConfigError(f"T2 needs a finite nonzero real b, "
+                                  f"got b={self.b!r}")
         else:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
 
@@ -83,10 +87,8 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
 
 
 def apply_t2(sol: Solution, b: float) -> Solution:
-    """Parabolic scaling by a nonzero real b."""
-    b = float(b)
-    if b == 0.0:
-        raise ConfigError("scaling parameter b must be nonzero")
+    """Parabolic scaling by b, refused as ``TransformSpec`` refuses it."""
+    b = float(TransformSpec("T2", b=b).b)
     b2 = b * b
 
     def fields(t, x, y):

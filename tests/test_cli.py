@@ -579,6 +579,7 @@ MALFORMED = [
                  "/params/ell: expected a finite number", id="verify-1e400"),
     # The step lx / 16 rounded to 0 and fftfreq divided by it.
     ("evolve", "/evolve/box/0", 5e-324, [], "lx=5e-324"),
+    ("transform", "/transforms/0/b", 0.0, [], "b=0.0"),
 ]
 
 

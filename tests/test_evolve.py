@@ -42,7 +42,7 @@ def test_poisson_matches_exact_mean_flow_of_line_solution():
     L = 4.0 * ellipk(m)
     sol = sn_line(m)
     field = make_field(sol, L, L, 64)
-    v = poisson_v(np.abs(field.u) ** 2, L, L, DS2, field.v_mean)
+    v = poisson_v(np.abs(field.u) ** 2, L, L, DS2, float(np.mean(field.v)))
     assert np.max(np.abs(v - field.v)) <= 1e-11
 
 
@@ -84,8 +84,7 @@ def test_field_takes_any_grid_and_advance_checks_it():
     # zero steps, and steps a 12 x 16 grid; a box length that is not
     # positive is refused as the Field is built.
     def field(shape, ly=1.0):
-        return Field(1.0, ly, np.zeros(shape, complex), np.zeros(shape),
-                     0.0, 0.0)
+        return Field(1.0, ly, np.zeros(shape, complex), np.zeros(shape), 0.0)
 
     assert advance(field((12, 16)), DS2, 1e-3, 1).u.shape == (12, 16)
     for n_steps in (1, 0):
@@ -120,7 +119,7 @@ def test_poisson_on_a_grid_that_is_not_2d_is_config_error(shape, name):
 def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
     # Every Field has steps that mass, write_box_csv and advance can use.
     with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
-        Field(lx, ly, np.zeros(shape, complex), np.zeros(shape), 0.0, 0.0)
+        Field(lx, ly, np.zeros(shape, complex), np.zeros(shape), 0.0)
 
 
 @pytest.mark.parametrize("dt, n_steps", [
@@ -130,10 +129,10 @@ def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
     (1e-3, 2.5),  # was a bare TypeError
     (1e-3, -1),  # returned the field unchanged
     (1e-3, "1"),
+    (1e-3, True),  # ran one step
 ])
 def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
-    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)),
-                  0.0, 0.0)
+    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)), 0.0)
     with pytest.raises(ConfigError, match=re.escape(
             f"got dt={dt}, n_steps={n_steps!r}")):
         advance(field, DS2, dt, n_steps)
@@ -144,8 +143,7 @@ def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
 def test_field_is_frozen(name, value):
     # mass, advance and write_box_csv rely on the checks the Field was
     # built with; an assignment would bypass them.
-    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)),
-                  0.0, 0.0)
+    field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)), 0.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(field, name, value)
     assert mass(field) == 1.0
@@ -154,18 +152,27 @@ def test_field_is_frozen(name, value):
 def test_field_requires_a_2d_grid():
     # A 1-D Field would reach mass and advance, which unpack a 2-D shape.
     with pytest.raises(ConfigError, match=r"same 2-D shape, got \(8,\)"):
-        Field(1.0, 1.0, np.zeros(8, complex), np.zeros(8), 0.0, 0.0)
+        Field(1.0, 1.0, np.zeros(8, complex), np.zeros(8), 0.0)
 
 
 def test_field_requires_equal_grids():
     with pytest.raises(ConfigError, match="u and v grids must have the same"):
-        Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 8)),
-              0.0, 0.0)
+        Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 8)), 0.0)
+
+
+@pytest.mark.parametrize("dtype", [complex, np.float32])
+def test_field_requires_a_float64_v(dtype):
+    # A complex v reached write_box_csv's bare "ufunc 'signbit' not
+    # supported", and a float32 v its IndexError; the gauge, np.mean(v),
+    # of a complex v is complex.
+    with pytest.raises(ConfigError, match=f"of {np.dtype(dtype)} "
+                       r"\(v must be float64\)"):
+        Field(1.0, 1.0, np.ones((4, 4), complex),
+              np.ones((4, 4), dtype), 0.0)
 
 
 def test_advance_rejects_plus_branch():
-    field = Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 4)),
-                  0.0, 0.0)
+    field = Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 4)), 0.0)
     for n_steps in (1, 0):
         with pytest.raises(UnsupportedVariant, match="hyperbolic on a"):
             advance(field, Variant(1, 1), 1e-3, n_steps)
@@ -174,22 +181,37 @@ def test_advance_rejects_plus_branch():
 def test_zero_field_stays_zero():
     n = 16
     field = Field(2.0 * math.pi, 2.0 * math.pi, np.zeros((n, n), complex),
-                  np.zeros((n, n)), 0.0, 0.0)
+                  np.zeros((n, n)), 0.0)
     out = step(field, DS2, 1e-2)
     assert np.all(out.u == 0.0)
 
 
 def test_flat_field_is_stationary():
-    # u = c with v_mean = -e2 c^2: the nonlinear phase cancels exactly.
+    # u = c with v = -e2 c^2, whose mean is the gauge: the nonlinear phase
+    # cancels exactly.
     n = 16
     c = 0.8
     field = Field(2.0 * math.pi, 2.0 * math.pi,
-                  np.full((n, n), c, dtype=complex), np.zeros((n, n)),
-                  0.0, -c * c)
+                  np.full((n, n), c, dtype=complex), np.full((n, n), -c * c),
+                  0.0)
     out = field
     for _ in range(20):
         out = step(out, DS2, 1e-2)
     assert np.max(np.abs(out.u - c)) <= 1e-13
+
+
+@pytest.mark.parametrize("eps2", [1, -1])
+@pytest.mark.parametrize("g0", [0.0, 0.45])
+def test_flat_field_turns_at_the_rate_of_its_gauge(eps2, g0):
+    # u = c with v = g0: v is g0 at every step, so u turns by
+    # exp(-i (e2 c^2 + g0) T) and the final v keeps the mean g0.
+    n, c, dt, n_steps = 16, 0.8, 1e-2, 20
+    field = Field(2.0 * math.pi, 2.0 * math.pi,
+                  np.full((n, n), c, dtype=complex), np.full((n, n), g0), 0.0)
+    out = advance(field, Variant(-1, eps2), dt, n_steps)
+    expect = c * np.exp(-1j * (eps2 * c * c + g0) * n_steps * dt)
+    assert np.max(np.abs(out.u - expect)) <= 1e-13
+    assert np.max(np.abs(out.v - g0)) <= 1e-13
 
 
 def test_linear_step_phase_of_plane_wave():
@@ -202,7 +224,7 @@ def test_linear_step_phase_of_plane_wave():
     kx, ky = 1.0, 2.0
     amp = 1e-3  # keep the nonlinear phase negligible
     field = Field(lx, ly, amp * np.exp(1j * (kx * X + ky * Y)),
-                  np.zeros((n, n)), 0.0, 0.0)
+                  np.zeros((n, n)), 0.0)
     dt = 1e-3
     out = step(field, DS2, dt)
     expect = field.u * np.exp(-1j * (-kx ** 2 + ky ** 2) * dt / 2.0)
@@ -340,17 +362,22 @@ def test_numpy_integer_grid_count_is_accepted():
     L = 4.0 * ellipk(0.5)
     field = make_field(sn_line(0.5), L, L, np.int64(16))
     assert field.u.shape == (16, 16)
-    assert field.v_mean == float(np.mean(field.v))
+    # The report's gauge is the mean of the t = 0 field's v, bit for bit.
+    rep, _ = crosscheck(sn_line(0.5), L, L, np.int64(16), 5e-3, 1e-3)
+    assert rep["v_mean"] == float(np.mean(field.v))
 
 
 @pytest.mark.parametrize("n", [24, 45, 48])
 def test_crosscheck_on_a_box_of_any_length(n):
     # numpy's FFT takes any length: boxes that are not powers of two track
-    # the stationary line as closely as n = 32 and 64 do (about 1e-9).
+    # the stationary line as closely as n = 32 and 64 do (about 1e-9).  The
+    # gauge is that of t = 0: at n = 45 and 48 the final v's mean is not.
     L = 4.0 * ellipk(0.5)
     rep, field = crosscheck(sn_line(0.5), L, L, n, 0.05, 1e-3)
     assert rep["max_dev"] <= 1e-8
     assert rep["n_steps"] == 50 and field.u.shape == (n, n)
+    assert rep["v_mean"] == float(np.mean(make_field(sn_line(0.5), L, L,
+                                                     n).v))
 
 
 def test_crosscheck_second_order_in_dt():
@@ -466,6 +493,6 @@ def test_blowup_detection():
     n = 16
     u = np.ones((n, n), dtype=complex)
     u[3, 4] = complex("nan")
-    field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0, 0.0)
+    field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0)
     with pytest.raises(BlowupError, match=r"\(step 1 of 1\)"):
         step(field, DS2, 1e-3)

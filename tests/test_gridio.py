@@ -155,7 +155,7 @@ def test_box_csv(tmp_path, nx, ny):
     # is on t alone.
     lx, ly, t = 7.0, 3.0, -0.0
     path = tmp_path / "box.csv"
-    write_box_csv(path, Field(lx, ly, u, v, t, 0.0))
+    write_box_csv(path, Field(lx, ly, u, v, t))
     rows = [(t, ix * lx / nx, iy * ly / ny, complex(u[ix, iy]),
              float(v[ix, iy]), True)
             for iy in range(ny) for ix in range(nx)]

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import pytest
 
@@ -158,6 +159,17 @@ def test_t2_rejects_zero():
         TransformSpec("T1", alpha=ZERO, beta=ZERO)  # gamma missing
     with pytest.raises(ConfigError):
         compose([], constant_solution())
+
+
+@pytest.mark.parametrize("b", [0.0, math.nan, math.inf, -math.inf, "2",
+                               None, pytest.param(10 ** 400, id="1e400")])
+def test_t2_refuses_a_b_that_is_not_a_finite_nonzero_real(b):
+    # NaN made every point invalid, and the run ended in EmptySampleError;
+    # "2" was taken as 2.0 and 10 ** 400 overflowed float().
+    for make in (lambda: TransformSpec("T2", b=b),
+                 lambda: apply_t2(constant_solution(), b)):
+        with pytest.raises(ConfigError, match=re.escape(f"got b={b!r}")):
+            make()
 
 
 def test_unknown_transform_kind():
