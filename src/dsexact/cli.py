@@ -4,7 +4,7 @@ Commands
     families    list the solution families and their parameters
     eval        sample a configured solution onto a CSV field file
     verify      run the residual oracle; JSON report; exit 0 iff it passes
-    transform   apply the configured transform chain, then eval or verify
+    transform   eval or verify (by /then) of a config that names a chain
     evolve      split-step cross-check of a periodic solution; JSON report
     selftest    certify the matrix, a transform chain and a cross-check
 
@@ -218,6 +218,13 @@ def build_transforms(cfg: dict) -> list:
     return _list(cfg, "/transforms", _transform)
 
 
+def _solution(cfg) -> Solution:
+    """The solution a config names: its base, then any ``/transforms``."""
+    sol = build_solution(cfg)
+    chain = _get(cfg, "/transforms", None) is not None
+    return compose(build_transforms(cfg), sol) if chain else sol
+
+
 def build_grid(cfg: dict) -> GridSpec:
     ranges = [(*_list(cfg, axis, _number, 3)[:2],
                _count(cfg, f"{axis}/2", _MAX_AXIS))
@@ -234,16 +241,16 @@ def _cmd_families(cfg, args) -> int:
     return 0
 
 
-def _cmd_eval(cfg, args, sol=None) -> int:
-    sol = build_solution(cfg) if sol is None else sol
+def _cmd_eval(cfg, args) -> int:
+    sol = _solution(cfg)
     out = _out(cfg, args, "field.csv")
     write_field_csv(out, sol, *build_grid(cfg).axes(seed=args.seed))
     print(f"wrote {out}")
     return 0
 
 
-def _cmd_verify(cfg, args, sol=None) -> int:
-    sol = build_solution(cfg) if sol is None else sol
+def _cmd_verify(cfg, args) -> int:
+    sol = _solution(cfg)
     grid = build_grid(cfg)
     size = len(grid.t_values) * grid.x_range[2] * grid.y_range[2]
     if size > _MAX_POINTS:
@@ -264,15 +271,13 @@ def _cmd_verify(cfg, args, sol=None) -> int:
 
 
 def _cmd_transform(cfg, args) -> int:
-    sol = compose(build_transforms(cfg), build_solution(cfg))
+    _get(cfg, "/transforms")  # required here; _solution applies it
     then = _choice(cfg, "/then", ("eval", "verify"), "eval")
-    return (_cmd_eval if then == "eval" else _cmd_verify)(cfg, args, sol)
+    return (_cmd_eval if then == "eval" else _cmd_verify)(cfg, args)
 
 
 def _cmd_evolve(cfg, args) -> int:
-    sol = build_solution(cfg)
-    if _get(cfg, "/transforms", None) is not None:
-        sol = compose(build_transforms(cfg), sol)
+    sol = _solution(cfg)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
     n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64, least=2)
     t_final = _number(cfg, "/evolve/T")

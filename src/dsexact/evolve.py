@@ -58,9 +58,9 @@ class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
     u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); the mean of v is
-    the gauge of the mean flow.  u and v not of one 2-D shape, a v not
-    float64, or steps that ``_steps`` refuses are a ConfigError; the Field
-    is frozen, so that check holds for its life.
+    the gauge of the mean flow.  A u not complex128, a v not float64, u and
+    v not of one 2-D shape, or steps that ``_steps`` refuses are a
+    ConfigError; the Field is frozen, so that check holds for its life.
     """
 
     lx: float
@@ -71,10 +71,11 @@ class Field:
 
     def __post_init__(self):
         if (self.u.ndim != 2 or self.v.shape != self.u.shape
-                or self.v.dtype != float):
+                or self.u.dtype != complex or self.v.dtype != float):
             raise ConfigError(f"u and v grids must have the same 2-D shape, "
-                              f"got {self.u.shape} and {self.v.shape} of "
-                              f"{self.v.dtype} (v must be float64)")
+                              f"got {self.u.shape} of {self.u.dtype} and "
+                              f"{self.v.shape} of {self.v.dtype} (u must be "
+                              f"complex128, v float64)")
         _steps(self.lx, self.ly, self.u.shape)
 
     def axes(self):
@@ -262,7 +263,7 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
         "n_steps": n_steps,
         "t_final": t_end,
         "dt": dt,
-        "n": n,
+        "n": int(n),
         "box": [lx, ly],
         "v_mean": float(np.mean(start.v)),
     }, field

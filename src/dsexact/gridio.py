@@ -270,7 +270,8 @@ def _finite_or_null(value):
 
 
 def write_json_report(path, report: dict):
-    """Strict JSON (sorted keys); non-finite floats are written as null."""
+    """Strict sorted JSON, null for non-finite floats, built before opening."""
+    data = json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
+                      allow_nan=False).encode() + b"\n"
     with _open_output(path) as fh:
-        fh.write(json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
-                            allow_nan=False).encode() + b"\n")
+        fh.write(data)

@@ -14,8 +14,8 @@ import pytest
 
 from dsexact import BlowupError, ConfigError, DegenerateMatch, \
     MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, \
-    UnsupportedVariant, Variant, cli, crosscheck, ellipk, evolve, family_c, \
-    gridio, parse_timefn, selftest
+    UnsupportedVariant, Variant, cli, compose, crosscheck, ellipk, evolve, \
+    family_c, gridio, parse_timefn, selftest
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS
 
@@ -238,6 +238,52 @@ def test_transform_requires_chain(tmp_path, capsys):
     cfg = sn_verify_config(tmp_path)
     assert main(["transform", "--config", cfg]) == 2
     assert "/transforms" in capsys.readouterr().err
+
+
+# T1 then T2: alpha'' and beta'' are nonzero at t = 0.2, and b != 1.
+CHAIN = [{"kind": "T1", "alpha": "0.3*sin(t)", "beta": "0.1*t^2",
+          "gamma": "t^2"}, {"kind": "T2", "b": 1.5}]
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_eval_and_verify_act_on_the_chain(tmp_path, command):
+    # A config names one solution, its base and then its chain, whichever
+    # command reads it: verify certified the base while transform certified
+    # the chain of the same config.
+    doc = full_config(tmp_path)
+    doc.update(transforms=CHAIN, then=command,
+               grid={"t": [0.2], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]})
+
+    def run(argv, name):
+        cfg = write_config(tmp_path / f"{name}.json", doc)
+        out = tmp_path / f"{name}.out"
+        assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    chain = run([command], "chain")
+    assert chain == run(["transform"], "transform")
+    del doc["transforms"]
+    assert run([command], "base") != chain
+
+
+def test_evolve_acts_on_the_chain(tmp_path):
+    # One wave of boost per box, then b = 2 on a box twice as long: the
+    # chain is periodic, and evolve cross-checks the chain, not its base.
+    doc = full_config(tmp_path)
+    del doc["evolve"]["tol"]
+    L = doc["evolve"]["box"][0]
+    doc["transforms"] = [{"kind": "T1", "alpha": f"{2.0 * math.pi / L!r}*t",
+                          "beta": "0", "gamma": "0"}, {"kind": "T2", "b": 2.0}]
+    doc["evolve"]["box"] = [2.0 * L, 2.0 * L]
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["evolve", "--config", cfg]) == 0
+    report = json.loads((tmp_path / "out.json").read_text())
+    sol = compose(cli.build_transforms(doc), cli.build_solution(doc))
+    want, _ = crosscheck(sol, 2.0 * L, 2.0 * L, 16, 0.01, 1e-3)
+    assert {k: report[k] for k in want} == json.loads(json.dumps(want))
+    base, _ = crosscheck(cli.build_solution(doc), 2.0 * L, 2.0 * L, 16,
+                         0.01, 1e-3)
+    assert base["max_dev"] != want["max_dev"]
 
 
 def test_evolve_report_and_snapshot(tmp_path):

@@ -10,6 +10,7 @@ from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
     UnsupportedVariant, Variant, advance, cli, crosscheck, ellipk, evolve, \
     family_a, family_c, mass, parse_timefn
 from dsexact.evolve import make_field, poisson_v, step
+from dsexact.gridio import write_json_report
 from dsexact.symmetry import apply_t1
 
 DS2 = Variant(-1, 1)
@@ -160,15 +161,23 @@ def test_field_requires_equal_grids():
         Field(1.0, 1.0, np.zeros((4, 4), complex), np.zeros((4, 8)), 0.0)
 
 
-@pytest.mark.parametrize("dtype", [complex, np.float32])
-def test_field_requires_a_float64_v(dtype):
+@pytest.mark.parametrize("u_dtype, v_dtype", [
+    pytest.param(complex, complex, id="complex"),
+    pytest.param(complex, np.float32, id="float32"),
+    pytest.param(np.complex64, float, id="u-complex64"),
+    pytest.param(np.float32, float, id="u-float32"),
+    pytest.param(float, float, id="u-float64"),
+])
+def test_field_requires_a_float64_v(u_dtype, v_dtype):
     # A complex v reached write_box_csv's bare "ufunc 'signbit' not
     # supported", and a float32 v its IndexError; the gauge, np.mean(v),
-    # of a complex v is complex.
-    with pytest.raises(ConfigError, match=f"of {np.dtype(dtype)} "
-                       r"\(v must be float64\)"):
-        Field(1.0, 1.0, np.ones((4, 4), complex),
-              np.ones((4, 4), dtype), 0.0)
+    # of a complex v is complex.  A complex64 or float32 u overflowed in a
+    # cast in write_box_csv's _spell.  u must be complex128, v float64.
+    named = (rf"of {np.dtype(u_dtype)} and \(4, 4\) of {np.dtype(v_dtype)} "
+             r"\(u must be complex128, v float64\)")
+    with pytest.raises(ConfigError, match=named):
+        Field(1.0, 1.0, np.ones((4, 4), u_dtype),
+              np.ones((4, 4), v_dtype), 0.0)
 
 
 def test_advance_rejects_plus_branch():
@@ -358,13 +367,16 @@ def test_grid_count_that_is_not_an_integer_is_refused_before_sampling(
         crosscheck(sn_line(0.5), L, L, n, 0.01, 1e-3)
 
 
-def test_numpy_integer_grid_count_is_accepted():
+def test_numpy_integer_grid_count_is_accepted(tmp_path):
     L = 4.0 * ellipk(0.5)
     field = make_field(sn_line(0.5), L, L, np.int64(16))
     assert field.u.shape == (16, 16)
     # The report's gauge is the mean of the t = 0 field's v, bit for bit.
     rep, _ = crosscheck(sn_line(0.5), L, L, np.int64(16), 5e-3, 1e-3)
     assert rep["v_mean"] == float(np.mean(field.v))
+    # Its "n" is a Python int: an np.int64 is no JSON value.
+    write_json_report(tmp_path / "report.json", rep)
+    assert json.loads((tmp_path / "report.json").read_text())["n"] == 16
 
 
 @pytest.mark.parametrize("n", [24, 45, 48])

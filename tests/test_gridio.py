@@ -10,7 +10,7 @@ import pytest
 from dsexact import ConfigError, Field, GridSpec, Variant, write_field_csv
 from dsexact.catalog import Solution
 from dsexact.gridio import _CHUNK, FIELD_HEADER, _decimal, _spell, \
-    write_box_csv
+    write_box_csv, write_json_report
 
 INF, NAN = math.inf, math.nan
 # Both sides of the fixed/exponent switch of %.17g, signed zeros, the
@@ -160,6 +160,17 @@ def test_box_csv(tmp_path, nx, ny):
              float(v[ix, iy]), True)
             for iy in range(ny) for ix in range(nx)]
     assert path.read_text(encoding="utf-8") == reference_csv(rows)
+
+
+def test_json_report_is_serialised_before_its_file_is_opened(tmp_path):
+    # A report json cannot take raises and leaves the file it would have
+    # replaced as it was (it was left empty).
+    path = tmp_path / "report.json"
+    write_json_report(path, {"pass": True})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_json_report(path, {"pass": object()})
+    assert path.read_bytes() == before
 
 
 def neighbours(values, steps):

@@ -2,6 +2,7 @@
 the package.  A name it patches that disappears from the package breaks the
 traced runs; this test breaks with it."""
 
+import json
 import math
 from pathlib import Path
 
@@ -99,3 +100,30 @@ def test_traced_profile_is_evaluated_once_per_call(monkeypatch):
     assert metrics["catalog.u_calls"] == metrics["catalog.v_calls"] == 1
     assert metrics["elliptic.profile_calls"] == 1
     assert metrics["elliptic.jacobi_calls"] == 1
+
+
+def test_traced_transform_keeps_the_catalog_and_symmetry_labels(tmp_path,
+                                                                monkeypatch):
+    # The base is built through cli.build_solution (the catalog layer) and
+    # the chain through cli.compose (the symmetry layer): one catalog call
+    # per field under the chain's outermost u, v and valid.
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "variant": {"eps1": -1, "eps2": 1}, "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "ell1": 0.3,
+                   "beta": "0.1*t"},
+        "transforms": [{"kind": "T1", "alpha": "0.3*sin(t)", "beta": "0",
+                        "gamma": "t"}, {"kind": "T2", "b": 2.0}],
+        "grid": {"t": [0.2], "x": [-1.0, 1.0, 5], "y": [-1.0, 1.0, 5]},
+        "out": str(tmp_path / "field.csv")}), encoding="utf-8")
+    tracer = Tracer()
+    with tracer.install():
+        assert cli.main(["transform", "--config", str(cfg)]) == 0
+    assert {"cli.build_solution", "cli.build_transforms", "symmetry.u",
+            "symmetry.v", "symmetry.valid"} <= set(tracer.names)
+    metrics = tracer.layer_metrics(0)
+    assert metrics["catalog.u_calls"] == 1
+    assert metrics["symmetry.calls"] == 3
