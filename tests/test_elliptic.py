@@ -39,6 +39,12 @@ def test_ellipk_against_quadrature(m):
     assert ellipk(m) == pytest.approx(_k_integral(m), rel=1e-12)
 
 
+@pytest.mark.parametrize("m", [1.0, 1.5, -0.2])
+def test_ellipk_domain(m):
+    with pytest.raises(DomainError):
+        ellipk(m)
+
+
 def test_jacobi_origin():
     for m in (0.0, 0.3, 0.9):
         assert jacobi_sn_cn_dn(0.0, m) == (0.0, 1.0, 1.0)
