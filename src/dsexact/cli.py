@@ -12,7 +12,7 @@ Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config and seed.  Every number in a config must
 be finite, and a tolerance >= 0.  Exit codes: 0 pass, 1 verification
 failure, 2 configuration error or input outside a family's contract, 3
-numerical blow-up.
+numerical blow-up, 4 internal error (an exception that is not a DSError).
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from .errors import ConfigError, DomainError, DSError
 from .evolve import crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
-from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, ORDERS, \
-    verify
+from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, \
+    MAX_POINTS, ORDERS, verify
 from .selftest import run_selftest
 from .symmetry import TransformSpec, compose
 from .timefn import parse_timefn
@@ -59,16 +59,9 @@ numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 """
 
 
-# Largest counts, sized from the memory they ask for: an axis's coordinates,
-# jitter and spelled cells take about 143 bytes a point (150 MB at 2**20),
-# an evolve box about 204 bytes a grid point (860 MB at n = 2048), and a
-# verify sample about 72 bytes a point, its (t, x, y) row included, besides
-# the 14 MB block of nodes (316 MB at 2**22 points), measured with
-# tracemalloc on numpy 2.4.  eval writes 4,096 points at a time, so only
-# verify bounds the whole grid.
-_MAX_AXIS = 2 ** 20
+# Largest evolve box side: about 204 bytes a grid point, 860 MB at n = 2048
+# (tracemalloc, numpy 2.4).
 _MAX_BOX_N = 2048
-_MAX_POINTS = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +77,7 @@ def _get(cfg, pointer: str, default=...):
     for key in pointer.split("/")[1:]:
         if isinstance(node, dict):
             node = node.get(key)
-        elif isinstance(node, list) and key.isdigit() and int(key) < len(node):
+        elif isinstance(node, list) and key.isdigit():
             node = node[int(key)]
         else:
             node = None
@@ -106,7 +99,7 @@ def _number(cfg, pointer, default=...):
     return float(value)
 
 
-def _count(cfg, pointer, most, default=..., least=1):
+def _count(cfg, pointer, least, most, default=...):
     value = _number(cfg, pointer, default)
     if value % 1 or not least <= value <= most:
         raise ConfigError(f"{pointer}: expected an integer from {least} to "
@@ -226,10 +219,8 @@ def _solution(cfg) -> Solution:
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    ranges = [(*_list(cfg, axis, _number, 3)[:2],
-               _count(cfg, f"{axis}/2", _MAX_AXIS))
-              for axis in ("/grid/x", "/grid/y")]
-    return GridSpec(tuple(_list(cfg, "/grid/t", _number)), *ranges)
+    return GridSpec(*(tuple(_list(cfg, f"/grid/{axis}", _number, length))
+                      for axis, length in (("t", None), ("x", 3), ("y", 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +244,9 @@ def _cmd_verify(cfg, args) -> int:
     sol = _solution(cfg)
     grid = build_grid(cfg)
     size = len(grid.t_values) * grid.x_range[2] * grid.y_range[2]
-    if size > _MAX_POINTS:
+    if size > MAX_POINTS:
         raise ConfigError(f"/grid: {size} sample points, more than the "
-                          f"{_MAX_POINTS} that verify holds")
+                          f"{MAX_POINTS} that verify holds")
     points = grid.points(seed=args.seed)
     h = _number(cfg, "/verify/h", DEFAULT_H)
     order = _choice(cfg, "/verify/order", ORDERS, DEFAULT_ORDER)
@@ -279,7 +270,7 @@ def _cmd_transform(cfg, args) -> int:
 def _cmd_evolve(cfg, args) -> int:
     sol = _solution(cfg)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
-    n = _count(cfg, "/evolve/n", _MAX_BOX_N, 64, least=2)
+    n = _count(cfg, "/evolve/n", 2, _MAX_BOX_N, 64)
     t_final = _number(cfg, "/evolve/T")
     dt = _number(cfg, "/evolve/dt")
     tol = _tolerance(cfg, "/evolve/tol", None)
@@ -360,6 +351,6 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if "config" in args else None
         return handler(cfg, args)
-    except DSError as err:
+    except Exception as err:  # not a DSError: an internal error, exit 4
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return err.exit_code
+        return err.exit_code if isinstance(err, DSError) else 4

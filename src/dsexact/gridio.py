@@ -34,6 +34,9 @@ FIELD_HEADER = "t,x,y,re_u,im_u,abs_u,v,valid"
 _CHUNK = 4096
 # Largest seeded jitter of a grid coordinate, in spacings of its axis.
 _JITTER = 0.3
+# Largest count of an axis: its coordinates, jitter and spelled cells take
+# about 143 bytes a point, 150 MB at 2**20 (tracemalloc, numpy 2.4).
+_MAX_AXIS = 2 ** 20
 
 # Bytes of a %.17g cell: a sign, "0.000", 17 digits and a dot, "e+ddd".
 # Unused bytes are NUL and deleted once a chunk's rows are joined.
@@ -52,9 +55,10 @@ _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Cartesian sample grid, a config's ``/grid``: a list of times and two
-    ranges (lo, hi, count), each a ConfigError if it has no point, a count
-    not whole or points that, jittered or not, can leave the double range."""
+    """Cartesian sample grid, a config's ``/grid``: times and two ranges
+    (lo, hi, count), the count kept as an int.  No time, a count not whole
+    from 1 to _MAX_AXIS or points that, jittered or not, can leave the
+    double range are a ConfigError."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
@@ -64,9 +68,11 @@ class GridSpec:
         if not len(self.t_values):
             raise ConfigError("/grid/t: a grid needs at least one time")
         for axis, (lo, hi, count) in zip("xy", (self.x_range, self.y_range)):
-            if count % 1 or not count >= 1:  # NaN and inf included
-                raise ConfigError(f"/grid/{axis}: a whole grid count must "
-                                  f"be >= 1, got {count!r}")
+            if count % 1 or not 1 <= count <= _MAX_AXIS:  # NaN, inf included
+                raise ConfigError(f"/grid/{axis}/2: expected an integer from "
+                                  f"1 to {_MAX_AXIS}, got {count!r}")
+            count = int(count)
+            object.__setattr__(self, f"{axis}_range", (lo, hi, count))
             # The largest product the points and jitter are built from, and
             # the largest magnitude a jittered point can reach.
             spacing = abs(hi - lo) / max(1, count - 1)

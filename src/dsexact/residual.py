@@ -27,7 +27,7 @@ import numpy as np
 from .catalog import Solution, eval_solution
 from .errors import ConfigError, EmptySampleError
 
-__all__ = ["ResidualReport", "verify", "ORDERS",
+__all__ = ["ResidualReport", "verify", "ORDERS", "MAX_POINTS",
            "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
 
 DEFAULT_H = 1e-3
@@ -38,8 +38,10 @@ DEFAULT_TOL_REL = 1e-7
 DEFAULT_FLOOR_REL = 1e-8
 # verify evaluates the nodes of this many points at a time (3.3 KB a point
 # at order 4, so 14 MB; 22 MB at order 6) and keeps 48 bytes of each kept
-# point in its block: 316 MB at 2**22 points (tracemalloc, numpy 2.4).
+# point in its block.  With its (t, x, y) row, a sample of MAX_POINTS, the
+# most the CLI's verify takes, holds 316 MB (tracemalloc, numpy 2.4).
 _BLOCK = 4096
+MAX_POINTS = 2 ** 22
 
 # Central difference weights at k = -order/2..order/2 (0 at the centre of
 # a first difference); apply as sum(c_k * f(x0 + k*h)) / h**deriv_order.

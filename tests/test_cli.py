@@ -147,6 +147,21 @@ def test_verify_failure_exit_code(tmp_path):
     assert json.loads((tmp_path / "bad.json").read_text())["pass"] is False
 
 
+def test_internal_error_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
+    # An exception that is not a DSError is a fault of the program, not a
+    # failed verdict: it was a traceback that exited 1.
+    def broken(cfg, args):
+        raise RuntimeError("stencil row out of step")
+
+    _, helptext, flags = cli._COMMANDS["verify"]
+    monkeypatch.setitem(cli._COMMANDS, "verify", (broken, helptext, flags))
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    assert main(["verify", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "RuntimeError: stencil row out of step\n"
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_unknown_family_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": 1, "eps2": 1}, "family": "D",
@@ -192,7 +207,7 @@ def test_contract_errors_are_config_errors(error):
 
 def test_axis_count_bound():
     # Reading a grid allocates nothing, so the bound itself is checked here.
-    top = cli._MAX_AXIS
+    top = gridio._MAX_AXIS
     for x, y in ((top, 1), (1, top)):
         grid = cli.build_grid({"grid": {"t": [0], "x": [0, 1, x],
                                         "y": [0, 1, y]}})
@@ -683,7 +698,7 @@ def test_verify_bounds_the_whole_grid_before_allocating(tmp_path, capsys,
     monkeypatch.setattr(gridio.GridSpec, "points", refuse)
     doc = full_config(tmp_path)
     doc["then"] = "verify"
-    doc["grid"]["x"][2] = doc["grid"]["y"][2] = cli._MAX_AXIS
+    doc["grid"]["x"][2] = doc["grid"]["y"][2] = gridio._MAX_AXIS
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -694,9 +709,9 @@ def test_verify_bounds_the_whole_grid_before_allocating(tmp_path, capsys,
 def test_whole_grid_bound_is_inclusive(tmp_path, monkeypatch):
     doc = full_config(tmp_path)  # 25 points
     cfg = write_config(tmp_path / "cfg.json", doc)
-    monkeypatch.setattr(cli, "_MAX_POINTS", 25)
+    monkeypatch.setattr(cli, "MAX_POINTS", 25)
     assert main(["verify", "--config", cfg]) == 0
-    monkeypatch.setattr(cli, "_MAX_POINTS", 24)
+    monkeypatch.setattr(cli, "MAX_POINTS", 24)
     assert main(["verify", "--config", cfg]) == 2
 
 

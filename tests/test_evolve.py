@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
-    UnsupportedVariant, Variant, advance, cli, crosscheck, ellipk, evolve, \
-    family_a, family_c, mass, parse_timefn
+    TransformSpec, UnsupportedVariant, Variant, advance, cli, compose, \
+    crosscheck, ellipk, evolve, family_a, family_c, mass, parse_timefn
 from dsexact.evolve import make_field, poisson_v, step
 from dsexact.gridio import write_json_report
 from dsexact.symmetry import apply_t1
@@ -508,3 +508,54 @@ def test_blowup_detection():
     field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0)
     with pytest.raises(BlowupError, match=r"\(step 1 of 1\)"):
         step(field, DS2, 1e-3)
+
+
+# Exact relations of the stepper (Hairer, Lubich & Wanner, Geometric
+# Numerical Integration, ch. II and V).  T2 at b = 2 maps a solution to
+# u(t/4, x/2, y/2) / 2, v(t/4, x/2, y/2) / 4, and every step of advance
+# scales by powers of two alone, so the scaled run is the run bit for bit.
+
+def band_limited(seed, n=32, lx=5.0, ly=7.0):
+    """A seeded random field of wavenumbers |k| <= 4 per axis, max |u| 0.3,
+    with the v of its |u|^2 and gauge 0.1: not a catalog solution."""
+    rng = np.random.default_rng(seed)
+    low = np.abs(np.fft.fftfreq(n, 1.0 / n)) <= 4
+    uhat = rng.standard_normal((n, n, 2)) @ [1.0, 1j] * np.outer(low, low)
+    u = np.fft.ifft2(uhat)
+    u *= 0.3 / np.max(np.abs(u))
+    return Field(lx, ly, u, poisson_v(np.abs(u) ** 2, lx, ly, DS2, 0.1), 0.0)
+
+
+def test_t2_commutes_with_crosscheck_bit_for_bit():
+    # selftest's oblique sn line, 50 steps.
+    m, ell = 0.5, math.pi / 3.0
+    sol = family_c(DS2, "sn", m, ell, 0.0, parse_timefn("0"))
+    lx, ly = 4.0 * ellipk(m) / math.sin(ell), 4.0 * ellipk(m) / math.cos(ell)
+    report, field = crosscheck(sol, lx, ly, 32, 0.05, 1e-3)
+    scaled_report, scaled = crosscheck(
+        compose([TransformSpec("T2", b=2.0)], sol), 2.0 * lx, 2.0 * ly, 32,
+        0.2, 4e-3)
+    assert report["n_steps"] == scaled_report["n_steps"] == 50
+    assert np.array_equal(2.0 * scaled.u, field.u)
+    assert np.array_equal(4.0 * scaled.v, field.v)
+    assert 2.0 * scaled_report["max_dev"] == report["max_dev"]
+
+
+def test_advance_is_t2_equivariant_on_random_data():
+    field = band_limited(1)
+    scaled = Field(2.0 * field.lx, 2.0 * field.ly, field.u / 2.0,
+                   field.v / 4.0, 0.0)
+    run = advance(field, DS2, 1e-2, 50)
+    scaled_run = advance(scaled, DS2, 4e-2, 50)
+    assert np.array_equal(2.0 * scaled_run.u, run.u)
+    assert np.array_equal(4.0 * scaled_run.v, run.v)
+
+
+def test_advance_is_time_reversible():
+    # Strang splitting is symmetric: conjugation reverses time, so n steps
+    # forward, a conjugate and n more steps come back to the start.
+    field = band_limited(2)
+    there = advance(field, DS2, 1e-2, 200)
+    back = advance(dataclasses.replace(there, u=there.u.conj()), DS2, 1e-2,
+                   200)
+    assert np.max(np.abs(back.u.conj() - field.u)) <= 1e-13

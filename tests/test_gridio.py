@@ -9,8 +9,8 @@ import pytest
 
 from dsexact import ConfigError, Field, GridSpec, Variant, write_field_csv
 from dsexact.catalog import Solution
-from dsexact.gridio import _CHUNK, FIELD_HEADER, _decimal, _spell, \
-    write_box_csv, write_json_report
+from dsexact.gridio import _CHUNK, _MAX_AXIS, FIELD_HEADER, _decimal, \
+    _spell, write_box_csv, write_json_report
 
 INF, NAN = math.inf, math.nan
 # Both sides of the fixed/exponent switch of %.17g, signed zeros, the
@@ -109,9 +109,24 @@ def test_one_point_grid(tmp_path):
         "10000000000000000,10000000000000000,4.9406564584124654e-324,true\n")
 
 
+COUNT = f"expected an integer from 1 to {_MAX_AXIS}, got"
+
+
 def test_empty_axis_is_config_error():
-    with pytest.raises(ConfigError, match="grid count must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match=f"/grid/x/2: {COUNT} 0$"):
         GridSpec((0.0,), (0.0, 1.0, 0), (0.0, 1.0, 2)).axes()
+
+
+def test_axis_count_cap_holds_for_library_callers():
+    # The cap is GridSpec's, not only the CLI's: no config reader is needed.
+    assert _MAX_AXIS == 2 ** 20
+    for x, y, named in (((0.0, 1.0, 2 ** 20 + 1), (0.0, 1.0, 2), "/grid/x/2"),
+                        ((0.0, 1.0, 2), (0.0, 1.0, 10 ** 12), "/grid/y/2")):
+        with pytest.raises(ConfigError, match=f"{named}: {COUNT}"):
+            GridSpec((0.0,), x, y)
+    grid = GridSpec((0.0,), (0.0, 1.0, 2 ** 20), (0.0, 1.0, float(2 ** 20)))
+    assert grid.x_range[2] == grid.y_range[2] == 2 ** 20
+    assert type(grid.y_range[2]) is int  # a whole float count is kept as int
 
 
 @pytest.mark.parametrize("x, y, named", [
@@ -121,7 +136,7 @@ def test_empty_axis_is_config_error():
     ((0.0, 1.0, 2), (0.0, 1.0, INF), "/grid/y"),
 ])
 def test_count_not_a_whole_number_of_points_is_config_error(x, y, named):
-    with pytest.raises(ConfigError, match=f"{named}: a whole grid count"):
+    with pytest.raises(ConfigError, match=f"{named}/2: {COUNT}"):
         GridSpec((0.0,), x, y)
 
 
