@@ -26,7 +26,7 @@ from .catalog import Solution, Variant, family_a, family_b, family_c
 from .elliptic import PROFILE_KINDS
 from .errors import ConfigError, DomainError, DSError
 # make_field and step stay importable here: bench/tracing.py patches them.
-from .evolve import crosscheck, make_field, step
+from .evolve import MAX_BOX_N, crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
 from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, \
@@ -57,11 +57,6 @@ by time-dependent amounts with a compensating phase; {"kind": "T2",
 "b": <real != 0>} is the parabolic scaling.  Time functions use the grammar:
 numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
 """
-
-
-# Largest evolve box side: about 204 bytes a grid point, 860 MB at n = 2048
-# (tracemalloc, numpy 2.4).
-_MAX_BOX_N = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -270,16 +265,13 @@ def _cmd_transform(cfg, args) -> int:
 def _cmd_evolve(cfg, args) -> int:
     sol = _solution(cfg)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
-    n = _count(cfg, "/evolve/n", 2, _MAX_BOX_N, 64)
+    n = _count(cfg, "/evolve/n", 2, MAX_BOX_N, 64)
     t_final = _number(cfg, "/evolve/T")
     dt = _number(cfg, "/evolve/dt")
     tol = _tolerance(cfg, "/evolve/tol", None)
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
-    report, field = crosscheck(sol, lx, ly, n, t_final, dt)
-    if tol is not None:
-        report["tol"] = tol
-        report["pass"] = report["max_dev"] <= tol
+    report, field = crosscheck(sol, lx, ly, n, t_final, dt, tol=tol)
     if snapshot:
         write_box_csv(snapshot, field)
         report["snapshot"] = snapshot

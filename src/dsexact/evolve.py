@@ -34,6 +34,7 @@ variant are still verified by the residual oracle.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +44,7 @@ from .errors import BlowupError, ConfigError, PeriodicityError, \
     UnsupportedVariant
 
 __all__ = ["Field", "make_field", "poisson_v", "advance", "step", "mass",
-           "crosscheck"]
+           "crosscheck", "MAX_BOX_N"]
 
 # Wraparound mismatch (relative to the field scale) beyond which a solution
 # is rejected as aperiodic on the requested box.
@@ -51,6 +52,9 @@ _PERIODICITY_TOL = 1e-9
 # Most steps a cross-check takes: about half an hour at n = 128, where a step
 # takes about 1.6 ms on a 2-core x86-64 VM.
 _MAX_STEPS = 10 ** 6
+# Largest count of a box grid axis: an evolution holds about 204 bytes a grid
+# point, 860 MB at 2048 x 2048 (tracemalloc, numpy 2.4).
+MAX_BOX_N = 2048
 
 
 @dataclass(frozen=True)
@@ -99,16 +103,16 @@ def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
     of an evolve problem: eps1 != -1 is UnsupportedVariant, and a grid not
-    2-D with integer counts >= 2, steps that ``_steps`` refuses, or a k^2
-    that overflows or underflows to a 0/0 multiplier a ConfigError."""
+    2-D with integer counts 2 to MAX_BOX_N, steps that ``_steps`` refuses,
+    or a k^2 that overflows or underflows to a 0/0 multiplier a ConfigError."""
     if variant.eps1 != -1:
         raise UnsupportedVariant(
             "spectral inversion of the mean-flow constraint needs eps1=-1; "
             "the eps1=+1 constraint is hyperbolic on a periodic box")
-    if len(shape) != 2 or not all(hasattr(n, "__index__") and n >= 2
-                                  for n in shape):
+    if len(shape) != 2 or not all(hasattr(n, "__index__")
+                                  and 2 <= n <= MAX_BOX_N for n in shape):
         raise ConfigError(f"the {' x '.join(map(str, shape))} grid is not "
-                          f"2-D with integer counts >= 2")
+                          f"2-D with integer counts from 2 to {MAX_BOX_N}")
     (nx, ny), (dx, dy) = shape, _steps(lx, ly, shape)
     with np.errstate(all="ignore"):
         kx2 = (2.0 * math.pi * np.fft.fftfreq(nx, d=dx))[:, None] ** 2
@@ -147,13 +151,13 @@ def advance(field: Field, variant: Variant, dt: float,
     fused into full steps; v keeps the mean of field.v (the gauge) and is
     recomputed only for the final field.  Zero steps return ``field``,
     after ``_wavenumbers``'s checks and a ConfigError unless dt is finite
-    and > 0 and n_steps an int >= 0.  A u not finite raises BlowupError."""
+    and > 0 and n_steps an int 0 to _MAX_STEPS; a non-finite u, BlowupError."""
     kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly,
                                         variant)
     if not (0.0 < dt < math.inf and hasattr(n_steps, "__index__")
-            and not isinstance(n_steps, bool) and n_steps >= 0):
-        raise ConfigError(f"advance needs a finite dt > 0 and an integer "
-                          f"n_steps >= 0, got dt={dt}, n_steps={n_steps!r}")
+            and not isinstance(n_steps, bool) and 0 <= n_steps <= _MAX_STEPS):
+        raise ConfigError(f"advance needs finite dt > 0, integer 0 <= n_steps "
+                          f"<= {_MAX_STEPS}, got dt={dt}, n_steps={n_steps!r}")
     if n_steps < 1:
         return field
     v_mean = float(np.mean(field.v))
@@ -223,7 +227,7 @@ def make_field(sol: Solution, lx: float, ly: float, n: int) -> Field:
 
 
 def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
-               dt: float):
+               dt: float, tol: float | None = None):
     """Evolve a sampled catalog solution and report its drift.
 
     The fields must wrap around the given box: the extended grid is sampled
@@ -231,15 +235,18 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time,
     the mass drift and the gauge v_mean (the mean of v at t = 0), and the
-    evolved Field.  ``dt`` must be positive and ``t_final`` non-negative,
-    both finite, ``t_final / dt`` must round to 1 to _MAX_STEPS steps, and
-    the variant, box and grid must pass ``make_field``'s check, or
-    ConfigError is raised before any sampling.
+    evolved Field; with a ``tol``, the report holds it and the verdict
+    ``"pass": max_dev <= tol``.  Unless ``dt`` > 0 and ``t_final`` >= 0 are
+    finite, ``t_final / dt`` rounds to 1 to _MAX_STEPS steps, ``tol`` is
+    None or a number >= 0 and the variant, box and grid pass
+    ``make_field``'s check, ConfigError is raised before any sampling.
     """
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
             and t_final / dt < math.inf):
         raise ConfigError(f"evolve needs finite dt > 0, T >= 0 and T/dt, "
                           f"got T={t_final}, dt={dt}")
+    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
+        raise ConfigError(f"evolve needs a tol >= 0 or None, got {tol!r}")
     n_steps = int(round(t_final / dt))
     if n_steps == 0:
         raise ConfigError(f"evolve would run zero steps: T={t_final} is "
@@ -253,9 +260,10 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     u_exact, _ = _sample_box(sol, lx, ly, n, t_end)
     field = advance(start, sol.variant, dt, n_steps)
     diff = field.u - u_exact
+    max_dev = float(np.max(np.abs(diff)))
     mass0, mass1 = mass(start), mass(field)
     return {
-        "max_dev": float(np.max(np.abs(diff))),
+        "max_dev": max_dev,
         "l2_dev": math.sqrt(mass(replace(field, u=diff))),
         "mass_initial": mass0,
         "mass_final": mass1,
@@ -266,4 +274,5 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
         "n": int(n),
         "box": [lx, ly],
         "v_mean": float(np.mean(start.v)),
+        **({} if tol is None else {"tol": tol, "pass": bool(max_dev <= tol)}),
     }, field

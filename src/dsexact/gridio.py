@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -56,9 +57,9 @@ _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian sample grid, a config's ``/grid``: times and two ranges
-    (lo, hi, count), the count kept as an int.  No time, a count not whole
-    from 1 to _MAX_AXIS or points that, jittered or not, can leave the
-    double range are a ConfigError."""
+    (lo, hi, count), the count kept as an int.  No time, a value not a real
+    number (or a bool), a count not whole from 1 to _MAX_AXIS or points
+    that, jittered or not, can leave the double range are a ConfigError."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
@@ -67,6 +68,11 @@ class GridSpec:
     def __post_init__(self):
         if not len(self.t_values):
             raise ConfigError("/grid/t: a grid needs at least one time")
+        for axis, values in zip("txy", astuple(self)):
+            for i, value in enumerate(values):
+                if type(value) is bool or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"/grid/{axis}/{i}: expected a real "
+                                      f"number, got {value!r}")
         for axis, (lo, hi, count) in zip("xy", (self.x_range, self.y_range)):
             if count % 1 or not 1 <= count <= _MAX_AXIS:  # NaN, inf included
                 raise ConfigError(f"/grid/{axis}/2: expected an integer from "

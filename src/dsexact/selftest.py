@@ -130,10 +130,9 @@ def _dynamical_crosscheck() -> str | None:
     # (ell = pi/4 is degenerate for eps2 = +1), on its natural period box.
     m, ell = 0.5, math.pi / 3.0
     sol = family_c(Variant(-1, 1), "sn", m, ell, 0.0, parse_timefn("0"))
-    period = 4.0 * ellipk(m)
-    report, _ = crosscheck(sol, period / math.sin(ell),
-                           period / math.cos(ell), 32, 0.05, 1e-3)
-    if report["max_dev"] > 1e-5:
+    lx, ly = (4.0 * ellipk(m) / f(ell) for f in (math.sin, math.cos))
+    report, _ = crosscheck(sol, lx, ly, 32, 0.05, 1e-3, tol=1e-5)
+    if not report["pass"]:
         return f"max_dev {report['max_dev']:g} > 1e-5"
     if report["mass_drift"] > 1e-10 * report["mass_initial"]:
         return f"mass drift {report['mass_drift']:g} > 1e-10 * mass"

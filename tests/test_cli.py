@@ -444,14 +444,20 @@ def test_selftest_reports_a_failed_certificate(capsys, monkeypatch):
      "max_dev 2e-05 > 1e-5"),
     ({"max_dev": 0.0, "mass_drift": 2e-10, "mass_initial": 1.0},
      "mass drift 2e-10 > 1e-10 * mass"),
+    ({"max_dev": 1e-5, "mass_drift": 1e-10, "mass_initial": 1.0}, None),
 ])
 def test_selftest_crosscheck_gates(monkeypatch, report, problem):
-    monkeypatch.setattr(selftest, "crosscheck", lambda *args: (report, None))
+    # The max_dev verdict is the report's "pass", which crosscheck decides
+    # from the tol that selftest passes it.
+    def fake(*args, tol):
+        return {**report, "tol": tol, "pass": report["max_dev"] <= tol}, None
+
+    monkeypatch.setattr(selftest, "crosscheck", fake)
     assert selftest._dynamical_crosscheck() == problem
 
 
 def test_selftest_reports_an_error_as_a_failure(capsys, monkeypatch):
-    def blowup(*args):
+    def blowup(*args, **kwargs):
         raise BlowupError("field blew up")
 
     monkeypatch.setattr(selftest, "crosscheck", blowup)
@@ -764,6 +770,21 @@ def test_evolve_tol_decides_the_verdict(tmp_path):
     assert report["tol"] == 1e-30
     assert report["pass"] is False
     assert report["max_dev"] > 1e-30
+
+
+@pytest.mark.parametrize("tol, status", [(1e-5, 0), (1e-12, 1)])
+def test_evolve_report_is_the_crosscheck_report(tmp_path, tol, status):
+    # crosscheck writes the verdict; the command adds the snapshot path.
+    doc = full_config(tmp_path)
+    doc["evolve"]["tol"] = tol
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["evolve", "--config", cfg]) == status
+    report = json.loads((tmp_path / "out.json").read_text())
+    assert report.pop("snapshot") == doc["evolve"]["snapshot_out"]
+    want, _ = crosscheck(cli._solution(doc), *doc["evolve"]["box"], 16, 0.01,
+                         1e-3, tol=tol)
+    assert report == json.loads(json.dumps(want))
+    assert want["pass"] is (status == 0)
 
 
 def test_family_b_im_override_fails_verification(tmp_path, capsys):

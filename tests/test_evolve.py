@@ -6,10 +6,11 @@ import re
 import numpy as np
 import pytest
 
-from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
-    TransformSpec, UnsupportedVariant, Variant, advance, cli, compose, \
-    crosscheck, ellipk, evolve, family_a, family_c, mass, parse_timefn
-from dsexact.evolve import make_field, poisson_v, step
+from dsexact import BlowupError, ConfigError, Field, NoRealAmplitude, \
+    PeriodicityError, TransformSpec, UnsupportedVariant, Variant, advance, \
+    cli, compose, crosscheck, ellipk, evolve, family_a, family_c, mass, \
+    parse_timefn
+from dsexact.evolve import MAX_BOX_N, make_field, poisson_v, step
 from dsexact.gridio import write_json_report
 from dsexact.symmetry import apply_t1
 
@@ -131,6 +132,7 @@ def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
     (1e-3, -1),  # returned the field unchanged
     (1e-3, "1"),
     (1e-3, True),  # ran one step
+    (1e-3, evolve._MAX_STEPS + 1),  # started stepping
 ])
 def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
     field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)), 0.0)
@@ -352,6 +354,23 @@ def test_grid_below_two_points_is_refused_before_sampling(monkeypatch, n):
         crosscheck(sn_line(0.5), L, L, n, 0.05, 1e-3)
 
 
+def test_box_cap_is_checked_before_anything_is_allocated(monkeypatch):
+    # The cap is evolve's, not only the CLI's: an axis of MAX_BOX_N + 1
+    # points is refused before wavenumbers or samples are made.
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    monkeypatch.setattr(evolve, "_sample_box", refuse)
+    monkeypatch.setattr(np.fft, "fftfreq", refuse)
+    assert MAX_BOX_N == 2048
+    L = 4.0 * ellipk(0.5)
+    cap = f"integer counts from 2 to {MAX_BOX_N}"
+    with pytest.raises(ConfigError, match=f"2049 x 2049 grid .* {cap}"):
+        make_field(sn_line(0.5), L, L, MAX_BOX_N + 1)
+    with pytest.raises(ConfigError, match=f"2 x 2049 grid .* {cap}"):
+        poisson_v(np.ones((2, MAX_BOX_N + 1)), L, L, DS2, 0.0)
+
+
 @pytest.mark.parametrize("n", [16.0, 2.5, "16"])
 def test_grid_count_that_is_not_an_integer_is_refused_before_sampling(
         monkeypatch, n):
@@ -390,6 +409,74 @@ def test_crosscheck_on_a_box_of_any_length(n):
     assert rep["n_steps"] == 50 and field.u.shape == (n, n)
     assert rep["v_mean"] == float(np.mean(make_field(sn_line(0.5), L, L,
                                                      n).v))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-5"])
+def test_crosscheck_refuses_a_tol_before_sampling(monkeypatch, tol):
+    def refuse(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(evolve, "_sample_box", refuse)
+    L = 4.0 * ellipk(0.5)
+    with pytest.raises(ConfigError, match=re.escape(f"got {tol!r}")):
+        crosscheck(sn_line(0.5), L, L, 16, 0.01, 1e-3, tol=tol)
+
+
+def test_crosscheck_decides_pass_when_given_a_tol(tmp_path):
+    # "tol" and "pass" are the only keys a tol adds, and "pass" is
+    # max_dev <= tol, a JSON bool for a numpy tol too.
+    L = 4.0 * ellipk(0.5)
+    bare, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
+    assert "tol" not in bare and "pass" not in bare
+    max_dev = bare["max_dev"]
+    for tol, verdict in ((max_dev, True), (np.float64(max_dev / 2), False),
+                         (0, False), (1, True)):
+        rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3, tol=tol)
+        assert rep == {**bare, "tol": tol, "pass": verdict}
+        assert type(rep["pass"]) is bool
+        write_json_report(tmp_path / "report.json", rep)
+
+
+# Every evolvable family C line class: sn with e2 = +1 and -1, cn and dn
+# with e2 = -1, each at the angles of ANGLES whose amplitude is real.  The
+# box holds one period of the profile along each axis; at ell = pi/2 the
+# line varies along x alone.
+ANGLES = {"pi/2": math.pi / 2.0, "pi/3": math.pi / 3.0,
+          "pi/6": math.pi / 6.0, "0.4": 0.4}
+LINE_CLASSES = {("sn", 1): ("pi/2", "pi/3", "pi/6", "0.4"),
+                ("sn", -1): ("pi/2", "pi/3"),
+                ("cn", -1): ("pi/6", "0.4"),
+                ("dn", -1): ("pi/6", "0.4")}
+PERIODS = {"sn": 4.0, "cn": 4.0, "dn": 2.0}  # in units of K(m)
+# Largest max_dev over the classes: 2.1e-10 at m = 0.3, 2.9e-9 at m = 0.7.
+LINE_MAX_DEV = {0.3: 5e-10, 0.7: 5e-9}
+
+
+def line(kind, eps2, m, angle):
+    return family_c(Variant(-1, eps2), kind, m, ANGLES[angle], 0.0,
+                    parse_timefn("0"))
+
+
+@pytest.mark.parametrize("kind, eps2, angle", [
+    (kind, eps2, angle) for (kind, eps2), angles in LINE_CLASSES.items()
+    for angle in angles])
+@pytest.mark.parametrize("m", [0.3, 0.7])
+def test_crosscheck_of_every_evolvable_line_class(kind, eps2, m, angle):
+    ell = ANGLES[angle]
+    period = PERIODS[kind] * ellipk(m)
+    ly = period if angle == "pi/2" else period / math.cos(ell)
+    rep, _ = crosscheck(line(kind, eps2, m, angle), period / math.sin(ell),
+                        ly, 32, 0.05, 1e-3)
+    assert rep["max_dev"] <= LINE_MAX_DEV[m]
+
+
+def test_line_classes_are_every_real_amplitude():
+    # The other angles of each class have no real amplitude at either m.
+    for (kind, eps2), angles in LINE_CLASSES.items():
+        for m in (0.3, 0.7):
+            for angle in set(ANGLES) - set(angles):
+                with pytest.raises(NoRealAmplitude):
+                    line(kind, eps2, m, angle)
 
 
 def test_crosscheck_second_order_in_dt():

@@ -140,6 +140,30 @@ def test_count_not_a_whole_number_of_points_is_config_error(x, y, named):
         GridSpec((0.0,), x, y)
 
 
+@pytest.mark.parametrize("t, x, y, named", [
+    ((0.0,), (0.0, 1.0, True), (0.0, 1.0, 2), "/grid/x/2"),  # one point
+    ((0.0,), (0.0, 1.0, "5"), (0.0, 1.0, 2), "/grid/x/2"),  # a TypeError
+    ((0.0,), (0.0, 1.0, 2), (0.0, 1.0, None), "/grid/y/2"),
+    ((0.0,), (0.0, 1.0, 1 + 0j), (0.0, 1.0, 2), "/grid/x/2"),
+    ((0.0,), ("a", 1.0, 2), (0.0, 1.0, 2), "/grid/x/0"),
+    ((0.0,), (0.0, 1.0, 2), (0.0, None, 2), "/grid/y/1"),
+    ((0.0, "a"), (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t/1"),  # in axes()
+    ((False,), (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t/0"),
+])
+def test_value_that_is_not_a_real_number_is_config_error(t, x, y, named):
+    # Library callers only: the CLI's readers pass floats.
+    with pytest.raises(ConfigError, match=f"^{named}: expected a real number"):
+        GridSpec(t, x, y)
+
+
+def test_numpy_reals_are_grid_values():
+    grid = GridSpec(np.array([0.5]), (np.float32(-1.0), np.float64(1.0),
+                                      np.int64(3)), (0, 1, np.float64(2.0)))
+    ts, xs, ys = grid.axes()
+    assert ts.tolist() == [0.5] and xs.tolist() == [-1.0, 0.0, 1.0]
+    assert ys.tolist() == [0.0, 1.0] and type(grid.x_range[2]) is int
+
+
 def test_grid_without_a_time_is_config_error():
     # It built, and its points() had shape (0, 3).
     with pytest.raises(ConfigError, match="/grid/t"):
