@@ -258,21 +258,14 @@ def family_b(variant: Variant, a: float, b: float, c: float,
 # ---------------------------------------------------------------------------
 
 def family_c(variant: Variant, kind: str, m: float | None, ell: float,
-             ell1: float, beta: TimeFunction, *,
-             amplitude: float | None = None,
-             v_constant: float | None = None,
-             v_quad_coeff: float | None = None) -> Solution:
+             ell1: float, beta: TimeFunction) -> Solution:
     """Travelling-line family over the profile zoo.
 
     Raises ConfigError where the line direction (zeta, eta, E) is not
     finite (cosh(2 ell) overflows above ell ~ 355, and 2 ell itself above
-    ~9e307).  The cubic match runs when ``amplitude`` or ``v_constant`` is
-    None, always against the forced kappa = -2 zeta^2; it raises
+    ~9e307).  The cubic match against the forced kappa = -2 zeta^2 raises
     DegenerateMatch when e2 + kappa vanishes and NoRealAmplitude when
-    A^2 < 0.  The keyword overrides substitute raw numbers for individual
-    constants (``v_quad_coeff`` only replaces kappa in v); they exist so
-    alternative constant sets can be fed to the residual oracle and are
-    expected to break exactness.
+    A^2 < 0.
     """
     eps1, eps2 = variant.eps1, variant.eps2
     ell, ell1 = float(ell), float(ell1)
@@ -285,21 +278,16 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         raise ConfigError(f"ell={ell!r}: the line direction of the eps1="
                           f"{eps1:+d} branch is not finite")
     profile = make_profile(kind, m)
-    forced = -2.0 * zeta * zeta
-    kappa = forced if v_quad_coeff is None else float(v_quad_coeff)
-    if amplitude is None or v_constant is None:
-        S = eps2 + forced
-        if abs(S) < _DEGENERATE_TOL:
-            raise DegenerateMatch(f"cubic coefficient eps2+kappa vanishes "
-                                  f"(eps2={eps2}, kappa={forced})")
-        a2 = E * profile.p / (2.0 * S)
-        if a2 < 0.0:
-            raise NoRealAmplitude(
-                f"amplitude^2 = {a2:g} < 0 for kind '{profile.kind}' "
-                f"(E={E:g}, kappa={forced:g}, eps2={eps2})")
-        amplitude = math.sqrt(a2) if amplitude is None else amplitude
-        v_constant = E * profile.q / 2.0 if v_constant is None else v_constant
-    amp, c_v = float(amplitude), float(v_constant)
+    kappa = -2.0 * zeta * zeta
+    if abs(eps2 + kappa) < _DEGENERATE_TOL:
+        raise DegenerateMatch(f"cubic coefficient eps2+kappa vanishes "
+                              f"(eps2={eps2}, kappa={kappa})")
+    a2 = E * profile.p / (2.0 * (eps2 + kappa))
+    if a2 < 0.0:
+        raise NoRealAmplitude(
+            f"amplitude^2 = {a2:g} < 0 for kind '{profile.kind}' "
+            f"(E={E:g}, kappa={kappa:g}, eps2={eps2})")
+    amp, c_v = math.sqrt(a2), E * profile.q / 2.0
 
     def fields(t, x, y):
         j, ok = jet_arrays(beta, t)

@@ -10,9 +10,11 @@ Commands
 
 Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config and seed.  Every number in a config must
-be finite, and a tolerance >= 0.  Exit codes: 0 pass, 1 verification
-failure, 2 configuration error or input outside a family's contract, 3
-numerical blow-up, 4 internal error (an exception that is not a DSError).
+be finite, and a tolerance >= 0.  Family C's constants come from its cubic
+match, so ``/params/amplitude``, ``v_constant`` and ``v_quad_coeff`` are
+refused.  Exit codes: 0 pass, 1 verification failure, 2 configuration
+error or input outside a family's contract, 3 numerical blow-up, 4
+internal error (an exception that is not a DSError).
 """
 
 from __future__ import annotations
@@ -48,8 +50,7 @@ B  profile linear in the stretched coordinates.
 C  travelling line profile over one of eight shapes.
    params: {"kind": one of rational|tan|sec|coth|csch|sn|cn|dn,
             "m": <modulus in [0,1), elliptic kinds only>,
-            "ell": <real>, "ell1": <real>, "beta": <time function>,
-            "amplitude"/"v_constant"/"v_quad_coeff": <optional overrides>}
+            "ell": <real>, "ell1": <real>, "beta": <time function>}
    variants: both eps1 branches; the instance exists where the matched
    amplitude is real.
 Transforms: {"kind": "T1", "alpha": f, "beta": f, "gamma": f} shifts space
@@ -180,16 +181,17 @@ def build_solution(cfg: dict) -> Solution:
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
                         _timefn(cfg, "/params/beta", "0"),
                         im=_number(cfg, "/params/im", None))
+    for key in ("amplitude", "v_constant", "v_quad_coeff"):
+        if _get(cfg, f"/params/{key}", None) is not None:
+            raise ConfigError(f"/params/{key}: family C takes no constant "
+                              f"overrides; its cubic match sets them")
     # family_c's one DomainError is elliptic's verdict on the modulus.
     try:
         return family_c(
             variant, _choice(cfg, "/params/kind", PROFILE_KINDS),
             _number(cfg, "/params/m", None), _number(cfg, "/params/ell"),
             _number(cfg, "/params/ell1", 0.0),
-            _timefn(cfg, "/params/beta", "0"),
-            amplitude=_number(cfg, "/params/amplitude", None),
-            v_constant=_number(cfg, "/params/v_constant", None),
-            v_quad_coeff=_number(cfg, "/params/v_quad_coeff", None))
+            _timefn(cfg, "/params/beta", "0"))
     except DomainError as err:
         raise ConfigError(f"/params/m: {err}") from None
 

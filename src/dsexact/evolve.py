@@ -238,14 +238,15 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     evolved Field; with a ``tol``, the report holds it and the verdict
     ``"pass": max_dev <= tol``.  Unless ``dt`` > 0 and ``t_final`` >= 0 are
     finite, ``t_final / dt`` rounds to 1 to _MAX_STEPS steps, ``tol`` is
-    None or a number >= 0 and the variant, box and grid pass
+    None or a number >= 0 (not a bool) and the variant, box and grid pass
     ``make_field``'s check, ConfigError is raised before any sampling.
     """
     if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
             and t_final / dt < math.inf):
         raise ConfigError(f"evolve needs finite dt > 0, T >= 0 and T/dt, "
                           f"got T={t_final}, dt={dt}")
-    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0):
+    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0
+                                and not isinstance(tol, bool)):
         raise ConfigError(f"evolve needs a tol >= 0 or None, got {tol!r}")
     n_steps = int(round(t_final / dt))
     if n_steps == 0:

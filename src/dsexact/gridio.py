@@ -57,18 +57,22 @@ _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian sample grid, a config's ``/grid``: times and two ranges
-    (lo, hi, count), the count kept as an int.  No time, a value not a real
-    number (or a bool), a count not whole from 1 to _MAX_AXIS or points
-    that, jittered or not, can leave the double range are a ConfigError."""
+    (lo, hi, count), the count kept as an int.  No time, a range not of 3
+    entries, a value not a real number (or a bool), a count not whole from
+    1 to _MAX_AXIS or points that, jittered or not, can leave the double
+    range are a ConfigError."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
 
     def __post_init__(self):
-        if not len(self.t_values):
-            raise ConfigError("/grid/t: a grid needs at least one time")
         for axis, values in zip("txy", astuple(self)):
+            size = len(values) if hasattr(values, "__len__") else 0
+            if not (size == 3 or axis == "t" and size):
+                raise ConfigError(f"/grid/{axis}: expected " + (
+                    "at least one time" if axis == "t" else "(lo, hi, count)")
+                    + f", got {values!r}")
             for i, value in enumerate(values):
                 if type(value) is bool or not isinstance(value, numbers.Real):
                     raise ConfigError(f"/grid/{axis}/{i}: expected a real "

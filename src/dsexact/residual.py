@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,9 +197,12 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.  Raises ConfigError unless h is
     finite and positive, (h/2)^2 is nonzero, ``order`` is in ``ORDERS``,
-    tol_rel is >= 0 (NaN is not) and the sample is numbers, (N, 3) if any.
+    tol_rel >= 0 (NaN is not), neither is a bool, and the sample is
+    numbers, (N, 3) if any.
     """
-    if not (0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
+    if not (all(isinstance(a, numbers.Real) and not isinstance(a, bool)
+                for a in (h, tol_rel))
+            and 0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
             and order in ORDERS and tol_rel >= 0.0):
         raise ConfigError(f"verify needs a finite step h > 0 whose half "
                           f"step squares to a nonzero number, a tolerance "

@@ -51,6 +51,7 @@ class TransformSpec:
                 raise ConfigError("T1 needs alpha, beta, gamma")
         elif self.kind == "T2":
             if not (isinstance(self.b, numbers.Real)
+                    and not isinstance(self.b, bool)
                     and 0.0 < abs(self.b) <= sys.float_info.max):
                 raise ConfigError(f"T2 needs a finite nonzero real b, "
                                   f"got b={self.b!r}")

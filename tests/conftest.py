@@ -1,12 +1,16 @@
 """Shared helpers: independent finite-difference derivatives, the published
-family C constant set, and bounded random expression trees for property
-sweeps."""
+family C constant set, family C lines with other constants, bounded random
+expression trees for property sweeps, and numpy's dispatch target."""
 
 import math
 import random
 
-from dsexact import parse_timefn
+import numpy as np
+
+from dsexact import eval_solution, parse_timefn
+from dsexact.catalog import solution
 from dsexact.elliptic import make_profile
+from dsexact.timefn import jet_arrays
 
 # 6th-order central stencil, independent of the ones inside the package.
 _D2_6 = ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
@@ -35,6 +39,47 @@ def published_constants(kind, m, eps1, ell, eps2):
     amplitude = math.sqrt(E * prof.p / (2.0 * (eps2 + kappa)))
     return {"amplitude": amplitude, "v_constant": E * prof.q,
             "v_quad_coeff": kappa}
+
+
+def mutant(sol, amplitude=None, v_constant=None, v_quad_coeff=None):
+    """The family C line ``sol`` with the given constants in place of its
+    matched ones: the amplitude A', the constant C' and the nu^2
+    coefficient K' of v.  With s = A'/A, u' = s u and
+
+        v' = v + exp(-4 beta) (C' - C) + (K' s^2 - K) |u|^2,
+
+    since |u|^2 = exp(-4 beta) nu^2.  Exact only for the matched set, so
+    a mutant feeds the residual oracle a wrong solution."""
+    p = sol.provenance
+    amp = p["amplitude"] if amplitude is None else float(amplitude)
+    c_v = p["v_constant"] if v_constant is None else float(v_constant)
+    kappa = p["v_quad_coeff"] if v_quad_coeff is None else float(v_quad_coeff)
+    s = amp / p["amplitude"]
+    beta = parse_timefn(p["beta"])
+
+    def fields(t, x, y):
+        u, v, ok = eval_solution(sol, t, x, y)
+        stretch2 = np.exp(-4.0 * jet_arrays(beta, t)[0].f)
+        v = v + stretch2 * (c_v - p["v_constant"]) \
+            + (kappa * s * s - p["v_quad_coeff"]) * (u.real ** 2 + u.imag ** 2)
+        return s * u, v, ok
+
+    return solution(sol.variant, fields, {**p, "amplitude": amp,
+                                          "v_constant": c_v,
+                                          "v_quad_coeff": kappa})
+
+
+def dispatch_target(ufunc):
+    """The target numpy runs the float64 loop of ``ufunc`` at, as numpy
+    names it: "X86_V4" (AVX-512) or "baseline(X86_V2)" on x86-64 with
+    numpy 2.4, set by the CPU and ``NPY_DISABLE_CPU_FEATURES``.  None
+    where numpy does not say (numpy 1.x has no ``numpy.lib.introspect``)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name=f"^{ufunc}$", signature="float64")
+    return info.get(ufunc, {}).get("dd", {}).get("current")
 
 
 def random_smooth_tree(rng: random.Random, bounded=False) -> str:

@@ -86,6 +86,20 @@ def _line(kind):
             "params": params}
 
 
+def _evolve(name, ell, lengths, transforms=None):
+    """The ``dsexact evolve`` config of an e1=-1 ``sn`` line at ``ell`` on
+    the box ``lengths``, then ``transforms`` if given."""
+    cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
+           "params": {"kind": "sn", "m": 0.5, "ell": ell, "ell1": 0.0,
+                      "beta": "0"},
+           "evolve": {"box": lengths, "n": 16, "T": 0.01, "dt": 1e-3,
+                      "snapshot_out": f"evolve/{name}-snap.csv"},
+           "out": f"evolve/{name}.json"}
+    if transforms:
+        cfg["transforms"] = transforms
+    return cfg
+
+
 def _run(name, cfg, argv):
     """``dsexact <argv> --config config/<name>.json`` with ``cfg`` written
     there; a run that writes nothing is an error."""
@@ -121,15 +135,8 @@ def _commands():
                "beta": "0", "gamma": "0"}]),
             ("oblique", oblique,
              [box / math.sin(oblique), box / math.cos(oblique)], None)):
-        cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
-               "params": {"kind": "sn", "m": 0.5, "ell": ell,
-                          "ell1": 0.0, "beta": "0"},
-               "evolve": {"box": lengths, "n": 16, "T": 0.01, "dt": 1e-3,
-                          "snapshot_out": f"evolve/{name}-snap.csv"},
-               "out": f"evolve/{name}.json"}
-        if transforms:
-            cfg["transforms"] = transforms
-        _run(f"evolve-{name}", cfg, ["evolve"])
+        _run(f"evolve-{name}", _evolve(name, ell, lengths, transforms),
+             ["evolve"])
 
 
 def _files(root) -> list:

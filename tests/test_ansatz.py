@@ -11,10 +11,9 @@ from dsexact import DegenerateMatch, NoRealAmplitude, Variant, family_c, \
 from dsexact.elliptic import make_profile
 
 
-def constants(kind, m, eps1, ell, eps2, **overrides):
+def constants(kind, m, eps1, ell, eps2):
     """(amplitude, v_constant, v_quad_coeff) of a family C line."""
-    sol = family_c(Variant(eps1, eps2), kind, m, ell, 0.0, parse_timefn("0"),
-                   **overrides)
+    sol = family_c(Variant(eps1, eps2), kind, m, ell, 0.0, parse_timefn("0"))
     return tuple(sol.provenance[key]
                  for key in ("amplitude", "v_constant", "v_quad_coeff"))
 
@@ -104,23 +103,6 @@ def test_v_profile_coefficient():
     assert constants("tan", None, -1, math.pi / 2.0, 1)[2] == -2.0
     assert constants("dn", 0.5, -1, math.pi / 4.0, -1)[2] == \
         pytest.approx(-1.0, rel=1e-14)
-
-
-def test_v_quad_coeff_alone_keeps_the_matched_constants():
-    matched = constants("cn", 0.65, 1, 1.0, 1)
-    assert constants("cn", 0.65, 1, 1.0, 1, v_quad_coeff=0.37) == \
-        (*matched[:2], 0.37)
-
-
-def test_given_amplitude_and_v_constant_skip_the_match():
-    # dn with e2 = +1 has no real matched amplitude; with both constants
-    # given the instance builds, and v keeps the forced kappa = -2 zeta^2.
-    for ell in (0.0, 0.3):
-        zeta = math.sinh(ell)
-        assert constants("dn", 0.5, 1, ell, 1, amplitude=0.8,
-                         v_constant=-0.1) == (0.8, -0.1, -2.0 * zeta * zeta)
-        with pytest.raises(NoRealAmplitude):
-            constants("dn", 0.5, 1, ell, 1, amplitude=0.8)
 
 
 def _admissible_cases():

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -7,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import mutant
 from dsexact import ConfigError, EmptySampleError, MixedCaseUnsupported, \
     NoRealAmplitude, NoRealSolution, TransformSpec, UnsupportedVariant, \
     TimeFunction, Variant, catalog, compose, ellipk, eval_solution, \
@@ -210,12 +212,25 @@ def test_family_c_negated_amplitude_is_still_exact():
     # u -> -u is a symmetry; the sign of the matched root is a convention.
     from dsexact import verify
     base = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3, parse_timefn("0.1*t"))
-    flipped = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3,
-                       parse_timefn("0.1*t"),
-                       amplitude=-base.provenance["amplitude"])
+    flipped = mutant(base, amplitude=-base.provenance["amplitude"])
     pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
     assert verify(base, pts).passed
     assert verify(flipped, pts).passed
+
+
+@pytest.mark.parametrize("family, keys", [
+    (lambda: family_a(Variant(1, 1), parse_timefn("t"), np.int64(2)), ["c"]),
+    (lambda: family_b(Variant(1, 1), np.int64(1), 2, np.int64(0),
+                      parse_timefn("0")), ["a", "b", "c"]),
+    (lambda: family_c(Variant(-1, 1), "sn", 0.5, np.int64(0), 1,
+                      parse_timefn("0")), ["ell", "ell1"]),
+], ids=["A", "B", "C"])
+def test_provenance_numbers_are_floats(family, keys):
+    # Integer parameters, numpy's too, are recorded as Python floats, so a
+    # provenance is JSON as it stands.
+    provenance = family().provenance
+    assert all(type(provenance[key]) is float for key in keys)
+    json.dumps(provenance)
 
 
 def test_provenance_records_parameters():

@@ -135,16 +135,33 @@ def test_verify_of_stencils_that_round_onto_their_points(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(tmp_path):
+    # Family B's im overrides the forced (1/4) ln 3 = 0.2747 at a = b = 1.
     cfg = write_config(tmp_path / "cfg.json", {
-        "variant": {"eps1": -1, "eps2": 1},
-        "family": "C",
-        "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "ell1": 0.0,
-                   "beta": "0", "v_quad_coeff": 0.15},  # wrong on purpose
+        "variant": {"eps1": 1, "eps2": 1},
+        "family": "B",
+        "params": {"a": 1.0, "b": 1.0, "c": 0.5, "beta": "0.1*t",
+                   "im": 0.3},  # wrong on purpose
         "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
         "out": str(tmp_path / "bad.json"),
     })
     assert main(["verify", "--config", cfg]) == 1
     assert json.loads((tmp_path / "bad.json").read_text())["pass"] is False
+
+
+@pytest.mark.parametrize("key", ["amplitude", "v_constant", "v_quad_coeff"])
+def test_family_c_constant_overrides_are_refused(tmp_path, capsys, key):
+    # An unread override would turn its failed verdict into a silent pass.
+    cfg = write_config(tmp_path / "cfg.json", {
+        "variant": {"eps1": -1, "eps2": 1},
+        "family": "C",
+        "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "beta": "0",
+                   key: 0.15},
+        "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
+        "out": str(tmp_path / "report.json"),
+    })
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"ConfigError: /params/{key}: ")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_internal_error_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
@@ -318,6 +335,19 @@ def test_evolve_report_and_snapshot(tmp_path):
     snap = (tmp_path / "snap.csv").read_text().splitlines()
     assert snap[0] == "t,x,y,re_u,im_u,abs_u,v,valid"
     assert len(snap) == 1 + 32 * 32
+
+
+def test_eval_and_evolve_name_what_they_wrote(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    out = tmp_path / "field.csv"
+    assert main(["eval", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    out = tmp_path / "evolve.json"
+    assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert capsys.readouterr().out == (
+        f"max_dev={doc['max_dev']:.3e} l2_dev={doc['l2_dev']:.3e} "
+        f"mass_drift={doc['mass_drift']:.3e} -> {out}\n")
 
 
 def test_evolve_box_that_is_not_a_power_of_two(tmp_path):
@@ -533,9 +563,8 @@ def test_non_finite_report_is_strict_json(tmp_path):
     # and order, though their squares overflow.
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
-        "family": "C",
-        "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
-                   "ell1": 0.0, "beta": "0", "amplitude": 1e120},
+        "family": "A",
+        "params": {"Im": "t", "c": 1e120},
         "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
         "out": str(tmp_path / "report.json"),
     })

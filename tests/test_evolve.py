@@ -21,6 +21,13 @@ def sn_line(m=0.5):
     return family_c(DS2, "sn", m, math.pi / 2.0, 0.0, parse_timefn("0"))
 
 
+def test_poisson_v_takes_a_nested_list():
+    n, lx = 8, 2.0 * math.pi
+    g = np.cos(np.arange(n) * (lx / n))[:, None] * np.ones((1, n))
+    assert np.array_equal(poisson_v(g.tolist(), lx, lx, DS2, 0.0),
+                          poisson_v(g, lx, lx, DS2, 0.0))
+
+
 def test_poisson_cosine():
     n = 32
     lx = ly = 2.0 * math.pi
@@ -411,7 +418,7 @@ def test_crosscheck_on_a_box_of_any_length(n):
                                                      n).v))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-5"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-5", True])
 def test_crosscheck_refuses_a_tol_before_sampling(monkeypatch, tol):
     def refuse(*args):
         raise AssertionError("sampled")

@@ -2,6 +2,7 @@
 ``format(c, ".17g")``, rows are joined with ``,`` and end in ``,true`` or,
 for an invalid point, ``,,,,,false``."""
 
+import json
 import math
 
 import numpy as np
@@ -156,6 +157,19 @@ def test_value_that_is_not_a_real_number_is_config_error(t, x, y, named):
         GridSpec(t, x, y)
 
 
+@pytest.mark.parametrize("t, x, y, named", [
+    ((0.0,), (0.0, 1.0), (0.0, 1.0, 2), "/grid/x"),  # a ValueError
+    ((0.0,), (0.0, 1.0, 2, 3), (0.0, 1.0, 2), "/grid/x"),
+    ((0.0,), (0.0, 1.0, 2), 5, "/grid/y"),  # a TypeError
+    (0.5, (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t"),
+])
+def test_axis_that_is_not_a_sequence_of_its_length_is_config_error(
+        t, x, y, named):
+    # Library callers only: the CLI's _list checks each length.
+    with pytest.raises(ConfigError, match=f"^{named}: expected "):
+        GridSpec(t, x, y)
+
+
 def test_numpy_reals_are_grid_values():
     grid = GridSpec(np.array([0.5]), (np.float32(-1.0), np.float64(1.0),
                                       np.int64(3)), (0, 1, np.float64(2.0)))
@@ -220,6 +234,13 @@ def neighbours(values, steps):
         up, down = np.nextafter(up, INF), np.nextafter(down, -INF)
         out += [up, down]
     return np.concatenate(out)
+
+
+def test_non_finite_numbers_in_report_lists_are_null(tmp_path):
+    path = tmp_path / "report.json"
+    write_json_report(path, {"box": [NAN, 1.0], "runs": [{"max": INF}]})
+    assert json.loads(path.read_text()) == {"box": [None, 1.0],
+                                            "runs": [{"max": None}]}
 
 
 def test_column_formatter_matches_format():

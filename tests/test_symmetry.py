@@ -161,11 +161,18 @@ def test_t2_rejects_zero():
         compose([], constant_solution())
 
 
+def test_empty_chain_from_an_iterator_is_refused():
+    with pytest.raises(ConfigError, match="nonempty"):
+        compose(iter([]), constant_solution())
+
+
 @pytest.mark.parametrize("b", [0.0, math.nan, math.inf, -math.inf, "2",
-                               None, pytest.param(10 ** 400, id="1e400")])
+                               None, pytest.param(10 ** 400, id="1e400"),
+                               True])
 def test_t2_refuses_a_b_that_is_not_a_finite_nonzero_real(b):
     # NaN made every point invalid, and the run ended in EmptySampleError;
-    # "2" was taken as 2.0 and 10 ** 400 overflowed float().
+    # "2" was taken as 2.0, 10 ** 400 overflowed float() and True built
+    # the identity.
     for make in (lambda: TransformSpec("T2", b=b),
                  lambda: apply_t2(constant_solution(), b)):
         with pytest.raises(ConfigError, match=re.escape(f"got b={b!r}")):

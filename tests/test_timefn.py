@@ -125,6 +125,9 @@ SCANNER_CASES = [
     ("t+)", ("unexpected ')' at position 2", 2)),
     # The text past the last token is named, not printed as its value.
     ("sin(t", ("expected ')', found end of input at position 5", 5)),
+    pytest.param("+t", (2.0, 1.0, 0.0, 0.0), id="+t-t"),
+    pytest.param("2*+t", (4.0, 2.0, 0.0, 0.0), id="2*+t-(2.0*t)"),
+    ("2*", ("unexpected end of input at position 2", 2)),
 ]
 
 
@@ -351,3 +354,17 @@ def test_overflowing_exponent_is_a_parse_error():
         parse_timefn("t^(2^2000)")
     with pytest.raises(ParseError, match="undefined or overflows"):
         parse_timefn("t^exp(1000)")
+
+
+def test_validity_interval_is_stored_as_a_float_pair():
+    f = parse_timefn("t", [0, 1])
+    assert f.domain == (0.0, 1.0)
+    assert all(type(bound) is float for bound in f.domain)
+
+
+def test_array_jets_are_read_only():
+    j, ok = jet_arrays(parse_timefn("t^2"), np.array([0.5, 1.5]))
+    for a in (j.f, j.d1, j.d2, j.d3, ok):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
