@@ -57,7 +57,7 @@ import numpy as np
 
 from .elliptic import SINGULARITY_GUARD, make_profile
 from .errors import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, UnsupportedVariant
+    NoRealAmplitude, NoRealSolution, UnsupportedVariant, real
 from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
@@ -175,7 +175,7 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
     and ``v`` are meaningless there.
     """
     eps1, eps2 = variant.eps1, variant.eps2
-    c = float(c)
+    c = real(c, "c")
 
     def fields(t, x, y):
         j, ok = jet_arrays(im, t)
@@ -208,7 +208,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
     """
     if variant.eps1 != 1:
         raise UnsupportedVariant("family B requires eps1 = +1")
-    a, b, c = float(a), float(b), float(c)
+    a, b, c = (real(x, name) for x, name in zip((a, b, c), "abc"))
     if a == 0.0 or b == 0.0:
         raise MixedCaseUnsupported(
             "family B needs a*b != 0; use family A for a=b=0")
@@ -222,7 +222,7 @@ def family_b(variant: Variant, a: float, b: float, c: float,
                               f"outside the floating-point range")
         im_value = 0.25 * math.log(ratio)
     else:
-        im_value = float(im)
+        im_value = real(im, "im")
     eps2 = variant.eps2
     e2i = math.exp(-2.0 * im_value)
 
@@ -268,7 +268,7 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
     A^2 < 0.
     """
     eps1, eps2 = variant.eps1, variant.eps2
-    ell, ell1 = float(ell), float(ell1)
+    ell, ell1 = real(ell, "ell"), real(ell1, "ell1")
     odd, even = (math.sinh, math.cosh) if eps1 == 1 else (math.sin, math.cos)
     try:
         zeta, eta, E = odd(ell), even(ell), even(2.0 * ell)

@@ -26,7 +26,7 @@ import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
 from .elliptic import PROFILE_KINDS
-from .errors import ConfigError, DomainError, DSError
+from .errors import ConfigError, DomainError, DSError, real
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import MAX_BOX_N, crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
@@ -84,30 +84,10 @@ def _get(cfg, pointer: str, default=...):
     return default
 
 
-def _number(cfg, pointer, default=...):
+def _number(cfg, pointer, default=..., *bounds, integer=False):
     value = _get(cfg, pointer, default)
-    if value is None:
-        return None
-    if type(value) not in (int, float) \
-            or not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{pointer}: expected a finite number, "
-                          f"got {value!r}")
-    return float(value)
-
-
-def _count(cfg, pointer, least, most, default=...):
-    value = _number(cfg, pointer, default)
-    if value % 1 or not least <= value <= most:
-        raise ConfigError(f"{pointer}: expected an integer from {least} to "
-                          f"{most}, got {value!r}")
-    return int(value)
-
-
-def _tolerance(cfg, pointer, default=...):
-    value = _number(cfg, pointer, default)
-    if value is not None and value < 0.0:
-        raise ConfigError(f"{pointer}: expected a number >= 0, got {value!r}")
-    return value
+    return None if value is None else real(value, pointer, *bounds,
+                                           integer=integer)
 
 
 def _choice(cfg, pointer, choices, default=...):
@@ -216,7 +196,7 @@ def _solution(cfg) -> Solution:
 
 
 def build_grid(cfg: dict) -> GridSpec:
-    return GridSpec(*(tuple(_list(cfg, f"/grid/{axis}", _number, length))
+    return GridSpec(*(tuple(_list(cfg, f"/grid/{axis}", _get, length))
                       for axis, length in (("t", None), ("x", 3), ("y", 3))))
 
 
@@ -247,7 +227,7 @@ def _cmd_verify(cfg, args) -> int:
     points = grid.points(seed=args.seed)
     h = _number(cfg, "/verify/h", DEFAULT_H)
     order = _choice(cfg, "/verify/order", ORDERS, DEFAULT_ORDER)
-    tol = _tolerance(cfg, "/verify/tol_rel", DEFAULT_TOL_REL)
+    tol = _number(cfg, "/verify/tol_rel", DEFAULT_TOL_REL, 0.0)
     out = _out(cfg, args, "report.json")
     report = verify(sol, points, h=h, order=order, tol_rel=tol)
     write_json_report(out, report.to_json_dict())
@@ -267,10 +247,9 @@ def _cmd_transform(cfg, args) -> int:
 def _cmd_evolve(cfg, args) -> int:
     sol = _solution(cfg)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
-    n = _count(cfg, "/evolve/n", 2, MAX_BOX_N, 64)
-    t_final = _number(cfg, "/evolve/T")
-    dt = _number(cfg, "/evolve/dt")
-    tol = _tolerance(cfg, "/evolve/tol", None)
+    n = _number(cfg, "/evolve/n", 64, 2, MAX_BOX_N, integer=True)
+    t_final, dt = _number(cfg, "/evolve/T"), _number(cfg, "/evolve/dt")
+    tol = _number(cfg, "/evolve/tol", None, 0.0)
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
     report, field = crosscheck(sol, lx, ly, n, t_final, dt, tol=tol)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, real
 
 __all__ = ["ellipk", "jacobi_sn_cn_dn", "Profile", "make_profile",
            "PROFILE_KINDS", "ELLIPTIC_KINDS", "SINGULARITY_GUARD"]
@@ -48,13 +48,13 @@ _TINY = 2.0 ** -510
 
 
 def _modulus(m, what: str) -> float:
-    """``float(m)`` for m in [0, 1); otherwise (None and NaN included) a
-    DomainError naming ``what``."""
-    if m is None:
-        raise DomainError(f"{what} requires a modulus m")
-    if not 0.0 <= float(m) < 1.0:
-        raise DomainError(f"{what} requires 0 <= m < 1, got m={float(m)}")
-    return float(m)
+    """m as a float for m in [0, 1); otherwise a DomainError naming ``what``
+    (None and NaN too), or ``errors.real``'s ConfigError for a non-number."""
+    if m is not None and not (isinstance(m, float) and math.isnan(m)):
+        m = real(m, "m", -math.inf, math.inf)
+    if m is None or not 0.0 <= m < 1.0:
+        raise DomainError(f"{what} requires 0 <= m < 1, got m={m}")
+    return m
 
 
 def ellipk(m: float) -> float:

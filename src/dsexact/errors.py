@@ -4,7 +4,14 @@ Every error carries an ``exit_code`` used by the command-line front end:
 2 for configuration problems and for inputs outside a family's or an
 operation's contract (ConfigError and its subclasses), 3 for numerical
 blow-up, 1 for everything else (verification failures included).
+``real`` checks every number the library and a config take.
 """
+
+import math
+import numbers
+import sys
+
+_MAX = sys.float_info.max
 
 
 class DSError(Exception):
@@ -70,3 +77,21 @@ class BlowupError(DSError):
     """NaN detected during time stepping."""
 
     exit_code = 3
+
+
+def real(value, name, lo=-_MAX, hi=_MAX, integer=False):
+    """``value`` as a float (an int if ``integer``) if it is a real number,
+    not a bool, from ``lo`` to ``hi`` (whole if ``integer``), else a
+    ConfigError naming ``name`` with the value's repr.  Ints and fractions
+    compare exactly (10**400 is refused), other reals as floats."""
+    exact = isinstance(value, numbers.Rational)
+    number = math.nan  # what every range refuses
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        number = value if exact else float(value)
+    if (not lo <= number <= hi or integer and number % 1
+            or exact and not -_MAX <= number <= _MAX):  # past any double
+        kind = "an integer" if integer else "a real number"
+        span = (f" from {lo!r} to {hi!r}" if hi < _MAX else
+                f" >= {lo!r}" if lo > -_MAX else "")
+        raise ConfigError(f"{name}: expected {kind}{span}, got {value!r}")
+    return int(number) if integer else float(number)

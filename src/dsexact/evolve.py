@@ -34,14 +34,13 @@ variant are still verified by the residual oracle.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .catalog import Solution, Variant, eval_solution
 from .errors import BlowupError, ConfigError, PeriodicityError, \
-    UnsupportedVariant
+    UnsupportedVariant, real
 
 __all__ = ["Field", "make_field", "poisson_v", "advance", "step", "mass",
            "crosscheck", "MAX_BOX_N"]
@@ -63,8 +62,8 @@ class Field:
 
     u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); the mean of v is
     the gauge of the mean flow.  A u not complex128, a v not float64, u and
-    v not of one 2-D shape, or steps that ``_steps`` refuses are a
-    ConfigError; the Field is frozen, so that check holds for its life.
+    v not of one 2-D shape, steps that ``_steps`` refuses or a t not real
+    are a ConfigError; the Field is frozen, so that check holds for its life.
     """
 
     lx: float
@@ -81,6 +80,7 @@ class Field:
                               f"{self.v.shape} of {self.v.dtype} (u must be "
                               f"complex128, v float64)")
         _steps(self.lx, self.ly, self.u.shape)
+        object.__setattr__(self, "t", real(self.t, "t"))
 
     def axes(self):
         """The coordinates (xs, ys) of u's rows and columns."""
@@ -90,9 +90,10 @@ class Field:
 
 def _steps(lx: float, ly: float, shape):
     """The box grid's steps (lx / nx, ly / ny), computed here alone: a
-    ConfigError unless both are finite and > 0 (an empty axis too)."""
-    dx, dy = (length / (n or math.nan) for length, n in zip((lx, ly), shape))
-    if not (0.0 < dx < math.inf and 0.0 < dy < math.inf):
+    ConfigError unless lx and ly are real numbers and both steps are > 0."""
+    dx, dy = (real(length, name) / (n or math.nan)
+              for length, name, n in zip((lx, ly), ("lx", "ly"), shape))
+    if not (0.0 < dx and 0.0 < dy):
         raise ConfigError(f"the {shape[0]} x {shape[1]} grid needs finite "
                           f"steps lx/nx, ly/ny > 0, got lx={lx}, ly={ly}")
     return dx, dy
@@ -145,19 +146,19 @@ def mass(field: Field) -> float:
     return float(np.sum(np.abs(field.u) ** 2)) * dx * dy
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite u: BlowupError
 def advance(field: Field, variant: Variant, dt: float,
             n_steps: int) -> Field:
     """``n_steps`` Strang steps of size dt with the adjacent linear halves
     fused into full steps; v keeps the mean of field.v (the gauge) and is
     recomputed only for the final field.  Zero steps return ``field``,
-    after ``_wavenumbers``'s checks and a ConfigError unless dt is finite
-    and > 0 and n_steps an int 0 to _MAX_STEPS; a non-finite u, BlowupError."""
+    after ``_wavenumbers``'s checks and a ConfigError unless dt is a real
+    number > 0 and n_steps an integer 0 to _MAX_STEPS; a non-finite u,
+    BlowupError."""
     kx2, ky2, multiplier = _wavenumbers(field.u.shape, field.lx, field.ly,
                                         variant)
-    if not (0.0 < dt < math.inf and hasattr(n_steps, "__index__")
-            and not isinstance(n_steps, bool) and 0 <= n_steps <= _MAX_STEPS):
-        raise ConfigError(f"advance needs finite dt > 0, integer 0 <= n_steps "
-                          f"<= {_MAX_STEPS}, got dt={dt}, n_steps={n_steps!r}")
+    dt = real(dt, "dt", math.ulp(0.0))
+    n_steps = real(n_steps, "n_steps", 0, _MAX_STEPS, integer=True)
     if n_steps < 1:
         return field
     v_mean = float(np.mean(field.v))
@@ -237,18 +238,13 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
     the mass drift and the gauge v_mean (the mean of v at t = 0), and the
     evolved Field; with a ``tol``, the report holds it and the verdict
     ``"pass": max_dev <= tol``.  Unless ``dt`` > 0 and ``t_final`` >= 0 are
-    finite, ``t_final / dt`` rounds to 1 to _MAX_STEPS steps, ``tol`` is
-    None or a number >= 0 (not a bool) and the variant, box and grid pass
-    ``make_field``'s check, ConfigError is raised before any sampling.
+    real numbers, ``t_final / dt`` rounds to 1 to _MAX_STEPS steps, ``tol``
+    is None or a real number >= 0 (inf too) and ``make_field`` takes the
+    variant, box and grid, ConfigError is raised before any sampling.
     """
-    if not (0.0 < dt < math.inf and 0.0 <= t_final < math.inf
-            and t_final / dt < math.inf):
-        raise ConfigError(f"evolve needs finite dt > 0, T >= 0 and T/dt, "
-                          f"got T={t_final}, dt={dt}")
-    if tol is not None and not (isinstance(tol, numbers.Real) and tol >= 0
-                                and not isinstance(tol, bool)):
-        raise ConfigError(f"evolve needs a tol >= 0 or None, got {tol!r}")
-    n_steps = int(round(t_final / dt))
+    t_final, dt = real(t_final, "t_final", 0.0), real(dt, "dt", math.ulp(0.0))
+    tol = None if tol is None else real(tol, "tol", 0.0, math.inf)
+    n_steps = round(min(t_final / dt, 2.0 * _MAX_STEPS))  # inf: over the cap
     if n_steps == 0:
         raise ConfigError(f"evolve would run zero steps: T={t_final} is "
                           f"less than half a step dt={dt}")

@@ -16,14 +16,14 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
+import os
 import random
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Solution, eval_solution
-from .errors import ConfigError
+from .errors import ConfigError, real
 
 __all__ = ["GridSpec", "write_field_csv", "write_box_csv", "write_json_report",
            "FIELD_HEADER"]
@@ -57,32 +57,28 @@ _TAILS = np.frombuffer(b"false\ntrue\n\0", np.uint8).reshape(2, 6)
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian sample grid, a config's ``/grid``: times and two ranges
-    (lo, hi, count), the count kept as an int.  No time, a range not of 3
-    entries, a value not a real number (or a bool), a count not whole from
-    1 to _MAX_AXIS or points that, jittered or not, can leave the double
-    range are a ConfigError."""
+    (lo, hi, count), kept as floats and an int count.  No time, a range not
+    of 3 entries, a value that ``errors.real`` refuses (a count: an integer
+    from 1 to _MAX_AXIS) or points that, jittered or not, can leave the
+    double range are a ConfigError."""
 
     t_values: tuple
     x_range: tuple  # (lo, hi, count)
     y_range: tuple
 
     def __post_init__(self):
-        for axis, values in zip("txy", astuple(self)):
-            size = len(values) if hasattr(values, "__len__") else 0
+        for axis, (key, values) in zip("txy", list(vars(self).items())):
+            size = len(values) if getattr(values, "ndim", 1) \
+                and hasattr(values, "__len__") else 0
             if not (size == 3 or axis == "t" and size):
                 raise ConfigError(f"/grid/{axis}: expected " + (
                     "at least one time" if axis == "t" else "(lo, hi, count)")
                     + f", got {values!r}")
-            for i, value in enumerate(values):
-                if type(value) is bool or not isinstance(value, numbers.Real):
-                    raise ConfigError(f"/grid/{axis}/{i}: expected a real "
-                                      f"number, got {value!r}")
+            count = () if axis == "t" else (1, _MAX_AXIS, True)
+            object.__setattr__(self, key, tuple(
+                real(value, f"/grid/{axis}/{i}", *(count if i == 2 else ()))
+                for i, value in enumerate(values)))
         for axis, (lo, hi, count) in zip("xy", (self.x_range, self.y_range)):
-            if count % 1 or not 1 <= count <= _MAX_AXIS:  # NaN, inf included
-                raise ConfigError(f"/grid/{axis}/2: expected an integer from "
-                                  f"1 to {_MAX_AXIS}, got {count!r}")
-            count = int(count)
-            object.__setattr__(self, f"{axis}_range", (lo, hi, count))
             # The largest product the points and jitter are built from, and
             # the largest magnitude a jittered point can reach.
             spacing = abs(hi - lo) / max(1, count - 1)
@@ -234,8 +230,10 @@ def field_rows(sol: Solution, axes, rows, cells, index):
 
 
 def _open_output(path):
-    """``path`` opened for writing bytes; a path that cannot be opened is a
-    ConfigError naming it."""
+    """``path`` opened for writing bytes; a path that is not a str or an
+    os.PathLike, or that cannot be opened, is a ConfigError naming it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"cannot write {path!r}: not a str or os.PathLike")
     try:
         return open(path, "wb")
     except OSError as err:

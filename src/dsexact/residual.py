@@ -20,13 +20,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import Solution, eval_solution
-from .errors import ConfigError, EmptySampleError
+from .errors import ConfigError, EmptySampleError, real
 
 __all__ = ["ResidualReport", "verify", "ORDERS", "MAX_POINTS",
            "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
@@ -43,6 +42,7 @@ DEFAULT_FLOOR_REL = 1e-8
 # most the CLI's verify takes, holds 316 MB (tracemalloc, numpy 2.4).
 _BLOCK = 4096
 MAX_POINTS = 2 ** 22
+_MIN_H = math.ldexp(math.sqrt(2.0), -537)  # least h with (h/2)^2 > 0
 
 # Central difference weights at k = -order/2..order/2 (0 at the centre of
 # a first difference); apply as sum(c_k * f(x0 + k*h)) / h**deriv_order.
@@ -195,20 +195,15 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     the roundoff floor; a non-finite rms gives a NaN order.  The effective
     floor is max(DEFAULT_FLOOR_REL, tol_rel/10), so an infinite tolerance
     passes vacuously and a loose tolerance does not demand clean convergence
-    of residuals it would accept anyway.  Raises ConfigError unless h is
-    finite and positive, (h/2)^2 is nonzero, ``order`` is in ``ORDERS``,
-    tol_rel >= 0 (NaN is not), neither is a bool, and the sample is
+    of residuals it would accept anyway.  Raises ConfigError unless h is a
+    real number from _MIN_H (about 3.1e-162, below which (h/2)^2 is 0),
+    tol_rel one >= 0 (inf too), ``order`` one of ``ORDERS`` and the sample
     numbers, (N, 3) if any.
     """
-    if not (all(isinstance(a, numbers.Real) and not isinstance(a, bool)
-                for a in (h, tol_rel))
-            and 0.0 < h < math.inf and h / 2.0 * (h / 2.0) > 0.0
-            and order in ORDERS and tol_rel >= 0.0):
-        raise ConfigError(f"verify needs a finite step h > 0 whose half "
-                          f"step squares to a nonzero number, a tolerance "
-                          f">= 0 and an order in {ORDERS}; got h={h!r}, "
-                          f"order={order!r}, tol_rel={tol_rel!r}")
-    order, h = int(order), float(h)
+    h, tol_rel = real(h, "h", _MIN_H), real(tol_rel, "tol_rel", 0.0, math.inf)
+    if order not in ORDERS:
+        raise ConfigError(f"order: expected one of {ORDERS}, got {order!r}")
+    order = int(order)
     try:
         points = np.asarray(sample, dtype=float)
     except (TypeError, ValueError) as err:  # ragged rows, a non-number

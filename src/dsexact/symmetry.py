@@ -21,15 +21,13 @@ b and b^{-3} and the map only preserves solutions for b^4 = 1.  Each map's
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .catalog import Solution, eval_solution, solution
-from .errors import ConfigError
+from .errors import ConfigError, real
 from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["TransformSpec", "apply_t1", "apply_t2", "compose"]
@@ -50,11 +48,10 @@ class TransformSpec:
             if self.alpha is None or self.beta is None or self.gamma is None:
                 raise ConfigError("T1 needs alpha, beta, gamma")
         elif self.kind == "T2":
-            if not (isinstance(self.b, numbers.Real)
-                    and not isinstance(self.b, bool)
-                    and 0.0 < abs(self.b) <= sys.float_info.max):
-                raise ConfigError(f"T2 needs a finite nonzero real b, "
-                                  f"got b={self.b!r}")
+            object.__setattr__(self, "b", real(self.b, "b"))
+            if not self.b:
+                raise ConfigError(f"b: expected a nonzero real number, "
+                                  f"got {self.b!r}")
         else:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
 
@@ -89,7 +86,7 @@ def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
 
 def apply_t2(sol: Solution, b: float) -> Solution:
     """Parabolic scaling by b, refused as ``TransformSpec`` refuses it."""
-    b = float(TransformSpec("T2", b=b).b)
+    b = TransformSpec("T2", b=b).b
     b2 = b * b
 
     def fields(t, x, y):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, real
 
 __all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays"]
 
@@ -192,7 +192,7 @@ class TimeFunction:
         """The jet at one t, as floats.  Raises DomainError naming the first
         subexpression that fails there; an overflow gives inf, not an
         error."""
-        j, fails = self._walk(np.array([float(t)]))
+        j, fails = self._walk(np.array([real(t, "t")]))
         for bad, reason, where in fails:
             if np.any(bad):
                 raise DomainError(f"{reason} in '{where}' at t={t}")
@@ -386,7 +386,7 @@ def parse_timefn(text: str, domain: tuple | None = None) -> TimeFunction:
     """
     compiled = _Parser(text).parse()
     if domain is not None:
-        lo, hi = float(domain[0]), float(domain[1])
+        lo, hi = (real(domain[i], f"domain[{i}]") for i in (0, 1))
         if not lo < hi:
             raise ParseError(f"empty validity interval [{lo}, {hi}]")
         domain = (lo, hi)

@@ -525,7 +525,14 @@ def test_evolve_rejects_empty_horizon(tmp_path, capsys, key, value):
     })
     assert main(["evolve", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert "ConfigError" in err and "T=" in err and "dt=" in err
+    # A T or dt outside its own range is named as crosscheck's argument; a
+    # step count that rounds to 0 or overflows names both.
+    named = {("dt", 0.0): "dt: expected a real number >= 5e-324, got 0.0",
+             ("dt", -1.0): "dt: expected a real number >= 5e-324, got -1.0",
+             ("T", -1.0): "t_final: expected a real number >= 0.0, got -1.0",
+             }.get((key, value), "T=")
+    assert "ConfigError" in err and named in err
+    assert named != "T=" or "dt=" in err
     assert not (tmp_path / "evolve.json").exists()
 
 
@@ -636,13 +643,20 @@ MALFORMED = [
     ("eval", "/grid/x/2", 1e15, [], "/grid/x/2"),
     ("evolve", "/evolve/n", float(2 ** 1000), [], "/evolve/n"),
     pytest.param("evolve", "/evolve/n", 1, [],
-                 "/evolve/n: expected an integer from 2 to 2048, got 1.0",
+                 "/evolve/n: expected an integer from 2 to 2048, got 1",
                  id="evolve-n-below-two"),
     ("verify", "/verify/tol_rel", -1.0, [], "/verify/tol_rel: expected"),
-    ("verify", "/verify/tol_rel", "1e-7", [],
-     "/verify/tol_rel: expected a finite number"),
+    # The ids of the rows whose expected text changed keep the old text, so
+    # that each test keeps its name.
+    pytest.param("verify", "/verify/tol_rel", "1e-7", [],
+                 "/verify/tol_rel: expected a real number >= 0.0, got '1e-7'",
+                 id="verify-/verify/tol_rel-1e-7-flags30-"
+                    "/verify/tol_rel: expected a finite number"),
     ("evolve", "/evolve/tol", -1.0, [], "/evolve/tol: expected"),
-    ("evolve", "/evolve/T", math.nan, [], "/evolve/T: expected a finite"),
+    pytest.param("evolve", "/evolve/T", math.nan, [],
+                 "/evolve/T: expected a real number, got nan",
+                 id="evolve-/evolve/T-nan-flags32-"
+                    "/evolve/T: expected a finite"),
     ("verify", "/grid/x", [-0.9, 0.9], [], "/grid/x: expected a list of 3"),
     ("transform", "/transforms", [], [], "/transforms: expected a nonempty"),
     ("verify", "/params/beta", 3, [], "/params/beta: expected a string"),
@@ -650,8 +664,12 @@ MALFORMED = [
      "/params/beta: empty validity interval"),
     # The smallest negative double is still below 0.
     ("verify", "/verify/tol_rel", -5e-324, [], "/verify/tol_rel: expected"),
-    ("verify", "/verify/h", -1e-3, [], "h=-0.001"),
-    ("evolve", "/evolve/dt", -1e-3, [], "dt=-0.001"),
+    pytest.param("verify", "/verify/h", -1e-3, [],
+                 "h: expected a real number >= 3.1434555694052576e-162, "
+                 "got -0.001", id="verify-/verify/h--0.001-flags38-h=-0.001"),
+    pytest.param("evolve", "/evolve/dt", -1e-3, [],
+                 "dt: expected a real number >= 5e-324, got -0.001",
+                 id="evolve-/evolve/dt--0.001-flags39-dt=-0.001"),
     pytest.param("verify", "/params/beta", "(" * 2000 + "t" + ")" * 2000, [],
                  f"/params/beta: {TOO_LONG}", id="verify-parens"),
     pytest.param("eval", "/params/beta", "+".join(["t"] * 20000), [],
@@ -672,10 +690,13 @@ MALFORMED = [
     ("verify", "/grid/y", [-1.79e308, -1.7e308, 2], [], "/grid/y: the span"),
     # An int past the double range was an OverflowError in math.isfinite.
     pytest.param("verify", "/params/ell", 10 ** 400, [],
-                 "/params/ell: expected a finite number", id="verify-1e400"),
+                 f"/params/ell: expected a real number, got {10 ** 400!r}",
+                 id="verify-1e400"),
     # The step lx / 16 rounded to 0 and fftfreq divided by it.
     ("evolve", "/evolve/box/0", 5e-324, [], "lx=5e-324"),
-    ("transform", "/transforms/0/b", 0.0, [], "b=0.0"),
+    pytest.param("transform", "/transforms/0/b", 0.0, [],
+                 "b: expected a nonzero real number, got 0.0",
+                 id="transform-/transforms/0/b-0.0-flags53-b=0.0"),
 ]
 
 

@@ -17,6 +17,15 @@ from dsexact.symmetry import apply_t1
 DS2 = Variant(-1, 1)
 
 
+def box_fault(lx, ly):
+    """The text that names a box fault: ``errors.real``'s for a length that
+    is not a real number, the step check's for a step that is not > 0."""
+    for name, length in (("lx", lx), ("ly", ly)):
+        if not math.isfinite(length):
+            return f"^{name}: expected a real number, got {length!r}$"
+    return f"got lx={lx}, ly={ly}"
+
+
 def sn_line(m=0.5):
     return family_c(DS2, "sn", m, math.pi / 2.0, 0.0, parse_timefn("0"))
 
@@ -84,7 +93,7 @@ def test_poisson_rejects_plus_branch():
 def test_poisson_refuses_a_box_that_is_not_finite_and_positive(lx, ly):
     # Never a v on a mirrored or empty box.  5e-324 / 8 rounds to a step of
     # 0, which fftfreq divided by.
-    with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
+    with pytest.raises(ConfigError, match=box_fault(lx, ly)):
         poisson_v(np.ones((8, 8)), lx, ly, DS2, 0.0)
 
 
@@ -127,7 +136,7 @@ def test_poisson_on_a_grid_that_is_not_2d_is_config_error(shape, name):
 ])
 def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
     # Every Field has steps that mass, write_box_csv and advance can use.
-    with pytest.raises(ConfigError, match=f"got lx={lx}, ly={ly}"):
+    with pytest.raises(ConfigError, match=box_fault(lx, ly)):
         Field(lx, ly, np.zeros(shape, complex), np.zeros(shape), 0.0)
 
 
@@ -140,11 +149,14 @@ def test_field_refuses_steps_that_are_not_finite_and_positive(lx, ly, shape):
     (1e-3, "1"),
     (1e-3, True),  # ran one step
     (1e-3, evolve._MAX_STEPS + 1),  # started stepping
+    (True, 1),  # ran one step of dt = 1
 ])
 def test_advance_refuses_a_step_that_is_not_finite_and_positive(dt, n_steps):
     field = Field(1.0, 1.0, np.ones((8, 8), complex), np.zeros((8, 8)), 0.0)
-    with pytest.raises(ConfigError, match=re.escape(
-            f"got dt={dt}, n_steps={n_steps!r}")):
+    named = (f"n_steps: expected an integer from 0 to {evolve._MAX_STEPS}, "
+             f"got {n_steps!r}" if type(dt) is float and 0.0 < dt < math.inf
+             else f"dt: expected a real number >= 5e-324, got {dt!r}")
+    with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
         advance(field, DS2, dt, n_steps)
 
 

@@ -4,6 +4,8 @@ for an invalid point, ``,,,,,false``."""
 
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -152,8 +154,12 @@ def test_count_not_a_whole_number_of_points_is_config_error(x, y, named):
     ((False,), (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t/0"),
 ])
 def test_value_that_is_not_a_real_number_is_config_error(t, x, y, named):
-    # Library callers only: the CLI's readers pass floats.
-    with pytest.raises(ConfigError, match=f"^{named}: expected a real number"):
+    # The CLI passes the config's values as they are; GridSpec checks them.
+    value = {"t": t, "x": x, "y": y}[named[6]][int(named[-1])]
+    kind = "a real number" if "/t/" in named or not named.endswith("2") \
+        else f"an integer from 1 to {_MAX_AXIS}"
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{named}: expected {kind}, got {value!r}")):
         GridSpec(t, x, y)
 
 
@@ -162,6 +168,7 @@ def test_value_that_is_not_a_real_number_is_config_error(t, x, y, named):
     ((0.0,), (0.0, 1.0, 2, 3), (0.0, 1.0, 2), "/grid/x"),
     ((0.0,), (0.0, 1.0, 2), 5, "/grid/y"),  # a TypeError
     (0.5, (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t"),
+    (np.array(0.5), (0.0, 1.0, 2), (0.0, 1.0, 2), "/grid/t"),  # a TypeError
 ])
 def test_axis_that_is_not_a_sequence_of_its_length_is_config_error(
         t, x, y, named):
@@ -224,6 +231,29 @@ def test_json_report_is_serialised_before_its_file_is_opened(tmp_path):
     with pytest.raises(TypeError):
         write_json_report(path, {"pass": object()})
     assert path.read_bytes() == before
+
+
+def test_an_int_path_is_config_error(tmp_path):
+    # open() took the int as a file descriptor: the report went to the
+    # descriptor's file, which the writer then closed.
+    with open(tmp_path / "other.txt", "wb") as fh:
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot write {fh.fileno()!r}: not a str or os.PathLike")):
+            write_json_report(fh.fileno(), {"pass": True})
+        os.fstat(fh.fileno())  # still open
+    assert (tmp_path / "other.txt").read_bytes() == b""
+
+
+def test_a_bool_path_is_config_error(tmp_path):
+    # True is the descriptor 1: the report went to stdout, which the writer
+    # then closed.
+    for write in (lambda p: write_json_report(p, {"pass": True}),
+                  lambda p: write_field_csv(p, table_solution({}), [0.0],
+                                            [0.0], [0.0])):
+        with pytest.raises(ConfigError, match=re.escape(
+                "cannot write True: not a str or os.PathLike")):
+            write(True)
+    os.fstat(1)
 
 
 def neighbours(values, steps):

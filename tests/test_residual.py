@@ -413,14 +413,16 @@ def test_report_json_shape_and_determinism():
 
 
 def test_invalid_order_rejected():
-    with pytest.raises(ConfigError, match=r"\(2, 4, 6\); got h=0.001, order=3"):
+    with pytest.raises(ConfigError,
+                       match=r"^order: expected one of \(2, 4, 6\), got 3$"):
         verify(exact_a(), GRID, order=3)
 
 
 @pytest.mark.parametrize("tol_rel", [-1.0, -1e-12, math.nan, True])
 def test_negative_or_nan_tolerance_is_config_error(tol_rel):
     # A negative tolerance can never pass; infinity keeps its vacuous pass.
-    with pytest.raises(ConfigError, match=f"tol_rel={tol_rel!r}"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"tol_rel: expected a real number >= 0.0, got {tol_rel!r}")):
         verify(exact_a(), GRID, tol_rel=tol_rel)
     assert verify(exact_a(), GRID, tol_rel=math.inf).passed
 
@@ -429,8 +431,18 @@ def test_negative_or_nan_tolerance_is_config_error(tol_rel):
 @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf, 1e-300,
                                True, "1e-3"])
 def test_bad_step_is_config_error(h):
-    with pytest.raises(ConfigError, match=f"got h={h!r}, order=4"):
+    with pytest.raises(ConfigError, match=re.escape(
+            f"h: expected a real number >= {dsexact.residual._MIN_H!r}, "
+            f"got {h!r}")):
         verify(exact_a(), GRID, h=h)
+
+
+def test_smallest_step_is_the_least_whose_half_step_squares_to_nonzero():
+    h = dsexact.residual._MIN_H
+    below = math.nextafter(h, 0.0)
+    assert h / 2.0 * (h / 2.0) > 0.0 == below / 2.0 * (below / 2.0)
+    with pytest.raises(ConfigError, match=re.escape(f"got {below!r}")):
+        verify(exact_a(), GRID, h=below)
 
 
 @pytest.mark.parametrize("amplitude", [1e120])

@@ -175,7 +175,9 @@ def test_t2_refuses_a_b_that_is_not_a_finite_nonzero_real(b):
     # the identity.
     for make in (lambda: TransformSpec("T2", b=b),
                  lambda: apply_t2(constant_solution(), b)):
-        with pytest.raises(ConfigError, match=re.escape(f"got b={b!r}")):
+        kind = "a nonzero real number" if b == 0.0 else "a real number"
+        with pytest.raises(ConfigError, match=re.escape(
+                f"b: expected {kind}, got {b!r}")):
             make()
 
 
