@@ -198,31 +198,23 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
 # ---------------------------------------------------------------------------
 
 def family_b(variant: Variant, a: float, b: float, c: float,
-             beta: TimeFunction, *, im: float | None = None) -> Solution:
-    """Linear-profile family, e1=+1 only.
-
-    The default Im is the value forced by the mean-flow constraint,
-    Im = (1/4) ln(3 a^2/b^2), which exists only for e2=+1.  Passing ``im``
-    overrides it (useful for demonstrating that other choices fail the
-    residual oracle); the override does not change the e1 restriction.
-    """
+             beta: TimeFunction) -> Solution:
+    """Linear-profile family, e1=+1 only, with the Im forced by the
+    mean-flow constraint, Im = (1/4) ln(3 a^2/b^2), which exists only for
+    e2=+1."""
     if variant.eps1 != 1:
         raise UnsupportedVariant("family B requires eps1 = +1")
     a, b, c = (real(x, name) for x, name in zip((a, b, c), "abc"))
     if a == 0.0 or b == 0.0:
         raise MixedCaseUnsupported(
             "family B needs a*b != 0; use family A for a=b=0")
-    if im is None:
-        if variant.eps2 != 1:
-            raise NoRealSolution(
-                "family B existence condition requires eps2 = +1")
-        ratio = 3.0 * a * a / (b * b) if b * b else math.inf
-        if not 0.0 < ratio < math.inf:
-            raise ConfigError(f"family B: a={a!r}, b={b!r} give 3 a^2/b^2 "
-                              f"outside the floating-point range")
-        im_value = 0.25 * math.log(ratio)
-    else:
-        im_value = real(im, "im")
+    if variant.eps2 != 1:
+        raise NoRealSolution("family B existence condition requires eps2 = +1")
+    ratio = 3.0 * a * a / (b * b) if b * b else math.inf
+    if not 0.0 < ratio < math.inf:
+        raise ConfigError(f"family B: a={a!r}, b={b!r} give 3 a^2/b^2 "
+                          f"outside the floating-point range")
+    im_value = 0.25 * math.log(ratio)
     eps2 = variant.eps2
     e2i = math.exp(-2.0 * im_value)
 

@@ -10,11 +10,11 @@ Commands
 
 Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config and seed.  Every number in a config must
-be finite, and a tolerance >= 0.  Family C's constants come from its cubic
-match, so ``/params/amplitude``, ``v_constant`` and ``v_quad_coeff`` are
-refused.  Exit codes: 0 pass, 1 verification failure, 2 configuration
-error or input outside a family's contract, 3 numerical blow-up, 4
-internal error (an exception that is not a DSError).
+be finite, and a tolerance >= 0.  Family B's Im and family C's constants
+are forced, so ``/params/im``, ``amplitude``, ``v_constant`` and
+``v_quad_coeff`` are refused.  Exit codes: 0 pass, 1 verification failure,
+2 configuration error or input outside a family's contract, 3 numerical
+blow-up, 4 internal error (an exception that is not a DSError).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
 from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, \
     MAX_POINTS, ORDERS, verify
-from .selftest import run_selftest
 from .symmetry import TransformSpec, compose
 from .timefn import parse_timefn
 
@@ -45,7 +44,7 @@ A  separable amplitude with quadratic phase.
    variants: any (eps1, eps2).
 B  profile linear in the stretched coordinates.
    params: {"a": <real != 0>, "b": <real != 0>, "c": <real>,
-            "beta": <time function>, "im": <optional real override>}
+            "beta": <time function>}
    variants: eps1=+1 only; eps2=+1 (forced by the existence condition).
 C  travelling line profile over one of eight shapes.
    params: {"kind": one of rational|tan|sec|coth|csch|sn|cn|dn,
@@ -153,18 +152,19 @@ def build_solution(cfg: dict) -> Solution:
     variant = Variant(_choice(cfg, "/variant/eps1", (1, -1)),
                       _choice(cfg, "/variant/eps2", (1, -1)))
     family = _choice(cfg, "/family", ("A", "B", "C"))
+    # B's existence condition and C's cubic match force these constants.
+    forced = {"B": ("im",), "C": ("amplitude", "v_constant", "v_quad_coeff")}
+    for key in forced.get(family, ()):
+        if _get(cfg, f"/params/{key}", None) is not None:
+            raise ConfigError(f"/params/{key}: family {family} takes no "
+                              f"constant overrides; its constants are forced")
     if family == "A":
         return family_a(variant, _timefn(cfg, "/params/Im"),
                         _number(cfg, "/params/c"))
     if family == "B":
         return family_b(variant, _number(cfg, "/params/a"),
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
-                        _timefn(cfg, "/params/beta", "0"),
-                        im=_number(cfg, "/params/im", None))
-    for key in ("amplitude", "v_constant", "v_quad_coeff"):
-        if _get(cfg, f"/params/{key}", None) is not None:
-            raise ConfigError(f"/params/{key}: family C takes no constant "
-                              f"overrides; its cubic match sets them")
+                        _timefn(cfg, "/params/beta", "0"))
     # family_c's one DomainError is elliptic's verdict on the modulus.
     try:
         return family_c(
@@ -217,19 +217,24 @@ def _cmd_eval(cfg, args) -> int:
     return 0
 
 
-def _cmd_verify(cfg, args) -> int:
+def verify_report(cfg, seed=None):
+    """The ``verify`` report of a config, its grid jittered by ``seed``."""
     sol = _solution(cfg)
     grid = build_grid(cfg)
     size = len(grid.t_values) * grid.x_range[2] * grid.y_range[2]
     if size > MAX_POINTS:
         raise ConfigError(f"/grid: {size} sample points, more than the "
                           f"{MAX_POINTS} that verify holds")
-    points = grid.points(seed=args.seed)
+    points = grid.points(seed=seed)
     h = _number(cfg, "/verify/h", DEFAULT_H)
     order = _choice(cfg, "/verify/order", ORDERS, DEFAULT_ORDER)
     tol = _number(cfg, "/verify/tol_rel", DEFAULT_TOL_REL, 0.0)
+    return verify(sol, points, h=h, order=order, tol_rel=tol)
+
+
+def _cmd_verify(cfg, args) -> int:
     out = _out(cfg, args, "report.json")
-    report = verify(sol, points, h=h, order=order, tol_rel=tol)
+    report = verify_report(cfg, args.seed)
     write_json_report(out, report.to_json_dict())
     status = "pass" if report.passed else "FAIL"
     print(f"{status}  rms1={report.rms1:.3e} rms2={report.rms2:.3e} "
@@ -244,15 +249,20 @@ def _cmd_transform(cfg, args) -> int:
     return (_cmd_eval if then == "eval" else _cmd_verify)(cfg, args)
 
 
-def _cmd_evolve(cfg, args) -> int:
+def evolve_report(cfg):
+    """The ``evolve`` cross-check of a config: its report and end field."""
     sol = _solution(cfg)
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
     n = _number(cfg, "/evolve/n", 64, 2, MAX_BOX_N, integer=True)
     t_final, dt = _number(cfg, "/evolve/T"), _number(cfg, "/evolve/dt")
     tol = _number(cfg, "/evolve/tol", None, 0.0)
+    return crosscheck(sol, lx, ly, n, t_final, dt, tol=tol)
+
+
+def _cmd_evolve(cfg, args) -> int:
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
-    report, field = crosscheck(sol, lx, ly, n, t_final, dt, tol=tol)
+    report, field = evolve_report(cfg)
     if snapshot:
         write_box_csv(snapshot, field)
         report["snapshot"] = snapshot
@@ -263,6 +273,7 @@ def _cmd_evolve(cfg, args) -> int:
 
 
 def _cmd_selftest(cfg, args) -> int:
+    from .selftest import run_selftest  # selftest imports cli, not back
     failures = run_selftest()
     print(f"{failures} check(s) failed" if failures else "all checks passed")
     return 1 if failures else 0

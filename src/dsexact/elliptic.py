@@ -182,9 +182,9 @@ class Profile:
 
 def make_profile(kind: str, m: float | None = None) -> Profile:
     """Build a Profile; elliptic kinds require a modulus m in [0, 1)."""
-    if kind not in _KINDS:
-        raise ConfigError(f"unknown profile kind '{kind}'; "
-                          f"expected one of {PROFILE_KINDS}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ConfigError(f"kind: expected one of {PROFILE_KINDS}, "
+                          f"got {kind!r}")
     m = _modulus(m, f"profile '{kind}'") if kind in ELLIPTIC_KINDS else 0.0
     signature, _, pole = _KINDS[kind]
     return Profile(kind, m, *signature(m), pole)

@@ -61,9 +61,10 @@ class Field:
     """Uniform-grid samples of (u, v) on a periodic box at one time.
 
     u[ix, iy] lives at (ix * (lx / nx), iy * (ly / ny)); the mean of v is
-    the gauge of the mean flow.  A u not complex128, a v not float64, u and
-    v not of one 2-D shape, steps that ``_steps`` refuses or a t not real
-    are a ConfigError; the Field is frozen, so that check holds for its life.
+    the gauge of the mean flow.  A u or v not a numpy array, a u not
+    complex128, a v not float64, u and v not of one 2-D shape, steps that
+    ``_steps`` refuses or a t not real are a ConfigError; the Field is
+    frozen, so that check holds for its life.
     """
 
     lx: float
@@ -73,6 +74,10 @@ class Field:
     t: float
 
     def __post_init__(self):
+        for name, grid in (("u", self.u), ("v", self.v)):
+            if not isinstance(grid, np.ndarray):
+                raise ConfigError(f"{name}: expected a numpy array, got a "
+                                  f"{type(grid).__name__}")
         if (self.u.ndim != 2 or self.v.shape != self.u.shape
                 or self.u.dtype != complex or self.v.dtype != float):
             raise ConfigError(f"u and v grids must have the same 2-D shape, "

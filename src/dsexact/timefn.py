@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParseError, real
+from .errors import ConfigError, DomainError, ParseError, real
 
 __all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays"]
 
@@ -384,6 +384,8 @@ def parse_timefn(text: str, domain: tuple | None = None) -> TimeFunction:
     Whitespace-insensitive.  Raises ParseError with the character position
     on malformed input or unknown identifiers.
     """
+    if not isinstance(text, str):
+        raise ConfigError(f"text: expected a string, got {text!r}")
     compiled = _Parser(text).parse()
     if domain is not None:
         lo, hi = (real(domain[i], f"domain[{i}]") for i in (0, 1))

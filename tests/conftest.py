@@ -1,6 +1,7 @@
 """Shared helpers: independent finite-difference derivatives, the published
-family C constant set, family C lines with other constants, bounded random
-expression trees for property sweeps, and numpy's dispatch target."""
+family C constant set, family C lines with other constants, lines with a
+scaled amplitude, bounded random expression trees for property sweeps, and
+numpy's dispatch target."""
 
 import math
 import random
@@ -67,6 +68,18 @@ def mutant(sol, amplitude=None, v_constant=None, v_quad_coeff=None):
     return solution(sol.variant, fields, {**p, "amplitude": amp,
                                           "v_constant": c_v,
                                           "v_quad_coeff": kappa})
+
+
+def scaled(sol, s):
+    """``sol`` with ``u`` scaled by ``s`` and ``v`` kept: for s != 1 not a
+    solution, since the cubic term and the |u|^2 source of the mean flow
+    scale as s^3 and s^2.  The wrong line of a family without other
+    constants to vary, such as family B, whose Im is forced."""
+    def fields(t, x, y):
+        u, v, ok = eval_solution(sol, t, x, y)
+        return s * u, v, ok
+
+    return solution(sol.variant, fields, {**sol.provenance, "scale": s})
 
 
 def dispatch_target(ufunc):

@@ -5,10 +5,13 @@
 
 The first form writes, with every path relative to OUT:
 
-* ``verify/s<seed>-<index>.json``: the verify report of each entry of
-  ``default_verification_matrix()`` on the points of its grid jittered by
-  seeds 0-3, and ``verify/o<order>-s0-<index>.json`` the same at seed 0
-  with the stencil orders 2 and 6;
+* ``verify/s<seed>-<index>.json``: ``dsexact verify --seed <seed>`` of
+  each catalog row of ``selftest.CERTIFICATES`` (the default verification
+  matrix), seeds 0-3, and ``verify/o<order>-s0-<index>.json`` the same at
+  seed 0 with ``/verify/order`` 2 and 6;
+* ``selftest/transform.json`` and ``selftest/crosscheck.json``: the
+  table's T1-then-T2 chain and oblique ``sn`` cross-check, run by their
+  commands, unjittered, as ``dsexact selftest`` runs them;
 * ``eval/<kind>.csv`` and ``transform/<kind>.csv``: ``dsexact eval`` and
   ``dsexact transform`` (a T1-then-T2 chain, jittered by seed 1) of a
   family C line of each of the eight profile kinds; the eval grid holds a
@@ -16,9 +19,10 @@ The first form writes, with every path relative to OUT:
 * ``transform/verify.json``: ``dsexact transform`` with ``then: verify``;
 * ``evolve/<name>.json`` and ``evolve/<name>-snap.csv``: ``dsexact evolve``
   of a stationary and of a T1-boosted ``sn`` line along x, and of the
-  oblique ``sn`` line of ``selftest`` on its period box, which varies along
-  both axes and has lx != ly;
-* ``config/*.json``: the config of each command above;
+  oblique ``sn`` line of ``selftest`` on its period box (n = 16, T = 0.01),
+  which varies along both axes and has lx != ly;
+* ``config/*.json``: the config of each command above, so a report that
+  differs between two records reruns with ``dsexact verify --config``;
 * ``SHA256SUMS``: the sha256 of every file above, as ``sha256sum`` writes
   it, so ``cd OUT && sha256sum -c SHA256SUMS`` checks the record.
 
@@ -51,10 +55,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from dsexact import ellipk, verify  # noqa: E402
+from dsexact import ellipk  # noqa: E402
 from dsexact.cli import main  # noqa: E402
-from dsexact.gridio import write_json_report  # noqa: E402
-from dsexact.selftest import default_verification_matrix  # noqa: E402
+from dsexact.selftest import CERTIFICATES  # noqa: E402
 
 SEEDS = (0, 1, 2, 3)
 
@@ -112,6 +115,27 @@ def _run(name, cfg, argv):
         raise RuntimeError(f"{name}: exit code {code}")
 
 
+def _certificates():
+    """The commands of the rows of ``selftest.CERTIFICATES``: each catalog
+    row at every seed and, at seed 0, at the stencil orders 2 and 6, then
+    the chain and the cross-check."""
+    for i, (_, _, cfg) in enumerate(CERTIFICATES["catalog certificates"]):
+        for seed in SEEDS:  # one config, rewritten alike for each seed
+            _run(f"verify-{i:02d}", cfg,
+                 ["verify", "--seed", str(seed),
+                  "--out", f"verify/s{seed}-{i:02d}.json"])
+        for order in (2, 6):
+            _run(f"verify-o{order}-{i:02d}",
+                 {**cfg, "verify": {"order": order}},
+                 ["verify", "--seed", "0",
+                  "--out", f"verify/o{order}-s0-{i:02d}.json"])
+    for name, check in (("transform", "transform certificates"),
+                        ("crosscheck", "dynamical cross-check")):
+        [(_, command, cfg)] = CERTIFICATES[check]
+        _run(f"selftest-{name}", cfg,
+             [command, "--out", f"selftest/{name}.json"])
+
+
 def _commands():
     grid = {"t": [0.0, 0.4], "x": [-2.0, 2.0, 9], "y": [-1.5, 1.5, 7]}
     for kind in LINES:
@@ -149,23 +173,13 @@ def record(out) -> str:
     """Write the record into the directory ``out`` (made if missing) and
     return the text of its SHA256SUMS."""
     out = Path(out).resolve()
-    for sub in ("config", "verify", "eval", "transform", "evolve"):
+    for sub in ("config", "verify", "selftest", "eval", "transform",
+                "evolve"):
         (out / sub).mkdir(parents=True, exist_ok=True)
     cwd = os.getcwd()
     os.chdir(out)
     try:
-        matrix = default_verification_matrix()
-        for seed in SEEDS:
-            for i, entry in enumerate(matrix):
-                report = verify(entry.solution, entry.grid.points(seed))
-                write_json_report(f"verify/s{seed}-{i:02d}.json",
-                                  report.to_json_dict())
-        for order in (2, 6):
-            for i, entry in enumerate(matrix):
-                report = verify(entry.solution, entry.grid.points(0),
-                                order=order)
-                write_json_report(f"verify/o{order}-s0-{i:02d}.json",
-                                  report.to_json_dict())
+        _certificates()
         _commands()
     finally:
         os.chdir(cwd)

@@ -51,7 +51,7 @@ def test_the_list_covers_the_documented_imports():
                 for node in ast.walk(ast.parse(source))
                 if isinstance(node, ast.ImportFrom) and node.module == "dsexact"
                 for alias in node.names}
-    assert {"ellipk", "verify", "eval_solution", "compose"} <= imported
+    assert {"ellipk", "eval_solution", "compose"} <= imported
     for name in imported - readme_names():
         assert importlib.util.find_spec(f"dsexact.{name}") is not None, name
 

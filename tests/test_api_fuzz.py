@@ -7,7 +7,9 @@ warning; a value that is not a real number (or is an integer past the
 double range, or NaN) is refused.  The arguments that hold a Solution,
 Variant, Field or TimeFunction are not numbers: README states that a wrong
 object there is a caller's bug and stays a Python error, so the table
-exempts exactly those arguments, by name (EXEMPT).
+exempts exactly those arguments, by name (EXEMPT).  The other arguments
+that are not numbers, a profile kind, an expression text and a Field's
+grids, refuse a value of the wrong type with a ConfigError naming them.
 """
 
 import inspect
@@ -39,7 +41,7 @@ CALLS = {
     "family_a": (family_a, (Variant(1, 1), parse_timefn("t"), 1.0), {},
                  ["c"]),
     "family_b": (family_b, (Variant(1, 1), 1.0, 1.0, 0.5, parse_timefn("0")),
-                 {"im": 0.1}, ["a", "b", "c", "im"]),
+                 {}, ["a", "b", "c"]),
     "family_c": (family_c, (Variant(-1, 1), "sn", 0.5, 0.4, 0.3,
                             parse_timefn("0")), {}, ["m", "ell", "ell1"]),
     "Variant": (Variant, (1, -1), {}, ["eps1", "eps2"]),
@@ -121,6 +123,26 @@ def test_a_number_is_checked_or_refused(entry, target):
         if value is None and default(entry, target) is None:
             refused = False  # None is the argument's default
         assert not refused, f"{entry}: {target}={value!r} was taken"
+
+
+NOT_TEXT = [None, 1, 0.5, True, b"sn", ["sn"], ("sn",), {}, np.array("sn"),
+            object()]
+NOT_GRID = [None, 1.0, "u", [[1j, 1j], [1j, 1j]], ((1j,),), object(),
+            np.zeros(4, complex), np.zeros((8, 8), np.float32)]
+
+
+@pytest.mark.parametrize("entry, target, values", [
+    ("family_c", "kind", NOT_TEXT + ["", "SN", "sn "]),
+    ("parse_timefn", "text", NOT_TEXT),
+    ("Field", "u", NOT_GRID),
+    ("Field", "v", NOT_GRID),
+])
+def test_a_non_number_of_the_wrong_type_is_refused(entry, target, values):
+    for value in values:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=rf"\b{target}\b"):
+                call(entry, target, value)
 
 
 def annotated(name, pattern):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import gc
 import json
 import math
@@ -18,6 +19,8 @@ from dsexact import BlowupError, ConfigError, DegenerateMatch, \
     family_c, gridio, parse_timefn, selftest
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS
+
+from conftest import scaled
 
 
 def write_config(path, doc):
@@ -135,17 +138,30 @@ def test_verify_of_stencils_that_round_onto_their_points(tmp_path, capsys):
 
 
 def test_verify_failure_exit_code(tmp_path):
-    # Family B's im overrides the forced (1/4) ln 3 = 0.2747 at a = b = 1.
+    # A true family B line at a tolerance no line meets: the failed verdict
+    # exits 1 and still writes its report.
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": 1, "eps2": 1},
         "family": "B",
-        "params": {"a": 1.0, "b": 1.0, "c": 0.5, "beta": "0.1*t",
-                   "im": 0.3},  # wrong on purpose
+        "params": {"a": 1.0, "b": 1.0, "c": 0.5, "beta": "0.1*t"},
         "grid": {"t": [0.0], "x": [-0.9, 0.9, 5], "y": [-0.9, 0.9, 5]},
+        "verify": {"tol_rel": 1e-30},
         "out": str(tmp_path / "bad.json"),
     })
     assert main(["verify", "--config", cfg]) == 1
     assert json.loads((tmp_path / "bad.json").read_text())["pass"] is False
+
+
+def test_family_b_im_is_refused(tmp_path, capsys):
+    # Im is forced by family B's existence condition; an override would be
+    # a wrong line that only the oracle could catch.
+    doc = full_config(tmp_path)
+    doc.update(variant={"eps1": 1, "eps2": 1}, family="B",
+               params={"a": 1.0, "b": 1.0, "c": 0.5, "im": 0.3})
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("ConfigError: /params/im: ")
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("key", ["amplitude", "v_constant", "v_quad_coeff"])
@@ -452,48 +468,127 @@ def test_selftest_runs_clean(capsys):
 
 
 def test_selftest_reports_a_failed_certificate(capsys, monkeypatch):
-    # The first certificate (a catalog entry) fails; the rest are genuine.
+    # The first certificate (a catalog row) fails in the oracle that the
+    # verify command and selftest share; the rest are genuine.
     reports = []
-    verify = selftest.verify
+    verify = cli.verify
 
-    def failing_once(sol, points):
-        reports.append(verify(sol, points))
+    def failing_once(sol, points, **kwargs):
+        reports.append(verify(sol, points, **kwargs))
         if len(reports) == 1:
             return replace(reports[0], passed=False)
         return reports[-1]
 
-    monkeypatch.setattr(selftest, "verify", failing_once)
+    monkeypatch.setattr(cli, "verify", failing_once)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL catalog certificates" in out
+    name, _, cfg = selftest.CERTIFICATES["catalog certificates"][0]
+    line = re.search(r"^FAIL catalog certificates: (.*)$", out, re.M)[1]
+    assert line.startswith(f"{name}: rms1=")
+    assert json.loads(line.partition("; verify config ")[2]) == cfg
     assert "1 check(s) failed" in out
+
+
+def test_a_failed_certificate_prints_a_config_that_fails_again(
+        tmp_path, capsys, monkeypatch):
+    # A row at a tolerance no line meets: its FAIL line holds the config,
+    # and dsexact verify of that config fails as well.
+    table = dict(selftest.CERTIFICATES)
+    name, command, cfg = table["catalog certificates"][0]
+    table["catalog certificates"] = [
+        (name, command, {**cfg, "verify": {"tol_rel": 1e-30}})]
+    monkeypatch.setattr(selftest, "CERTIFICATES", table)
+    assert main(["selftest"]) == 1
+    line = re.search(r"^FAIL catalog certificates: .*$",
+                     capsys.readouterr().out, re.M)[0]
+    path = write_config(tmp_path / "cfg.json",
+                        json.loads(line.partition("; verify config ")[2]))
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--config", path, "--out", out]) == 1
+    assert json.loads(Path(out).read_text())["pass"] is False
+
+
+@pytest.mark.parametrize("command, cfg", [
+    pytest.param(command, cfg, id=name)
+    for rows in selftest.CERTIFICATES.values()
+    for name, command, cfg in rows])
+def test_every_certificate_passes_through_its_command(tmp_path, capsys,
+                                                      command, cfg):
+    # A row's config, written to a file, is a run of dsexact that passes.
+    out = tmp_path / "report.json"
+    path = write_config(tmp_path / "cfg.json", {**cfg, "out": str(out)})
+    assert main([command, "--config", path]) == 0
+    assert json.loads(out.read_text())["pass"] is True
+
+
+def _module_imports(module):
+    """The modules that ``module`` imports from at its top level."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return {node.module or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def test_the_cli_selftest_import_is_one_way():
+    # selftest reads its table with cli's readers; cli imports selftest
+    # only inside the selftest command.
+    assert "cli" in _module_imports(selftest)
+    assert "selftest" not in _module_imports(cli)
+
+
+def test_default_matrix_keeps_its_names_in_order():
+    assert [e.name for e in selftest.default_verification_matrix()] == [
+        "A Im=t eps1=+1 eps2=+1", "A Im=t eps1=-1 eps2=+1",
+        "A Im=t eps1=+1 eps2=-1", "A Im=t eps1=-1 eps2=-1",
+        "A Im=ln(t) eps1=+1 eps2=+1", "A Im=ln(t) eps1=-1 eps2=-1",
+        "A Im=t+0.1*t^2 eps1=-1 eps2=+1", "A Im=t+0.1*t^2 eps1=+1 eps2=-1",
+        "B a=1 b=1", "B a=2 b=-1",
+        "C rational eps1=+1 eps2=+1 ell=0.3",
+        "C rational eps1=-1 eps2=+1 ell=0.4",
+        "C coth eps1=+1 eps2=+1 ell=0.3", "C coth eps1=-1 eps2=+1 ell=0.4",
+        "C csch eps1=+1 eps2=+1 ell=0.3", "C csch eps1=-1 eps2=+1 ell=0.4",
+        "C tan eps1=+1 eps2=+1 ell=0.3", "C tan eps1=-1 eps2=+1 ell=0.4",
+        "C sec eps1=+1 eps2=+1 ell=0.3", "C sec eps1=-1 eps2=+1 ell=0.4",
+        "C sn m=0.3 eps1=+1 eps2=+1 ell=0.3",
+        "C sn m=0.3 eps1=-1 eps2=+1 ell=0.4",
+        "C cn m=0.3 eps1=+1 eps2=+1 ell=1",
+        "C cn m=0.3 eps1=-1 eps2=-1 ell=0.2",
+        "C dn m=0.3 eps1=+1 eps2=+1 ell=1",
+        "C dn m=0.3 eps1=-1 eps2=-1 ell=0.2",
+        "C sn m=0.7 eps1=+1 eps2=+1 ell=0.3",
+        "C sn m=0.7 eps1=-1 eps2=+1 ell=0.4",
+        "C cn m=0.7 eps1=+1 eps2=+1 ell=1",
+        "C cn m=0.7 eps1=-1 eps2=-1 ell=0.2",
+        "C dn m=0.7 eps1=+1 eps2=+1 ell=1",
+        "C dn m=0.7 eps1=-1 eps2=-1 ell=0.2"]
 
 
 @pytest.mark.parametrize("report, problem", [
     ({"max_dev": 2e-5, "mass_drift": 0.0, "mass_initial": 1.0},
-     "max_dev 2e-05 > 1e-5"),
+     "max_dev 2e-05 > 1e-05"),
     ({"max_dev": 0.0, "mass_drift": 2e-10, "mass_initial": 1.0},
      "mass drift 2e-10 > 1e-10 * mass"),
     ({"max_dev": 1e-5, "mass_drift": 1e-10, "mass_initial": 1.0}, None),
 ])
 def test_selftest_crosscheck_gates(monkeypatch, report, problem):
     # The max_dev verdict is the report's "pass", which crosscheck decides
-    # from the tol that selftest passes it.
+    # from the tol of the row's config, read as dsexact evolve reads it.
     def fake(*args, tol):
         return {**report, "tol": tol, "pass": report["max_dev"] <= tol}, None
 
-    monkeypatch.setattr(selftest, "crosscheck", fake)
-    assert selftest._dynamical_crosscheck() == problem
+    monkeypatch.setattr(cli, "crosscheck", fake)
+    [(_, command, cfg)] = selftest.CERTIFICATES["dynamical cross-check"]
+    assert selftest._problem(command, cfg) == problem
 
 
 def test_selftest_reports_an_error_as_a_failure(capsys, monkeypatch):
     def blowup(*args, **kwargs):
         raise BlowupError("field blew up")
 
-    monkeypatch.setattr(selftest, "crosscheck", blowup)
+    monkeypatch.setattr(cli, "crosscheck", blowup)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL dynamical cross-check: BlowupError: field blew up" in out
+    assert "FAIL dynamical cross-check: oblique C sn: BlowupError: field " \
+        "blew up; evolve config {" in out
     assert "ok   catalog certificates" in out
 
 
@@ -837,16 +932,18 @@ def test_evolve_report_is_the_crosscheck_report(tmp_path, tol, status):
     assert want["pass"] is (status == 0)
 
 
-def test_family_b_im_override_fails_verification(tmp_path, capsys):
-    # The forced Im = ln(3)/4 passes; any other Im breaks the mean-flow
-    # constraint, which the oracle reports as a failure, not a config error.
+def test_family_b_mutant_fails_verification(tmp_path, capsys, monkeypatch):
+    # The forced constants pass; a family B line with its amplitude off by
+    # 1% breaks the mean-flow constraint, which the oracle reports as a
+    # failure, not a config error.
     doc = full_config(tmp_path)
     doc.update(variant={"eps1": 1, "eps2": 1}, family="B",
                params={"a": 1.0, "b": 1.0, "c": 0.5, "beta": "0.1*t"})
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main(["verify", "--config", cfg]) == 0
-    doc["params"]["im"] = 0.5
-    cfg = write_config(tmp_path / "cfg.json", doc)
+    build = cli.build_solution
+    monkeypatch.setattr(cli, "build_solution",
+                        lambda cfg: scaled(build(cfg), 1.01))
     capsys.readouterr()
     assert main(["verify", "--config", cfg]) == 1
     assert capsys.readouterr().out.startswith("FAIL ")
