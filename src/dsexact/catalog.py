@@ -57,7 +57,7 @@ import numpy as np
 
 from .elliptic import SINGULARITY_GUARD, make_profile
 from .errors import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, UnsupportedVariant, real
+    NoRealAmplitude, NoRealSolution, UnsupportedVariant, real, real_array
 from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
@@ -146,9 +146,9 @@ def eval_solution(sol: Solution, t, x, y):
     once per call (see ``solution``).  Returns arrays of the broadcast shape
     (numpy scalars for scalar input): where ``valid`` is True throughout and
     the three already have that shape and dtype, the layer's own arrays,
-    not copies.
+    not copies.  A t, x or y not of real numbers is a ConfigError.
     """
-    t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
+    t, x, y = (real_array(a, name) for a, name in zip((t, x, y), "txy"))
     shape = np.broadcast(t, x, y).shape
     token = _scope.set({})
     try:

@@ -104,12 +104,10 @@ def _string(cfg, pointer, default=...):
     return value
 
 
-def _list(cfg, pointer, read, length=None, default=...):
+def _list(cfg, pointer, read, length=None):
     """Each entry of the nonempty list at ``pointer`` (of ``length`` entries
     if given), read by ``read`` through its own pointer."""
-    value = _get(cfg, pointer, default)
-    if value is None:
-        return None
+    value = _get(cfg, pointer)
     if not isinstance(value, list) or not value \
             or length not in (None, len(value)):
         shape = f"a list of {length} entries" if length else "a nonempty list"
@@ -118,13 +116,9 @@ def _list(cfg, pointer, read, length=None, default=...):
 
 
 def _timefn(cfg, pointer, default=...):
-    value = _get(cfg, pointer, default)
-    if not isinstance(value, (str, dict)):
-        raise ConfigError(f"{pointer}: expected a string or object")
-    expr = value if isinstance(value, str) else _string(cfg, f"{pointer}/expr")
-    domain = _list(cfg, f"{pointer}/domain", _number, 2, None)
+    text = _string(cfg, pointer, default)
     try:
-        return parse_timefn(expr, domain)
+        return parse_timefn(text)
     except ConfigError as err:
         raise ConfigError(f"{pointer}: {err}") from None
 

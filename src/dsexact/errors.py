@@ -10,6 +10,9 @@ blow-up, 1 for everything else (verification failures included).
 import math
 import numbers
 import sys
+import warnings
+
+import numpy as np
 
 _MAX = sys.float_info.max
 
@@ -32,17 +35,14 @@ class ParseError(ConfigError):
     ``position`` is the 0-based character offset of the offending token.
     """
 
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} at position {position}"
-        super().__init__(message)
+    def __init__(self, message, position):
+        super().__init__(f"{message} at position {position}")
         self.position = position
 
 
 class DomainError(DSError):
     """A mathematical domain violation (log of a non-positive value,
-    elliptic modulus outside [0,1), evaluation outside a declared
-    validity interval, ...)."""
+    elliptic modulus outside [0,1), ...)."""
 
 
 class UnsupportedVariant(ConfigError):
@@ -95,3 +95,15 @@ def real(value, name, lo=-_MAX, hi=_MAX, integer=False):
                 f" >= {lo!r}" if lo > -_MAX else "")
         raise ConfigError(f"{name}: expected {kind}{span}, got {value!r}")
     return int(number) if integer else float(number)
+
+
+def real_array(value, name):
+    """``np.asarray(value, dtype=float)``, or a ConfigError naming ``name``
+    where that raises or warns (ragged rows, a non-number, a complex value)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.asarray(value, dtype=float)
+    except (ArithmeticError, TypeError, ValueError, Warning) as err:
+        raise ConfigError(f"{name} is not an array of real numbers: "
+                          f"{err}") from None

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Solution, eval_solution
-from .errors import ConfigError, real
+from .errors import ConfigError, real, real_array
 
 __all__ = ["GridSpec", "write_field_csv", "write_box_csv", "write_json_report",
            "FIELD_HEADER"]
@@ -259,9 +259,10 @@ def _write_grid(path, axes, rows):
 
 
 def write_field_csv(path, sol: Solution, ts, xs, ys):
-    """Field CSV of ``sol`` on the grid over the axes ``ts``, ``xs`` and
-    ``ys``; ``path`` is opened before any evaluation."""
-    axes = [np.asarray(a, dtype=float).ravel() for a in (ts, xs, ys)]
+    """Field CSV of ``sol`` on the grid over the real axes ``ts``, ``xs``
+    and ``ys`` (else a ConfigError); ``path`` is opened before evaluating."""
+    axes = [real_array(a, name).ravel()
+            for a, name in zip((ts, xs, ys), ("ts", "xs", "ys"))]
     _write_grid(path, axes, functools.partial(field_rows, sol, axes))
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Solution, eval_solution
-from .errors import ConfigError, EmptySampleError, real
+from .errors import ConfigError, EmptySampleError, real, real_array
 
 __all__ = ["ResidualReport", "verify", "ORDERS", "MAX_POINTS",
            "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
@@ -204,10 +204,7 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     if order not in ORDERS:
         raise ConfigError(f"order: expected one of {ORDERS}, got {order!r}")
     order = int(order)
-    try:
-        points = np.asarray(sample, dtype=float)
-    except (TypeError, ValueError) as err:  # ragged rows, a non-number
-        raise ConfigError(f"verify: sample is not an array: {err}") from None
+    points = real_array(sample, "verify: sample")
     if points.size and points.shape[1:] != (3,):
         raise ConfigError(f"verify: sample shape {points.shape} is not (N, 3)")
     points = points.reshape(-1, 3)

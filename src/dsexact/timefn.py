@@ -9,17 +9,16 @@ functions.  Expressions of at most 200 tokens are parsed from the grammar
     numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh
 
 Exponents are restricted to integer and half-integer constants of magnitude
-at most 64, which covers every coefficient expression this package
-constructs (e.g. square roots of a positive slope).  The parser compiles
+at most 64: an integer power is that many jet products, and a half-integer
+one (t^1.5, say) is real over a positive base.  The parser compiles
 each subexpression into a function that carries truncated Taylor (jet)
 arithmetic, so derivatives are exact to roundoff; no symbolic
 differentiation and no finite differencing is involved.
 
 The compiled function runs once per call over a whole array of t.  A domain
-failure (ln of x <= 0, division by zero, a half-integer power of x <= 0, t
-outside the validity interval) becomes a mask, as does a jet that overflows;
-``TimeFunction.jet`` raises DomainError at a single t, naming the failing
-subexpression as written."""
+failure (ln of x <= 0, division by zero, a half-integer power of x <= 0)
+becomes a mask, as does a jet that overflows; ``TimeFunction.jet`` raises
+DomainError at a single t, naming the failing subexpression as written."""
 
 from __future__ import annotations
 
@@ -160,31 +159,20 @@ _FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh")
 
 
 # ---------------------------------------------------------------------------
-# TimeFunction: a compiled expression plus an optional validity interval.
+# TimeFunction: a compiled expression and its source text.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TimeFunction:
-    """An evaluable function of t with exact derivatives to order 3.
-
-    ``domain`` restricts where the function may be evaluated; outside of it
-    ``jet`` raises DomainError instead of extrapolating, and ``jet_arrays``
-    marks the point invalid.
-    """
+    """An evaluable function of t with exact derivatives to order 3."""
 
     compiled: Callable[[np.ndarray, list], Jet]
     source: str
-    domain: tuple | None = None
 
     def _walk(self, t):
         """The jet over the 1-D float array t, and the domain failures as
         (mask, reason, subexpression) in evaluation order."""
         fails = []
-        if self.domain is not None:
-            lo, hi = self.domain
-            fails.append((~((lo <= t) & (t <= hi)),
-                          f"t outside validity interval [{lo}, {hi}]",
-                          self.source))
         with np.errstate(all="ignore"):
             return self.compiled(t, fails), fails
 
@@ -378,7 +366,7 @@ class _Parser:
         raise ParseError(f"unexpected {repr(value)}", pos)
 
 
-def parse_timefn(text: str, domain: tuple | None = None) -> TimeFunction:
+def parse_timefn(text: str) -> TimeFunction:
     """Parse an expression string into a TimeFunction.
 
     Whitespace-insensitive.  Raises ParseError with the character position
@@ -386,10 +374,4 @@ def parse_timefn(text: str, domain: tuple | None = None) -> TimeFunction:
     """
     if not isinstance(text, str):
         raise ConfigError(f"text: expected a string, got {text!r}")
-    compiled = _Parser(text).parse()
-    if domain is not None:
-        lo, hi = (real(domain[i], f"domain[{i}]") for i in (0, 1))
-        if not lo < hi:
-            raise ParseError(f"empty validity interval [{lo}, {hi}]")
-        domain = (lo, hi)
-    return TimeFunction(compiled, text.strip(), domain)
+    return TimeFunction(_Parser(text).parse(), text.strip())

@@ -1,4 +1,5 @@
-"""Every number the library takes goes through one check, ``errors.real``.
+"""Every number the library takes goes through one check, ``errors.real``,
+and every array of numbers through one other, ``errors.real_array``.
 
 A fixed table holds one valid call of each entry point of README's list
 that takes a number.  Each case replaces one numeric argument of one call
@@ -10,6 +11,8 @@ object there is a caller's bug and stays a Python error, so the table
 exempts exactly those arguments, by name (EXEMPT).  The other arguments
 that are not numbers, a profile kind, an expression text and a Field's
 grids, refuse a value of the wrong type with a ConfigError naming them.
+An array argument takes what ``np.asarray(value, dtype=float)`` takes
+without a warning and refuses the rest with a ConfigError naming it.
 """
 
 import inspect
@@ -23,8 +26,8 @@ import pytest
 
 import dsexact
 from dsexact import ConfigError, DSError, Field, GridSpec, TransformSpec, \
-    Variant, advance, crosscheck, ellipk, family_a, family_b, family_c, \
-    parse_timefn, verify
+    Variant, advance, crosscheck, ellipk, eval_solution, family_a, \
+    family_b, family_c, parse_timefn, verify, write_field_csv
 from dsexact.errors import real
 from dsexact.evolve import make_field
 from test_api import readme_names
@@ -45,8 +48,7 @@ CALLS = {
     "family_c": (family_c, (Variant(-1, 1), "sn", 0.5, 0.4, 0.3,
                             parse_timefn("0")), {}, ["m", "ell", "ell1"]),
     "Variant": (Variant, (1, -1), {}, ["eps1", "eps2"]),
-    "parse_timefn": (parse_timefn, ("t", (0.0, 1.0)), {},
-                     ["domain[0]", "domain[1]"]),
+    "parse_timefn": (parse_timefn, ("t",), {}, []),
     "TimeFunction.jet": (parse_timefn("t").jet, (0.5,), {}, ["t"]),
     "TransformSpec": (TransformSpec, ("T2",), {"b": 2.0}, ["b"]),
     "verify": (verify, (SN, [(0.1, 0.2, 0.3)]),
@@ -61,6 +63,9 @@ CALLS = {
     "GridSpec": (GridSpec, ((0.0, 0.5), (-1.0, 1.0, 3), (-1.0, 1.0, 2)), {},
                  ["t_values[0]", "t_values[1]", "x_range[0]", "x_range[1]",
                   "x_range[2]", "y_range[0]", "y_range[1]", "y_range[2]"]),
+    "eval_solution": (eval_solution, (SN, 0.2, 0.1, 0.3), {}, []),
+    "write_field_csv": (write_field_csv, ("field.csv", SN, [0.2], [0.1],
+                                          [0.3]), {}, []),
 }
 
 # The arguments that hold a Solution, Variant, Field or TimeFunction.
@@ -136,6 +141,7 @@ NOT_GRID = [None, 1.0, "u", [[1j, 1j], [1j, 1j]], ((1j,),), object(),
     ("parse_timefn", "text", NOT_TEXT),
     ("Field", "u", NOT_GRID),
     ("Field", "v", NOT_GRID),
+    ("TransformSpec", "kind", NOT_TEXT + ["", "T3", "t2", "T2 "]),
 ])
 def test_a_non_number_of_the_wrong_type_is_refused(entry, target, values):
     for value in values:
@@ -143,6 +149,34 @@ def test_a_non_number_of_the_wrong_type_is_refused(entry, target, values):
             warnings.simplefilter("error")
             with pytest.raises(ConfigError, match=rf"\b{target}\b"):
                 call(entry, target, value)
+
+
+NOT_ARRAY = ["a", [(0.1, 0.2, "a")], [0.1, [0.2]], {}, object(), 10 ** 400,
+             1 + 0j, np.complex128(0.5 + 1j), np.zeros(3, complex)]
+ARRAYS = NOT_ARRAY + [0.5, "0.5", True, None, [], [0.1, 0.2], (0.1, 0.2),
+                      [[0.1, 0.2, 0.3]], np.float32(0.5), np.arange(3),
+                      np.zeros((2, 3), np.float32), math.nan, math.inf,
+                      1e308]
+
+
+@pytest.mark.parametrize("entry, target", [
+    ("eval_solution", "t"), ("eval_solution", "x"), ("eval_solution", "y"),
+    ("write_field_csv", "ts"), ("write_field_csv", "xs"),
+    ("write_field_csv", "ys"), ("verify", "sample")])
+def test_an_array_is_converted_or_refused(tmp_path, monkeypatch, entry,
+                                          target):
+    monkeypatch.chdir(tmp_path)  # write_field_csv writes field.csv here
+    for value in ARRAYS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if any(value is v for v in NOT_ARRAY):
+                with pytest.raises(ConfigError, match=rf"\b{target}\b"):
+                    call(entry, target, value)
+                continue
+            try:
+                call(entry, target, value)
+            except DSError:
+                pass
 
 
 def annotated(name, pattern):

@@ -246,31 +246,31 @@ def test_provenance_records_parameters():
 
 def _contract_cases():
     """(name, solution, x of a pole on y=0 as a function of t or None,
-    a time outside a declared validity interval)."""
-    beta = parse_timefn("0.1*t", domain=(0.0, 1.0))
-    yield ("A", family_a(Variant(1, 1),
-                         parse_timefn("t+0.1*t^2", domain=(0.0, 1.0)), 1.0),
-           None, 1.5)
-    yield "B", family_b(Variant(1, 1), 1.0, 1.0, 0.5, beta), None, 1.5
+    a time where a time function of the solution fails: ln(2 - t) at
+    t >= 2)."""
+    beta = parse_timefn("0.1*ln(2 - t)")
+    yield ("A", family_a(Variant(1, 1), parse_timefn("t - ln(2 - t)"), 1.0),
+           None, 2.5)
+    yield "B", family_b(Variant(1, 1), 1.0, 1.0, 0.5, beta), None, 2.5
     yield "C-sn", family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, beta), \
-        None, 1.5
+        None, 2.5
     yield ("C-tan",
            family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0, beta),
-           lambda t: math.pi / 2.0 * math.exp(0.2 * t), 1.5)
+           lambda t: math.pi / 2.0 * abs(2.0 - t) ** 0.2, 2.5)  # abs: t_out
     yield ("C-rational",
            family_c(Variant(1, 1), "rational", None, 0.3, 0.0, beta),
-           lambda t: 0.0, 1.5)
-    # T1 then T2 (b=1.5) over a tan line: the T1 shift has a validity
-    # interval, reached at t = 2.25 after the scaling.
+           lambda t: 0.0, 2.5)
+    # T1 then T2 (b=1.5) over a tan line: the T1 phase fails at t >= 2,
+    # reached at t = 4.5 after the scaling.
     chain = compose(
-        [TransformSpec("T1",
-                       alpha=parse_timefn("0.3*sin(t)", domain=(0.0, 1.0)),
-                       beta=parse_timefn("0.1*t"), gamma=parse_timefn("t^2")),
+        [TransformSpec("T1", alpha=parse_timefn("0.3*sin(t)"),
+                       beta=parse_timefn("0.1*t"),
+                       gamma=parse_timefn("t^2 + ln(2 - t)")),
          TransformSpec("T2", b=1.5)],
         family_c(Variant(-1, 1), "tan", None, math.pi / 2.0, 0.0,
                  parse_timefn("0")))
     yield ("T1-T2-chain", chain,
-           lambda t: 1.5 * (math.pi / 2.0 - 0.3 * math.sin(t / 2.25)), 3.0)
+           lambda t: 1.5 * (math.pi / 2.0 - 0.3 * math.sin(t / 2.25)), 5.0)
 
 
 @pytest.mark.parametrize("name, sol, pole_x, t_out",
@@ -290,7 +290,7 @@ def test_eval_solution_broadcasts_like_pointwise_calls(name, sol, pole_x,
     assert u.shape == v.shape == ok.shape == x.shape
 
     expect_ok = np.ones(x.shape, dtype=bool)
-    expect_ok[2, :] = False  # t outside the validity interval
+    expect_ok[2, :] = False  # a time function fails at t_out
     if pole_x:
         expect_ok[:, -1] = False
     assert np.array_equal(ok, expect_ok), name

@@ -217,15 +217,6 @@ def test_longest_expressions_parse_and_walk_on_a_deep_stack(text, value):
         assert j.f[0] == value
 
 
-def test_validity_interval():
-    f = parse_timefn("t^2", domain=(0.0, 1.0))
-    assert f.jet(0.5).f == 0.25
-    with pytest.raises(DomainError):
-        f.jet(2.0)
-    with pytest.raises(DomainError):
-        f.jet(-0.1)
-
-
 def test_product_rule_is_exact_at_representation_level():
     lhs = parse_timefn("(1+t^2)*sin(t)")
     f = parse_timefn("1+t^2")
@@ -271,6 +262,9 @@ ALGEBRAIC = ["1/(t-2)", "t^-2+3*t", "(1+t^2)/(t-0.5)", "t^3-2*t*t+0.25",
 # Hand trees that fail somewhere on the test points.
 FAILING = ["ln(t-3)", "1/(t-2)", "(t-5)^(1/2)", "sin(t)/(t-0.5)",
            "t^(3/2)+ln(t)"]
+# A tree that fails on both sides of the test points: at t <= -0.1 and at
+# t >= 2.1.
+BOUNDED = "ln(t+0.1)+ln(2.1-t)"
 T_POINTS = np.array([-1.3, 0.0, 0.2, 0.5, 1.1, 2.0, 3.0, 3.5, 5.0, 6.25])
 
 
@@ -291,7 +285,7 @@ def _scalar_reference(f, t):
 def _array_cases():
     rng = random.Random(20261018)
     trees = [(src, parse_timefn(src)) for src in ALGEBRAIC + FAILING]
-    trees.append(("t^2 on [0, 2]", parse_timefn("t^2", domain=(0.0, 2.0))))
+    trees.append((BOUNDED, parse_timefn(BOUNDED)))
     trees += [(f"random {k}", random_timefn(rng)) for k in range(12)]
     return trees
 
@@ -335,8 +329,8 @@ def test_failing_points_are_where_the_scalar_jet_raises():
     for src in FAILING:
         _, ok = jet_arrays(parse_timefn(src), T_POINTS)
         assert ok.any() and not ok.all(), src
-    _, ok = jet_arrays(parse_timefn("t^2", domain=(0.0, 2.0)), T_POINTS)
-    assert ok.tolist() == [(0.0 <= t <= 2.0) for t in T_POINTS.tolist()]
+    _, ok = jet_arrays(parse_timefn(BOUNDED), T_POINTS)
+    assert ok.tolist() == [(-0.1 < t < 2.1) for t in T_POINTS.tolist()]
 
 
 def test_overflowing_jet_is_invalid_not_an_error():
@@ -354,12 +348,6 @@ def test_overflowing_exponent_is_a_parse_error():
         parse_timefn("t^(2^2000)")
     with pytest.raises(ParseError, match="undefined or overflows"):
         parse_timefn("t^exp(1000)")
-
-
-def test_validity_interval_is_stored_as_a_float_pair():
-    f = parse_timefn("t", [0, 1])
-    assert f.domain == (0.0, 1.0)
-    assert all(type(bound) is float for bound in f.domain)
 
 
 def test_array_jets_are_read_only():
