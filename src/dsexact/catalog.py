@@ -146,10 +146,15 @@ def eval_solution(sol: Solution, t, x, y):
     once per call (see ``solution``).  Returns arrays of the broadcast shape
     (numpy scalars for scalar input): where ``valid`` is True throughout and
     the three already have that shape and dtype, the layer's own arrays,
-    not copies.  A t, x or y not of real numbers is a ConfigError.
+    not copies.  A t, x or y not of real numbers, or shapes that do not
+    broadcast, is a ConfigError.
     """
     t, x, y = (real_array(a, name) for a, name in zip((t, x, y), "txy"))
-    shape = np.broadcast(t, x, y).shape
+    try:
+        shape = np.broadcast(t, x, y).shape
+    except ValueError:
+        raise ConfigError(f"t, x and y do not broadcast: shapes {t.shape}, "
+                          f"{x.shape} and {y.shape}") from None
     token = _scope.set({})
     try:
         ok = np.asarray(sol.valid(t, x, y), bool)

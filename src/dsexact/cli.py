@@ -55,7 +55,8 @@ C  travelling line profile over one of eight shapes.
 Transforms: {"kind": "T1", "alpha": f, "beta": f, "gamma": f} shifts space
 by time-dependent amounts with a compensating phase; {"kind": "T2",
 "b": <real != 0>} is the parabolic scaling.  Time functions use the grammar:
-numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh.
+numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh; an
+exponent is a whole number from -64 to 64 (x^r is exp(r*ln(x))).
 """
 
 

@@ -8,17 +8,16 @@ functions.  Expressions of at most 200 tokens are parsed from the grammar
 
     numbers, t, + - * / ^, parentheses, exp, ln, sin, cos, sinh, cosh
 
-Exponents are restricted to integer and half-integer constants of magnitude
-at most 64: an integer power is that many jet products, and a half-integer
-one (t^1.5, say) is real over a positive base.  The parser compiles
-each subexpression into a function that carries truncated Taylor (jet)
+An exponent is a whole number from -64 to 64 (x^r for any other r is written
+exp(r*ln(x))): a power is that many jet products.  The parser compiles each
+subexpression into a function that carries truncated Taylor (jet)
 arithmetic, so derivatives are exact to roundoff; no symbolic
 differentiation and no finite differencing is involved.
 
 The compiled function runs once per call over a whole array of t.  A domain
-failure (ln of x <= 0, division by zero, a half-integer power of x <= 0)
-becomes a mask, as does a jet that overflows; ``TimeFunction.jet`` raises
-DomainError at a single t, naming the failing subexpression as written."""
+failure (ln of x <= 0, division by zero) becomes a mask, as does a jet that
+overflows; ``TimeFunction.jet`` raises DomainError at a single t, naming the
+failing subexpression as written."""
 
 from __future__ import annotations
 
@@ -109,26 +108,14 @@ def _binary(op: str, lhs, rhs, text: str):
     return jet
 
 
-def _power(base, r: float, text: str):
-    """base ^ r with r a fixed integer or half-integer."""
-    n = int(round(r))
-
+def _power(base, n: int, text: str):
+    """base ^ n for a fixed whole n: |n| jet products."""
     def jet(t, fails):
         g = base(t, fails)
-        if r == n:
-            out = Jet.const(1.0)
-            for _ in range(abs(n)):
-                out = out * g
-            return out if n >= 0 else _recip(out, text, fails)
-        # Half-integer exponent: require a positive base so all derivatives
-        # of the branch are real and finite.
-        fails.append((g.f <= 0.0, "fractional power of non-positive value",
-                      text))
-        w0 = g.f ** r
-        w1 = r * g.f ** (r - 1.0)
-        w2 = r * (r - 1.0) * g.f ** (r - 2.0)
-        w3 = r * (r - 1.0) * (r - 2.0) * g.f ** (r - 3.0)
-        return _chain(w0, w1, w2, w3, g)
+        out = Jet.const(1.0)
+        for _ in range(abs(n)):
+            out = out * g
+        return out if n >= 0 else _recip(out, text, fails)
     return jet
 
 
@@ -221,7 +208,7 @@ _TOKEN = re.compile(r"""(?P<blank>\s+)
     |(?P<op>[-+*/^()])
     |(?P<bad>.)""", re.VERBOSE)
 
-# Largest |exponent|: an integer power is that many jet products.
+# Largest |exponent|: a power is that many jet products.
 _MAX_EXPONENT = 64
 # Most tokens in one expression: keeps the recursion of parsing and of
 # evaluation (99 nested parentheses, 199 unary minuses) well inside Python's.
@@ -255,7 +242,7 @@ class _Parser:
     """expr   := term (('+'|'-') term)*
     term   := unary (('*'|'/') unary)*
     unary  := ('+'|'-') unary | power
-    power  := atom ('^' unary)?          (right-associative)
+    power  := atom ('^' '-'? number)?    (number whole, at most 64)
     atom   := number | 't' | name '(' expr ')' | '(' expr ')'
 
     Each rule returns its subexpression compiled to ``jet(t, fails)``.
@@ -319,28 +306,21 @@ class _Parser:
         return self.power()
 
     def power(self):
-        """``atom ^ unary`` with the exponent evaluated here: it must not
-        contain t and must be an integer or half-integer of magnitude at
-        most _MAX_EXPONENT."""
+        """``atom ^ ['-'] n`` with n a whole number token <= _MAX_EXPONENT."""
         start, base = self.index, self.atom()
         if self.peek()[0] != "^":
             return base
         pos = self.next()[2]
-        first = self.index
-        exponent = self.unary()
-        if ("name", "t") in (tok[:2] for tok in self.tokens[first:self.index]):
-            raise ParseError("exponent must be a constant", pos)
-        j, ok = jet_arrays(TimeFunction(exponent, ""), 0.0)
-        if not ok:
-            raise ParseError("exponent is undefined or overflows", pos)
-        value = float(j.f)
-        if abs(2.0 * value - round(2.0 * value)) > 1e-12:
-            raise ParseError(
-                f"exponent {value:g} is not an integer or half-integer", pos)
-        if abs(value) > _MAX_EXPONENT:
-            raise ParseError(f"exponent {value:g} exceeds {_MAX_EXPONENT} "
-                             f"in magnitude", pos)
-        return _power(base, round(2.0 * value) / 2.0, self.since(start))
+        negative = self.peek()[0] == "-"
+        if negative:
+            self.next()
+        kind, n, _ = self.next()
+        if (kind != "num" or n % 1 or n > _MAX_EXPONENT
+                or self.peek()[0] == "^"):
+            raise ParseError(f"exponent must be a whole number from "
+                             f"-{_MAX_EXPONENT} to {_MAX_EXPONENT} (write x^r "
+                             f"for other r as exp(r*ln(x)))", pos)
+        return _power(base, int(-n if negative else n), self.since(start))
 
     def atom(self):
         start = self.index

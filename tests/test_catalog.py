@@ -597,7 +597,8 @@ def test_shapes_that_do_not_broadcast_fail_before_any_layer_runs(
     line = family_c(Variant(-1, 1), "sn", 0.7, 0.4, 0.0,
                     parse_timefn("0.1*t"))
     walks, profiles = _count_walks_and_profiles(monkeypatch)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^t, x and y do not broadcast: "
+                       r"shapes \(2,\), \(3,\) and \(\)$"):
         eval_solution(line, np.zeros(2), np.zeros(3), 0.0)
     assert not walks and not profiles
 

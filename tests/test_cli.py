@@ -16,7 +16,7 @@ import pytest
 from dsexact import BlowupError, ConfigError, DegenerateMatch, \
     MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, \
     UnsupportedVariant, Variant, cli, compose, crosscheck, ellipk, evolve, \
-    family_c, gridio, parse_timefn, selftest
+    family_c, gridio, parse_timefn, selftest, timefn
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS
 
@@ -62,6 +62,20 @@ def test_families_names_every_profile_kind(capsys):
     assert main(["families"]) == 0
     kinds = re.search(r'"kind": one of ([a-z|]+)', capsys.readouterr().out)
     assert tuple(kinds.group(1).split("|")) == PROFILE_KINDS
+
+
+def test_families_and_readme_state_the_time_function_grammar(capsys):
+    # The grammar is stated by hand in the help text, in README and in the
+    # timefn docstring; each must name every function and the exponents.
+    assert main(["families"]) == 0
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    sentence = r"Time functions use the grammar:.*?(?:\n\n|\Z)"
+    stated = [re.search(sentence, text, re.S).group()
+              for text in (capsys.readouterr().out, readme)]
+    for text in stated + [timefn.__doc__]:
+        for name in timefn._FUNCTIONS:
+            assert re.search(rf"\b{name}\b", text), name
+        assert "-64 to 64" in text
 
 
 def test_eval_single_point_row(tmp_path):
@@ -562,16 +576,18 @@ def test_default_matrix_keeps_its_names_in_order():
         "C dn m=0.7 eps1=-1 eps2=-1 ell=0.2"]
 
 
+# The ids of the rows whose expected text changed keep the old text, so
+# that each test keeps its name.
 @pytest.mark.parametrize("report, problem", [
-    ({"max_dev": 2e-5, "mass_drift": 0.0, "mass_initial": 1.0},
-     "max_dev 2e-05 > 1e-05"),
-    ({"max_dev": 0.0, "mass_drift": 2e-10, "mass_initial": 1.0},
-     "mass drift 2e-10 > 1e-10 * mass"),
-    ({"max_dev": 1e-5, "mass_drift": 1e-10, "mass_initial": 1.0}, None),
+    pytest.param({"max_dev": 2e-5, "mass_drift": 0.0, "mass_initial": 1.0},
+                 "max_dev=2e-05 tol=1e-05 mass_drift=0 mass=1",
+                 id="report0-max_dev 2e-05 > 1e-05"),
+    pytest.param({"max_dev": 1e-5, "mass_drift": 1e-10, "mass_initial": 1.0},
+                 None, id="report2-None"),
 ])
 def test_selftest_crosscheck_gates(monkeypatch, report, problem):
-    # The max_dev verdict is the report's "pass", which crosscheck decides
-    # from the tol of the row's config, read as dsexact evolve reads it.
+    # The verdict is the report's "pass", which crosscheck decides from the
+    # tol of the row's config, read as dsexact evolve reads it.
     def fake(*args, tol):
         return {**report, "tol": tol, "pass": report["max_dev"] <= tol}, None
 
@@ -791,6 +807,9 @@ MALFORMED = [
     pytest.param("transform", "/transforms/0/b", 0.0, [],
                  "b: expected a nonzero real number, got 0.0",
                  id="transform-/transforms/0/b-0.0-flags53-b=0.0"),
+    # An exponent is one number token of whole value.
+    ("verify", "/params/beta", "t^0.5", [], "/params/beta"),
+    ("verify", "/params/beta", "2^3^2", [], "/params/beta"),
 ]
 
 

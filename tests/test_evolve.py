@@ -443,7 +443,8 @@ def test_crosscheck_refuses_a_tol_before_sampling(monkeypatch, tol):
 
 def test_crosscheck_decides_pass_when_given_a_tol(tmp_path):
     # "tol" and "pass" are the only keys a tol adds, and "pass" is
-    # max_dev <= tol, a JSON bool for a numpy tol too.
+    # max_dev <= tol here (the mass drift is far inside its bound), a JSON
+    # bool for a numpy tol too.
     L = 4.0 * ellipk(0.5)
     bare, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
     assert "tol" not in bare and "pass" not in bare
@@ -454,6 +455,25 @@ def test_crosscheck_decides_pass_when_given_a_tol(tmp_path):
         assert rep == {**bare, "tol": tol, "pass": verdict}
         assert type(rep["pass"]) is bool
         write_json_report(tmp_path / "report.json", rep)
+
+
+def test_crosscheck_pass_bounds_the_mass_drift(monkeypatch):
+    # An evolution that scales u by 1 + 1e-9 stays far inside tol but moves
+    # the mass by 2e-9 of itself, past the bound of 1e-10.
+    L = 4.0 * ellipk(0.5)
+    rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3, tol=1e-5)
+    assert rep["pass"] is True
+    evolved = evolve.advance
+
+    def scaled(*args):
+        field = evolved(*args)
+        return dataclasses.replace(field, u=field.u * (1.0 + 1e-9))
+
+    monkeypatch.setattr(evolve, "advance", scaled)
+    rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3, tol=1e-5)
+    assert rep["max_dev"] <= 1e-5
+    assert rep["mass_drift"] > evolve._MASS_DRIFT * rep["mass_initial"]
+    assert rep["pass"] is False
 
 
 # Every evolvable family C line class: sn with e2 = +1 and -1, cn and dn
