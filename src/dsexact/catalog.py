@@ -56,8 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .elliptic import SINGULARITY_GUARD, make_profile
-from .errors import ConfigError, DegenerateMatch, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, UnsupportedVariant, real, real_array
+from .errors import ConfigError, real, real_array
 from .timefn import TimeFunction, jet_arrays
 
 __all__ = ["Variant", "Solution", "family_a", "family_b", "family_c",
@@ -208,13 +207,12 @@ def family_b(variant: Variant, a: float, b: float, c: float,
     mean-flow constraint, Im = (1/4) ln(3 a^2/b^2), which exists only for
     e2=+1."""
     if variant.eps1 != 1:
-        raise UnsupportedVariant("family B requires eps1 = +1")
+        raise ConfigError("family B requires eps1 = +1")
     a, b, c = (real(x, name) for x, name in zip((a, b, c), "abc"))
     if a == 0.0 or b == 0.0:
-        raise MixedCaseUnsupported(
-            "family B needs a*b != 0; use family A for a=b=0")
+        raise ConfigError("family B needs a*b != 0; use family A for a=b=0")
     if variant.eps2 != 1:
-        raise NoRealSolution("family B existence condition requires eps2 = +1")
+        raise ConfigError("family B existence condition requires eps2 = +1")
     ratio = 3.0 * a * a / (b * b) if b * b else math.inf
     if not 0.0 < ratio < math.inf:
         raise ConfigError(f"family B: a={a!r}, b={b!r} give 3 a^2/b^2 "
@@ -260,9 +258,9 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
 
     Raises ConfigError where the line direction (zeta, eta, E) is not
     finite (cosh(2 ell) overflows above ell ~ 355, and 2 ell itself above
-    ~9e307).  The cubic match against the forced kappa = -2 zeta^2 raises
-    DegenerateMatch when e2 + kappa vanishes and NoRealAmplitude when
-    A^2 < 0.
+    ~9e307), where the modulus of an elliptic kind is outside [0, 1), and
+    where the cubic match against the forced kappa = -2 zeta^2 fails:
+    e2 + kappa vanishes, or A^2 < 0.
     """
     eps1, eps2 = variant.eps1, variant.eps2
     ell, ell1 = real(ell, "ell"), real(ell1, "ell1")
@@ -277,11 +275,11 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
     profile = make_profile(kind, m)
     kappa = -2.0 * zeta * zeta
     if abs(eps2 + kappa) < _DEGENERATE_TOL:
-        raise DegenerateMatch(f"cubic coefficient eps2+kappa vanishes "
-                              f"(eps2={eps2}, kappa={kappa})")
+        raise ConfigError(f"cubic coefficient eps2+kappa vanishes "
+                          f"(eps2={eps2}, kappa={kappa})")
     a2 = E * profile.p / (2.0 * (eps2 + kappa))
     if a2 < 0.0:
-        raise NoRealAmplitude(
+        raise ConfigError(
             f"amplitude^2 = {a2:g} < 0 for kind '{profile.kind}' "
             f"(E={E:g}, kappa={kappa:g}, eps2={eps2})")
     amp, c_v = math.sqrt(a2), E * profile.q / 2.0

@@ -25,8 +25,8 @@ import json
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
-from .elliptic import PROFILE_KINDS
-from .errors import ConfigError, DomainError, DSError, real
+from .elliptic import ELLIPTIC_KINDS, PROFILE_KINDS, _modulus
+from .errors import ConfigError, DSError, real
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import MAX_BOX_N, crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
@@ -160,15 +160,13 @@ def build_solution(cfg: dict) -> Solution:
         return family_b(variant, _number(cfg, "/params/a"),
                         _number(cfg, "/params/b"), _number(cfg, "/params/c"),
                         _timefn(cfg, "/params/beta", "0"))
-    # family_c's one DomainError is elliptic's verdict on the modulus.
-    try:
-        return family_c(
-            variant, _choice(cfg, "/params/kind", PROFILE_KINDS),
-            _number(cfg, "/params/m", None), _number(cfg, "/params/ell"),
-            _number(cfg, "/params/ell1", 0.0),
-            _timefn(cfg, "/params/beta", "0"))
-    except DomainError as err:
-        raise ConfigError(f"/params/m: {err}") from None
+    kind = _choice(cfg, "/params/kind", PROFILE_KINDS)
+    m = _number(cfg, "/params/m", None)
+    if kind in ELLIPTIC_KINDS:
+        _modulus(m, "/params/m")
+    return family_c(variant, kind, m, _number(cfg, "/params/ell"),
+                    _number(cfg, "/params/ell1", 0.0),
+                    _timefn(cfg, "/params/beta", "0"))
 
 
 def _transform(cfg, pointer) -> TransformSpec:

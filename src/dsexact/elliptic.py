@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, real
+from .errors import ConfigError, real
 
 __all__ = ["ellipk", "jacobi_sn_cn_dn", "Profile", "make_profile",
            "PROFILE_KINDS", "ELLIPTIC_KINDS", "SINGULARITY_GUARD"]
@@ -48,12 +48,12 @@ _TINY = 2.0 ** -510
 
 
 def _modulus(m, what: str) -> float:
-    """m as a float for m in [0, 1); otherwise a DomainError naming ``what``
-    (None and NaN too), or ``errors.real``'s ConfigError for a non-number."""
+    """m as a float for m in [0, 1); otherwise a ConfigError naming ``what``
+    (None and NaN too), or naming ``m`` for a non-number (``errors.real``)."""
     if m is not None and not (isinstance(m, float) and math.isnan(m)):
         m = real(m, "m", -math.inf, math.inf)
     if m is None or not 0.0 <= m < 1.0:
-        raise DomainError(f"{what} requires 0 <= m < 1, got m={m}")
+        raise ConfigError(f"{what} requires 0 <= m < 1, got m={m}")
     return m
 
 

@@ -2,8 +2,8 @@
 
 Every error carries an ``exit_code`` used by the command-line front end:
 2 for configuration problems and for inputs outside a family's or an
-operation's contract (ConfigError and its subclasses), 3 for numerical
-blow-up, 1 for everything else (verification failures included).
+operation's contract (ConfigError; its message states the reason), 3 for
+numerical blow-up, 1 for everything else (verification failures included).
 ``real`` checks every number the library and a config take.
 """
 
@@ -24,7 +24,8 @@ class DSError(Exception):
 
 
 class ConfigError(DSError):
-    """Malformed configuration, unknown names, structurally bad input."""
+    """Malformed configuration, unknown names, structurally bad input, or
+    an input outside a family's or an operation's contract."""
 
     exit_code = 2
 
@@ -38,31 +39,6 @@ class ParseError(ConfigError):
     def __init__(self, message, position):
         super().__init__(f"{message} at position {position}")
         self.position = position
-
-
-class DomainError(DSError):
-    """A mathematical domain violation (log of a non-positive value,
-    elliptic modulus outside [0,1), ...)."""
-
-
-class UnsupportedVariant(ConfigError):
-    """The requested sign pair is outside the operation's contract."""
-
-
-class DegenerateMatch(ConfigError):
-    """The cubic coefficient match has a vanishing cubic-term divisor."""
-
-
-class NoRealAmplitude(ConfigError):
-    """The matched amplitude would be imaginary; no real solution exists."""
-
-
-class NoRealSolution(ConfigError):
-    """The family's existence condition has no real parameter choice."""
-
-
-class MixedCaseUnsupported(ConfigError):
-    """Linear-profile family with exactly one of a, b zero; not covered."""
 
 
 class EmptySampleError(DSError):
@@ -100,6 +76,8 @@ def real(value, name, lo=-_MAX, hi=_MAX, integer=False):
 def real_array(value, name):
     """``np.asarray(value, dtype=float)``, or a ConfigError naming ``name``
     where that raises or warns (ragged rows, a non-number, a complex value)."""
+    if type(value) is np.ndarray and value.dtype == float:
+        return value  # as np.asarray would, without resetting warning filters
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -39,8 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .catalog import Solution, Variant, eval_solution
-from .errors import BlowupError, ConfigError, PeriodicityError, \
-    UnsupportedVariant, real
+from .errors import BlowupError, ConfigError, PeriodicityError, real
 
 __all__ = ["Field", "make_field", "poisson_v", "advance", "step", "mass",
            "crosscheck", "MAX_BOX_N"]
@@ -111,11 +110,11 @@ def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     """kx^2 (column) and ky^2 (row) of the box grid, and the Poisson
     multiplier vhat/ghat = -2 kx^2 / (kx^2 + ky^2) on the rfft2
     half-spectrum (0 at k=0, whose gauge is set separately).  The one check
-    of an evolve problem: eps1 != -1 is UnsupportedVariant, and a grid not
-    2-D with integer counts 2 to MAX_BOX_N, steps that ``_steps`` refuses,
-    or a k^2 that overflows or underflows to a 0/0 multiplier a ConfigError."""
+    of an evolve problem: eps1 != -1, a grid not 2-D with integer counts 2
+    to MAX_BOX_N, steps that ``_steps`` refuses, or a k^2 that overflows or
+    underflows to a 0/0 multiplier is a ConfigError."""
     if variant.eps1 != -1:
-        raise UnsupportedVariant(
+        raise ConfigError(
             "spectral inversion of the mean-flow constraint needs eps1=-1; "
             "the eps1=+1 constraint is hyperbolic on a periodic box")
     if len(shape) != 2 or not all(hasattr(n, "__index__")

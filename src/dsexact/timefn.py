@@ -16,7 +16,7 @@ differentiation and no finite differencing is involved.
 
 The compiled function runs once per call over a whole array of t.  A domain
 failure (ln of x <= 0, division by zero) becomes a mask, as does a jet that
-overflows; ``TimeFunction.jet`` raises DomainError at a single t, naming the
+overflows; ``TimeFunction.jet`` raises ConfigError at a single t, naming the
 failing subexpression as written."""
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParseError, real
+from .errors import ConfigError, ParseError, real
 
 __all__ = ["Jet", "TimeFunction", "parse_timefn", "jet_arrays"]
 
@@ -164,13 +164,13 @@ class TimeFunction:
             return self.compiled(t, fails), fails
 
     def jet(self, t: float) -> Jet:
-        """The jet at one t, as floats.  Raises DomainError naming the first
+        """The jet at one t, as floats.  Raises ConfigError naming the first
         subexpression that fails there; an overflow gives inf, not an
         error."""
         j, fails = self._walk(np.array([real(t, "t")]))
         for bad, reason, where in fails:
             if np.any(bad):
-                raise DomainError(f"{reason} in '{where}' at t={t}")
+                raise ConfigError(f"{reason} in '{where}' at t={t}")
         return Jet(*(float(np.ravel(c)[0]) for c in (j.f, j.d1, j.d2, j.d3)))
 
 
@@ -179,7 +179,7 @@ def jet_arrays(f: TimeFunction, t):
 
     Returns read-only arrays shaped like t: ``(jet, ok)``, a Jet of four
     float arrays and a bool mask that is False where ``f.jet`` raises
-    DomainError or where a jet entry is not finite (an overflow); those
+    ConfigError or where a jet entry is not finite (an overflow); those
     entries of the jet are NaN.  Each entry is walked, repeated or not.
     """
     t = np.asarray(t, dtype=float)

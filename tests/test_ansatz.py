@@ -6,8 +6,7 @@ import math
 import pytest
 
 from conftest import fd2
-from dsexact import DegenerateMatch, NoRealAmplitude, Variant, family_c, \
-    parse_timefn, verify
+from dsexact import ConfigError, Variant, family_c, parse_timefn, verify
 from dsexact.elliptic import make_profile
 
 
@@ -50,7 +49,8 @@ def test_frame_identity_sweep():
                 try:
                     _, c_v, kappa = constants(kind, 0.7, eps1, ell, 1)
                     break
-                except NoRealAmplitude:
+                except ConfigError as err:
+                    assert str(err).startswith("amplitude^2 = ")
                     continue
             else:
                 pytest.fail(f"no real amplitude at eps1={eps1}, ell={ell}")
@@ -88,13 +88,14 @@ def test_match_rational():
 
 
 def test_match_dn_needs_negative_divisor():
-    with pytest.raises(NoRealAmplitude):
+    with pytest.raises(ConfigError, match=r"^amplitude\^2 = .* < 0"):
         constants("dn", 0.5, 1, 0.0, 1)
 
 
 def test_match_degenerate():
     # e1 = -1, ell = pi/4: kappa = -2 sin^2(pi/4) = -1 cancels e2 = +1.
-    with pytest.raises(DegenerateMatch):
+    with pytest.raises(ConfigError,
+                       match=r"^cubic coefficient eps2\+kappa vanishes"):
         constants("tan", None, -1, math.pi / 4.0, 1)
 
 

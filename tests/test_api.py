@@ -9,7 +9,7 @@ import re
 from pathlib import Path
 
 import dsexact
-from dsexact import cli
+from dsexact import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -39,6 +39,21 @@ def public_names():
 def test_the_top_level_is_the_readme_list():
     assert public_names() == readme_names()
     assert public_names().isdisjoint(MOVED)
+
+
+def test_the_error_classes_are_the_readme_list():
+    # An error class is documented: its name in README's errors bullet and
+    # its exit code one of README's exit codes.
+    bullet = next(line for line in README.splitlines()
+                  if line.startswith("- errors: "))
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)
+               and value.__module__ == errors.__name__}
+    assert set(classes) == set(re.findall(r"`(\w+)`", bullet))
+    sentence = README[README.index("Exit codes:"):].partition(".")[0]
+    codes = {int(code) for code in re.findall(r"\b(\d+)\s", sentence)}
+    assert codes == {0, 1, 2, 3, 4}
+    assert {value.exit_code for value in classes.values()} <= codes
 
 
 def test_the_list_covers_the_documented_imports():

@@ -28,7 +28,7 @@ import dsexact
 from dsexact import ConfigError, DSError, Field, GridSpec, TransformSpec, \
     Variant, advance, crosscheck, ellipk, eval_solution, family_a, \
     family_b, family_c, parse_timefn, verify, write_field_csv
-from dsexact.errors import real
+from dsexact.errors import real, real_array
 from dsexact.evolve import make_field
 from test_api import readme_names
 
@@ -234,3 +234,17 @@ def test_real_returns_a_float_or_an_int(value, bounds, integer, want):
 def test_real_names_the_argument_and_the_value(value, bounds, integer, text):
     with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
         real(value, "x", *bounds, integer=integer)
+
+
+def test_real_array_returns_a_float64_array_as_it_is():
+    # np.asarray(value, dtype=float) returns the same object; anything
+    # else is still converted, or refused.
+    values = np.array([0.5, -1.0, 2.0])
+    assert real_array(values, "x") is values
+    for other in (values.tolist(), np.array([1, -2, 3]), values.astype(">f8")):
+        got = real_array(other, "x")
+        assert got is not other and got.dtype == np.float64
+        assert got.dtype.isnative and got.tolist() == np.asarray(
+            other, dtype=float).tolist()
+    with pytest.raises(ConfigError, match="^x is not an array of real"):
+        real_array(values + 1j, "x")

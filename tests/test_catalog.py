@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import mutant
-from dsexact import ConfigError, EmptySampleError, MixedCaseUnsupported, \
-    NoRealAmplitude, NoRealSolution, TransformSpec, UnsupportedVariant, \
+from dsexact import ConfigError, EmptySampleError, TransformSpec, \
     TimeFunction, Variant, catalog, compose, ellipk, eval_solution, \
     family_a, family_b, family_c, parse_timefn, verify
 from dsexact.elliptic import Profile, jacobi_sn_cn_dn
@@ -105,13 +104,14 @@ def test_family_a_validity():
 
 def test_family_b_preconditions():
     beta = parse_timefn("0")
-    with pytest.raises(UnsupportedVariant):
+    with pytest.raises(ConfigError, match=r"^family B requires eps1 = \+1"):
         family_b(Variant(-1, 1), 1.0, 1.0, 0.0, beta)
-    with pytest.raises(MixedCaseUnsupported):
+    with pytest.raises(ConfigError, match=r"^family B needs a\*b != 0"):
         family_b(Variant(1, 1), 0.0, 1.0, 0.0, beta)
-    with pytest.raises(MixedCaseUnsupported):
+    with pytest.raises(ConfigError, match=r"^family B needs a\*b != 0"):
         family_b(Variant(1, 1), 1.0, 0.0, 0.0, beta)
-    with pytest.raises(NoRealSolution):
+    with pytest.raises(ConfigError, match=r"^family B existence condition "
+                                          r"requires eps2 = \+1"):
         family_b(Variant(1, -1), 1.0, 1.0, 0.0, beta)
 
 
@@ -187,7 +187,7 @@ def test_family_c_sn_line_axis_aligned():
 
 
 def test_family_c_dn_no_real_amplitude():
-    with pytest.raises(NoRealAmplitude):
+    with pytest.raises(ConfigError, match=r"^amplitude\^2 = .* < 0"):
         family_c(Variant(-1, 1), "dn", 0.5, 0.0, 0.0, parse_timefn("0"))
 
 

@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dsexact import BlowupError, ConfigError, DegenerateMatch, \
-    MixedCaseUnsupported, NoRealAmplitude, NoRealSolution, \
-    UnsupportedVariant, Variant, cli, compose, crosscheck, ellipk, evolve, \
-    family_c, gridio, parse_timefn, selftest, timefn
+from dsexact import BlowupError, ConfigError, Variant, cli, compose, \
+    crosscheck, ellipk, evolve, family_b, family_c, gridio, parse_timefn, \
+    selftest, timefn
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS
 
@@ -217,23 +216,27 @@ def test_unknown_family_is_config_error(tmp_path, capsys):
     assert "/family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, doc, error", [
-    ("verify", {"variant": {"eps1": -1, "eps2": 1}, "family": "B",
-                "params": {"a": 1.0, "b": 1.0, "c": 0.0, "beta": "0"}},
-     "UnsupportedVariant"),
-    ("eval", {"variant": {"eps1": -1, "eps2": -1}, "family": "C",
-              "params": {"kind": "tan", "ell": 0.3, "ell1": 0.0,
-                         "beta": "0"}},
-     "NoRealAmplitude"),
-    ("evolve", {"variant": {"eps1": 1, "eps2": 1}, "family": "C",
-                "params": {"kind": "sn", "m": 0.5, "ell": 0.4, "ell1": 0.0,
-                           "beta": "0"},
-                "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01,
-                           "dt": 1e-3}},
-     "UnsupportedVariant"),
+@pytest.mark.parametrize("command, doc, reason", [
+    pytest.param(
+        "verify", {"variant": {"eps1": -1, "eps2": 1}, "family": "B",
+                   "params": {"a": 1.0, "b": 1.0, "c": 0.0, "beta": "0"}},
+        "family B requires eps1 = +1", id="verify-family-B-eps1"),
+    pytest.param(
+        "eval", {"variant": {"eps1": -1, "eps2": -1}, "family": "C",
+                 "params": {"kind": "tan", "ell": 0.3, "ell1": 0.0,
+                            "beta": "0"}},
+        "amplitude^2 = ", id="eval-no-real-amplitude"),
+    pytest.param(
+        "evolve", {"variant": {"eps1": 1, "eps2": 1}, "family": "C",
+                   "params": {"kind": "sn", "m": 0.5, "ell": 0.4,
+                              "ell1": 0.0, "beta": "0"},
+                   "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01,
+                              "dt": 1e-3}},
+        "spectral inversion of the mean-flow constraint needs eps1=-1",
+        id="evolve-hyperbolic"),
 ])
 def test_input_outside_the_contract_exits_2(tmp_path, capsys, command, doc,
-                                            error):
+                                            reason):
     # Inputs no family or operation covers are rejected like malformed
     # ones: exit 2, no output written; 1 is left to verification failures.
     out = tmp_path / "out"
@@ -241,15 +244,35 @@ def test_input_outside_the_contract_exits_2(tmp_path, capsys, command, doc,
         **doc, "grid": {"t": [0.2], "x": [-0.5, 0.5, 3], "y": [0, 1, 2]},
         "out": str(out)})
     assert main([command, "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith(f"{error}: ")
+    assert capsys.readouterr().err.startswith(f"ConfigError: {reason}")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("error", [UnsupportedVariant, DegenerateMatch,
-                                   NoRealAmplitude, NoRealSolution,
-                                   MixedCaseUnsupported])
-def test_contract_errors_are_config_errors(error):
-    assert issubclass(error, ConfigError) and error.exit_code == 2
+ZERO = parse_timefn("0")
+
+
+# Each refusal of an input outside a family's contract, by its reason.
+@pytest.mark.parametrize("build, reason", [
+    pytest.param(lambda: family_b(Variant(-1, 1), 1.0, 1.0, 0.0, ZERO),
+                 r"family B requires eps1 = \+1", id="family-B-eps1"),
+    pytest.param(lambda: family_b(Variant(1, 1), 0.0, 1.0, 0.0, ZERO),
+                 r"family B needs a\*b != 0", id="family-B-a-b"),
+    pytest.param(lambda: family_b(Variant(1, -1), 1.0, 1.0, 0.0, ZERO),
+                 r"family B existence condition requires eps2 = \+1",
+                 id="family-B-eps2"),
+    pytest.param(lambda: family_c(Variant(-1, 1), "tan", None,
+                                  math.pi / 4.0, 0.0, ZERO),
+                 r"cubic coefficient eps2\+kappa vanishes",
+                 id="family-C-degenerate"),
+    pytest.param(lambda: family_c(Variant(-1, -1), "tan", None, 0.3, 0.0,
+                                  ZERO),
+                 r"amplitude\^2 = .* < 0 for kind 'tan'",
+                 id="family-C-no-real-amplitude"),
+])
+def test_contract_errors_are_config_errors(build, reason):
+    with pytest.raises(ConfigError, match=f"^{reason}") as err:
+        build()
+    assert err.value.exit_code == 2
 
 
 def test_axis_count_bound():
@@ -1093,8 +1116,8 @@ def test_main_builds_no_parser_garbage(capsys):
 
 def test_readme_config_schema_runs(tmp_path, monkeypatch):
     # README's schema example, its // comments stripped, is a working
-    # config for every command but evolve: its box is not a period of the
-    # solution, as README's comment there says.
+    # config for every command: its evolve box is a period of the chain, as
+    # README's comment there says.
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
         encoding="utf-8")
     block = re.search(r"### Config schema\n\n```jsonc\n(.*?)```", readme,
@@ -1102,6 +1125,5 @@ def test_readme_config_schema_runs(tmp_path, monkeypatch):
     doc = json.loads(re.sub(r"//.*", "", block))
     cfg = write_config(tmp_path / "cfg.json", doc)
     monkeypatch.chdir(tmp_path)
-    for command in ("eval", "verify", "transform"):
+    for command in ("eval", "verify", "transform", "evolve"):
         assert main([command, "--config", cfg]) == 0, command
-    assert main(["evolve", "--config", cfg]) == 1

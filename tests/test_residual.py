@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import re
@@ -11,11 +12,11 @@ import dsexact.residual
 from conftest import dispatch_target, fd1_o2, fd2, mutant, \
     published_constants
 from dsexact import ConfigError, EmptySampleError, Solution, TransformSpec, \
-    Variant, compose, family_a, family_c, parse_timefn, verify
+    Variant, cli, compose, family_a, family_c, parse_timefn, verify
 from dsexact.catalog import eval_solution
 from dsexact.gridio import GridSpec
 from dsexact.residual import DEFAULT_H, ORDERS
-from dsexact.selftest import default_verification_matrix
+from dsexact.selftest import CERTIFICATES, default_verification_matrix
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
 
@@ -477,6 +478,8 @@ def test_overflowing_squares_give_finite_rms_and_fail():
 SCALE_BLIND = "ROADMAP item 3: the tolerance is blind to the field scale"
 ROUNDOFF_FLOOR = "ROADMAP item 3: no named roundoff floor"
 FOOTPRINT = "ROADMAP item 10: the pole guard is not measured in footprints"
+AMPLITUDE_BLIND = ("ROADMAP items 3 and 26: the pass rule fails a true "
+                   "solution at amplitude 10")
 
 
 def matrix_entry(name):
@@ -532,6 +535,21 @@ def test_tan_line_passes_near_its_poles(b):
         sol = compose([TransformSpec("T2", b=b)], sol)
     grid = GridSpec((0.0, 0.4), (-2.0, 2.0, 41), (-1.5, 1.5, 31))
     assert verify(sol, grid.points(1)).passed
+
+
+@pytest.mark.xfail(strict=True, reason=AMPLITUDE_BLIND)
+@pytest.mark.parametrize("cfg", [
+    pytest.param(cfg, id=name)
+    for name, _, cfg in CERTIFICATES["catalog certificates"]
+    if cfg["family"] == "A"])
+def test_family_a_row_passes_at_amplitude_10(cfg):
+    # Family A is a true solution at every c, but at c = 10 each of the 8
+    # rows fails on its unjittered grid (order2 -1.2 to -2.5), at the
+    # default dispatch and with AVX-512 or AVX2 off.  At c = 3 the verdict
+    # of A Im=t eps1=-1 eps2=+1 depends on the level.
+    cfg = copy.deepcopy(cfg)
+    cfg["params"]["c"] = 10.0
+    assert cli.verify_report(cfg).passed
 
 
 # C coth eps1=+1 sits on its roundoff floor (ROADMAP items 3 and 19): one

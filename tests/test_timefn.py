@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import fd1_o2, random_timefn
-from dsexact import DomainError, Jet, ParseError, parse_timefn
+from dsexact import ConfigError, Jet, ParseError, parse_timefn
 from dsexact.timefn import jet_arrays
 
 
@@ -181,7 +181,7 @@ def test_domain_errors_carry_subexpression():
          "ln of non-positive value in 'ln( t-3 )' at t=1.0"),
     ]
     for text, t, message in cases:
-        with pytest.raises(DomainError) as err:
+        with pytest.raises(ConfigError) as err:
             parse_timefn(text).jet(t)
         assert str(err.value) == message
 
@@ -287,7 +287,8 @@ def _scalar_reference(f, t):
     for i, ti in enumerate(flat.tolist()):
         try:
             values[:, i] = jet_tuple(f.jet(ti))
-        except DomainError:
+        except ConfigError as err:
+            assert str(err).endswith(f" at t={ti}")
             continue
         ok[i] = True
     return values.reshape((4,) + np.shape(t)), ok.reshape(np.shape(t))
