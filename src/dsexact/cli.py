@@ -31,8 +31,7 @@ from .errors import ConfigError, DSError, real
 from .evolve import MAX_BOX_N, crosscheck, make_field, step
 from .gridio import GridSpec, write_box_csv, write_field_csv, \
     write_json_report
-from .residual import DEFAULT_H, DEFAULT_ORDER, DEFAULT_TOL_REL, \
-    MAX_POINTS, ORDERS, verify
+from .residual import DEFAULT_H, DEFAULT_TOL_REL, MAX_POINTS, ORDER, verify
 from .symmetry import TransformSpec, compose
 from .timefn import parse_timefn
 
@@ -220,9 +219,9 @@ def verify_report(cfg, seed=None):
                           f"{MAX_POINTS} that verify holds")
     points = grid.points(seed=seed)
     h = _number(cfg, "/verify/h", DEFAULT_H)
-    order = _choice(cfg, "/verify/order", ORDERS, DEFAULT_ORDER)
+    _choice(cfg, "/verify/order", (ORDER,), ORDER)  # refuses other orders
     tol = _number(cfg, "/verify/tol_rel", DEFAULT_TOL_REL, 0.0)
-    return verify(sol, points, h=h, order=order, tol_rel=tol)
+    return verify(sol, points, h=h, tol_rel=tol)
 
 
 def _cmd_verify(cfg, args) -> int:
@@ -256,7 +255,7 @@ def _cmd_evolve(cfg, args) -> int:
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
     report, field = evolve_report(cfg)
-    if snapshot:
+    if snapshot is not None:
         write_box_csv(snapshot, field)
         report["snapshot"] = snapshot
     write_json_report(out, report)

@@ -6,7 +6,7 @@ At each sample point the two residuals are
     R1 = 2i D_t u + e1 D_xx u + D_yy u - 2 e2 |u|^2 u - 2 u v,
     R2 = D_xx v - e1 (D_yy v + 2 D_xx |u|^2),
 
-with central differences of order 2, 4 or 6.  ``verify`` evaluates them at
+with fourth-order central differences.  ``verify`` evaluates them at
 steps h and h/2, reports the observed convergence order, and normalizes the
 tolerance by the root-mean-square magnitude of the individual PDE terms, so
 quadratically growing fields are judged on the same footing as bounded ones.
@@ -27,34 +27,27 @@ import numpy as np
 from .catalog import Solution, eval_solution
 from .errors import ConfigError, EmptySampleError, real, real_array
 
-__all__ = ["ResidualReport", "verify", "ORDERS", "MAX_POINTS",
-           "DEFAULT_H", "DEFAULT_ORDER", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
+__all__ = ["ResidualReport", "verify", "ORDER", "MAX_POINTS",
+           "DEFAULT_H", "DEFAULT_TOL_REL", "DEFAULT_FLOOR_REL"]
 
+ORDER = 4  # the order of the central differences
 DEFAULT_H = 1e-3
-DEFAULT_ORDER = 4
 DEFAULT_TOL_REL = 1e-7
 # Residual-to-scale ratio below which a sample is considered to sit on the
 # roundoff floor, where the observed order is no longer meaningful.
 DEFAULT_FLOOR_REL = 1e-8
-# verify evaluates the nodes of this many points at a time (3.3 KB a point
-# at order 4, so 14 MB; 22 MB at order 6) and keeps 48 bytes of each kept
-# point in its block.  With its (t, x, y) row, a sample of MAX_POINTS, the
-# most the CLI's verify takes, holds 316 MB (tracemalloc, numpy 2.4).
+# verify evaluates the nodes of this many points at a time (3.3 KB a point,
+# so 14 MB) and keeps 48 bytes of each kept point in its block.  With its
+# (t, x, y) row, a sample of MAX_POINTS, the most the CLI's verify takes,
+# holds 316 MB (tracemalloc, numpy 2.4).
 _BLOCK = 4096
 MAX_POINTS = 2 ** 22
 _MIN_H = math.ldexp(math.sqrt(2.0), -537)  # least h with (h/2)^2 > 0
 
-# Central difference weights at k = -order/2..order/2 (0 at the centre of
-# a first difference); apply as sum(c_k * f(x0 + k*h)) / h**deriv_order.
-_D1 = {2: (-0.5, 0.0, 0.5),
-       4: (1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0),
-       6: (-1.0 / 60.0, 3.0 / 20.0, -3.0 / 4.0, 0.0, 3.0 / 4.0,
-           -3.0 / 20.0, 1.0 / 60.0)}
-_D2 = {2: (1.0, -2.0, 1.0),
-       4: (-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0),
-       6: (1.0 / 90.0, -3.0 / 20.0, 3.0 / 2.0, -49.0 / 18.0, 3.0 / 2.0,
-           -3.0 / 20.0, 1.0 / 90.0)}
-ORDERS = tuple(_D1)  # the stencil orders verify accepts
+# Central difference weights at k = -2..2 (0 at the centre of a first
+# difference); apply as sum(c_k * f(x0 + k*h)) / h**deriv_order.
+_D1 = (1.0 / 12.0, -2.0 / 3.0, 0.0, 2.0 / 3.0, -1.0 / 12.0)
+_D2 = (-1.0 / 12.0, 4.0 / 3.0, -5.0 / 2.0, 4.0 / 3.0, -1.0 / 12.0)
 
 
 @dataclass(frozen=True)
@@ -82,28 +75,26 @@ class ResidualReport:
                 "n_points": self.n_points, "pass": self.passed}
 
 
-# One entry per (h, order) a process verifies at: the CLI and the default
-# matrix use one, a test sweeping steps and orders a few.
 @functools.lru_cache(maxsize=4)
-def _nodes(h, order):
+def _nodes(h):
     """Read-only, for the steps s = h, h/2: node ``offsets`` at (coordinate,
     point, axis, row), c + 0.0 off the axis and c + s*k on it over one
     sorted row of the distinct s*k; each step's ``cols`` in the row; the
     ``divisors`` (s, s*s, s*s) at (step, 1, slot); the ``weights`` of the
     six differences of _residual_terms at (k, slot)."""
     steps = (h, h / 2.0)
-    reach = range(-(order // 2), order // 2 + 1)
+    reach = range(-(ORDER // 2), ORDER // 2 + 1)
     row = sorted({s * k for s in steps for k in reach})
     cols = np.array([[row.index(s * k) for k in reach] for s in steps])
     offsets = np.where(np.eye(3, dtype=bool)[:, None, :, None], row, 0.0)
     divisors = np.array([[(s, s * s, s * s)] for s in steps])
-    weights = np.array([_D1[order]] + [_D2[order]] * 5).T.copy()
+    weights = np.array([_D1] + [_D2] * 5).T.copy()
     for a in (offsets, cols, divisors, weights):
         a.flags.writeable = False
     return offsets, cols, divisors, weights
 
 
-def _residual_terms(sol: Solution, points, h, order):
+def _residual_terms(sol: Solution, points, h):
     """|R1| and |R2| at both steps and the two term scales at the finer
     step: the columns of an (n, 6) array over the kept points.
 
@@ -115,7 +106,7 @@ def _residual_terms(sol: Solution, points, h, order):
     h/2 > t, say): one that rounds away or is NaN is dropped.
     """
     eps1, eps2 = sol.variant.eps1, sol.variant.eps2
-    offsets, cols, divisors, weights = _nodes(h, order)
+    offsets, cols, divisors, weights = _nodes(h)
     t, x, y = points.T[..., None, None] + offsets
     if (points[:, 0] == points[0, 0]).all():
         t = t[:1]  # at (1, 3, row), so each time function walks it once
@@ -124,17 +115,17 @@ def _residual_terms(sol: Solution, points, h, order):
     keep = ok.all(axis=(1, 2)) & (size + h / 2.0 > size).all(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # (k + order/2, step, point, slot)
+        # (k + ORDER/2, step, point, slot)
         f = np.concatenate([u, v[:, 1:], np.abs(u[:, 1:2]) ** 2],
                            axis=1).transpose(2, 0, 1)[cols.T]
         d = weights[0] * f[0]
-        for k in range(1, order + 1):
+        for k in range(1, ORDER + 1):
             d += weights[k] * f[k]
         d[..., :3] /= divisors
         d.real[..., 3:] /= divisors[..., 1:2]  # complex division rounds twice
         du_dt, du_xx, du_yy = d[..., 0], d[..., 1], d[..., 2]
         dv_xx, dv_yy, dg_xx = d.real[..., 3], d.real[..., 4], d.real[..., 5]
-        u0, v0 = (a[:, 0, cols[1, order // 2]] for a in (u, v))
+        u0, v0 = (a[:, 0, cols[1, ORDER // 2]] for a in (u, v))
         cubic = 2.0 * eps2 * (u0.real ** 2 + u0.imag ** 2) * u0
         coupling = 2.0 * u0 * v0
         terms = np.empty((len(points), 6))
@@ -182,7 +173,6 @@ def _order_of(coarse: float, fine: float) -> float:
 
 
 def verify(sol: Solution, sample, h: float = DEFAULT_H,
-           order: int = DEFAULT_ORDER,
            tol_rel: float = DEFAULT_TOL_REL) -> ResidualReport:
     """Aggregate residuals over sample points at steps h and h/2.
 
@@ -197,18 +187,14 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     passes vacuously and a loose tolerance does not demand clean convergence
     of residuals it would accept anyway.  Raises ConfigError unless h is a
     real number from _MIN_H (about 3.1e-162, below which (h/2)^2 is 0),
-    tol_rel one >= 0 (inf too), ``order`` one of ``ORDERS`` and the sample
-    numbers, (N, 3) if any.
+    tol_rel one >= 0 (inf too) and the sample numbers, (N, 3) if any.
     """
     h, tol_rel = real(h, "h", _MIN_H), real(tol_rel, "tol_rel", 0.0, math.inf)
-    if order not in ORDERS:
-        raise ConfigError(f"order: expected one of {ORDERS}, got {order!r}")
-    order = int(order)
     points = real_array(sample, "verify: sample")
     if points.size and points.shape[1:] != (3,):
         raise ConfigError(f"verify: sample shape {points.shape} is not (N, 3)")
     points = points.reshape(-1, 3)
-    blocks = [b for b in (_residual_terms(sol, points[i:i + _BLOCK], h, order)
+    blocks = [b for b in (_residual_terms(sol, points[i:i + _BLOCK], h)
                           for i in range(0, len(points), _BLOCK)) if len(b)]
     if not blocks:
         raise EmptySampleError("no valid sample points for verification")
@@ -217,8 +203,8 @@ def verify(sol: Solution, sample, h: float = DEFAULT_H,
     order1, order2 = _order_of(coarse1, rms1), _order_of(coarse2, rms2)
     scale1, scale2 = 1.0 + s1, 1.0 + s2
     floor = max(DEFAULT_FLOOR_REL, 0.1 * tol_rel)
-    order_ok1 = order1 >= order - 0.5 or rms1 <= floor * scale1
-    order_ok2 = order2 >= order - 0.5 or rms2 <= floor * scale2
+    order_ok1 = order1 >= ORDER - 0.5 or rms1 <= floor * scale1
+    order_ok2 = order2 >= ORDER - 0.5 or rms2 <= floor * scale2
     finite = all(map(math.isfinite, (rms1, rms2, scale1, scale2)))
     passed = (finite and rms1 <= tol_rel * scale1
               and rms2 <= tol_rel * scale2 and order_ok1 and order_ok2)

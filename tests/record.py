@@ -7,8 +7,7 @@ The first form writes, with every path relative to OUT:
 
 * ``verify/s<seed>-<index>.json``: ``dsexact verify --seed <seed>`` of
   each catalog row of ``selftest.CERTIFICATES`` (the default verification
-  matrix), seeds 0-3, and ``verify/o<order>-s0-<index>.json`` the same at
-  seed 0 with ``/verify/order`` 2 and 6;
+  matrix), seeds 0-3;
 * ``selftest/transform.json`` and ``selftest/crosscheck.json``: the
   table's T1-then-T2 chain and oblique ``sn`` cross-check, run by their
   commands, unjittered, as ``dsexact selftest`` runs them;
@@ -117,18 +116,12 @@ def _run(name, cfg, argv):
 
 def _certificates():
     """The commands of the rows of ``selftest.CERTIFICATES``: each catalog
-    row at every seed and, at seed 0, at the stencil orders 2 and 6, then
-    the chain and the cross-check."""
+    row at every seed, then the chain and the cross-check."""
     for i, (_, _, cfg) in enumerate(CERTIFICATES["catalog certificates"]):
         for seed in SEEDS:  # one config, rewritten alike for each seed
             _run(f"verify-{i:02d}", cfg,
                  ["verify", "--seed", str(seed),
                   "--out", f"verify/s{seed}-{i:02d}.json"])
-        for order in (2, 6):
-            _run(f"verify-o{order}-{i:02d}",
-                 {**cfg, "verify": {"order": order}},
-                 ["verify", "--seed", "0",
-                  "--out", f"verify/o{order}-s0-{i:02d}.json"])
     for name, check in (("transform", "transform certificates"),
                         ("crosscheck", "dynamical cross-check")):
         [(_, command, cfg)] = CERTIFICATES[check]

@@ -16,12 +16,11 @@ from dsexact import TransformSpec, Variant, compose, crosscheck, ellipk, \
     family_a, family_c, parse_timefn, verify
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS, jacobi_sn_cn_dn, make_profile
-from dsexact.residual import _residual_terms
+from dsexact.residual import ORDER, _residual_terms
 from dsexact.selftest import default_verification_matrix
 from dsexact.symmetry import apply_t1, apply_t2
 
 H = 1e-3
-ORDER = 4
 TOL_REL = 1e-7
 
 
@@ -74,7 +73,7 @@ def test_criterion_2_catalog_certification():
     failed = []
     for entry in matrix:
         report = verify(entry.solution, entry.grid.points(),
-                        h=H, order=ORDER, tol_rel=TOL_REL)
+                        h=H, tol_rel=TOL_REL)
         if not report.passed:
             failed.append((entry.name, report))
     assert not failed, failed
@@ -95,13 +94,13 @@ def test_criterion_3_errata_detection():
         sol = mutant(family_c(Variant(eps1, eps2), kind, m, ell, ell1,
                               parse_timefn("0.1*t")),
                      **published_constants(kind, m, eps1, ell, eps2))
-        report = verify(sol, pts, h=H, order=ORDER, tol_rel=TOL_REL)
+        report = verify(sol, pts, h=H, tol_rel=TOL_REL)
         assert not report.passed
         # h-independent: observed order ~ 0 at both steps
         assert abs(report.order1) <= 0.5 and abs(report.order2) <= 0.5
         # magnitude at least 1e-2 of the PDE term scale
         scales1, scales2 = _residual_terms(
-            sol, np.array(pts), H, ORDER)[:, 4:].T
+            sol, np.array(pts), H)[:, 4:].T
         assert len(scales1) == len(pts)
         s1 = 1.0 + math.sqrt(sum(v * v for v in scales1) / len(scales1))
         s2 = 1.0 + math.sqrt(sum(v * v for v in scales2) / len(scales2))
@@ -165,7 +164,7 @@ def test_criterion_4_symmetry_closure():
         base = bases[k % len(bases)]
         specs = _random_chain(rng)
         sol = compose(specs, base)
-        report = verify(sol, pts, h=H, order=ORDER, tol_rel=TOL_REL)
+        report = verify(sol, pts, h=H, tol_rel=TOL_REL)
         chain_desc = [s.kind for s in specs]
         assert report.passed, (k, chain_desc, report)
 

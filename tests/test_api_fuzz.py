@@ -52,8 +52,7 @@ CALLS = {
     "TimeFunction.jet": (parse_timefn("t").jet, (0.5,), {}, ["t"]),
     "TransformSpec": (TransformSpec, ("T2",), {"b": 2.0}, ["b"]),
     "verify": (verify, (SN, [(0.1, 0.2, 0.3)]),
-               {"h": 1e-3, "order": 4, "tol_rel": 1e-7},
-               ["h", "order", "tol_rel"]),
+               {"h": 1e-3, "tol_rel": 1e-7}, ["h", "tol_rel"]),
     "crosscheck": (crosscheck, (SN, L, L, 8, 0.01, 5e-3), {"tol": 1e-5},
                    ["lx", "ly", "n", "t_final", "dt", "tol"]),
     "advance": (advance, (FIELD, Variant(-1, 1), 1e-3, 2), {},

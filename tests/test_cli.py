@@ -833,6 +833,11 @@ MALFORMED = [
     # An exponent is one number token of whole value.
     ("verify", "/params/beta", "t^0.5", [], "/params/beta"),
     ("verify", "/params/beta", "2^3^2", [], "/params/beta"),
+    # Fourth order is the one stencil order.
+    ("verify", "/verify/order", 2, [], "/verify/order"),
+    ("verify", "/verify/order", 6, [], "/verify/order"),
+    # An empty path is a path that cannot be opened.
+    ("evolve", "/evolve/snapshot_out", "", [], "cannot write ''"),
 ]
 
 

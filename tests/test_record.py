@@ -22,9 +22,9 @@ def test_record_reruns_are_byte_identical(tmp_path):
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert first == second == (tmp_path / "c" / "SHA256SUMS").read_text()
-    # Per matrix row: six reports and three configs (one per order).
+    # Per matrix row: four reports (one per seed) and one config.
     assert len(first.splitlines()) == \
-        (6 + 3) * 32 + 2 * 2 + 2 * 8 + 1 + 3 * 2 + 20
+        (4 + 1) * 32 + 2 * 2 + 2 * 8 + 1 + 3 * 2 + 20
     assert record.diff(tmp_path / "a", tmp_path / "c") == []
 
     # --diff names each differing file and its first difference.

@@ -15,7 +15,7 @@ from dsexact import ConfigError, EmptySampleError, Solution, TransformSpec, \
     Variant, cli, compose, family_a, family_c, parse_timefn, verify
 from dsexact.catalog import eval_solution
 from dsexact.gridio import GridSpec
-from dsexact.residual import DEFAULT_H, ORDERS
+from dsexact.residual import DEFAULT_H, ORDER
 from dsexact.selftest import CERTIFICATES, default_verification_matrix
 
 GRID = [(0.5, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
@@ -67,10 +67,10 @@ def test_verify_passes_exact_family():
 
 # A step per stencil order at which truncation error dominates roundoff on
 # the line below, also at half the step.
-TRUNCATION_STEPS = {2: 0.04, 4: 0.08, 6: 0.16}
+TRUNCATION_STEPS = {ORDER: 0.08}
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", [ORDER])
 def test_nominal_order_convergence_in_truncation_regime(order):
     # Halving h must shrink the R1 and R2 norms by at least 2^(order-0.5),
     # from h to h/2 and again from h/2 to h/4.
@@ -78,7 +78,7 @@ def test_nominal_order_convergence_in_truncation_regime(order):
                    parse_timefn("0.1*t"))
     pts = [(0.8, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
     for h in (TRUNCATION_STEPS[order], TRUNCATION_STEPS[order] / 2.0):
-        report = verify(sol, pts, h=h, order=order, tol_rel=float("inf"))
+        report = verify(sol, pts, h=h, tol_rel=float("inf"))
         assert report.n_points == len(pts)
         assert report.order1 >= order - 0.5
         assert report.order2 >= order - 0.5
@@ -130,8 +130,8 @@ def test_sample_of_no_points_is_an_empty_sample():
 
 
 def test_stencil_tables_are_read_only():
-    # They are shared by every verify at one (h, order).
-    for table in dsexact.residual._nodes(DEFAULT_H, 4):
+    # They are shared by every verify at one h.
+    for table in dsexact.residual._nodes(DEFAULT_H):
         assert not table.flags.writeable
 
 
@@ -167,7 +167,7 @@ def test_term_scales_equal_independent_derivatives():
     # 1% or more; the references agree with the stencils to ~1e-9.
     sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.3, parse_timefn("0.1*t"))
     points = np.array([(0.2, 0.1, 0.3), (0.5, -0.4, 0.2)])
-    terms = dsexact.residual._residual_terms(sol, points, DEFAULT_H, 4)
+    terms = dsexact.residual._residual_terms(sol, points, DEFAULT_H)
     assert terms.shape == (2, 6)
 
     def u(t, x, y):
@@ -204,7 +204,7 @@ def test_verdict_bound_is_tol_times_one_plus_the_term_scale(monkeypatch,
         row[2 * equation - 2:2 * equation] = 16.0 * fine, fine
         row[4:] = 3.0
         monkeypatch.setattr(dsexact.residual, "_residual_terms",
-                            lambda sol, points, h, order: row[None, :])
+                            lambda sol, points, h: row[None, :])
         return verify(exact_a(), [(0.5, 0.1, 0.2)], tol_rel=tol).passed
 
     edge = 4.0 * tol
@@ -212,12 +212,11 @@ def test_verdict_bound_is_tol_times_one_plus_the_term_scale(monkeypatch,
     assert not passes(math.nextafter(edge, math.inf))
 
 
-@pytest.mark.parametrize("order, nodes", [(2, 15), (4, 21), (6, 33)])
-def test_each_axis_evaluates_one_row_of_nodes(monkeypatch, order, nodes):
+def test_each_axis_evaluates_one_row_of_nodes(monkeypatch):
     # Each axis has one row of the distinct offsets s*k of the steps
-    # s = h, h/2 (at order 4: -2h, -h, -h/2, 0, h/2, h, 2h), so the nodes
-    # the two steps share are evaluated once; only the centre repeats, once
-    # on each axis.  Separate stencils per step took 14/26/38 nodes.
+    # s = h, h/2 (-2h, -h, -h/2, 0, h/2, h, 2h), so the nodes the two steps
+    # share are evaluated once: 21 nodes, of which only the centre repeats,
+    # once on each axis.
     seen = []
     evaluate = dsexact.residual.eval_solution
 
@@ -226,10 +225,10 @@ def test_each_axis_evaluates_one_row_of_nodes(monkeypatch, order, nodes):
         return evaluate(sol, t, x, y)
 
     monkeypatch.setattr(dsexact.residual, "eval_solution", recording)
-    assert verify(exact_a(), [(0.5, 0.4, -0.7)], order=order).n_points == 1
+    assert verify(exact_a(), [(0.5, 0.4, -0.7)]).n_points == 1
     [block] = seen
-    assert block.shape == (1, 3, nodes // 3, 3)
-    assert len(set(map(tuple, block.reshape(-1, 3).tolist()))) == nodes - 2
+    assert block.shape == (1, 3, 7, 3)
+    assert len(set(map(tuple, block.reshape(-1, 3).tolist()))) == 19
 
 
 @pytest.mark.parametrize("times, size", [((0.5,), 3 * 7),
@@ -250,12 +249,6 @@ def test_a_one_time_block_walks_its_time_functions_once(monkeypatch, times,
               enumerate(GRID)]
     assert verify(exact_a(), sample).n_points == len(GRID)
     assert sizes and set(sizes) == {size}
-
-
-def test_order_may_be_any_number_equal_to_an_order():
-    want = verify(exact_a(), GRID, order=4)
-    assert verify(exact_a(), GRID, order=4.0) == want
-    assert verify(exact_a(), GRID, order=np.int64(4)) == want
 
 
 def test_rms_rescales_only_a_sum_that_overflows():
@@ -321,7 +314,7 @@ def test_blocks_aggregate_like_the_joined_columns(monkeypatch, late):
                       [3.0, late, 3e-3, 1e160, 1.0, 1.0],
                       [4.0, 6.0, 4e-3, 3e160, 1.0, 2.0]])
     monkeypatch.setattr(dsexact.residual, "_residual_terms",
-                        lambda sol, points, h, order:
+                        lambda sol, points, h:
                         terms[points[:, 0].astype(int)])
     pts = [(i, 0.0, 0.0) for i in range(4)]
     monkeypatch.setattr(dsexact.residual, "_BLOCK", 2)
@@ -342,9 +335,9 @@ def test_sample_without_a_kept_point_is_empty(monkeypatch):
     sizes = []
     terms = dsexact.residual._residual_terms
 
-    def counting(sol, points, h, order):
+    def counting(sol, points, h):
         sizes.append(len(points))
-        return terms(sol, points, h, order)
+        return terms(sol, points, h)
 
     monkeypatch.setattr(dsexact.residual, "_residual_terms", counting)
     monkeypatch.setattr(dsexact.residual, "_BLOCK", 2)
@@ -411,12 +404,6 @@ def test_report_json_shape_and_determinism():
                            "pass", "rms1", "rms2"]
     again = verify(exact_a(), GRID).to_json_dict()
     assert json.dumps(doc, sort_keys=True) == json.dumps(again, sort_keys=True)
-
-
-def test_invalid_order_rejected():
-    with pytest.raises(ConfigError,
-                       match=r"^order: expected one of \(2, 4, 6\), got 3$"):
-        verify(exact_a(), GRID, order=3)
 
 
 @pytest.mark.parametrize("tol_rel", [-1.0, -1e-12, math.nan, True])
@@ -604,17 +591,11 @@ def reference_cases():
 
 # offset: coefficient pairs; apply as sum(c * f(x0 + k*h)) / h**deriv_order.
 STENCIL_D1 = {
-    2: ((-1, -0.5), (1, 0.5)),
     4: ((-2, 1.0 / 12.0), (-1, -2.0 / 3.0), (1, 2.0 / 3.0), (2, -1.0 / 12.0)),
-    6: ((-3, -1.0 / 60.0), (-2, 3.0 / 20.0), (-1, -3.0 / 4.0),
-        (1, 3.0 / 4.0), (2, -3.0 / 20.0), (3, 1.0 / 60.0)),
 }
 STENCIL_D2 = {
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
     4: ((-2, -1.0 / 12.0), (-1, 4.0 / 3.0), (0, -5.0 / 2.0),
         (1, 4.0 / 3.0), (2, -1.0 / 12.0)),
-    6: ((-3, 1.0 / 90.0), (-2, -3.0 / 20.0), (-1, 3.0 / 2.0),
-        (0, -49.0 / 18.0), (1, 3.0 / 2.0), (2, -3.0 / 20.0), (3, 1.0 / 90.0)),
 }
 
 
@@ -656,22 +637,22 @@ def stencil_sums(sol, points, steps, order):
                            scale2[:, 1:]], axis=1)[keep]
 
 
-@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("order", [ORDER])
 @pytest.mark.parametrize("name", ["A", "C sn", "chain"])
 def test_verify_reports_equal_the_reference_sums(monkeypatch, name, order):
     # The same machine computes both sides, so the check holds whatever
     # bits its numpy gives exp, sin and cos.
     sol, grid = reference_cases()[name]
-    report = verify(sol, grid.points(1), order=order)
+    report = verify(sol, grid.points(1))
     # Every column, the term scales too, bit for bit on the first block.
     points = grid.points(1)[:dsexact.residual._BLOCK]
     assert np.array_equal(
-        dsexact.residual._residual_terms(sol, points, DEFAULT_H, order),
+        dsexact.residual._residual_terms(sol, points, DEFAULT_H),
         stencil_sums(sol, points, np.array([DEFAULT_H, DEFAULT_H / 2]), order))
     monkeypatch.setattr(dsexact.residual, "_residual_terms",
-                        lambda sol, points, h, order: stencil_sums(
+                        lambda sol, points, h: stencil_sums(
                             sol, points, np.array([h, h / 2.0]), order))
     monkeypatch.setattr(dsexact.residual, "_rms", lambda blocks: [
         column_rms(c) for c in np.concatenate(blocks).T])
-    assert repr(report) == repr(verify(sol, grid.points(1), order=order))
+    assert repr(report) == repr(verify(sol, grid.points(1)))
     assert report.n_points == (5120 if name == "chain" else 50)
