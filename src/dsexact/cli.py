@@ -135,7 +135,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from None
-    except ValueError as err:  # JSON, UTF-8 or the int digit limit
+    except (ValueError, RecursionError) as err:  # JSON, UTF-8, digits, nesting
         raise ConfigError(f"config is not valid JSON: {err}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("/: config must be a JSON object")

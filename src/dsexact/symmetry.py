@@ -15,8 +15,9 @@ Both carry exact solutions to exact solutions; the residual suite is the
 check of record.  The scaling argument runs opposite to the prefactor so
 that the cubic term and the second derivatives scale together (b^{-3} on
 both sides); with the arguments scaled the other way the two sides scale as
-b and b^{-3} and the map only preserves solutions for b^4 = 1.  Each map's
-``fields`` reads the layer below with one ``eval_solution`` call.
+b and b^{-3} and the map only preserves solutions for b^4 = 1.  ``compose``
+is the one builder: a layer a map, whose ``fields`` reads the layer below
+with one ``eval_solution`` call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .catalog import Solution, eval_solution, solution
 from .errors import ConfigError, real
 from .timefn import TimeFunction, jet_arrays
 
-__all__ = ["TransformSpec", "apply_t1", "apply_t2", "compose"]
+__all__ = ["TransformSpec", "compose"]
 
 
 @dataclass(frozen=True)
@@ -56,44 +57,35 @@ class TransformSpec:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
 
 
-def _extend(sol: Solution, fields, transform: dict) -> Solution:
-    """The transformed solution with the given ``fields``, and ``transform``
-    appended to the provenance chain of ``sol``."""
+def _layer(sol: Solution, spec: TransformSpec) -> Solution:
+    """One layer: ``sol`` under ``spec``, which joins its provenance chain."""
+    if spec.kind == "T1":
+        alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
+        eps1 = sol.variant.eps1
+
+        def fields(t, x, y):
+            (aj, ok_a), (bj, ok_b), (gj, ok_g) = (
+                jet_arrays(f, t) for f in (alpha, beta, gamma))
+            u0, v0, ok0 = eval_solution(sol, t, x + aj.f, y + bj.f)
+            phase = -(eps1 * aj.d1 * x + bj.d1 * y + gj.f)
+            u = np.exp(1j * phase) * u0
+            v = (v0 + eps1 * aj.d2 * x + bj.d2 * y
+                 - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0 + gj.d1)
+            return u, v, ok_a & ok_b & ok_g & ok0
+
+        transform = {"kind": "T1", "alpha": alpha.source,
+                     "beta": beta.source, "gamma": gamma.source}
+    else:
+        b, b2 = spec.b, spec.b * spec.b
+
+        def fields(t, x, y):
+            u0, v0, ok0 = eval_solution(sol, t / b2, x / b, y / b)
+            return u0 / b, v0 / b2, ok0
+
+        transform = {"kind": "T2", "b": b}
     chain = [*sol.provenance.get("transforms", []), transform]
     return solution(sol.variant, fields,
                     {**sol.provenance, "transforms": chain})
-
-
-def apply_t1(sol: Solution, alpha: TimeFunction, beta: TimeFunction,
-             gamma: TimeFunction) -> Solution:
-    """Shift space by (alpha, beta)(t) with the compensating linear phase."""
-    eps1 = sol.variant.eps1
-
-    def fields(t, x, y):
-        (aj, ok_a), (bj, ok_b), (gj, ok_g) = (jet_arrays(f, t)
-                                              for f in (alpha, beta, gamma))
-        u0, v0, ok0 = eval_solution(sol, t, x + aj.f, y + bj.f)
-        phase = -(eps1 * aj.d1 * x + bj.d1 * y + gj.f)
-        u = np.exp(1j * phase) * u0
-        v = (v0 + eps1 * aj.d2 * x + bj.d2 * y
-             - (eps1 * aj.d1 ** 2 + bj.d1 ** 2) / 2.0 + gj.d1)
-        return u, v, ok_a & ok_b & ok_g & ok0
-
-    return _extend(sol, fields,
-                   {"kind": "T1", "alpha": alpha.source, "beta": beta.source,
-                    "gamma": gamma.source})
-
-
-def apply_t2(sol: Solution, b: float) -> Solution:
-    """Parabolic scaling by b, refused as ``TransformSpec`` refuses it."""
-    b = TransformSpec("T2", b=b).b
-    b2 = b * b
-
-    def fields(t, x, y):
-        u0, v0, ok0 = eval_solution(sol, t / b2, x / b, y / b)
-        return u0 / b, v0 / b2, ok0
-
-    return _extend(sol, fields, {"kind": "T2", "b": b})
 
 
 def compose(specs, sol: Solution) -> Solution:
@@ -102,6 +94,5 @@ def compose(specs, sol: Solution) -> Solution:
     if not specs:
         raise ConfigError("transform chain must be nonempty")
     for spec in specs:
-        sol = (apply_t1(sol, spec.alpha, spec.beta, spec.gamma)
-               if spec.kind == "T1" else apply_t2(sol, spec.b))
+        sol = _layer(sol, spec)
     return sol

@@ -326,6 +326,8 @@ class _Parser:
         start = self.index
         kind, value, pos = self.next()
         if kind == "num":
+            if value == np.inf:  # 1e400 reads as inf; 1e-400 reads as 0
+                raise ParseError("number past the double range", pos)
             c = Jet.const(value)
             return lambda t, fails: c
         if kind == "name":

@@ -1,14 +1,14 @@
 """Shared helpers: independent finite-difference derivatives, the published
 family C constant set, family C lines with other constants, lines with a
-scaled amplitude, bounded random expression trees for property sweeps, and
-numpy's dispatch target."""
+scaled amplitude, one transform of a solution, bounded random expression
+trees for property sweeps, and numpy's dispatch target."""
 
 import math
 import random
 
 import numpy as np
 
-from dsexact import eval_solution, parse_timefn
+from dsexact import TransformSpec, compose, eval_solution, parse_timefn
 from dsexact.catalog import solution
 from dsexact.elliptic import make_profile
 from dsexact.timefn import jet_arrays
@@ -80,6 +80,11 @@ def scaled(sol, s):
         return s * u, v, ok
 
     return solution(sol.variant, fields, {**sol.provenance, "scale": s})
+
+
+def transformed(sol, kind, **fields):
+    """``sol`` under the one transform ``TransformSpec(kind, **fields)``."""
+    return compose([TransformSpec(kind, **fields)], sol)
 
 
 def dispatch_target(ufunc):

@@ -31,13 +31,15 @@ file, with OUT as the working directory.  A run takes well under a second.
 The second form names each file that differs between records A and B (or
 is in one only), and for each its first difference: the JSON key, or the
 CSV row and column, both values and their distance in units in the last
-place.  It exits 0 when the records match and 1 otherwise.  With
-``--expect FILE`` it exits 0 when the differing files are exactly the ones
-FILE declares, and 1 otherwise, naming each undeclared difference and each
-declared file that does not differ (FILE may still hold a previous change's
-declarations, which the next change clears).  FILE holds one declaration a
-line: a record path, then the reason it changes; blank lines and ``#``
-lines are skipped.  Standard library and numpy only.
+place, then ``; pass true -> false`` (or the reverse) where the two
+reports' verdicts differ.  It exits 0 when the records match and 1
+otherwise.  With ``--expect FILE`` it exits 0 when the differing files are
+exactly the ones FILE declares, and 1 otherwise, naming each undeclared
+difference and each declared file that does not differ (FILE may still
+hold a previous change's declarations, which the next change clears).
+FILE holds one declaration a line: a record path, then the reason it
+changes; blank lines and ``#`` lines are skipped.  Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -237,18 +239,24 @@ def _first_csv(a, b):
 
 def _first_difference(path_a, path_b) -> str:
     """The first difference of two files: by JSON key where both parse
-    as JSON and differ as values, else by CSV row and column."""
+    as JSON and differ as values, else by CSV row and column; then a flip
+    of the two reports' ``"pass"``, as ``; pass true -> false``."""
     a = path_a.read_text(encoding="utf-8")
     b = path_b.read_text(encoding="utf-8")
-    found = None
+    found, flip = None, ""
     if path_a.suffix == ".json":
         with contextlib.suppress(ValueError):
-            found = _first_json(json.loads(a), json.loads(b))
+            docs = json.loads(a), json.loads(b)
+            found = _first_json(*docs)
+            verdicts = [doc.get("pass") if isinstance(doc, dict) else None
+                        for doc in docs]
+            if verdicts[0] != verdicts[1]:
+                flip = "; pass {} -> {}".format(*map(json.dumps, verdicts))
     where, x, y = (f"key {found[0]}", *found[1:]) if found \
         else _first_csv(a, b)
     ulps = _ulps(x, y)
     return f"{where}: {x!r} vs {y!r}" + \
-        ("" if ulps is None else f" ({ulps} ulp)")
+        ("" if ulps is None else f" ({ulps} ulp)") + flip
 
 
 def diff(a, b) -> list:

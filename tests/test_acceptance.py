@@ -11,14 +11,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import fd2, mutant, published_constants
+from conftest import fd2, mutant, published_constants, transformed
 from dsexact import TransformSpec, Variant, compose, crosscheck, ellipk, \
     family_a, family_c, parse_timefn, verify
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS, jacobi_sn_cn_dn, make_profile
 from dsexact.residual import ORDER, _residual_terms
 from dsexact.selftest import default_verification_matrix
-from dsexact.symmetry import apply_t1, apply_t2
 
 H = 1e-3
 TOL_REL = 1e-7
@@ -174,13 +173,13 @@ def test_criterion_4_symmetry_closure():
     for _ in range(10):
         b1 = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
         b2 = rng.choice((-1.0, 1.0)) * rng.uniform(0.2, 3.0)
-        lhs = apply_t2(apply_t2(base, b1), b2)
-        rhs = apply_t2(base, b1 * b2)
+        lhs = transformed(transformed(base, "T2", b=b1), "T2", b=b2)
+        rhs = transformed(base, "T2", b=b1 * b2)
         for (t, x, y) in probe:
             assert abs(lhs.u(t, x, y) - rhs.u(t, x, y)) <= 1e-12
             assert abs(lhs.v(t, x, y) - rhs.v(t, x, y)) <= 1e-12
     zero = parse_timefn("0")
-    ident = apply_t1(base, zero, zero, zero)
+    ident = transformed(base, "T1", alpha=zero, beta=zero, gamma=zero)
     for (t, x, y) in probe:
         assert abs(ident.u(t, x, y) - base.u(t, x, y)) <= 1e-12
         assert abs(ident.v(t, x, y) - base.v(t, x, y)) <= 1e-12

@@ -838,6 +838,11 @@ MALFORMED = [
     ("verify", "/verify/order", 6, [], "/verify/order"),
     # An empty path is a path that cannot be opened.
     ("evolve", "/evolve/snapshot_out", "", [], "cannot write ''"),
+    # A number past the double range was an infinite constant: every point
+    # invalid, so eval wrote all rows valid=false and verify had no sample.
+    ("verify", "/params/beta", "1e400*t", [],
+     "/params/beta: number past the double range at position 0"),
+    ("eval", "/params/beta", "1e400*t", [], "/params/beta"),
 ]
 
 
@@ -1010,12 +1015,15 @@ def test_config_must_be_a_readable_json_object(tmp_path, capsys, text, named):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad", [b"\xff", b"1" * 5000],
-                         ids=["latin-1", "digits"])
+@pytest.mark.parametrize("bad", [
+    b"\xff", b"1" * 5000, b"[" * 200_000 + b"]" * 200_000,
+    b'{"a":' * 200_000 + b"1" + b"}" * 200_000],
+    ids=["latin-1", "digits", "deep-array", "deep-object"])
 def test_config_json_cannot_read_is_config_error(tmp_path, capsys, bad):
-    # Bytes json.dumps cannot write: a config that is not UTF-8, and an int
-    # literal past Python's 4,300-digit limit on str -> int.  Each was a
-    # traceback (UnicodeDecodeError, ValueError) that exited 1.
+    # Bytes json.dumps cannot write: a config that is not UTF-8, an int
+    # literal past Python's 4,300-digit limit on str -> int, and nesting
+    # past the recursion limit.  Each was a traceback (UnicodeDecodeError,
+    # ValueError) that exited 1, or a RecursionError that exited 4.
     doc = full_config(tmp_path)
     doc["params"]["ell"] = "@"
     path = tmp_path / "cfg.json"

@@ -6,14 +6,15 @@ import re
 import numpy as np
 import pytest
 
+from conftest import transformed
 from dsexact import BlowupError, ConfigError, Field, PeriodicityError, \
     TransformSpec, Variant, advance, cli, compose, crosscheck, ellipk, \
     evolve, family_a, family_c, mass, parse_timefn
 from dsexact.evolve import MAX_BOX_N, make_field, poisson_v, step
 from dsexact.gridio import write_json_report
-from dsexact.symmetry import apply_t1
 
 DS2 = Variant(-1, 1)
+ZERO = parse_timefn("0")
 
 
 def box_fault(lx, ly):
@@ -277,8 +278,8 @@ def test_advance_matches_repeated_steps(n_steps):
     # and a numpy integer counts steps as an int does.
     L = 4.0 * ellipk(0.5)
     w = 2.0 * math.pi / L
-    boosted = apply_t1(sn_line(0.5), parse_timefn(f"{w!r}*t"),
-                       parse_timefn("0"), parse_timefn("0"))
+    boosted = transformed(sn_line(0.5), "T1", alpha=parse_timefn(f"{w!r}*t"),
+                          beta=ZERO, gamma=ZERO)
     field = make_field(boosted, L, L, 32)
     stepwise = field
     for _ in range(n_steps):
@@ -536,8 +537,8 @@ def test_crosscheck_tracks_boosted_profile():
     m = 0.5
     L = 4.0 * ellipk(m)
     w = 2.0 * math.pi / L
-    boosted = apply_t1(sn_line(m), parse_timefn(f"{w!r}*t"),
-                       parse_timefn("0"), parse_timefn("0"))
+    boosted = transformed(sn_line(m), "T1", alpha=parse_timefn(f"{w!r}*t"),
+                          beta=ZERO, gamma=ZERO)
     rep, field = crosscheck(boosted, L, L, 64, 0.5, 1e-3)
     assert rep["max_dev"] <= 1e-5
     _, v_exact = evolve._sample_box(boosted, L, L, 64, rep["t_final"])
@@ -593,8 +594,8 @@ def test_crosscheck_rejects_aperiodic_and_plus_branch():
     # the oblique line's period box.
     ell = math.pi / 3.0
     oblique = family_c(DS2, "sn", m, ell, 0.0, parse_timefn("0"))
-    boosted = apply_t1(oblique, parse_timefn("0.7*t"), parse_timefn("0"),
-                       parse_timefn("0"))
+    boosted = transformed(oblique, "T1", alpha=parse_timefn("0.7*t"),
+                          beta=ZERO, gamma=ZERO)
     with pytest.raises(PeriodicityError, match="wraparound mismatch"):
         crosscheck(boosted, L / math.sin(ell), L / math.cos(ell), 32, 0.1,
                    1e-3)

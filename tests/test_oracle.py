@@ -2,7 +2,8 @@
 
 A plane wave u = A e^{i(kx x + ky y - w t)}, v = v0 solves the system when
 w = (e1 kx^2 + ky^2)/2 + e2 A^2 + v0; with w + delta instead, R1 = 2 delta u
-and R2 = 0 exactly.  Selftest's T1-then-T2 chain solves it for every T2
+and R2 = 0 exactly, and with v = v0 + q x^2 instead, R1 = -2 q x^2 u and
+R2 = 2q exactly.  Selftest's T1-then-T2 chain solves it for every T2
 b != 0.  Each case that fails today is a strict xfail naming the ROADMAP
 item whose change makes it a plain test; each fails at the default numpy
 dispatch and with AVX-512 off alike.
@@ -34,13 +35,14 @@ CHAIN_STEP = ("ROADMAP items 3 and 26: T2 scales t by b^2, so a fixed h "
               "misses its truncation or roundoff")
 
 
-def wave(eps1, eps2, amplitude, delta=0.0):
-    """The plane wave of amplitude A on (eps1, eps2), its w off by delta."""
+def wave(eps1, eps2, amplitude, delta=0.0, q=0.0):
+    """The plane wave of amplitude A on (eps1, eps2), its w off by delta
+    and q x^2 added to its v."""
     w = (eps1 * KX ** 2 + KY ** 2) / 2.0 + eps2 * amplitude ** 2 + V0 + delta
 
     def fields(t, x, y):
         u = amplitude * np.exp(1j * (KX * x + KY * y - w * t))
-        return u, np.full(u.shape, V0), np.ones(u.shape, bool)
+        return u, np.full(u.shape, V0) + q * x ** 2, np.ones(u.shape, bool)
 
     return solution(Variant(eps1, eps2), fields, {"family": "plane wave"})
 
@@ -72,6 +74,28 @@ def test_rms1_is_the_manufactured_residual(delta, amplitude, signs):
     report = verify(sol, POINTS, tol_rel=math.inf)
     assert abs(report.rms1 - 2.0 * delta * amplitude) <= exact.rms1
     assert report.rms2 <= 1e-8
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+@pytest.mark.parametrize("amplitude", [1e-2, 1.0])
+@pytest.mark.parametrize("q", [1e-6, 1e-4, 1e-2])
+def test_rms_are_the_manufactured_mean_flow_residual(q, amplitude, signs):
+    # v = v0 + q x^2 gives R2 = 2q and R1 = -2 q x^2 u exactly, so rms2 is
+    # 2q and rms1 is 2 q A sqrt(mean x^4).  The worst relative error reads
+    # 6.9e-4 on rms1 and 4.3e-4 on rms2, with AVX-512 off too.
+    report = verify(wave(*signs, amplitude, q=q), POINTS, tol_rel=math.inf)
+    x4 = np.mean(POINTS[:, 1] ** 4)
+    assert report.rms2 == pytest.approx(2.0 * q, rel=1e-3)
+    assert report.rms1 == pytest.approx(2.0 * q * amplitude * math.sqrt(x4),
+                                        rel=1e-3)
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+@pytest.mark.parametrize("amplitude", [1e-2, 1.0])
+def test_a_mean_flow_curvature_of_1e_8_is_rejected(amplitude, signs):
+    # rms2 = 2q = 2e-8 does not move with h (order2 about 0) and sits above
+    # the roundoff floor, 1e-8 of the term scale.
+    assert not verify(wave(*signs, amplitude, q=1e-8), POINTS).passed
 
 
 def smallest_rejected(eps1, eps2, amplitude):

@@ -45,6 +45,25 @@ def test_record_reruns_are_byte_identical(tmp_path):
     ]
 
 
+def test_diff_names_each_verdict_that_flips(tmp_path):
+    # After the first difference, whatever key it is at, a report whose
+    # "pass" differs gets the flip; one whose "pass" agrees gets none.
+    docs = {"a": ({"max1": 1.0, "pass": True}, {"max1": 1.0, "pass": False},
+                  {"max1": 1.0, "pass": True}),
+            "b": ({"max1": 2.0, "pass": False}, {"max1": 2.0, "pass": True},
+                  {"max1": 2.0, "pass": True})}
+    for name, reports in docs.items():
+        (tmp_path / name).mkdir()
+        for i, doc in enumerate(reports):
+            (tmp_path / name / f"r{i}.json").write_text(json.dumps(doc))
+    first = "key /max1: 1.0 vs 2.0 (4503599627370496 ulp)"
+    assert record.diff(tmp_path / "a", tmp_path / "b") == [
+        f"r0.json: {first}; pass true -> false",
+        f"r1.json: {first}; pass false -> true",
+        f"r2.json: {first}",
+    ]
+
+
 def _records(tmp_path, cell):
     # Two small records that differ in one CSV cell unless cell is "true".
     for name, value in (("a", "true"), ("b", cell)):

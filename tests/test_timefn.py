@@ -136,6 +136,11 @@ SCANNER_CASES = [
     pytest.param("+t", (2.0, 1.0, 0.0, 0.0), id="+t-t"),
     pytest.param("2*+t", (4.0, 2.0, 0.0, 0.0), id="2*+t-(2.0*t)"),
     ("2*", ("unexpected end of input at position 2", 2)),
+    # A number past the double range is refused where it stands; one that
+    # underflows is 0, as in JSON.  An exponent keeps its own message.
+    ("1e400*t", ("number past the double range at position 0", 0)),
+    ("t-2*1e309", ("number past the double range at position 4", 4)),
+    pytest.param("1e-400*t", (0.0, 0.0, 0.0, 0.0), id="1e-400*t-(0.0*t)"),
 ]
 
 
