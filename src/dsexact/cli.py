@@ -4,15 +4,16 @@ Commands
     families    list the solution families and their parameters
     eval        sample a configured solution onto a CSV field file
     verify      run the residual oracle; JSON report; exit 0 iff it passes
-    transform   eval or verify (by /then) of a config that names a chain
+    transform   eval of a config that names a transform chain
     evolve      split-step cross-check of a periodic solution; JSON report
     selftest    certify the matrix, a transform chain and a cross-check
 
 Configs are JSON documents (see README for the schema); all runs are
-deterministic for a fixed config and seed.  Every number in a config must
-be finite, and a tolerance >= 0.  Family B's Im and family C's constants
-are forced, so ``/params/im``, ``amplitude``, ``v_constant`` and
-``v_quad_coeff`` are refused.  Exit codes: 0 pass, 1 verification failure,
+deterministic for a fixed config and seed.  Each command acts on the
+config's ``/transforms``; ``transform`` is ``eval`` that requires them.
+Numbers must be finite, tolerances >= 0; forced constants (B's ``im``, C's
+``amplitude``, ``v_constant``, ``v_quad_coeff``) and ``m`` on a kind with
+no modulus are refused.  Exit codes: 0 pass, 1 verification failure,
 2 configuration error or input outside a family's contract, 3 numerical
 blow-up, 4 internal error (an exception that is not a DSError).
 """
@@ -163,6 +164,8 @@ def build_solution(cfg: dict) -> Solution:
     m = _number(cfg, "/params/m", None)
     if kind in ELLIPTIC_KINDS:
         _modulus(m, "/params/m")
+    elif m is not None:
+        raise ConfigError(f"/params/m: kind {kind} takes no modulus")
     return family_c(variant, kind, m, _number(cfg, "/params/ell"),
                     _number(cfg, "/params/ell1", 0.0),
                     _timefn(cfg, "/params/beta", "0"))
@@ -237,8 +240,8 @@ def _cmd_verify(cfg, args) -> int:
 
 def _cmd_transform(cfg, args) -> int:
     _get(cfg, "/transforms")  # required here; _solution applies it
-    then = _choice(cfg, "/then", ("eval", "verify"), "eval")
-    return (_cmd_eval if then == "eval" else _cmd_verify)(cfg, args)
+    _choice(cfg, "/then", ("eval",), "eval")  # verify checks a chain
+    return _cmd_eval(cfg, args)
 
 
 def evolve_report(cfg):
@@ -286,8 +289,7 @@ _COMMANDS = {
     "eval": (_cmd_eval, "sample fields to CSV", ("out", "seed")),
     "verify": (_cmd_verify, "residual verification, JSON report",
                ("out", "seed")),
-    "transform": (_cmd_transform, "apply transform chain, then eval/verify",
-                  ("out", "seed")),
+    "transform": (_cmd_transform, "sample a chain to CSV", ("out", "seed")),
     "evolve": (_cmd_evolve, "split-step cross-check, JSON report", ("out",)),
     "selftest": (_cmd_selftest, "certify the matrix, a transform chain and "
                  "a cross-check", None),

@@ -15,7 +15,8 @@ The first form writes, with every path relative to OUT:
   ``dsexact transform`` (a T1-then-T2 chain, jittered by seed 1) of a
   family C line of each of the eight profile kinds; the eval grid holds a
   pole of each pole-bearing kind;
-* ``transform/verify.json``: ``dsexact transform`` with ``then: verify``;
+* ``transform/verify.json``: ``dsexact verify`` of an ``sn`` line's
+  T1-then-T2 chain, jittered by seed 0;
 * ``evolve/<name>.json`` and ``evolve/<name>-snap.csv``: ``dsexact evolve``
   of a stationary and of a T1-boosted ``sn`` line along x, and of the
   oblique ``sn`` line of ``selftest`` on its period box (n = 16, T = 0.01),
@@ -141,9 +142,9 @@ def _commands():
                                    "out": f"transform/{kind}.csv"},
              ["transform", "--seed", "1"])
     _run("transform-verify", {
-        **_line("sn"), "transforms": CHAIN, "then": "verify",
+        **_line("sn"), "transforms": CHAIN,
         "grid": {"t": [0.2, 0.5], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]},
-        "out": "transform/verify.json"}, ["transform", "--seed", "0"])
+        "out": "transform/verify.json"}, ["verify", "--seed", "0"])
     box = 4.0 * ellipk(0.5)
     oblique = math.pi / 3.0
     for name, ell, lengths, transforms in (

@@ -15,7 +15,7 @@ import pytest
 
 from dsexact import BlowupError, ConfigError, Variant, cli, compose, \
     crosscheck, ellipk, evolve, family_b, family_c, gridio, parse_timefn, \
-    selftest, timefn
+    selftest, timefn, verify
 from dsexact.cli import main
 from dsexact.elliptic import PROFILE_KINDS
 
@@ -302,6 +302,7 @@ def test_schema_error_paths(tmp_path, capsys):
 
 
 def test_transform_then_verify(tmp_path):
+    # A transformed solution is verified by verify, which reads the chain.
     cfg = write_config(tmp_path / "cfg.json", {
         "variant": {"eps1": -1, "eps2": 1},
         "family": "C",
@@ -311,11 +312,10 @@ def test_transform_then_verify(tmp_path):
             {"kind": "T1", "alpha": "0.3*sin(t)", "beta": "0.1*t",
              "gamma": "t^2"},
             {"kind": "T2", "b": 1.5}],
-        "then": "verify",
         "grid": {"t": [0.2], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]},
         "out": str(tmp_path / "tr.json"),
     })
-    assert main(["transform", "--config", cfg]) == 0
+    assert main(["verify", "--config", cfg]) == 0
     assert json.loads((tmp_path / "tr.json").read_text())["pass"] is True
 
 
@@ -333,10 +333,11 @@ CHAIN = [{"kind": "T1", "alpha": "0.3*sin(t)", "beta": "0.1*t^2",
 @pytest.mark.parametrize("command", ["eval", "verify"])
 def test_eval_and_verify_act_on_the_chain(tmp_path, command):
     # A config names one solution, its base and then its chain, whichever
-    # command reads it: verify certified the base while transform certified
-    # the chain of the same config.
+    # command reads it: each writes what the library writes for the
+    # composed chain.  transform is eval of a chain, its "then" "eval" or
+    # absent.
     doc = full_config(tmp_path)
-    doc.update(transforms=CHAIN, then=command,
+    doc.update(transforms=CHAIN,
                grid={"t": [0.2], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]})
 
     def run(argv, name):
@@ -346,7 +347,17 @@ def test_eval_and_verify_act_on_the_chain(tmp_path, command):
         return out.read_bytes()
 
     chain = run([command], "chain")
-    assert chain == run(["transform"], "transform")
+    sol = compose(cli.build_transforms(doc), cli.build_solution(doc))
+    grid, want = cli.build_grid(doc), tmp_path / "want.out"
+    if command == "eval":
+        gridio.write_field_csv(want, sol, *grid.axes())
+        assert chain == run(["transform"], "transform")
+        doc["then"] = "eval"
+        assert chain == run(["transform"], "then")
+    else:
+        report = verify(sol, grid.points(), h=1e-3, tol_rel=1e-7)
+        gridio.write_json_report(want, report.to_json_dict())
+    assert chain == want.read_bytes()
     del doc["transforms"]
     assert run([command], "base") != chain
 
@@ -843,6 +854,10 @@ MALFORMED = [
     ("verify", "/params/beta", "1e400*t", [],
      "/params/beta: number past the double range at position 0"),
     ("eval", "/params/beta", "1e400*t", [], "/params/beta"),
+    # A chain is verified by verify; transform only samples it.
+    ("transform", "/then", "verify", [], "/then"),
+    # full_config's m = 0.5 stays: a kind with no modulus refuses it.
+    ("verify", "/params/kind", "tan", [], "/params/m"),
 ]
 
 
@@ -891,7 +906,7 @@ def test_out_of_range_family_constant_is_config_error(tmp_path, capsys, family,
     assert err.startswith("ConfigError") and named in err
 
 
-@pytest.mark.parametrize("command", ["verify", "transform"])
+@pytest.mark.parametrize("command", ["verify"])
 def test_verify_bounds_the_whole_grid_before_allocating(tmp_path, capsys,
                                                         monkeypatch, command):
     def refuse(self, seed=None):
@@ -899,7 +914,6 @@ def test_verify_bounds_the_whole_grid_before_allocating(tmp_path, capsys,
 
     monkeypatch.setattr(gridio.GridSpec, "points", refuse)
     doc = full_config(tmp_path)
-    doc["then"] = "verify"
     doc["grid"]["x"][2] = doc["grid"]["y"][2] = gridio._MAX_AXIS
     cfg = write_config(tmp_path / "cfg.json", doc)
     assert main([command, "--config", cfg]) == 2
@@ -1051,8 +1065,11 @@ def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,
     assert calls == []
 
 
-@pytest.mark.parametrize("then", ["eval", "verify"])
-def test_transform_reads_config_once(tmp_path, monkeypatch, then):
+@pytest.mark.parametrize("then, status", [("eval", 0), ("verify", 2)],
+                         ids=["eval", "verify"])
+def test_transform_reads_config_once(tmp_path, monkeypatch, then, status):
+    # One read, whether transform samples the chain or refuses "then":
+    # "verify".
     doc = full_config(tmp_path)
     doc["then"] = then
     cfg = write_config(tmp_path / "cfg.json", doc)
@@ -1064,7 +1081,7 @@ def test_transform_reads_config_once(tmp_path, monkeypatch, then):
         return load_config(path)
 
     monkeypatch.setattr(cli, "load_config", counting)
-    assert main(["transform", "--config", cfg]) == 0
+    assert main(["transform", "--config", cfg]) == status
     assert calls == [cfg]
 
 

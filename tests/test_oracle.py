@@ -3,8 +3,8 @@
 A plane wave u = A e^{i(kx x + ky y - w t)}, v = v0 solves the system when
 w = (e1 kx^2 + ky^2)/2 + e2 A^2 + v0; with w + delta instead, R1 = 2 delta u
 and R2 = 0 exactly, and with v = v0 + q x^2 instead, R1 = -2 q x^2 u and
-R2 = 2q exactly.  Selftest's T1-then-T2 chain solves it for every T2
-b != 0.  Each case that fails today is a strict xfail naming the ROADMAP
+R2 = 2q exactly.  Family A with Im = t solves it for every c, and
+selftest's T1-then-T2 chain for every T2 b != 0.  Each case that fails today is a strict xfail naming the ROADMAP
 item whose change makes it a plain test; each fails at the default numpy
 dispatch and with AVX-512 off alike.
 """
@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 
 from dsexact import Variant, cli, verify
-from dsexact.catalog import solution
+from dsexact.catalog import family_a, solution
 from dsexact.gridio import GridSpec
 from dsexact.selftest import CERTIFICATES
+from dsexact.timefn import parse_timefn
 
 KX, KY, V0 = 1.3, 0.7, 0.2
 SIGNS = list(itertools.product((1, -1), repeat=2))
@@ -96,6 +97,19 @@ def test_a_mean_flow_curvature_of_1e_8_is_rejected(amplitude, signs):
     # rms2 = 2q = 2e-8 does not move with h (order2 about 0) and sits above
     # the roundoff floor, 1e-8 of the term scale.
     assert not verify(wave(*signs, amplitude, q=1e-8), POINTS).passed
+
+
+@pytest.mark.parametrize("signs", SIGNS)
+@pytest.mark.parametrize("c", [0.1, 0.3, 1.0, 2.0] + [
+    pytest.param(c, marks=pytest.mark.xfail(strict=True,
+                                            reason=ROUNDOFF_FLOOR))
+    for c in (3.0, 10.0)])
+def test_exact_family_a_passes(c, signs):
+    # Im = t: |u| = c everywhere, with a quadratic phase.  At c = 3, rms2
+    # reads 3.7-6.5e-8 at order2 about -2; at c = 10, 5.2-9.0e-7.
+    report = verify(family_a(Variant(*signs), parse_timefn("t"), c), POINTS)
+    assert report.n_points == len(POINTS)
+    assert report.passed
 
 
 def smallest_rejected(eps1, eps2, amplitude):
