@@ -5,7 +5,7 @@ Commands
     eval        sample a configured solution onto a CSV field file
     verify      run the residual oracle; JSON report; exit 0 iff it passes
     transform   eval of a config that names a transform chain
-    evolve      split-step cross-check of a periodic solution; JSON report
+    evolve      split-step cross-check; JSON report; exit 0 iff it passes
     selftest    certify the matrix, a transform chain and a cross-check
 
 Configs are JSON documents (see README for the schema); all runs are
@@ -231,10 +231,9 @@ def _cmd_verify(cfg, args) -> int:
     out = _out(cfg, args, "report.json")
     report = verify_report(cfg, args.seed)
     write_json_report(out, report.to_json_dict())
-    status = "pass" if report.passed else "FAIL"
-    print(f"{status}  rms1={report.rms1:.3e} rms2={report.rms2:.3e} "
-          f"order1={report.order1:.2f} order2={report.order2:.2f} "
-          f"n={report.n_points} -> {out}")
+    print(f"{'pass' if report.passed else 'FAIL'}  rms1={report.rms1:.3e} "
+          f"rms2={report.rms2:.3e} order1={report.order1:.2f} "
+          f"order2={report.order2:.2f} n={report.n_points} -> {out}")
     return 0 if report.passed else 1
 
 
@@ -250,7 +249,7 @@ def evolve_report(cfg):
     lx, ly = _list(cfg, "/evolve/box", _number, 2)
     n = _number(cfg, "/evolve/n", 64, 2, MAX_BOX_N, integer=True)
     t_final, dt = _number(cfg, "/evolve/T"), _number(cfg, "/evolve/dt")
-    tol = _number(cfg, "/evolve/tol", None, 0.0)
+    tol = _number(cfg, "/evolve/tol", ..., 0.0)
     return crosscheck(sol, lx, ly, n, t_final, dt, tol=tol)
 
 
@@ -262,9 +261,10 @@ def _cmd_evolve(cfg, args) -> int:
         write_box_csv(snapshot, field)
         report["snapshot"] = snapshot
     write_json_report(out, report)
-    print(f"max_dev={report['max_dev']:.3e} l2_dev={report['l2_dev']:.3e} "
+    print(f"{'pass' if report['pass'] else 'FAIL'}  max_dev="
+          f"{report['max_dev']:.3e} l2_dev={report['l2_dev']:.3e} "
           f"mass_drift={report['mass_drift']:.3e} -> {out}")
-    return 0 if report.get("pass", True) else 1
+    return 0 if report["pass"] else 1
 
 
 def _cmd_selftest(cfg, args) -> int:

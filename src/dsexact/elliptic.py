@@ -181,10 +181,12 @@ class Profile:
 
 
 def make_profile(kind: str, m: float | None = None) -> Profile:
-    """Build a Profile; elliptic kinds require a modulus m in [0, 1)."""
+    """Build a Profile; m is in [0, 1) for elliptic kinds, else None."""
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ConfigError(f"kind: expected one of {PROFILE_KINDS}, "
                           f"got {kind!r}")
+    if kind not in ELLIPTIC_KINDS and m is not None:
+        raise ConfigError(f"profile '{kind}' takes no modulus, got m={m!r}")
     m = _modulus(m, f"profile '{kind}'") if kind in ELLIPTIC_KINDS else 0.0
     signature, _, pole = _KINDS[kind]
     return Profile(kind, m, *signature(m), pole)

@@ -47,8 +47,8 @@ __all__ = ["Field", "make_field", "poisson_v", "advance", "step", "mass",
 # Wraparound mismatch (relative to the field scale) beyond which a solution
 # is rejected as aperiodic on the requested box.
 _PERIODICITY_TOL = 1e-9
-# Largest mass drift, relative to the initial mass, that a cross-check with
-# a tol passes: each substep conserves the mass, so only roundoff moves it.
+# Largest mass drift, relative to the initial mass, that a cross-check
+# passes: each substep conserves the mass, so only roundoff moves it.
 _MASS_DRIFT = 1e-10
 # Most steps a cross-check takes: about half an hour at n = 128, where a step
 # takes about 1.6 ms on a 2-core x86-64 VM.
@@ -235,23 +235,23 @@ def make_field(sol: Solution, lx: float, ly: float, n: int) -> Field:
 
 
 def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
-               dt: float, tol: float | None = None):
+               dt: float, tol: float = math.inf):
     """Evolve a sampled catalog solution and report its drift.
 
     The fields must wrap around the given box: the extended grid is sampled
     at the start and end times, both before any step, and PeriodicityError
     is raised otherwise.  Returns ``(report, field)``: a JSON-ready report
     with max/L2 deviations of u from the exact solution at the end time,
-    the mass drift and the gauge v_mean (the mean of v at t = 0), and the
-    evolved Field; with a ``tol``, the report holds it and the verdict
-    ``"pass"``: max_dev <= tol and mass drift <= _MASS_DRIFT * mass_initial.
-    Unless ``dt`` > 0 and ``t_final`` >= 0 are real numbers, the step count
-    ``t_final / dt`` rounds to 1 to _MAX_STEPS, ``tol`` is None or a real
-    number >= 0 (inf too) and ``make_field`` takes the variant, box and
-    grid, ConfigError is raised before any sampling.
+    the mass drift, the gauge v_mean (the mean of v at t = 0), ``tol`` and
+    the verdict ``"pass"``: max_dev <= tol and mass drift <= _MASS_DRIFT *
+    mass_initial (the drift bound alone at the default inf), and the
+    evolved Field.  Unless ``dt`` > 0 and ``t_final`` >= 0 are real
+    numbers, the step count ``t_final / dt`` rounds to 1 to _MAX_STEPS,
+    ``tol`` is a real number >= 0 (inf too) and ``make_field`` takes the
+    variant, box and grid, ConfigError is raised before any sampling.
     """
     t_final, dt = real(t_final, "t_final", 0.0), real(dt, "dt", math.ulp(0.0))
-    tol = None if tol is None else real(tol, "tol", 0.0, math.inf)
+    tol = real(tol, "tol", 0.0, math.inf)
     n_steps = round(min(t_final / dt, 2.0 * _MAX_STEPS))  # inf: over the cap
     if n_steps == 0:
         raise ConfigError(f"evolve would run zero steps: T={t_final} is "
@@ -280,6 +280,6 @@ def crosscheck(sol: Solution, lx: float, ly: float, n: int, t_final: float,
         "n": int(n),
         "box": [lx, ly],
         "v_mean": float(np.mean(start.v)),
-        **({} if tol is None else {"tol": tol, "pass": bool(
-            max_dev <= tol and drift <= _MASS_DRIFT * mass0)}),
+        "tol": tol,
+        "pass": bool(max_dev <= tol and drift <= _MASS_DRIFT * mass0),
     }, field

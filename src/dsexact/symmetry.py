@@ -55,6 +55,9 @@ class TransformSpec:
                                   f"got {self.b!r}")
         else:
             raise ConfigError(f"unknown transform kind '{self.kind}'")
+        stray = ("b",) if self.kind == "T1" else ("alpha", "beta", "gamma")
+        if any(getattr(self, name) is not None for name in stray):
+            raise ConfigError(f"{self.kind} takes no {', '.join(stray)}")
 
 
 def _layer(sol: Solution, spec: TransformSpec) -> Solution:

@@ -19,8 +19,8 @@ The first form writes, with every path relative to OUT:
   T1-then-T2 chain, jittered by seed 0;
 * ``evolve/<name>.json`` and ``evolve/<name>-snap.csv``: ``dsexact evolve``
   of a stationary and of a T1-boosted ``sn`` line along x, and of the
-  oblique ``sn`` line of ``selftest`` on its period box (n = 16, T = 0.01),
-  which varies along both axes and has lx != ly;
+  oblique ``sn`` line of ``selftest`` on its period box (n = 16, T = 0.01,
+  tol = 1e-5), which varies along both axes and has lx != ly;
 * ``config/*.json``: the config of each command above, so a report that
   differs between two records reruns with ``dsexact verify --config``;
 * ``SHA256SUMS``: the sha256 of every file above, as ``sha256sum`` writes
@@ -98,7 +98,7 @@ def _evolve(name, ell, lengths, transforms=None):
            "params": {"kind": "sn", "m": 0.5, "ell": ell, "ell1": 0.0,
                       "beta": "0"},
            "evolve": {"box": lengths, "n": 16, "T": 0.01, "dt": 1e-3,
-                      "snapshot_out": f"evolve/{name}-snap.csv"},
+                      "tol": 1e-5, "snapshot_out": f"evolve/{name}-snap.csv"},
            "out": f"evolve/{name}.json"}
     if transforms:
         cfg["transforms"] = transforms

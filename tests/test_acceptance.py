@@ -279,7 +279,7 @@ def test_criterion_7_byte_identical_reports(tmp_path):
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
         "evolve": {"box": [box, box], "n": 32, "T": 0.05, "dt": 1e-3,
-                   "snapshot_out": str(snapshot)},
+                   "tol": 1e-5, "snapshot_out": str(snapshot)},
     }), encoding="utf-8")
     outs = []
     for name in ("e1.json", "e2.json"):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -622,3 +623,12 @@ def test_matrix_verify_gets_each_layers_own_arrays(monkeypatch):
     log_a = family_a(Variant(1, 1), parse_timefn("ln(t)"), 1.0)
     eval_solution(log_a, np.array([-1.0, 1.0]), 0.0, np.zeros((3, 1)))
     assert shapes == [(3, 2)]
+
+
+@pytest.mark.parametrize("kind", ["rational", "tan", "sec", "coth", "csch"])
+@pytest.mark.parametrize("m", [0.0, 0.5])
+def test_family_c_refuses_a_modulus_on_a_kind_without_one(kind, m):
+    # The modulus was dropped and the provenance recorded m: 0.0.
+    with pytest.raises(ConfigError, match=re.escape(
+            f"profile '{kind}' takes no modulus, got m={m!r}")):
+        family_c(Variant(1, 1), kind, m, 0.3, 0.0, parse_timefn("0"))

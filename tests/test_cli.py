@@ -231,7 +231,7 @@ def test_unknown_family_is_config_error(tmp_path, capsys):
                    "params": {"kind": "sn", "m": 0.5, "ell": 0.4,
                               "ell1": 0.0, "beta": "0"},
                    "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01,
-                              "dt": 1e-3}},
+                              "dt": 1e-3, "tol": 1e-5}},
         "spectral inversion of the mean-flow constraint needs eps1=-1",
         id="evolve-hyperbolic"),
 ])
@@ -366,7 +366,6 @@ def test_evolve_acts_on_the_chain(tmp_path):
     # One wave of boost per box, then b = 2 on a box twice as long: the
     # chain is periodic, and evolve cross-checks the chain, not its base.
     doc = full_config(tmp_path)
-    del doc["evolve"]["tol"]
     L = doc["evolve"]["box"][0]
     doc["transforms"] = [{"kind": "T1", "alpha": f"{2.0 * math.pi / L!r}*t",
                           "beta": "0", "gamma": "0"}, {"kind": "T2", "b": 2.0}]
@@ -375,7 +374,7 @@ def test_evolve_acts_on_the_chain(tmp_path):
     assert main(["evolve", "--config", cfg]) == 0
     report = json.loads((tmp_path / "out.json").read_text())
     sol = compose(cli.build_transforms(doc), cli.build_solution(doc))
-    want, _ = crosscheck(sol, 2.0 * L, 2.0 * L, 16, 0.01, 1e-3)
+    want, _ = crosscheck(sol, 2.0 * L, 2.0 * L, 16, 0.01, 1e-3, tol=1e-5)
     assert {k: report[k] for k in want} == json.loads(json.dumps(want))
     base, _ = crosscheck(cli.build_solution(doc), 2.0 * L, 2.0 * L, 16,
                          0.01, 1e-3)
@@ -410,7 +409,7 @@ def test_eval_and_evolve_name_what_they_wrote(tmp_path, capsys):
     assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert capsys.readouterr().out == (
-        f"max_dev={doc['max_dev']:.3e} l2_dev={doc['l2_dev']:.3e} "
+        f"pass  max_dev={doc['max_dev']:.3e} l2_dev={doc['l2_dev']:.3e} "
         f"mass_drift={doc['mass_drift']:.3e} -> {out}\n")
 
 
@@ -458,7 +457,8 @@ def test_evolve_snapshot_is_the_checked_field(tmp_path, monkeypatch):
         doc = {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
                "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                           "ell1": 0.0, "beta": "0"},
-               "evolve": {"box": [L, L], "n": 16, "T": 0.02, "dt": 1e-3},
+               "evolve": {"box": [L, L], "n": 16, "T": 0.02, "dt": 1e-3,
+                          "tol": 1e-5},
                "out": str(tmp_path / f"{name}.json")}
         if snapshot:
             doc["evolve"]["snapshot_out"] = str(tmp_path / f"{name}.csv")
@@ -694,7 +694,8 @@ def test_evolve_rejects_step_count_above_cap(tmp_path, capsys, monkeypatch):
         "family": "C",
         "params": {"kind": "sn", "m": 0.5, "ell": math.pi / 2.0,
                    "ell1": 0.0, "beta": "0"},
-        "evolve": {"box": [L, L], "n": 16, "T": 1e300, "dt": 1e-3},
+        "evolve": {"box": [L, L], "n": 16, "T": 1e300, "dt": 1e-3,
+                   "tol": 1e-5},
         "out": str(tmp_path / "evolve.json"),
     })
     assert main(["evolve", "--config", cfg]) == 2
@@ -858,6 +859,8 @@ MALFORMED = [
     ("transform", "/then", "verify", [], "/then"),
     # full_config's m = 0.5 stays: a kind with no modulus refuses it.
     ("verify", "/params/kind", "tan", [], "/params/m"),
+    # A cross-check always decides a verdict, so it needs its tolerance.
+    ("evolve", "/evolve/tol", None, [], "/evolve/tol"),
 ]
 
 
@@ -1061,6 +1064,28 @@ def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,
     cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
     out = tmp_path / "missing" / "field.csv"
     assert main(["eval", "--config", cfg, "--out", str(out)]) == 2
+    assert "ConfigError" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: verify and evolve "
+                   "open their outputs only after the whole computation")
+@pytest.mark.parametrize("command, computation", [("verify", "verify"),
+                                                  ("evolve", "crosscheck")])
+def test_output_path_is_checked_before_computing(tmp_path, capsys,
+                                                 monkeypatch, command,
+                                                 computation):
+    calls = []
+    compute = getattr(cli, computation)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, computation, counting)
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    out = tmp_path / "missing" / "report.json"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
     assert calls == []
 

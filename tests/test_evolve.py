@@ -430,7 +430,8 @@ def test_crosscheck_on_a_box_of_any_length(n):
                                                      n).v))
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-5", True])
+# None too: every cross-check decides a verdict, inf being the default.
+@pytest.mark.parametrize("tol", [math.nan, -1.0, "1e-5", True, None])
 def test_crosscheck_refuses_a_tol_before_sampling(monkeypatch, tol):
     def refuse(*args):
         raise AssertionError("sampled")
@@ -441,18 +442,22 @@ def test_crosscheck_refuses_a_tol_before_sampling(monkeypatch, tol):
         crosscheck(sn_line(0.5), L, L, 16, 0.01, 1e-3, tol=tol)
 
 
-def test_crosscheck_decides_pass_when_given_a_tol(tmp_path):
-    # "tol" and "pass" are the only keys a tol adds, and "pass" is
-    # max_dev <= tol here (the mass drift is far inside its bound), a JSON
-    # bool for a numpy tol too.
+def test_crosscheck_always_decides_pass(tmp_path):
+    # Every report holds "tol" and "pass", and "pass" is max_dev <= tol
+    # here (the mass drift is far inside its bound), a JSON bool for a
+    # numpy tol too.  The default tol, inf, leaves the drift bound alone,
+    # and JSON writes it as null.
     L = 4.0 * ellipk(0.5)
-    bare, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
-    assert "tol" not in bare and "pass" not in bare
-    max_dev = bare["max_dev"]
+    default, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
+    assert default["tol"] == math.inf and default["pass"] is True
+    write_json_report(tmp_path / "report.json", default)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["tol"] is None and doc["pass"] is True
+    max_dev = default["max_dev"]
     for tol, verdict in ((max_dev, True), (np.float64(max_dev / 2), False),
                          (0, False), (1, True)):
         rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3, tol=tol)
-        assert rep == {**bare, "tol": tol, "pass": verdict}
+        assert rep == {**default, "tol": tol, "pass": verdict}
         assert type(rep["pass"]) is bool
         write_json_report(tmp_path / "report.json", rep)
 
@@ -473,6 +478,9 @@ def test_crosscheck_pass_bounds_the_mass_drift(monkeypatch):
     rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3, tol=1e-5)
     assert rep["max_dev"] <= 1e-5
     assert rep["mass_drift"] > evolve._MASS_DRIFT * rep["mass_initial"]
+    assert rep["pass"] is False
+    # The default tol, inf, leaves the drift bound as the verdict.
+    rep, _ = crosscheck(sn_line(0.5), L, L, 16, 5e-3, 1e-3)
     assert rep["pass"] is False
 
 
@@ -617,7 +625,8 @@ def test_invalid_box_point_is_named(tmp_path, capsys, family, params):
     message = "solution invalid at grid point (0, 0) at t=0"
     cfg = {"variant": {"eps1": -1, "eps2": 1}, "family": family,
            "params": params,
-           "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01, "dt": 1e-3},
+           "evolve": {"box": [4.0, 4.0], "n": 16, "T": 0.01, "dt": 1e-3,
+                      "tol": 1e-5},
            "out": str(tmp_path / "report.json")}
     with pytest.raises(PeriodicityError) as err:
         crosscheck(cli.build_solution(cfg), 4.0, 4.0, 16, 0.01, 1e-3)

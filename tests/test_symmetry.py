@@ -224,3 +224,15 @@ def test_provenance_chain():
                    TransformSpec("T2", b=2.0)], sol)
     kinds = [item["kind"] for item in out.provenance["transforms"]]
     assert kinds == ["T1", "T2"]
+
+
+@pytest.mark.parametrize("kind, fields, stray", [
+    ("T1", {"alpha": ZERO, "beta": ZERO, "gamma": ZERO, "b": 0.0}, "b"),
+    ("T1", {"alpha": ZERO, "beta": ZERO, "gamma": ZERO, "b": 2.0}, "b"),
+    ("T2", {"b": 2.0, "alpha": ZERO}, "alpha, beta, gamma"),
+    ("T2", {"b": 2.0, "gamma": ZERO}, "alpha, beta, gamma"),
+])
+def test_transform_refuses_the_other_kinds_fields(kind, fields, stray):
+    # A stray field was kept on the spec and never applied.
+    with pytest.raises(ConfigError, match=f"^{kind} takes no {stray}$"):
+        TransformSpec(kind, **fields)
