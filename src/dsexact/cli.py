@@ -26,7 +26,7 @@ import json
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
-from .elliptic import ELLIPTIC_KINDS, PROFILE_KINDS, _modulus
+from .elliptic import PROFILE_KINDS, make_profile
 from .errors import ConfigError, DSError, real
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import MAX_BOX_N, crosscheck, make_field, step
@@ -162,10 +162,10 @@ def build_solution(cfg: dict) -> Solution:
                         _timefn(cfg, "/params/beta", "0"))
     kind = _choice(cfg, "/params/kind", PROFILE_KINDS)
     m = _number(cfg, "/params/m", None)
-    if kind in ELLIPTIC_KINDS:
-        _modulus(m, "/params/m")
-    elif m is not None:
-        raise ConfigError(f"/params/m: kind {kind} takes no modulus")
+    try:  # the modulus domain is make_profile's; the config names the key
+        make_profile(kind, m)
+    except ConfigError as exc:
+        raise ConfigError(f"/params/m: {exc}") from None
     return family_c(variant, kind, m, _number(cfg, "/params/ell"),
                     _number(cfg, "/params/ell1", 0.0),
                     _timefn(cfg, "/params/beta", "0"))

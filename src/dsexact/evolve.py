@@ -20,11 +20,14 @@ a free gauge constant; it feeds a uniform phase into u, and ``advance``
 keeps it at the mean of the given field's v.
 
 A Strang step is half linear, full nonlinear, half linear; over n steps the
-adjacent halves compose into full linear steps (Strang 1968).  ``advance``
-makes one complex FFT pair per step and one real pair for v, recomputes v
-only for the final field, and ``crosscheck`` returns that field: a snapshot
-is the field that was checked.  Whether a solution fits the box is decided
-numerically, by sampling its fields one grid step past each box edge.
+adjacent halves compose into full linear steps (Strang 1968).  A step of
+``advance`` runs one complex FFT pair and one real pair for v, as 1-D FFTs
+axis by axis into buffers made once per call, and builds its rotation
+exp(-i theta) = (1 - tau^2 - 2i tau) / (1 + tau^2) from one vectorised
+tau = tan(theta / 2), where numpy's sin and cos run scalar loops.  v is
+recomputed only for the final field, and ``crosscheck`` returns that field,
+the one checked, as its snapshot.  Whether a solution fits the box is
+decided numerically, by sampling its fields one grid step past each edge.
 
 The e1=+1 variant is excluded on purpose: its constraint is a wave operator,
 resonant on kx^2 = ky^2 under periodic conditions.  Solutions of that
@@ -50,11 +53,11 @@ _PERIODICITY_TOL = 1e-9
 # Largest mass drift, relative to the initial mass, that a cross-check
 # passes: each substep conserves the mass, so only roundoff moves it.
 _MASS_DRIFT = 1e-10
-# Most steps a cross-check takes: about half an hour at n = 128, where a step
-# takes about 1.6 ms on a 2-core x86-64 VM.
+# Most steps a cross-check takes: about twenty minutes at n = 128, where a
+# step takes about 1.1 ms on a 2-core x86-64 VM (numpy 2.4).
 _MAX_STEPS = 10 ** 6
 # Largest count of a box grid axis: an evolution holds about 204 bytes a grid
-# point, 860 MB at 2048 x 2048 (tracemalloc, numpy 2.4).
+# point, 860 MB at 2048 x 2048 (tracemalloc, n = 512 scaled, numpy 2.4).
 MAX_BOX_N = 2048
 
 
@@ -134,10 +137,14 @@ def _wavenumbers(shape, lx: float, ly: float, variant: Variant):
     return kx2, ky2, multiplier
 
 
-def _invert(g, multiplier, v_mean):
-    vhat = np.fft.rfft2(g) * multiplier
-    vhat[0, 0] = v_mean * g.size
-    return np.fft.irfft2(vhat, s=g.shape)
+def _invert(g, multiplier, v_mean, out=None, work=(None, None)):
+    """v of g = |u|^2, by real FFTs per axis into ``work`` and ``out``."""
+    ghat = np.fft.fft(np.fft.rfft(g, axis=1, out=work[0]), axis=0,
+                      out=work[1])
+    ghat *= multiplier
+    ghat[0, 0] = v_mean * g.size
+    return np.fft.irfft(np.fft.ifft(ghat, axis=0, out=work[0]),
+                        n=g.shape[1], axis=1, out=out)
 
 
 def poisson_v(g: np.ndarray, lx: float, ly: float, variant: Variant,
@@ -171,26 +178,34 @@ def advance(field: Field, variant: Variant, dt: float,
     v_mean = float(np.mean(field.v))
     phase = -1j * (variant.eps1 * kx2 + ky2) * dt
     half, full = np.exp(phase / 4.0), np.exp(phase / 2.0)
-    uhat = np.fft.fft2(field.u)
-    uhat *= half
-    rotation = np.empty_like(uhat)
+    # u and its spectrum share one buffer, and each FFT runs through
+    # ``rotation``: axis 1, then axis 0, the 2-D wrappers' order and bits.
+    u = np.fft.fft2(field.u) * half
+    rotation, (g, theta, v) = np.empty_like(u), np.empty((3, *u.shape))
+    work = np.empty((2, u.shape[0], u.shape[1] // 2 + 1), complex)
     for i in range(n_steps):
-        u = np.fft.ifft2(uhat)
-        g = u.real ** 2 + u.imag ** 2
-        v = _invert(g, multiplier, v_mean)
-        theta = (variant.eps2 * g + v) * dt
+        np.fft.ifft(np.fft.ifft(u, axis=1, out=rotation), axis=0, out=u)
+        np.square(u.real, out=g)
+        g += np.square(u.imag, out=theta)
+        _invert(g, multiplier, v_mean, v, work)
+        np.add(np.multiply(g, variant.eps2, out=theta), v, out=theta)
+        theta *= dt
         # A non-finite u makes theta non-finite, and a finite theta keeps
         # |u| finite through the rotation.
         if not np.all(np.isfinite(theta)):
             raise BlowupError(f"NaN or overflow in u during time step "
                               f"(step {i + 1} of {n_steps})")
-        # exp(-i theta), built from the cosine and sine of the real theta.
-        np.cos(theta, out=rotation.real)
-        np.negative(np.sin(theta, out=rotation.imag), out=rotation.imag)
+        # Halved after the check: theta alone may overflow.  q = 2/(1+tau^2),
+        # and the real part 1 - tau (tau q) rounds against 1, not q ~ 2.
+        tau = np.tan(np.multiply(theta, 0.5, out=theta), out=theta)
+        q = np.divide(2.0, np.add(np.square(tau, out=g), 1.0, out=g), out=g)
+        np.multiply(np.negative(tau, out=tau), q, out=rotation.imag)
+        np.subtract(1.0, np.multiply(tau, rotation.imag, out=g),
+                    out=rotation.real)
         u *= rotation
-        uhat = np.fft.fft2(u)
-        uhat *= full if i + 1 < n_steps else half
-    u = np.fft.ifft2(uhat)
+        np.fft.fft(np.fft.fft(u, axis=1, out=rotation), axis=0, out=u)
+        u *= full if i + 1 < n_steps else half
+    u = np.fft.ifft2(u)
     v = _invert(u.real ** 2 + u.imag ** 2, multiplier, v_mean)
     return replace(field, u=u, v=v, t=field.t + n_steps * dt)
 

@@ -270,6 +270,10 @@ def test_mass_conservation():
     for _ in range(200):
         out = step(out, DS2, 1e-3)
     assert abs(mass(out) - m0) <= 1e-10 * max(1.0, m0)
+    # A long run of a field that is not a catalog solution: 1.7e-13.
+    field = band_limited(1, n=16)
+    out = advance(field, DS2, 1e-2, 2000)
+    assert abs(mass(out) - mass(field)) <= 1e-12 * mass(field)
 
 
 @pytest.mark.parametrize("n_steps", [0, 1, 2, 37])
@@ -638,12 +642,18 @@ def test_invalid_box_point_is_named(tmp_path, capsys, family, params):
 
 
 def test_blowup_detection():
+    # A NaN cell, an inf cell, and a uniform |u| = 1e150 whose angle
+    # (e2 |u|^2 + v) dt overflows at the full dt but not at dt / 2: the
+    # check reads theta before the rotation halves it.
     n = 16
-    u = np.ones((n, n), dtype=complex)
-    u[3, 4] = complex("nan")
-    field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0)
-    with pytest.raises(BlowupError, match=r"\(step 1 of 1\)"):
-        step(field, DS2, 1e-3)
+    for value, cell, dt in ((complex("nan"), (3, 4), 1e-3),
+                            (complex("inf"), (3, 4), 1e-3),
+                            (1e150, (slice(None), slice(None)), 2.5e8)):
+        u = np.ones((n, n), dtype=complex)
+        u[cell] = value
+        field = Field(1.0, 1.0, u, np.zeros((n, n)), 0.0)
+        with pytest.raises(BlowupError, match=r"\(step 1 of 1\)"):
+            step(field, DS2, dt)
 
 
 # Exact relations of the stepper (Hairer, Lubich & Wanner, Geometric
@@ -695,3 +705,35 @@ def test_advance_is_time_reversible():
     back = advance(dataclasses.replace(there, u=there.u.conj()), DS2, 1e-2,
                    200)
     assert np.max(np.abs(back.u.conj() - field.u)) <= 1e-13
+
+
+# The nonlinear substep's rotation exp(-i theta) comes from tan(theta / 2).
+# On an 8 x 8 grid the FFTs of a uniform field are exact and its v is 0, so
+# one step turns u = A by the rotation alone.
+
+@pytest.mark.parametrize("eps2", [1, -1])
+@pytest.mark.parametrize("theta", [1e-8, 0.3, math.pi - 1e-9,
+                                   math.pi + 1e-9, 3.0 * math.pi + 0.1, 1e3])
+def test_uniform_field_turns_by_its_rotation(eps2, theta):
+    # Near pi, tan(theta / 2) passes -+2e9.  A = 2 and g = 4 make
+    # theta = (e2 g + v) dt exactly the angle asked for.
+    a, n = 2.0, 8
+    field = Field(1.0, 1.0, np.full((n, n), a, dtype=complex),
+                  np.zeros((n, n)), 0.0)
+    out = advance(field, Variant(-1, eps2), theta / (a * a), 1)
+    want = a * complex(math.cos(eps2 * theta), -math.sin(eps2 * theta))
+    assert np.max(np.abs(out.u - want)) <= 4.0 * math.ulp(a)
+    assert np.max(np.abs(np.abs(out.u) - a)) <= 4.0 * math.ulp(a)
+
+
+def test_stationary_run_keeps_the_mass():
+    # A stationary solution turns each cell by the same angle at every step,
+    # so a rotation whose |exp(-i theta)| is biased drifts the mass linearly.
+    # With q = 2 / (1 + tau^2), the real part 1 - tau (tau q) reads 4e-16 to
+    # 6e-15 at numpy's default, AVX-512-off and AVX2-off loops, as cos and
+    # sin do; the real part q - 1, which rounds against 2, reads 1.1e-13.
+    m = 0.7
+    L = 4.0 * ellipk(m)
+    field = make_field(sn_line(m), L, L, 16)
+    out = advance(field, DS2, 1e-3, 2000)
+    assert abs(mass(out) - mass(field)) <= 4e-14 * mass(field)
