@@ -94,30 +94,31 @@ class Solution:
     undefined or overflows (see ``jet_arrays``), and where ``u`` or ``v``
     is not finite; ``u`` and ``v`` are only meaningful where it is True.
     Each layer selects all three from one ``fields`` that reads any layer
-    below through ``eval_solution`` (see ``solution``).
-    ``provenance`` records family, parameters, and the transform chain.
-    """
+    below through ``eval_solution`` (see ``solution``).  ``provenance`` is
+    the config ``cli`` rebuilds it from; ``derived``, the forced constants."""
 
     variant: Variant
     u: Callable
     v: Callable
     valid: Callable
     provenance: dict = field(default_factory=dict)
+    derived: dict = field(default_factory=dict)
 
 
 # Each layer's fields within the eval_solution call in progress, or None.
 _scope = ContextVar("dsexact_eval_scope", default=None)
 
 
-def solution(variant: Variant, fields, provenance: dict) -> Solution:
+def solution(variant: Variant, fields, provenance, derived=None) -> Solution:
     """The Solution whose ``u``, ``v`` and ``valid`` select from one layer's
     ``fields(t, x, y) -> (u, v, ok)``, run under ``np.errstate(all=
-    "ignore")``, with ``ok`` False where ``u`` or ``v`` is not finite.
-    Within an ``eval_solution`` call ``fields`` runs once per identity of
-    ``t``, ``x`` and ``y``, so the three selectors share it; outside a
-    call each selector runs it afresh.  A transform's ``fields``
-    reads the layer below with one ``eval_solution`` call, a scope of its
-    own, so any call runs each layer beneath once."""
+    "ignore")``, with ``ok`` False where ``u`` or ``v`` is not finite, and
+    whose provenance is ``provenance`` under ``variant``'s signs, as the
+    ints JSON takes.  Within an ``eval_solution`` call ``fields`` runs once
+    per identity of ``t``, ``x`` and ``y``, so the three selectors share
+    it; outside a call each selector runs it afresh.  A transform's
+    ``fields`` reads the layer below with one ``eval_solution`` call, a
+    scope of its own, so any call runs each layer beneath once."""
     def run(t, x, y):
         memo = _scope.get()
         if memo is None:
@@ -131,9 +132,11 @@ def solution(variant: Variant, fields, provenance: dict) -> Solution:
             memo[key] = (u, v, ok), (t, x, y)
         return memo[key][0]
 
+    signs = {"eps1": int(variant.eps1), "eps2": int(variant.eps2)}
     return Solution(variant, lambda t, x, y: run(t, x, y)[0],
                     lambda t, x, y: run(t, x, y)[1],
-                    lambda t, x, y: run(t, x, y)[2], provenance)
+                    lambda t, x, y: run(t, x, y)[2],
+                    {"variant": signs, **provenance}, derived or {})
 
 
 def eval_solution(sol: Solution, t, x, y):
@@ -193,8 +196,8 @@ def family_a(variant: Variant, im: TimeFunction, c: float) -> Solution:
         v = quad * (eps1 * x * x + y * y) - eps2 * c * c * j.d1
         return u, v, ok & (j.d1 > IM_SLOPE_CUTOFF)
 
-    return solution(variant, fields, {"family": "A", "eps1": eps1,
-                                      "eps2": eps2, "Im": im.source, "c": c})
+    return solution(variant, fields, {"family": "A",
+                                      "params": {"Im": im.source, "c": c}})
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,6 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         raise ConfigError(f"family B: a={a!r}, b={b!r} give 3 a^2/b^2 "
                           f"outside the floating-point range")
     im_value = 0.25 * math.log(ratio)
-    eps2 = variant.eps2
     e2i = math.exp(-2.0 * im_value)
 
     def fields(t, x, y):
@@ -235,17 +237,16 @@ def family_b(variant: Variant, a: float, b: float, c: float,
         u = amp * np.exp(1j * (j.d1 * x * x + j.d1 * y * y))
         quad = j.d2 + 2.0 * j.d1 * j.d1
         e8b = e2b ** 4
-        vxx = quad + eps2 * a * a * e2i ** 3 * e8b
-        vyy = quad + eps2 * b * b * e2i * e8b
-        cross = 2.0 * a * b * eps2 * e2i ** 2 * e8b
-        linear = eps2 * c * e2i * e2b ** 2 * (
+        vxx = quad + a * a * e2i ** 3 * e8b
+        vyy = quad + b * b * e2i * e8b
+        cross = 2.0 * a * b * e2i ** 2 * e8b
+        linear = c * e2i * e2b ** 2 * (
             2.0 * a * e2i * e2b * x + 2.0 * b * e2b * y + c)
         v = -vxx * x * x - vyy * y * y - cross * x * y - linear
         return u, v, ok
 
-    return solution(variant, fields, {"family": "B", "eps1": 1, "eps2": eps2,
-                                      "a": a, "b": b, "c": c, "Im": im_value,
-                                      "beta": beta.source})
+    return solution(variant, fields, {"family": "B", "params": {
+        "a": a, "b": b, "c": c, "beta": beta.source}}, {"Im": im_value})
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +297,7 @@ def family_c(variant: Variant, kind: str, m: float | None, ell: float,
         v = gamma * quad + stretch * stretch * (c_v + kappa * nu * nu)
         return u, v, ok & (profile.pole_distance(w) > SINGULARITY_GUARD)
 
-    return solution(variant, fields, {
-        "family": "C", "eps1": eps1, "eps2": eps2, "kind": kind,
-        "m": profile.m, "ell": ell, "ell1": ell1, "beta": beta.source,
+    return solution(variant, fields, {"family": "C", "params": {
+        "kind": kind, **({} if m is None else {"m": profile.m}), "ell": ell,
+        "ell1": ell1, "beta": beta.source}}, {
         "amplitude": amp, "v_constant": c_v, "v_quad_coeff": kappa})

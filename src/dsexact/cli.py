@@ -21,6 +21,7 @@ blow-up, 4 internal error (an exception that is not a DSError).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -30,8 +31,8 @@ from .elliptic import PROFILE_KINDS, make_profile
 from .errors import ConfigError, DSError, real
 # make_field and step stay importable here: bench/tracing.py patches them.
 from .evolve import MAX_BOX_N, crosscheck, make_field, step
-from .gridio import GridSpec, write_box_csv, write_field_csv, \
-    write_json_report
+from .gridio import GridSpec, open_output, write_box_csv, \
+    write_field_csv, write_json_report
 from .residual import DEFAULT_H, DEFAULT_TOL_REL, MAX_POINTS, ORDER, verify
 from .symmetry import TransformSpec, compose
 from .timefn import parse_timefn
@@ -229,8 +230,9 @@ def verify_report(cfg, seed=None):
 
 def _cmd_verify(cfg, args) -> int:
     out = _out(cfg, args, "report.json")
-    report = verify_report(cfg, args.seed)
-    write_json_report(out, report.to_json_dict())
+    with open_output(out) as fh:  # before the work
+        report = verify_report(cfg, args.seed)
+        write_json_report(fh, report.to_json_dict())
     print(f"{'pass' if report.passed else 'FAIL'}  rms1={report.rms1:.3e} "
           f"rms2={report.rms2:.3e} order1={report.order1:.2f} "
           f"order2={report.order2:.2f} n={report.n_points} -> {out}")
@@ -256,11 +258,13 @@ def evolve_report(cfg):
 def _cmd_evolve(cfg, args) -> int:
     snapshot = _string(cfg, "/evolve/snapshot_out", None)
     out = _out(cfg, args, "evolve.json")
-    report, field = evolve_report(cfg)
-    if snapshot is not None:
-        write_box_csv(snapshot, field)
-        report["snapshot"] = snapshot
-    write_json_report(out, report)
+    with open_output(out) as fh, (contextlib.nullcontext() if snapshot is None
+                                  else open_output(snapshot)) as snap:
+        report, field = evolve_report(cfg)
+        if snapshot is not None:
+            write_box_csv(snap, field)
+            report["snapshot"] = snapshot
+        write_json_report(fh, report)
     print(f"{'pass' if report['pass'] else 'FAIL'}  max_dev="
           f"{report['max_dev']:.3e} l2_dev={report['l2_dev']:.3e} "
           f"mass_drift={report['mass_drift']:.3e} -> {out}")

@@ -13,6 +13,7 @@ keys and non-finite numbers written as ``null``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -229,22 +230,41 @@ def field_rows(sol: Solution, axes, rows, cells, index):
     return _rows(rows, cells, index, *eval_solution(sol, t, x, y))
 
 
-def _open_output(path):
-    """``path`` opened for writing bytes; a path that is not a str or an
-    os.PathLike, or that cannot be opened, is a ConfigError naming it."""
+@contextlib.contextmanager
+def open_output(path):
+    """``path`` (an open file as it is) open for writing bytes: a path that
+    is missing or a regular file gets a new file beside it, which replaces
+    it once the block ends (umask's mode, hard links broken) or is removed
+    if the block raises; any other path (a symlink, a device, a pipe) is
+    written in place.  A ConfigError names a path that is not a str or
+    os.PathLike, or that cannot be opened, before the block runs."""
+    if hasattr(path, "write"):
+        yield path
+        return
     if not isinstance(path, (str, os.PathLike)):
         raise ConfigError(f"cannot write {path!r}: not a str or os.PathLike")
-    try:
-        return open(path, "wb")
+    swap = not os.path.lexists(path or ".") or (
+        os.path.isfile(path) and not os.path.islink(path))
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp" if swap else path
+    try:  # "x": a name made meanwhile is refused
+        fh = open(tmp, "xb" if swap else "wb")
     except OSError as err:
         raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
+    try:
+        with fh:
+            yield fh
+        if swap:
+            os.replace(tmp, path)
+    finally:
+        if swap and os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _write_grid(path, axes, rows):
     """Header, then ``rows(out[:len(index[0])], cells, index)`` without its
     NULs for each _CHUNK-point slice ``index`` of the grid over ``axes``, x
     fastest; ``cells`` and ``out`` are made once, after ``path`` is opened."""
-    with _open_output(path) as fh:
+    with open_output(path) as fh:
         fh.write(FIELD_HEADER.encode() + b"\n")
         cells = [_spell(a).T.copy() for a in axes]
         buf = bytearray(_CHUNK * (7 * (_CELL + 1) + 6))
@@ -288,5 +308,5 @@ def write_json_report(path, report: dict):
     """Strict sorted JSON, null for non-finite floats, built before opening."""
     data = json.dumps(_finite_or_null(report), indent=2, sort_keys=True,
                       allow_nan=False).encode() + b"\n"
-    with _open_output(path) as fh:
+    with open_output(path) as fh:
         fh.write(data)

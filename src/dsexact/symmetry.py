@@ -61,7 +61,7 @@ class TransformSpec:
 
 
 def _layer(sol: Solution, spec: TransformSpec) -> Solution:
-    """One layer: ``sol`` under ``spec``, which joins its provenance chain."""
+    """One layer: ``sol`` under ``spec``, which joins its ``transforms``."""
     if spec.kind == "T1":
         alpha, beta, gamma = spec.alpha, spec.beta, spec.gamma
         eps1 = sol.variant.eps1
@@ -86,9 +86,8 @@ def _layer(sol: Solution, spec: TransformSpec) -> Solution:
             return u0 / b, v0 / b2, ok0
 
         transform = {"kind": "T2", "b": b}
-    chain = [*sol.provenance.get("transforms", []), transform]
-    return solution(sol.variant, fields,
-                    {**sol.provenance, "transforms": chain})
+    return solution(sol.variant, fields, {**sol.provenance, "transforms": [
+        *sol.provenance.get("transforms", []), transform]}, sol.derived)
 
 
 def compose(specs, sol: Solution) -> Solution:

@@ -50,13 +50,14 @@ def mutant(sol, amplitude=None, v_constant=None, v_quad_coeff=None):
         v' = v + exp(-4 beta) (C' - C) + (K' s^2 - K) |u|^2,
 
     since |u|^2 = exp(-4 beta) nu^2.  Exact only for the matched set, so
-    a mutant feeds the residual oracle a wrong solution."""
-    p = sol.provenance
+    a mutant feeds the residual oracle a wrong solution.  Its ``derived``
+    holds the constants given, and its provenance is ``sol``'s."""
+    p = sol.derived
     amp = p["amplitude"] if amplitude is None else float(amplitude)
     c_v = p["v_constant"] if v_constant is None else float(v_constant)
     kappa = p["v_quad_coeff"] if v_quad_coeff is None else float(v_quad_coeff)
     s = amp / p["amplitude"]
-    beta = parse_timefn(p["beta"])
+    beta = parse_timefn(sol.provenance["params"]["beta"])
 
     def fields(t, x, y):
         u, v, ok = eval_solution(sol, t, x, y)
@@ -65,21 +66,22 @@ def mutant(sol, amplitude=None, v_constant=None, v_quad_coeff=None):
             + (kappa * s * s - p["v_quad_coeff"]) * (u.real ** 2 + u.imag ** 2)
         return s * u, v, ok
 
-    return solution(sol.variant, fields, {**p, "amplitude": amp,
-                                          "v_constant": c_v,
-                                          "v_quad_coeff": kappa})
+    return solution(sol.variant, fields, sol.provenance, {
+        "amplitude": amp, "v_constant": c_v, "v_quad_coeff": kappa})
 
 
 def scaled(sol, s):
     """``sol`` with ``u`` scaled by ``s`` and ``v`` kept: for s != 1 not a
     solution, since the cubic term and the |u|^2 source of the mean flow
     scale as s^3 and s^2.  The wrong line of a family without other
-    constants to vary, such as family B, whose Im is forced."""
+    constants to vary, such as family B, whose Im is forced.  Its
+    ``derived`` adds ``"scale": s`` to ``sol``'s."""
     def fields(t, x, y):
         u, v, ok = eval_solution(sol, t, x, y)
         return s * u, v, ok
 
-    return solution(sol.variant, fields, {**sol.provenance, "scale": s})
+    return solution(sol.variant, fields, sol.provenance,
+                    {**sol.derived, "scale": s})
 
 
 def transformed(sol, kind, **fields):

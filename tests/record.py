@@ -29,18 +29,21 @@ The first form writes, with every path relative to OUT:
 The commands run through ``dsexact.cli.main`` from the ``src/`` beside this
 file, with OUT as the working directory.  A run takes well under a second.
 
-The second form names each file that differs between records A and B (or
-is in one only), and for each its first difference: the JSON key, or the
-CSV row and column, both values and their distance in units in the last
-place, then ``; pass true -> false`` (or the reverse) where the two
-reports' verdicts differ.  It exits 0 when the records match and 1
-otherwise.  With ``--expect FILE`` it exits 0 when the differing files are
-exactly the ones FILE declares, and 1 otherwise, naming each undeclared
-difference and each declared file that does not differ (FILE may still
-hold a previous change's declarations, which the next change clears).
-FILE holds one declaration a line: a record path, then the reason it
-changes; blank lines and ``#`` lines are skipped.  Standard library and
-numpy only.
+The second form names each file that differs between records A and B (or is
+in one only), and for each its first difference: the JSON key, or the CSV
+row and column, both values and, where they have one sign, their distance in
+units in the last place.  Then how far the file moved: how many of the JSON
+keys or CSV cells of either file differ, and the largest absolute and
+relative change of a number among them, as ``; 3 of 12 keys differ, by at
+most 2.5e-16 (1.1e-15 relative)``; then ``; pass true -> false`` (or the
+reverse) where the two reports' verdicts differ.  It exits 0 when the
+records match and 1 otherwise.  With ``--expect FILE`` it exits 0 when the
+differing files are exactly the ones FILE declares, and 1 otherwise, naming
+each undeclared difference and each declared file that does not differ
+(FILE may still hold a previous change's declarations, which the next
+change clears).  FILE holds one declaration a line: a record path, then the
+reason it changes; blank lines and ``#`` lines are skipped.  Standard
+library and numpy only.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -189,20 +193,25 @@ def record(out) -> str:
 # Comparing two records.
 # ---------------------------------------------------------------------------
 
-def _ulps(a, b):
-    """Distance of two finite floats in units in the last place, or None."""
+def _number(value):
+    """A JSON number (not a bool) or CSV cell as a finite float, or None."""
+    if isinstance(value, bool):
+        return None
     try:
-        a, b = float(a), float(b)
+        number = float(value)
     except (TypeError, ValueError):
         return None
-    if not (math.isfinite(a) and math.isfinite(b)):
+    return number if math.isfinite(number) else None
+
+
+def _ulps(a, b):
+    """Distance in units in the last place of two finite floats of one
+    sign (their bit patterns then order as their magnitudes), or None."""
+    a, b = _number(a), _number(b)
+    if a is None or b is None or math.copysign(1, a) != math.copysign(1, b):
         return None
-
-    def ordered(x):
-        i = struct.unpack("<q", struct.pack("<d", x))[0]
-        return i if i >= 0 else -(i & 0x7FFFFFFFFFFFFFFF)
-
-    return abs(ordered(a) - ordered(b))
+    a, b = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (a, b))
+    return abs(a - b)
 
 
 def _first_json(a, b, key=""):
@@ -220,6 +229,53 @@ def _first_json(a, b, key=""):
                 return found
         return None
     return None if a == b and type(a) is type(b) else (key or "/", a, b)
+
+
+def _leaves(doc, key=""):
+    """Each scalar of a JSON document as (key, value), keys as in
+    ``_first_json``."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        yield key or "/", doc
+        return
+    for k, child in items:
+        yield from _leaves(child, f"{key}/{k}")
+
+
+def _moved(pairs, unit) -> str:
+    """How far one file moved, from the (A, B) value pairs of the keys or
+    cells of either file (None where one lacks it): how many of them
+    differ and, among the numbers, the largest absolute and relative
+    change."""
+    moved = [(a, b) for a, b in pairs if a != b or type(a) is not type(b)]
+    changes, relative = [], []
+    for x, y in (map(_number, pair) for pair in moved):
+        if x is not None and y is not None:
+            changes.append(abs(y - x))
+            relative.append(changes[-1] / abs(x) if x else
+                            math.inf if changes[-1] else 0.0)
+    text = f"; {len(moved)} of {len(pairs)} {unit} differ"
+    if changes:
+        text += f", by at most {max(changes):.2g} " \
+            f"({max(relative):.2g} relative)"
+    return text
+
+
+def _json_moved(a, b) -> str:
+    keys_a, keys_b = dict(_leaves(a)), dict(_leaves(b))
+    return _moved([(keys_a.get(k), keys_b.get(k))
+                   for k in keys_a.keys() | keys_b.keys()], "keys")
+
+
+def _csv_moved(a, b) -> str:
+    rows_a, rows_b = a.splitlines(), b.splitlines()
+    pairs = [pair for ra, rb in itertools.zip_longest(rows_a, rows_b,
+                                                      fillvalue="")
+             for pair in itertools.zip_longest(ra.split(","), rb.split(","))]
+    return _moved(pairs, "cells")
 
 
 def _first_csv(a, b):
@@ -240,8 +296,9 @@ def _first_csv(a, b):
 
 def _first_difference(path_a, path_b) -> str:
     """The first difference of two files: by JSON key where both parse
-    as JSON and differ as values, else by CSV row and column; then a flip
-    of the two reports' ``"pass"``, as ``; pass true -> false``."""
+    as JSON and differ as values, else by CSV row and column; then how far
+    the file moved, and a flip of the two reports' ``"pass"``, as ``; pass
+    true -> false``."""
     a = path_a.read_text(encoding="utf-8")
     b = path_b.read_text(encoding="utf-8")
     found, flip = None, ""
@@ -257,7 +314,8 @@ def _first_difference(path_a, path_b) -> str:
         else _first_csv(a, b)
     ulps = _ulps(x, y)
     return f"{where}: {x!r} vs {y!r}" + \
-        ("" if ulps is None else f" ({ulps} ulp)") + flip
+        ("" if ulps is None else f" ({ulps} ulp)") + \
+        (_json_moved(*docs) if found else _csv_moved(a, b)) + flip
 
 
 def diff(a, b) -> list:

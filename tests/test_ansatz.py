@@ -1,5 +1,5 @@
 """Family C's line direction and cubic match, read from the constants that
-``family_c`` records in its provenance."""
+``family_c`` records in its ``derived``."""
 
 import math
 
@@ -13,7 +13,7 @@ from dsexact.elliptic import make_profile
 def constants(kind, m, eps1, ell, eps2):
     """(amplitude, v_constant, v_quad_coeff) of a family C line."""
     sol = family_c(Variant(eps1, eps2), kind, m, ell, 0.0, parse_timefn("0"))
-    return tuple(sol.provenance[key]
+    return tuple(sol.derived[key]
                  for key in ("amplitude", "v_constant", "v_quad_coeff"))
 
 

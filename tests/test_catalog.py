@@ -117,10 +117,13 @@ def test_family_b_preconditions():
 
 
 def test_family_b_existence_constant():
+    # Im is forced, so it is derived, not a parameter of the config.
     sol = family_b(Variant(1, 1), 1.0, 1.0, 0.5, parse_timefn("0"))
-    assert sol.provenance["Im"] == pytest.approx(math.log(3.0) / 4.0)
+    assert sol.derived == {"Im": pytest.approx(math.log(3.0) / 4.0)}
     sol2 = family_b(Variant(1, 1), 2.0, -1.0, 0.0, parse_timefn("0"))
-    assert sol2.provenance["Im"] == pytest.approx(math.log(12.0) / 4.0)
+    assert sol2.derived == {"Im": pytest.approx(math.log(12.0) / 4.0)}
+    assert sol2.provenance["params"] == {"a": 2.0, "b": -1.0, "c": 0.0,
+                                         "beta": "0"}
 
 
 @pytest.mark.parametrize("a, b", [(1.0, 2.0), (0.5, 0.3)])
@@ -213,32 +216,52 @@ def test_family_c_negated_amplitude_is_still_exact():
     # u -> -u is a symmetry; the sign of the matched root is a convention.
     from dsexact import verify
     base = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3, parse_timefn("0.1*t"))
-    flipped = mutant(base, amplitude=-base.provenance["amplitude"])
+    flipped = mutant(base, amplitude=-base.derived["amplitude"])
     pts = [(0.2, 0.3 * i, 0.3 * j) for i in range(-2, 3) for j in range(-2, 3)]
     assert verify(base, pts).passed
     assert verify(flipped, pts).passed
 
 
 @pytest.mark.parametrize("family, keys", [
-    (lambda: family_a(Variant(1, 1), parse_timefn("t"), np.int64(2)), ["c"]),
+    (lambda: family_a(Variant(np.int64(1), 1), parse_timefn("t"),
+                      np.int64(2)), ["c"]),
     (lambda: family_b(Variant(1, 1), np.int64(1), 2, np.int64(0),
                       parse_timefn("0")), ["a", "b", "c"]),
     (lambda: family_c(Variant(-1, 1), "sn", 0.5, np.int64(0), 1,
                       parse_timefn("0")), ["ell", "ell1"]),
 ], ids=["A", "B", "C"])
 def test_provenance_numbers_are_floats(family, keys):
-    # Integer parameters, numpy's too, are recorded as Python floats, so a
-    # provenance is JSON as it stands.
-    provenance = family().provenance
-    assert all(type(provenance[key]) is float for key in keys)
-    json.dumps(provenance)
+    # Integer parameters, numpy's too, are recorded as Python floats, and
+    # signs as Python ints, so a provenance is JSON as it stands.
+    sol = family()
+    params = sol.provenance["params"]
+    assert all(type(params[key]) is float for key in keys)
+    assert all(type(e) is int for e in sol.provenance["variant"].values())
+    assert all(type(value) is float for value in sol.derived.values())
+    json.dumps(sol.provenance)
+    json.dumps(sol.derived)
 
 
 def test_provenance_records_parameters():
-    sol = family_c(Variant(1, 1), "csch", None, 0.3, 2.5, parse_timefn("0"))
-    assert sol.provenance["family"] == "C"
-    assert sol.provenance["kind"] == "csch"
-    assert sol.provenance["beta"] == "0"
+    # The provenance is the config that names the solution, as cli reads
+    # it: the signs under "variant", the parameters under "params", an m
+    # for the elliptic kinds alone, and no constant that a family computes.
+    zero = parse_timefn("0")
+    assert family_a(Variant(-1, 1), parse_timefn("ln(t)"), 2.0).provenance \
+        == {"variant": {"eps1": -1, "eps2": 1}, "family": "A",
+            "params": {"Im": "ln(t)", "c": 2.0}}
+    assert family_b(Variant(1, 1), 1.0, 2.0, 0.5, zero).provenance == {
+        "variant": {"eps1": 1, "eps2": 1}, "family": "B",
+        "params": {"a": 1.0, "b": 2.0, "c": 0.5, "beta": "0"}}
+    sol = family_c(Variant(1, 1), "csch", None, 0.3, 2.5, zero)
+    assert sol.provenance == {
+        "variant": {"eps1": 1, "eps2": 1}, "family": "C",
+        "params": {"kind": "csch", "ell": 0.3, "ell1": 2.5, "beta": "0"}}
+    assert set(sol.derived) == {"amplitude", "v_constant", "v_quad_coeff"}
+    sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0, zero)
+    assert sol.provenance["params"] == {"kind": "sn", "m": 0.5, "ell": 0.4,
+                                        "ell1": 0.0, "beta": "0"}
+    assert family_a(Variant(1, 1), parse_timefn("t"), 1.0).derived == {}
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +651,8 @@ def test_matrix_verify_gets_each_layers_own_arrays(monkeypatch):
 @pytest.mark.parametrize("kind", ["rational", "tan", "sec", "coth", "csch"])
 @pytest.mark.parametrize("m", [0.0, 0.5])
 def test_family_c_refuses_a_modulus_on_a_kind_without_one(kind, m):
-    # The modulus was dropped and the provenance recorded m: 0.0.
+    # The modulus was dropped and the provenance recorded m: 0.0; now the
+    # provenance records no m on these kinds.
     with pytest.raises(ConfigError, match=re.escape(
             f"profile '{kind}' takes no modulus, got m={m!r}")):
         family_c(Variant(1, 1), kind, m, 0.3, 0.0, parse_timefn("0"))

@@ -1068,8 +1068,6 @@ def test_eval_checks_output_path_before_evaluating(tmp_path, capsys,
     assert calls == []
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: verify and evolve "
-                   "open their outputs only after the whole computation")
 @pytest.mark.parametrize("command, computation", [("verify", "verify"),
                                                   ("evolve", "crosscheck")])
 def test_output_path_is_checked_before_computing(tmp_path, capsys,
@@ -1088,6 +1086,42 @@ def test_output_path_is_checked_before_computing(tmp_path, capsys,
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "ConfigError" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("command, computation, pointer, target", [
+    ("verify", "verify", "/out", "folder"),
+    ("evolve", "crosscheck", "/out", "folder"),
+    ("evolve", "crosscheck", "/evolve/snapshot_out", "folder"),
+    ("evolve", "crosscheck", "/evolve/snapshot_out", "missing/snap.csv"),
+])
+def test_outputs_are_refused_before_computing(tmp_path, capsys, monkeypatch,
+                                              command, computation, pointer,
+                                              target):
+    # A folder, or a file in a missing folder, at either output of evolve
+    # is refused before the cross-check runs, and nothing is written: the
+    # other output, which could be written, keeps its old bytes.
+    calls = []
+    monkeypatch.setattr(cli, computation, lambda *a, **k: calls.append(a))
+    (tmp_path / "folder").mkdir()
+    doc = full_config(tmp_path)
+    set_pointer(doc, pointer, str(tmp_path / target))
+    kept = [Path(cli._get(doc, key)) for key in ("/out",
+                                                 "/evolve/snapshot_out")
+            if key != pointer]
+    for path in kept:
+        path.write_text("old", encoding="utf-8")
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: cannot write "
+                          f"{str(tmp_path / target)!r}: ")
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == sorted(
+        [tmp_path / "cfg.json", tmp_path / "folder", *kept])
+    assert [path.read_text(encoding="utf-8") for path in kept] == \
+        ["old"] * len(kept)
+    assert list((tmp_path / "folder").iterdir()) == []
+
 
 
 @pytest.mark.parametrize("then, status", [("eval", 0), ("verify", 2)],

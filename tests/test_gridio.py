@@ -2,10 +2,12 @@
 ``format(c, ".17g")``, rows are joined with ``,`` and end in ``,true`` or,
 for an invalid point, ``,,,,,false``."""
 
+import io
 import json
 import math
 import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -300,8 +302,6 @@ def test_column_formatter_matches_format():
     assert _decimal(others)[2].size < 0.2 * others.size
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 23: the CSV is written "
-                   "at its final path, so a failed export leaves part of it")
 def test_failed_export_leaves_no_partial_file(tmp_path):
     # 100 x 100 points are three chunks; the second one raises.
     calls = []
@@ -319,3 +319,67 @@ def test_failed_export_leaves_no_partial_file(tmp_path):
                         solution(Variant(-1, 1), fields, {}), [0.0], axis,
                         axis)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_export_keeps_the_file_it_would_replace(tmp_path):
+    # The export goes to a file beside the target, which replaces the
+    # target only once the last chunk is written.
+    calls = []
+
+    def fields(t, x, y):
+        calls.append(1)
+        if len(calls) == 3:  # the second chunk of the second export
+            raise RuntimeError("second chunk")
+        shape = np.broadcast(t, x, y).shape
+        return np.ones(shape, complex), np.zeros(shape), np.ones(shape, bool)
+
+    path = tmp_path / "field.csv"
+    axis = np.linspace(0.0, 1.0, 100)
+    write_field_csv(path, solution(Variant(-1, 1), fields, {}), [0.0], [0.0],
+                    [0.0])
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="second chunk"):
+        write_field_csv(path, solution(Variant(-1, 1), fields, {}), [0.0],
+                        axis, axis)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
+
+
+def test_an_unwritable_path_is_config_error(tmp_path):
+    for bad, reason in ((tmp_path, "Is a directory"),
+                        (tmp_path / "missing" / "r.json",
+                         "No such file or directory"),
+                        ("", "No such file or directory")):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cannot write {bad!r}: {reason}")):
+            write_json_report(bad, {"pass": True})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_path_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    # A symlink, a pipe or a device at the path is written through, not
+    # replaced by a regular file (the link and the pipe are tried first:
+    # /dev/stdout is a link); an open file is written to and left open.
+    link, target = tmp_path / "link", tmp_path / "target"
+    target.write_bytes(b"old")
+    link.symlink_to(target)
+    write_json_report(link, {"pass": True})
+    assert link.is_symlink()
+    assert target.read_bytes() == b'{\n  "pass": true\n}\n'
+    link.unlink()
+    target.unlink()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_json_report(fifo, {"pass": True})
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert os.read(reader, 100) == b'{\n  "pass": true\n}\n'
+    finally:
+        os.close(reader)
+    assert list(tmp_path.iterdir()) == [fifo]
+    write_json_report(os.devnull, {"pass": True})
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+    with io.BytesIO() as fh:
+        write_json_report(fh, {"pass": True})
+        assert fh.getvalue() == b'{\n  "pass": true\n}\n'

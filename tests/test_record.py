@@ -38,10 +38,15 @@ def test_record_reruns_are_byte_identical(tmp_path):
     rows[2] = rows[2].replace(",true", ",false")
     field.write_text("\n".join(rows) + "\n")
     (tmp_path / "b" / "evolve" / "boosted.json").unlink()
+    cells = sum(len(row.split(",")) for row in rows)
+    step = doc["rms1"] - rms1
     assert record.diff(tmp_path / "a", tmp_path / "b") == [
-        "eval/tan.csv: row 2, column valid: 'true' vs 'false'",
+        "eval/tan.csv: row 2, column valid: 'true' vs 'false'; "
+        f"1 of {cells} cells differ",
         f"evolve/boosted.json: only in {tmp_path / 'a'}",
-        f"verify/s0-00.json: key /rms1: {rms1!r} vs {doc['rms1']!r} (1 ulp)",
+        f"verify/s0-00.json: key /rms1: {rms1!r} vs {doc['rms1']!r} (1 ulp); "
+        f"1 of {len(doc)} keys differ, by at most {step:.2g} "
+        f"({step / rms1:.2g} relative)",
     ]
 
 
@@ -58,10 +63,40 @@ def test_diff_names_each_verdict_that_flips(tmp_path):
             (tmp_path / name / f"r{i}.json").write_text(json.dumps(doc))
     first = "key /max1: 1.0 vs 2.0 (4503599627370496 ulp)"
     assert record.diff(tmp_path / "a", tmp_path / "b") == [
-        f"r0.json: {first}; pass true -> false",
-        f"r1.json: {first}; pass false -> true",
-        f"r2.json: {first}",
+        f"r0.json: {first}; 2 of 2 keys differ, by at most 1 (1 relative); "
+        "pass true -> false",
+        f"r1.json: {first}; 2 of 2 keys differ, by at most 1 (1 relative); "
+        "pass false -> true",
+        f"r2.json: {first}; 1 of 2 keys differ, by at most 1 (1 relative)",
     ]
+
+
+def test_diff_says_how_far_a_file_moved(tmp_path):
+    # Beside the first difference: how many keys or cells differ, and the
+    # largest absolute and relative change of a number among them, which
+    # need not be the first difference's.  A key or cell of either file
+    # counts (r.json has 4 keys, /extra in B only).  An ulp count is taken
+    # only between values of one sign.
+    files = {
+        "a": ("x,u,valid\n0,1e-17,true\n1,2.0,true\n2,-0.0,true\n",
+              {"runs": [{"dev": 1e-10}, {"dev": 3.0}], "name": "sn"}),
+        "b": ("x,u,valid\n0,-1e-17,true\n1,2.5,true\n2,0.0,false\n",
+              {"runs": [{"dev": 1e-10}, {"dev": 2.0}], "name": "cn",
+               "extra": 1})}
+    for name, (csv, doc) in files.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "f.csv").write_text(csv)
+        (tmp_path / name / "r.json").write_text(json.dumps(doc))
+    assert record.diff(tmp_path / "a", tmp_path / "b") == [
+        "f.csv: row 1, column u: '1e-17' vs '-1e-17'; 4 of 12 cells differ, "
+        "by at most 0.5 (2 relative)",
+        "r.json: key /extra: None vs 1; 3 of 4 keys differ, by at most 1 "
+        "(0.33 relative)",
+    ]
+    assert record._ulps(1.0, -1.0) is None
+    assert record._ulps(-1.0, math.nextafter(-1.0, 0.0)) == 1
+    assert record._ulps(0.0, 5e-324) == 1
+    assert record._ulps(True, 1.0) is None
 
 
 def _records(tmp_path, cell):
@@ -74,7 +109,8 @@ def _records(tmp_path, cell):
     return [str(tmp_path / "a"), str(tmp_path / "b")]
 
 
-CELL = "eval/tan.csv: row 1, column valid: 'true' vs 'false'\n"
+CELL = ("eval/tan.csv: row 1, column valid: 'true' vs 'false'; "
+        "1 of 4 cells differ\n")
 TAN = "eval/tan.csv the pole cell moves\n"
 STALE = ("{expect} may still hold a previous change's declarations: the "
          "change after one that moves the record empties it (README)\n")

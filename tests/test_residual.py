@@ -389,7 +389,7 @@ def test_verify_memory_is_bounded_by_the_block():
 
 def test_sign_flip_symmetry():
     base = family_c(Variant(-1, 1), "sn", 0.6, 0.4, 0.3, parse_timefn("0"))
-    flipped = mutant(base, amplitude=-base.provenance["amplitude"])
+    flipped = mutant(base, amplitude=-base.derived["amplitude"])
     # R1 is odd and R2 even in u, and negating u negates every rounded
     # term of R1 exactly, so both magnitudes are equal bit for bit.
     a = at_point(base, 0.0, 0.5, -0.3)
@@ -483,7 +483,7 @@ def test_wrong_amplitude_is_rejected_at_any_scale(b):
     # the terms) never falls below tol_rel, so the last two pass.
     beta = parse_timefn("0.1*t")
     matched = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0, beta)
-    wrong = mutant(matched, amplitude=1.5 * matched.provenance["amplitude"])
+    wrong = mutant(matched, amplitude=1.5 * matched.derived["amplitude"])
     axis = np.linspace(-1.0, 1.0, 8)
     pts = [(0.3, x, y) for x in axis for y in axis]
     report = verify(compose([TransformSpec("T2", b=b)], wrong), pts)

@@ -219,11 +219,18 @@ def test_dressed_rational_closed_form():
 
 
 def test_provenance_chain():
+    # A chain's provenance is its base's config with the chain as cli reads
+    # it under "transforms"; the base's derived constants pass through.
     sol = family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0, ZERO)
-    out = compose([TransformSpec("T1", alpha=ZERO, beta=ZERO, gamma=ZERO),
-                   TransformSpec("T2", b=2.0)], sol)
-    kinds = [item["kind"] for item in out.provenance["transforms"]]
-    assert kinds == ["T1", "T2"]
+    out = compose([TransformSpec("T1", alpha=ZERO, beta=ZERO,
+                                 gamma=parse_timefn("0.5*t")),
+                   TransformSpec("T2", b=2)], sol)
+    assert out.provenance == {**sol.provenance, "transforms": [
+        {"kind": "T1", "alpha": "0", "beta": "0", "gamma": "0.5*t"},
+        {"kind": "T2", "b": 2.0}]}
+    assert type(out.provenance["transforms"][1]["b"]) is float
+    assert "transforms" not in sol.provenance
+    assert out.derived == sol.derived
 
 
 @pytest.mark.parametrize("kind, fields, stray", [
