@@ -11,11 +11,11 @@ Commands
 Configs are JSON documents (see README for the schema); all runs are
 deterministic for a fixed config and seed.  Each command acts on the
 config's ``/transforms``; ``transform`` is ``eval`` that requires them.
-Numbers must be finite, tolerances >= 0; forced constants (B's ``im``, C's
-``amplitude``, ``v_constant``, ``v_quad_coeff``) and ``m`` on a kind with
-no modulus are refused.  Exit codes: 0 pass, 1 verification failure,
-2 configuration error or input outside a family's contract, 3 numerical
-blow-up, 4 internal error (an exception that is not a DSError).
+Numbers must be finite, tolerances >= 0, and ``/params`` holds only its
+family's keys (``m`` only for a kind with a modulus).  Exit codes: 0 pass,
+1 verification failure or a closed stdout, 2 configuration error or input
+outside a family's contract, 3 numerical blow-up, 4 internal error (an
+exception that is not a DSError).
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .catalog import Solution, Variant, family_a, family_b, family_c
@@ -144,32 +145,39 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def build_solution(cfg: dict) -> Solution:
-    variant = Variant(_choice(cfg, "/variant/eps1", (1, -1)),
-                      _choice(cfg, "/variant/eps2", (1, -1)))
-    family = _choice(cfg, "/family", ("A", "B", "C"))
-    # B's existence condition and C's cubic match force these constants.
-    forced = {"B": ("im",), "C": ("amplitude", "v_constant", "v_quad_coeff")}
-    for key in forced.get(family, ()):
-        if _get(cfg, f"/params/{key}", None) is not None:
-            raise ConfigError(f"/params/{key}: family {family} takes no "
-                              f"constant overrides; its constants are forced")
-    if family == "A":
-        return family_a(variant, _timefn(cfg, "/params/Im"),
-                        _number(cfg, "/params/c"))
-    if family == "B":
-        return family_b(variant, _number(cfg, "/params/a"),
-                        _number(cfg, "/params/b"), _number(cfg, "/params/c"),
-                        _timefn(cfg, "/params/beta", "0"))
-    kind = _choice(cfg, "/params/kind", PROFILE_KINDS)
+def _kind(cfg, pointer, default=...):
+    kind = _choice(cfg, pointer, PROFILE_KINDS, default)
     m = _number(cfg, "/params/m", None)
-    try:  # the modulus domain is make_profile's; the config names the key
+    try:  # make_profile owns m's domain for the kind; the config names m
         make_profile(kind, m)
     except ConfigError as exc:
         raise ConfigError(f"/params/m: {exc}") from None
-    return family_c(variant, kind, m, _number(cfg, "/params/ell"),
-                    _number(cfg, "/params/ell1", 0.0),
-                    _timefn(cfg, "/params/beta", "0"))
+    return kind
+
+
+_FAMILIES = {  # builder, {/params key: (reader, default)} in argument order
+    "A": (family_a, {"Im": (_timefn, ...), "c": (_number, ...)}),
+    "B": (family_b, {"a": (_number, ...), "b": (_number, ...),
+                     "c": (_number, ...), "beta": (_timefn, "0")}),
+    "C": (family_c, {"kind": (_kind, ...), "m": (_number, None),
+                     "ell": (_number, ...), "ell1": (_number, 0.0),
+                     "beta": (_timefn, "0")}),
+}
+
+
+def build_solution(cfg: dict) -> Solution:
+    variant = Variant(_choice(cfg, "/variant/eps1", (1, -1)),
+                      _choice(cfg, "/variant/eps2", (1, -1)))
+    family = _choice(cfg, "/family", tuple(_FAMILIES))
+    build, keys = _FAMILIES[family]
+    sol = build(variant, *(read(cfg, f"/params/{key}", default)
+                           for key, (read, default) in keys.items()))
+    for key, value in _get(cfg, "/params").items():  # null: absent
+        if key not in keys and value is not None:
+            raise ConfigError(f"/params/{key}: family {family} " + (
+                "takes no constant overrides; its constants are forced"
+                if key in sol.derived else f"takes only {', '.join(keys)}"))
+    return sol
 
 
 def _transform(cfg, pointer) -> TransformSpec:
@@ -332,7 +340,16 @@ def main(argv=None) -> int:
     handler = _COMMANDS[args.command][0]
     try:
         cfg = load_config(args.config) if "config" in args else None
-        return handler(cfg, args)
+        code = handler(cfg, args)
+        print(end="", flush=True)  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError as err:  # stdout's reader left: not a fault
+        # The interpreter's last flush of stdout then writes to devnull.
+        with contextlib.suppress(AttributeError, OSError, ValueError):
+            stdout = sys.stdout.fileno()  # may raise: then open nothing
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        print(f"{type(err).__name__}: {err}", file=sys.stderr)
+        return 1
     except Exception as err:  # not a DSError: an internal error, exit 4
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return err.exit_code if isinstance(err, DSError) else 4

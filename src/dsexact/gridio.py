@@ -19,6 +19,7 @@ import json
 import math
 import os
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,14 +231,28 @@ def field_rows(sol: Solution, axes, rows, cells, index):
     return _rows(rows, cells, index, *eval_solution(sol, t, x, y))
 
 
+def _stdout_buffer(path):
+    """``sys.stdout.buffer`` if ``path`` is the file the process's stdout
+    writes to, else None, as for a stdout with no descriptor (under
+    ``contextlib.redirect_stdout``)."""
+    try:
+        if os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno())):
+            return sys.stdout.buffer
+    except (AttributeError, OSError, ValueError):
+        pass
+    return None
+
+
 @contextlib.contextmanager
 def open_output(path):
     """``path`` (an open file as it is) open for writing bytes: a path that
     is missing or a regular file gets a new file beside it, which replaces
     it once the block ends (umask's mode, hard links broken) or is removed
     if the block raises; any other path (a symlink, a device, a pipe) is
-    written in place.  A ConfigError names a path that is not a str or
-    os.PathLike, or that cannot be opened, before the block runs."""
+    written in place, through ``sys.stdout.buffer`` (flushed, not closed)
+    where it is the process's stdout.  A ConfigError names a path that is
+    not a str or os.PathLike, or that cannot be opened, before the block
+    runs."""
     if hasattr(path, "write"):
         yield path
         return
@@ -245,6 +260,14 @@ def open_output(path):
         raise ConfigError(f"cannot write {path!r}: not a str or os.PathLike")
     swap = not os.path.lexists(path or ".") or (
         os.path.isfile(path) and not os.path.islink(path))
+    # Opened again, stdout's file would be written from offset 0, where
+    # what stdout prints next lands on top of it.
+    stdout = None if swap else _stdout_buffer(path)
+    if stdout is not None:
+        sys.stdout.flush()
+        yield stdout
+        stdout.flush()
+        return
     tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp" if swap else path
     try:  # "x": a name made meanwhile is refused
         fh = open(tmp, "xb" if swap else "wb")

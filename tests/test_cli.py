@@ -3,8 +3,10 @@ import ast
 import gc
 import json
 import math
+import os
 import re
 import runpy
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -191,6 +193,57 @@ def test_family_c_constant_overrides_are_refused(tmp_path, capsys, key):
     assert main(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith(f"ConfigError: /params/{key}: ")
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("family, params, key", [
+    ("B", {"a": 1.0, "b": 1.0, "c": 0.5, "Im": 7.0}, "Im"),
+    ("A", {"Im": "t", "c": 1.0, "beta": "t"}, "beta"),
+    ("C", {"kind": "sn", "m": 0.5, "ell": 0.4, "Ampltude": 7}, "Ampltude"),
+])
+def test_a_params_key_the_family_does_not_take_is_refused(
+        tmp_path, capsys, family, params, key):
+    # Each ran with the key ignored: B's forced Im as an input, a parameter
+    # of another family, a misspelt constant.
+    doc = full_config(tmp_path)
+    doc.update(variant={"eps1": 1 if family == "B" else -1, "eps2": 1},
+               family=family, params=params)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["verify", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ConfigError: /params/{key}: family {family} ")
+    keys = ", ".join(cli._FAMILIES[family][1])
+    assert err.endswith("its constants are forced\n" if key == "Im"
+                        else f"takes only {keys}\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_null_params_key_counts_as_absent(tmp_path):
+    doc = full_config(tmp_path)
+    doc["params"].update(x=None, amplitude=None)
+    cfg = write_config(tmp_path / "cfg.json", doc)
+    assert main(["verify", "--config", cfg]) == 0
+
+
+def test_readme_names_the_params_table():
+    # README's config reference lists each family's /params keys as the
+    # table does, and the constants each family forces, which its solution
+    # derives.
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md")
+                      .read_text(encoding="utf-8").split())
+    for family, (_, keys) in cli._FAMILIES.items():
+        assert f"{family} " + ", ".join(f"`{k}`" for k in keys) in readme
+    sols = [cli.build_solution(cfg) for cfg in (
+        {"variant": {"eps1": -1, "eps2": 1}, "family": "A",
+         "params": {"Im": "t", "c": 1.0}},
+        {"variant": {"eps1": 1, "eps2": 1}, "family": "B",
+         "params": {"a": 1.0, "b": 1.0, "c": 0.5}},
+        {"variant": {"eps1": -1, "eps2": 1}, "family": "C",
+         "params": {"kind": "sn", "m": 0.5, "ell": 0.4}})]
+    assert [bool(sol.derived) for sol in sols] == [False, True, True]
+    for sol in sols[1:]:
+        *rest, last = [f"`{name}`" for name in sol.derived]
+        named = f"{', '.join(rest)} and {last}" if rest else last
+        assert f"family {sol.provenance['family']}'s {named}" in readme
 
 
 def test_internal_error_exits_4_on_one_line(tmp_path, capsys, monkeypatch):
@@ -1216,3 +1269,49 @@ def test_readme_config_schema_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for command in ("eval", "verify", "transform", "evolve"):
         assert main([command, "--config", cfg]) == 0, command
+
+
+def run_cli(argv, stdout):
+    """``python -m dsexact argv`` in a new process with ``stdout`` as its
+    stdout; the CompletedProcess, stderr as text."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{path}" if path
+           else src}
+    return subprocess.run([sys.executable, "-m", "dsexact", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+@pytest.mark.parametrize("command", ["verify", "evolve"])
+def test_out_dev_stdout_into_a_file(tmp_path, command):
+    # The report went through a second descriptor from offset 0, and the
+    # summary line then overwrote its start.
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    assert main([command, "--config", cfg]) == 0
+    report = (tmp_path / "out.json").read_text(encoding="utf-8")
+    with open(tmp_path / "stdout.txt", "wb") as fh:
+        done = run_cli([command, "--config", cfg, "--out", "/dev/stdout"], fh)
+    assert (done.returncode, done.stderr) == (0, "")
+    text = (tmp_path / "stdout.txt").read_text(encoding="utf-8")
+    assert text.startswith(report)
+    assert re.fullmatch(r"pass  [^\n]* -> /dev/stdout\n", text[len(report):])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"),
+                    reason="no /dev/stdout")
+def test_a_closed_stdout_pipe_exits_1_on_one_line(tmp_path):
+    # It was a BrokenPipeError traceback that exited 4.
+    cfg = write_config(tmp_path / "cfg.json", full_config(tmp_path))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = run_cli(["verify", "--config", cfg, "--out", "/dev/stdout"],
+                       write)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr.startswith("BrokenPipeError: ")
+    assert done.stderr.count("\n") == 1  # no traceback, no "Exception ignored"

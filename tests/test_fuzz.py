@@ -18,7 +18,8 @@ import random
 import pytest
 
 import record
-from dsexact import ellipk, errors, evolve
+from dsexact import Variant, ellipk, errors, evolve, family_c, \
+    parse_timefn
 from dsexact.cli import main
 
 SEED = 17
@@ -35,7 +36,9 @@ TEXTS = ["", "x", "1", "t", "0.1*t", "ln(t)", "1/t", "exp(t)^64",
 VALUES = NUMBERS + TEXTS + [
     None, [], [1, 2, 3], [0.5], [[0]], {}, {"expr": "t", "domain": [0, 1]},
     {"kind": "T2", "b": 2}, True, False]
-REFUSED = ("amplitude", "v_constant", "v_quad_coeff")
+# The constants family C forces, which cli refuses as /params keys.
+REFUSED = tuple(family_c(Variant(-1, 1), "sn", 0.5, 0.4, 0.0,
+                         parse_timefn("0")).derived)
 GRID = {"t": [0.2, 0.5], "x": [-0.8, 0.8, 5], "y": [-0.8, 0.8, 5]}
 # The most work one case may do: steps times grid points in its call to
 # evolve.advance, 4,096 steps at 16 x 16.  A case that asks for more is
